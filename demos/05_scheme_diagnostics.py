@@ -10,7 +10,7 @@ import numpy as np
 
 from ussir import SimConfig, convergence_probe, report_for_model
 from ussir.integrator import simulate_batch
-from ussir.levy import SMALL, compensator_integral, sample_jumps
+from ussir.levy import SMALL
 from ussir.integrator import path_generator
 from ussir.scenario import build_model, bundled_scenario_path, load_scenario
 
@@ -31,15 +31,17 @@ def compensation():
     cfg = load_scenario(bundled_scenario_path("table1"))
     model = build_model(cfg)
     state = np.asarray(cfg.initial_state)
-    comp = np.asarray(compensator_integral(model, 0.0, state))
+    pv = model.param_values(0.0)
+    comp = model.compensator_pv(pv, state)
+    small_mass = model.measure.mass(SMALL)
     rng = path_generator(99)
     dt, steps = 0.001, 20_000
     acc = np.zeros(3)
     for _ in range(steps):
-        batch = sample_jumps(model.measure, SMALL, dt, rng)
+        marks = model.measure.sample_marks(SMALL, int(rng.poisson(small_mass * dt)), rng)
         acc -= comp * dt
-        if len(batch):
-            acc += model.small_jump(0.0, state, batch.marks).sum(axis=0)
+        if len(marks):
+            acc += model.small_jump_pv(pv, state, marks).sum(axis=0)
     print(f"    mean increment over {steps} steps: {(acc / steps).round(10).tolist()}\n")
 
 

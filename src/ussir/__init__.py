@@ -8,10 +8,9 @@ bundled parameter scenarios end to end.
 """
 
 from .expr import BoundsPair, TimeFunction, bounds, parse, serialize
-from .levy import JumpBatch, LevyMeasure, compensator_integral, region_mass, sample_jumps
+from .levy import LevyMeasure
 from .models import (
     ModelSpec,
-    State,
     build_custom,
     build_ex1,
     build_ex1b,
@@ -21,7 +20,7 @@ from .models import (
     check_conservation,
     check_positivity_ratios,
 )
-from .integrator import SimConfig, Trajectory, convergence_probe, project, simulate, step
+from .integrator import SimConfig, Trajectory, convergence_probe, project, simulate
 from .criteria import (
     CriteriaReport,
     SideCondition,
@@ -50,14 +49,12 @@ __all__ = [
     "BoundsPair",
     "CriteriaReport",
     "EnsembleStats",
-    "JumpBatch",
     "LevyMeasure",
     "ModelSpec",
     "ScenarioConfig",
     "ScenarioError",
     "SideCondition",
     "SimConfig",
-    "State",
     "TimeFunction",
     "Trajectory",
     "bounds",
@@ -70,7 +67,6 @@ __all__ = [
     "build_xc",
     "check_conservation",
     "check_positivity_ratios",
-    "compensator_integral",
     "convergence_probe",
     "ex1_extinction",
     "ex1b_persistence",
@@ -83,13 +79,10 @@ __all__ = [
     "lyapunov_estimate",
     "parse",
     "project",
-    "region_mass",
     "report_for_model",
     "run_ensemble",
-    "sample_jumps",
     "serialize",
     "simulate",
-    "step",
     "time_average_infected",
     "verdict",
     "xc_report",

@@ -149,7 +149,7 @@ def k_value(model: ModelSpec, t: float, state, u) -> float:
     of their positivity factors.  Nonnegative wherever defined (log(1+x) is
     at most x)."""
     s = np.asarray(state, dtype=float)
-    ratios = model.small_jump(t, s, u) / s
+    ratios = model.small_jump_pv(model.param_values(t), s, u) / s
     factors = 1.0 + ratios
     if np.any(factors <= 0.0):
         raise ValueError(f"positivity factor not positive: {factors.tolist()}")
@@ -425,19 +425,24 @@ def octant_grid(hi: float, n_per_axis: int = 25, y_min: float = 1e-3, lo: float 
     return np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
 
 
+def _infected_per_capita(model: ModelSpec, pv, states: np.ndarray):
+    """Per-capita drift and diffusion row of the infected compartment."""
+    Y = states[:, 1]
+    drift_pc = model.drift_fn(pv, states)[:, 1] / Y
+    return drift_pc, model.diffusion_fn(pv, states)[:, 1, :] / Y[:, None]
+
+
 def _jump_integral(model: ModelSpec, pv, states, region: str, transform, quad_nodes: int, u_chunk: int = 64) -> float:
     """integral over the region of sup over states of transform(ratio),
     against the intensity measure, by chunked midpoint quadrature."""
     nodes, weights = model.measure.quadrature(region, nodes_per_piece=quad_nodes)
     if nodes.size == 0:
         return 0.0
-    ratio_fn = (
-        model.infected_small_jump_ratio if region == SMALL else model.infected_large_jump_ratio
-    )
+    jump_fn = model.small_jump_fn if region == SMALL else model.large_jump_fn
     total = 0.0
     for start in range(0, nodes.size, u_chunk):
         u = nodes[start : start + u_chunk, None]
-        ratios = ratio_fn(pv, states, u)
+        ratios = jump_fn(pv, states, u)[..., 1] / states[:, 1]
         if np.any(ratios <= -1.0):
             raise ValueError("jump ratio at or below -1 on the grid; positivity violated")
         total += float(weights[start : start + u_chunk] @ transform(ratios).max(axis=1))
@@ -467,8 +472,7 @@ def generic_alpha_estimate(
     best = -math.inf
     for t in np.asarray(t_grid, dtype=float):
         pv = model.param_values(float(t))
-        drift_pc = model.infected_drift_per_capita(pv, states)
-        diff_pc = model.infected_diffusion_per_capita(pv, states)
+        drift_pc, diff_pc = _infected_per_capita(model, pv, states)
         bracket = float((drift_pc - 0.5 * (diff_pc**2).sum(axis=-1)).max())
         small = _jump_integral(
             model, pv, states, SMALL, lambda r: np.log1p(r) - r, quad_nodes
@@ -493,15 +497,16 @@ def generic_alpha_star_estimate(
     States where the diffusion row vanishes are excluded from the supremum
     (the strengthened form needs nondegenerate noise there).
     """
-    if not model.has_drift_split:
+    if model.infected_loss_pc_fn is None:
         raise ValueError("model does not expose a gain/loss drift split")
     states = np.asarray(state_grid, dtype=float)
     best = -math.inf
     for t in np.asarray(t_grid, dtype=float):
         pv = model.param_values(float(t))
-        gain = model.infected_gain_pc_fn(pv, states)
+        drift_pc, diff_pc = _infected_per_capita(model, pv, states)
         loss = model.infected_loss_pc_fn(pv, states)
-        denom = (model.infected_diffusion_per_capita(pv, states) ** 2).sum(axis=-1)
+        gain = drift_pc + loss
+        denom = (diff_pc**2).sum(axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = gain**2 / (2.0 * denom) - loss
         vals = vals[np.isfinite(vals)]

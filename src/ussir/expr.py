@@ -353,16 +353,17 @@ class BoundsPair:
         return cls(value, value, "analytic")
 
 
-def _is_constant(node: Node) -> bool:
+def free_names(node: Node) -> frozenset[str]:
+    """The variable names an expression tree mentions."""
     if isinstance(node, Num):
-        return True
+        return frozenset()
     if isinstance(node, Var):
-        return False
+        return frozenset((node.name,))
     if isinstance(node, Neg):
-        return _is_constant(node.operand)
+        return free_names(node.operand)
     if isinstance(node, BinOp):
-        return _is_constant(node.left) and _is_constant(node.right)
-    return _is_constant(node.arg)
+        return free_names(node.left) | free_names(node.right)
+    return free_names(node.arg)
 
 
 def _const_value(node: Node) -> float:
@@ -377,9 +378,9 @@ def _frequency_of(node: Node, varname: str):
         w = _frequency_of(node.operand, varname)
         return None if w is None else -w
     if isinstance(node, BinOp) and node.op == "*":
-        if _is_constant(node.left) and isinstance(node.right, Var) and node.right.name == varname:
+        if not free_names(node.left) and isinstance(node.right, Var) and node.right.name == varname:
             return _const_value(node.left)
-        if _is_constant(node.right) and isinstance(node.left, Var) and node.left.name == varname:
+        if not free_names(node.right) and isinstance(node.left, Var) and node.left.name == varname:
             return _const_value(node.right)
     return None
 
@@ -387,7 +388,7 @@ def _frequency_of(node: Node, varname: str):
 def _sinusoid_terms(node: Node, varname: str):
     """Decompose into [(coeff, None | (func, w))] or None if not affine in
     sinusoids of the time variable."""
-    if _is_constant(node):
+    if not free_names(node):
         return [(_const_value(node), None)]
     if isinstance(node, Neg):
         inner = _sinusoid_terms(node.operand, varname)
@@ -402,16 +403,16 @@ def _sinusoid_terms(node: Node, varname: str):
                 right = [(-c, osc) for c, osc in right]
             return left + right
         if node.op == "*":
-            if _is_constant(node.left):
+            if not free_names(node.left):
                 inner = _sinusoid_terms(node.right, varname)
                 scale = _const_value(node.left)
-            elif _is_constant(node.right):
+            elif not free_names(node.right):
                 inner = _sinusoid_terms(node.left, varname)
                 scale = _const_value(node.right)
             else:
                 return None
             return None if inner is None else [(scale * c, osc) for c, osc in inner]
-        if node.op == "/" and _is_constant(node.right):
+        if node.op == "/" and not free_names(node.right):
             denom = _const_value(node.right)
             if denom == 0:
                 return None

@@ -10,9 +10,9 @@ generator keyed by a hash of (master seed, path index), so paths are
 independent, reproducible, and independent of how many run together.  The
 per-path stream is consumed in fixed blocks of ``CHUNK_STEPS`` steps:
 Brownian increments for the block, then small-jump counts, then large-jump
-counts, then marks step by step (small before large).  :func:`step` draws
-in exactly the block-of-one order, so a manual step loop reproduces
-``simulate`` bit for bit when the engine runs with ``chunk=1``.
+counts, then marks step by step (small before large).  With ``chunk=1``
+the per-step order is therefore Brownian increments, small-jump count,
+large-jump count, small marks, large marks.
 
 The safeguard raises components at or below zero to the configured floor
 and counts every such clamp; positive values below the floor are legitimate
@@ -45,7 +45,6 @@ __all__ = [
     "project",
     "simulate",
     "simulate_batch",
-    "step",
 ]
 
 CHUNK_STEPS = 8192
@@ -148,48 +147,6 @@ def project(state, domain: str, floor: float = 1e-12, simplex_tol: float = RENOR
         if abs(total - 1.0) > simplex_tol:
             arr /= total
     return arr
-
-
-def step(
-    model: ModelSpec,
-    t: float,
-    state,
-    dt: float,
-    rng: np.random.Generator,
-    floor: float = 1e-12,
-) -> np.ndarray:
-    """One Euler-Maruyama step from ``state`` at time ``t``.
-
-    Draw order (fixed for reproducibility): Brownian increments, small-jump
-    count, large-jump count, small marks, large marks.  Inactive noise
-    groups draw nothing.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    s = np.asarray(state, dtype=float)
-    pv = model.param_values(t)
-    incr = model.drift_pv(pv, s) * dt
-    if model.has_diffusion:
-        dB = rng.standard_normal(model.brownian_dim) * math.sqrt(dt)
-        incr = incr + (model.diffusion_pv(pv, s) * dB).sum(axis=-1)
-    n_small = n_large = 0
-    if model.has_small_jumps:
-        small_mass = model.measure.mass(SMALL)
-        if small_mass > 0.0:
-            n_small = int(rng.poisson(small_mass * dt))
-    if model.has_large_jumps:
-        large_mass = model.measure.mass(LARGE)
-        if large_mass > 0.0:
-            n_large = int(rng.poisson(large_mass * dt))
-    if model.has_small_jumps:
-        if n_small:
-            marks = model.measure.sample_marks(SMALL, n_small, rng)
-            incr = incr + model.small_jump_pv(pv, s, marks).sum(axis=0)
-        incr = incr - model.compensator_pv(pv, s) * dt
-    if n_large:
-        marks = model.measure.sample_marks(LARGE, n_large, rng)
-        incr = incr + model.large_jump_pv(pv, s, marks).sum(axis=0)
-    return project(s + incr, model.domain, floor)
 
 
 @dataclass(frozen=True)

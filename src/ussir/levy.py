@@ -1,30 +1,23 @@
-"""Jump-noise intensity measure: region masses, mark sampling, compensators.
+"""Jump-noise intensity measure: region masses, quadrature, mark sampling.
 
 The driving Poisson random measure lives on R - {0} with a piecewise-uniform
 intensity.  Marks with |u| < 1 are the "small" region (they enter the
 dynamics compensated); |u| >= 1 is the "large" region (uncompensated).  The
 bundled scenarios all use the uniform density on [-2, 2], which splits into
 mass 2 small and mass 2 large, but the measure is a config value rather
-than a constant.
+than a constant.  The integrator draws each step's jump counts from
+Poisson(mass * dt) and their marks from :meth:`LevyMeasure.sample_marks`;
+the compensator itself belongs to the model
+(:meth:`ussir.models.ModelSpec.compensator_pv`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .models import ModelSpec
-
-__all__ = [
-    "JumpBatch",
-    "LevyMeasure",
-    "compensator_integral",
-    "region_mass",
-    "sample_jumps",
-]
+__all__ = ["LevyMeasure"]
 
 SMALL = "small"
 LARGE = "large"
@@ -116,45 +109,3 @@ class LevyMeasure:
         denss = np.array([p[2] for p in pieces])
         offsets = u - np.concatenate(([0.0], cum[:-1]))[idx]
         return lows[idx] + offsets / denss[idx]
-
-
-@dataclass(frozen=True)
-class JumpBatch:
-    """Marks landing in one region during one time step."""
-
-    marks: np.ndarray
-    region: str
-
-    def __len__(self) -> int:
-        return len(self.marks)
-
-
-def region_mass(measure: LevyMeasure, region: str) -> float:
-    """Measure of the small (|u| < 1) or large (|u| >= 1) region."""
-    return measure.mass(region)
-
-
-def sample_jumps(measure: LevyMeasure, region: str, dt: float, rng: np.random.Generator) -> JumpBatch:
-    """One step's worth of jumps: Poisson(mass * dt) count, i.i.d. marks.
-
-    Deterministic given the generator state.  Draw order: one Poisson count,
-    then ``count`` uniforms for the marks.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    mass = measure.mass(region)
-    if mass == 0.0:
-        return JumpBatch(marks=np.empty(0), region=region)
-    count = int(rng.poisson(mass * dt))
-    return JumpBatch(marks=measure.sample_marks(region, count, rng), region=region)
-
-
-def compensator_integral(model: "ModelSpec", t: float, state) -> tuple[float, float, float]:
-    """integral over {|u|<1} of the small-jump coefficient vector, against
-    the model's intensity measure.
-
-    Closed form (single evaluation times the small mass) when the model's
-    jump coefficients do not depend on u; midpoint quadrature otherwise.
-    """
-    vec = model.compensator(t, np.asarray(state, dtype=float))
-    return (float(vec[..., 0]), float(vec[..., 1]), float(vec[..., 2]))

@@ -18,9 +18,11 @@ A generic constructor (:func:`build_custom`) accepts raw coefficient
 expressions for experiments outside this family; on the proportions simplex
 it must pass the conservation and positivity gates before it is returned.
 
-Every model evaluates its coefficients through a two-layer interface: the
-public methods take ``(t, state)``; the ``*_pv`` layer takes a dict of
-already-evaluated time-coefficient values so that integrators can evaluate
+A model carries only its drift, diffusion and jump coefficients, plus the
+per-capita loss of the infected row where the family has one; everything
+else (the compensator, the per-capita forms the criteria use) is derived
+from those.  Coefficients take a dict of already-evaluated time-coefficient
+values (see :meth:`ModelSpec.param_values`) so that integrators evaluate
 each time function once per step (or once per grid) instead of once per
 coefficient use.
 """
@@ -33,15 +35,13 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .expr import TimeFunction, bounds, evaluate, parse
+from .expr import TimeFunction, bounds, evaluate, free_names, parse
 from .levy import SMALL, LevyMeasure
 
 __all__ = [
     "ConservationReport",
     "ModelSpec",
     "PositivityReport",
-    "State",
-    "as_state_array",
     "build_custom",
     "build_ex1",
     "build_ex1b",
@@ -62,40 +62,12 @@ OCTANT = "octant"
 SIMPLEX_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class State:
-    """Compartment state (susceptible, infected, recovered).
-
-    Units are proportions on the simplex or population counts (millions)
-    on the positive octant, depending on the owning model's domain tag.
-    """
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    @classmethod
-    def from_array(cls, arr) -> "State":
-        a = np.asarray(arr, dtype=float)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-
-def as_state_array(state) -> np.ndarray:
-    """Accept State, tuple, list, or ndarray; return a float (3,) array."""
-    if isinstance(state, State):
-        return state.as_array()
+def check_admissible(state, domain: str, simplex_tol: float = SIMPLEX_TOL) -> np.ndarray:
+    """Validate shape, positivity (and the unit-sum constraint on the
+    simplex); return the state as a float (3,) array."""
     arr = np.asarray(state, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"state must have three components, got shape {arr.shape}")
-    return arr
-
-
-def check_admissible(state, domain: str, simplex_tol: float = SIMPLEX_TOL) -> np.ndarray:
-    """Validate positivity (and the unit-sum constraint on the simplex)."""
-    arr = as_state_array(state)
     if not np.all(arr > 0):
         raise ValueError(f"state components must be positive, got {arr.tolist()}")
     if domain == SIMPLEX and abs(arr.sum() - 1.0) > simplex_tol:
@@ -117,8 +89,11 @@ def _with_u(u, S: np.ndarray):
     """Broadcast a mark array against the state block.
 
     Returns (u, X, Y, Z) all broadcast to a common shape so that
-    u-independent coefficients still produce one output row per mark.
+    u-independent coefficients still produce one output row per mark.  A
+    float mark adds no axis, so the state columns come back as they are.
     """
+    if isinstance(u, float):
+        return u, S[..., 0], S[..., 1], S[..., 2]
     u = np.asarray(u, dtype=float)
     shape = np.broadcast_shapes(u.shape, S.shape[:-1])
     return (
@@ -127,6 +102,11 @@ def _with_u(u, S: np.ndarray):
         np.broadcast_to(S[..., 1], shape),
         np.broadcast_to(S[..., 2], shape),
     )
+
+
+def _zero_jump(pv, S, u):
+    _, X, _, _ = _with_u(u, S)
+    return np.zeros(X.shape + (3,))
 
 
 _Coeff = Callable[..., np.ndarray]
@@ -139,7 +119,11 @@ class ModelSpec:
     Immutable after construction; shareable across threads.  Coefficient
     callables are vectorized over a leading batch axis of the state block
     ``S`` with shape (..., 3); jump callables additionally broadcast the
-    mark ``u`` against the batch axes.
+    mark ``u`` against the batch axes.  ``small_jump_uses_u`` is False only
+    when the small-jump coefficients are known not to depend on the mark,
+    which lets the compensator skip quadrature.  ``infected_loss_pc_fn``,
+    when present, is the nonnegative per-capita loss of the infected row,
+    so that the row's drift splits into gain minus loss.
     """
 
     model_id: str
@@ -153,12 +137,7 @@ class ModelSpec:
     diffusion_fn: _Coeff
     small_jump_fn: _Coeff
     large_jump_fn: _Coeff
-    compensator_fn: Optional[_Coeff]
-    infected_drift_pc_fn: Optional[_Coeff] = None
-    infected_diffusion_pc_fn: Optional[_Coeff] = None
-    infected_small_ratio_fn: Optional[_Coeff] = None
-    infected_large_ratio_fn: Optional[_Coeff] = None
-    infected_gain_pc_fn: Optional[_Coeff] = None
+    small_jump_uses_u: bool = True
     infected_loss_pc_fn: Optional[_Coeff] = None
     has_diffusion: bool = True
     has_small_jumps: bool = True
@@ -169,6 +148,7 @@ class ModelSpec:
             raise ValueError(f"domain must be {SIMPLEX!r} or {OCTANT!r}")
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         object.__setattr__(self, "jump_constants", MappingProxyType(dict(self.jump_constants)))
+        object.__setattr__(self, "_small_mass", self.measure.mass(SMALL))
 
     # -- coefficient evaluation ------------------------------------------
 
@@ -194,10 +174,10 @@ class ModelSpec:
 
     def compensator_pv(self, pv: Mapping, S: np.ndarray) -> np.ndarray:
         """Small-region integral of the jump coefficient vector against the
-        intensity measure; closed form when available, midpoint quadrature
-        otherwise."""
-        if self.compensator_fn is not None:
-            return self.compensator_fn(pv, S)
+        intensity measure: the small mass times the coefficient when it does
+        not depend on the mark, midpoint quadrature otherwise."""
+        if not self.small_jump_uses_u:
+            return self._small_mass * self.small_jump_fn(pv, S, 0.0)
         nodes, weights = self.measure.quadrature(SMALL)
         if nodes.size == 0:
             return np.zeros(S.shape)
@@ -206,49 +186,6 @@ class ModelSpec:
         vals = self.small_jump_fn(pv, S, u)
         w = weights.reshape((-1,) + (1,) * (vals.ndim - 1))
         return (vals * w).sum(axis=0)
-
-    def drift(self, t: float, state) -> np.ndarray:
-        return self.drift_pv(self.param_values(t), np.asarray(state, dtype=float))
-
-    def diffusion(self, t: float, state) -> np.ndarray:
-        return self.diffusion_pv(self.param_values(t), np.asarray(state, dtype=float))
-
-    def small_jump(self, t: float, state, u) -> np.ndarray:
-        return self.small_jump_pv(self.param_values(t), np.asarray(state, dtype=float), u)
-
-    def large_jump(self, t: float, state, u) -> np.ndarray:
-        return self.large_jump_pv(self.param_values(t), np.asarray(state, dtype=float), u)
-
-    def compensator(self, t: float, state) -> np.ndarray:
-        return self.compensator_pv(self.param_values(t), np.asarray(state, dtype=float))
-
-    # -- per-capita forms of the infected row ------------------------------
-
-    def infected_drift_per_capita(self, pv: Mapping, S: np.ndarray) -> np.ndarray:
-        if self.infected_drift_pc_fn is not None:
-            return self.infected_drift_pc_fn(pv, S)
-        return self.drift_fn(pv, S)[..., 1] / S[..., 1]
-
-    def infected_diffusion_per_capita(self, pv: Mapping, S: np.ndarray) -> np.ndarray:
-        if self.infected_diffusion_pc_fn is not None:
-            return self.infected_diffusion_pc_fn(pv, S)
-        return self.diffusion_fn(pv, S)[..., 1, :] / S[..., 1][..., None]
-
-    def infected_small_jump_ratio(self, pv: Mapping, S: np.ndarray, u) -> np.ndarray:
-        if self.infected_small_ratio_fn is not None:
-            return self.infected_small_ratio_fn(pv, S, u)
-        vals = self.small_jump_fn(pv, S, u)[..., 1]
-        return vals / np.broadcast_to(S[..., 1], vals.shape)
-
-    def infected_large_jump_ratio(self, pv: Mapping, S: np.ndarray, u) -> np.ndarray:
-        if self.infected_large_ratio_fn is not None:
-            return self.infected_large_ratio_fn(pv, S, u)
-        vals = self.large_jump_fn(pv, S, u)[..., 1]
-        return vals / np.broadcast_to(S[..., 1], vals.shape)
-
-    @property
-    def has_drift_split(self) -> bool:
-        return self.infected_gain_pc_fn is not None and self.infected_loss_pc_fn is not None
 
 
 def suppress(
@@ -267,30 +204,16 @@ def suppress(
     changes: dict = {}
     if drift:
         changes["drift_fn"] = lambda pv, S: np.zeros(S.shape)
-        changes["infected_drift_pc_fn"] = lambda pv, S: np.zeros(S.shape[:-1])
-        changes["infected_gain_pc_fn"] = lambda pv, S: np.zeros(S.shape[:-1])
         changes["infected_loss_pc_fn"] = lambda pv, S: np.zeros(S.shape[:-1])
     if diffusion:
         changes["diffusion_fn"] = lambda pv, S: np.zeros(S.shape[:-1] + (3, n))
-        changes["infected_diffusion_pc_fn"] = lambda pv, S: np.zeros(S.shape[:-1] + (n,))
         changes["has_diffusion"] = False
-
-    def _zero_jump(pv, S, u):
-        u_, X, _, _ = _with_u(u, S)
-        return np.zeros(X.shape + (3,))
-
-    def _zero_ratio(pv, S, u):
-        u_, X, _, _ = _with_u(u, S)
-        return np.zeros(X.shape)
-
     if small_jumps:
         changes["small_jump_fn"] = _zero_jump
-        changes["infected_small_ratio_fn"] = _zero_ratio
-        changes["compensator_fn"] = lambda pv, S: np.zeros(S.shape)
+        changes["small_jump_uses_u"] = False
         changes["has_small_jumps"] = False
     if large_jumps:
         changes["large_jump_fn"] = _zero_jump
-        changes["infected_large_ratio_fn"] = _zero_ratio
         changes["has_large_jumps"] = False
     return replace(model, **changes)
 
@@ -357,7 +280,6 @@ def build_ex1(params: Mapping, jumps: Mapping, measure: Optional[LevyMeasure] = 
     j = _collect_jumps(jumps, EX1_JUMPS, "ex1")
     _require_xi_at_least_one(p["xi"], "ex1")
     measure = _default_measure(measure)
-    small_mass = measure.mass(SMALL)
     h1, h2, g1, g2 = j["h1"], j["h2"], j["g1"], j["g2"]
 
     def _denom(pv, X, Y):
@@ -378,43 +300,17 @@ def build_ex1(params: Mapping, jumps: Mapping, measure: Optional[LevyMeasure] = 
         col2 = np.stack([zero, s2 + zero, -s2 + zero], axis=-1)
         return np.stack([col1, col2], axis=-1)
 
-    def _hvec(X, Y, Z):
+    def small(pv, S, u):
+        _, X, Y, Z = _with_u(u, S)
         a = h1 * X * Y
         b = h2 * Y * Z
         return np.stack([-a, a - b, b], axis=-1)
-
-    def small(pv, S, u):
-        _, X, Y, Z = _with_u(u, S)
-        return _hvec(X, Y, Z)
 
     def large(pv, S, u):
         _, X, Y, Z = _with_u(u, S)
         a = g1 * X * Y
         b = g2 * Y * Z
         return np.stack([-a, a - b, b], axis=-1)
-
-    def compensator(pv, S):
-        return small_mass * _hvec(S[..., 0], S[..., 1], S[..., 2])
-
-    def drift_pc(pv, S):
-        X, Y = S[..., 0], S[..., 1]
-        return pv["beta"] * X ** pv["xi"] / _denom(pv, X, Y) - pv["gamma"]
-
-    def diff_pc(pv, S):
-        X, Y, Z = S[..., 0], S[..., 1], S[..., 2]
-        return np.stack([pv["sigma1"] * X / _denom(pv, X, Y), pv["sigma2"] * Z + 0.0 * X], axis=-1)
-
-    def small_ratio(pv, S, u):
-        _, X, _, Z = _with_u(u, S)
-        return h1 * X - h2 * Z
-
-    def large_ratio(pv, S, u):
-        _, X, _, Z = _with_u(u, S)
-        return g1 * X - g2 * Z
-
-    def gain_pc(pv, S):
-        X, Y = S[..., 0], S[..., 1]
-        return pv["beta"] * X ** pv["xi"] / _denom(pv, X, Y)
 
     def loss_pc(pv, S):
         return pv["gamma"] + 0.0 * S[..., 0]
@@ -431,12 +327,7 @@ def build_ex1(params: Mapping, jumps: Mapping, measure: Optional[LevyMeasure] = 
         diffusion_fn=diffusion,
         small_jump_fn=small,
         large_jump_fn=large,
-        compensator_fn=compensator,
-        infected_drift_pc_fn=drift_pc,
-        infected_diffusion_pc_fn=diff_pc,
-        infected_small_ratio_fn=small_ratio,
-        infected_large_ratio_fn=large_ratio,
-        infected_gain_pc_fn=gain_pc,
+        small_jump_uses_u=False,
         infected_loss_pc_fn=loss_pc,
     )
 
@@ -456,7 +347,6 @@ def build_ex1b(params: Mapping, jumps: Mapping, measure: Optional[LevyMeasure] =
     p = _collect_params(params, EX1B_PARAMS, "ex1b")
     j = _collect_jumps(jumps, EX1B_JUMPS, "ex1b")
     measure = _default_measure(measure)
-    small_mass = measure.mass(SMALL)
     h1, h2, g1, g2 = j["h1"], j["h2"], j["g1"], j["g2"]
 
     def drift(pv, S):
@@ -471,41 +361,15 @@ def build_ex1b(params: Mapping, jumps: Mapping, measure: Optional[LevyMeasure] =
         s = pv["sigma"] * X * Y * Z
         return np.stack([-s, 2.0 * s, -s], axis=-1)[..., None]
 
-    def _hvec(X, Y, Z):
-        w = X * Y * Z
-        return np.stack([-h1 * w, (h1 - h2) * w, h2 * w], axis=-1)
-
     def small(pv, S, u):
         _, X, Y, Z = _with_u(u, S)
-        return _hvec(X, Y, Z)
+        w = X * Y * Z
+        return np.stack([-h1 * w, (h1 - h2) * w, h2 * w], axis=-1)
 
     def large(pv, S, u):
         _, X, Y, Z = _with_u(u, S)
         w = X * Y * Z
         return np.stack([-g1 * w, (g1 - g2) * w, g2 * w], axis=-1)
-
-    def compensator(pv, S):
-        return small_mass * _hvec(S[..., 0], S[..., 1], S[..., 2])
-
-    def drift_pc(pv, S):
-        X, Z = S[..., 0], S[..., 2]
-        return pv["beta"] * X - pv["gamma1"] + pv["gamma2"] * Z
-
-    def diff_pc(pv, S):
-        X, Z = S[..., 0], S[..., 2]
-        return (2.0 * pv["sigma"] * X * Z)[..., None]
-
-    def small_ratio(pv, S, u):
-        _, X, _, Z = _with_u(u, S)
-        return (h1 - h2) * X * Z
-
-    def large_ratio(pv, S, u):
-        _, X, _, Z = _with_u(u, S)
-        return (g1 - g2) * X * Z
-
-    def gain_pc(pv, S):
-        X, Z = S[..., 0], S[..., 2]
-        return pv["beta"] * X + pv["gamma2"] * Z
 
     def loss_pc(pv, S):
         return pv["gamma1"] + 0.0 * S[..., 0]
@@ -522,12 +386,7 @@ def build_ex1b(params: Mapping, jumps: Mapping, measure: Optional[LevyMeasure] =
         diffusion_fn=diffusion,
         small_jump_fn=small,
         large_jump_fn=large,
-        compensator_fn=compensator,
-        infected_drift_pc_fn=drift_pc,
-        infected_diffusion_pc_fn=diff_pc,
-        infected_small_ratio_fn=small_ratio,
-        infected_large_ratio_fn=large_ratio,
-        infected_gain_pc_fn=gain_pc,
+        small_jump_uses_u=False,
         infected_loss_pc_fn=loss_pc,
     )
 
@@ -558,24 +417,6 @@ def build_xc(params: Mapping, measure: Optional[LevyMeasure] = None) -> ModelSpe
         s = pv["sigma"] * X * Y
         return np.stack([-s, s + 0.0 * s, 0.0 * s], axis=-1)[..., None]
 
-    def _zero_jump(pv, S, u):
-        _, X, _, _ = _with_u(u, S)
-        return np.zeros(X.shape + (3,))
-
-    def drift_pc(pv, S):
-        X = S[..., 0]
-        return pv["beta"] * X - (pv["mu"] + pv["gamma"] + pv["epsilon"])
-
-    def diff_pc(pv, S):
-        return (pv["sigma"] * S[..., 0])[..., None]
-
-    def _zero_ratio(pv, S, u):
-        _, X, _, _ = _with_u(u, S)
-        return np.zeros(X.shape)
-
-    def gain_pc(pv, S):
-        return pv["beta"] * S[..., 0]
-
     def loss_pc(pv, S):
         return pv["mu"] + pv["gamma"] + pv["epsilon"] + 0.0 * S[..., 0]
 
@@ -591,12 +432,7 @@ def build_xc(params: Mapping, measure: Optional[LevyMeasure] = None) -> ModelSpe
         diffusion_fn=diffusion,
         small_jump_fn=_zero_jump,
         large_jump_fn=_zero_jump,
-        compensator_fn=lambda pv, S: np.zeros(S.shape),
-        infected_drift_pc_fn=drift_pc,
-        infected_diffusion_pc_fn=diff_pc,
-        infected_small_ratio_fn=_zero_ratio,
-        infected_large_ratio_fn=_zero_ratio,
-        infected_gain_pc_fn=gain_pc,
+        small_jump_uses_u=False,
         infected_loss_pc_fn=loss_pc,
         has_small_jumps=False,
         has_large_jumps=False,
@@ -622,7 +458,6 @@ def build_ex34a(params: Mapping, jumps: Mapping, cap: float, measure: Optional[L
     if cap <= 0:
         raise ValueError(f"ex34a: truncation cap {cap} must be positive")
     measure = _default_measure(measure)
-    small_mass = measure.mass(SMALL)
     h1, h2, h3, g1, g2 = (j[k] for k in EX34A_JUMPS)
 
     def _denom(pv, X, Y):
@@ -647,52 +482,17 @@ def build_ex34a(params: Mapping, jumps: Mapping, cap: float, measure: Optional[L
         col2 = np.stack([zero, s2 + zero, -s2 + zero], axis=-1)
         return np.stack([col1, col2], axis=-1)
 
-    def _hvec(X, Y, Z):
+    def small(pv, S, u):
+        _, X, Y, Z = _with_u(u, S)
         Xs, Ys, Zs = star(X), star(Y), star(Z)
         xy, yz, xz = h1 * Xs * Ys, h2 * Ys * Zs, h3 * Xs * Zs
         return np.stack([-(xy - xz), xy - yz, yz - xz], axis=-1)
-
-    def small(pv, S, u):
-        _, X, Y, Z = _with_u(u, S)
-        return _hvec(X, Y, Z)
 
     def large(pv, S, u):
         _, X, Y, Z = _with_u(u, S)
         Xs, Ys, Zs = star(X), star(Y), star(Z)
         xy, yz = g1 * Xs * Ys, g2 * Ys * Zs
         return np.stack([-xy, xy - yz, yz + 0.0 * xy], axis=-1)
-
-    def compensator(pv, S):
-        return small_mass * _hvec(S[..., 0], S[..., 1], S[..., 2])
-
-    def drift_pc(pv, S):
-        X, Y = S[..., 0], S[..., 1]
-        Yd = dagger(Y, cap)
-        infect_pc = pv["beta"] * dagger(X, cap) * Yd ** pv["xi"] / (_denom(pv, X, Y) * Y)
-        return infect_pc + (pv["gamma2"] - pv["mu"] - pv["gamma3"] * Yd) * (Yd / Y)
-
-    def diff_pc(pv, S):
-        X, Y, Z = S[..., 0], S[..., 1], S[..., 2]
-        ratio = dagger(Y, cap) / Y
-        c1 = pv["sigma1"] * dagger(X, cap) * ratio / _denom(pv, X, Y)
-        c2 = pv["sigma2"] * ratio * dagger(Z, cap)
-        return np.stack([c1, c2 + 0.0 * c1], axis=-1)
-
-    def small_ratio(pv, S, u):
-        _, X, Y, Z = _with_u(u, S)
-        ratio = star(Y) / Y
-        return h1 * star(X) * ratio - h2 * ratio * star(Z)
-
-    def large_ratio(pv, S, u):
-        _, X, Y, Z = _with_u(u, S)
-        ratio = star(Y) / Y
-        return g1 * star(X) * ratio - g2 * ratio * star(Z)
-
-    def gain_pc(pv, S):
-        X, Y = S[..., 0], S[..., 1]
-        Yd = dagger(Y, cap)
-        infect_pc = pv["beta"] * dagger(X, cap) * Yd ** pv["xi"] / (_denom(pv, X, Y) * Y)
-        return infect_pc + pv["gamma2"] * (Yd / Y)
 
     def loss_pc(pv, S):
         Y = S[..., 1]
@@ -711,12 +511,7 @@ def build_ex34a(params: Mapping, jumps: Mapping, cap: float, measure: Optional[L
         diffusion_fn=diffusion,
         small_jump_fn=small,
         large_jump_fn=large,
-        compensator_fn=compensator,
-        infected_drift_pc_fn=drift_pc,
-        infected_diffusion_pc_fn=diff_pc,
-        infected_small_ratio_fn=small_ratio,
-        infected_large_ratio_fn=large_ratio,
-        infected_gain_pc_fn=gain_pc,
+        small_jump_uses_u=False,
         infected_loss_pc_fn=loss_pc,
     )
 
@@ -736,7 +531,6 @@ def build_ex34b(params: Mapping, jumps: Mapping, cap: float, measure: Optional[L
     if cap <= 0:
         raise ValueError(f"ex34b: truncation cap {cap} must be positive")
     measure = _default_measure(measure)
-    small_mass = measure.mass(SMALL)
     h1, h2, h3, g1, g2, g3 = (j[k] for k in EX34B_JUMPS)
 
     def drift(pv, S):
@@ -752,41 +546,15 @@ def build_ex34b(params: Mapping, jumps: Mapping, cap: float, measure: Optional[L
         s = pv["sigma"] * dagger(X, cap) * dagger(Y, cap) * dagger(Z, cap)
         return np.stack([-s, 2.0 * s, -s], axis=-1)[..., None]
 
-    def _hvec(X, Y, Z):
-        w = star(X) * star(Y) * star(Z)
-        return np.stack([-(h1 - h3) * w, (h1 - h2) * w, (h2 - h3) * w], axis=-1)
-
     def small(pv, S, u):
         _, X, Y, Z = _with_u(u, S)
-        return _hvec(X, Y, Z)
+        w = star(X) * star(Y) * star(Z)
+        return np.stack([-(h1 - h3) * w, (h1 - h2) * w, (h2 - h3) * w], axis=-1)
 
     def large(pv, S, u):
         _, X, Y, Z = _with_u(u, S)
         w = star(X) * star(Y) * star(Z)
         return np.stack([-(g1 - g3) * w, (g1 - g2) * w, (g2 - g3) * w], axis=-1)
-
-    def compensator(pv, S):
-        return small_mass * _hvec(S[..., 0], S[..., 1], S[..., 2])
-
-    def drift_pc(pv, S):
-        X, Y = S[..., 0], S[..., 1]
-        return (pv["beta"] * dagger(X, cap) - (pv["mu"] + pv["gamma2"])) * (dagger(Y, cap) / Y)
-
-    def diff_pc(pv, S):
-        X, Y, Z = S[..., 0], S[..., 1], S[..., 2]
-        return (2.0 * pv["sigma"] * dagger(X, cap) * (dagger(Y, cap) / Y) * dagger(Z, cap))[..., None]
-
-    def small_ratio(pv, S, u):
-        _, X, Y, Z = _with_u(u, S)
-        return (h1 - h2) * star(X) * (star(Y) / Y) * star(Z)
-
-    def large_ratio(pv, S, u):
-        _, X, Y, Z = _with_u(u, S)
-        return (g1 - g2) * star(X) * (star(Y) / Y) * star(Z)
-
-    def gain_pc(pv, S):
-        X, Y = S[..., 0], S[..., 1]
-        return pv["beta"] * dagger(X, cap) * (dagger(Y, cap) / Y)
 
     def loss_pc(pv, S):
         Y = S[..., 1]
@@ -804,12 +572,7 @@ def build_ex34b(params: Mapping, jumps: Mapping, cap: float, measure: Optional[L
         diffusion_fn=diffusion,
         small_jump_fn=small,
         large_jump_fn=large,
-        compensator_fn=compensator,
-        infected_drift_pc_fn=drift_pc,
-        infected_diffusion_pc_fn=diff_pc,
-        infected_small_ratio_fn=small_ratio,
-        infected_large_ratio_fn=large_ratio,
-        infected_gain_pc_fn=gain_pc,
+        small_jump_uses_u=False,
         infected_loss_pc_fn=loss_pc,
     )
 
@@ -870,10 +633,11 @@ def build_custom(
         return np.stack(cols, axis=-1)
 
     def _jump_fn(fns):
+        if fns is None:
+            return _zero_jump
+
         def fn(pv, S, u):
             u_, X, Y, Z = _with_u(u, S)
-            if fns is None:
-                return np.zeros(X.shape + (3,))
             comps = []
             for f in fns:
                 out = np.asarray(evaluate(f, pv["t"], x=X, y=Y, z=Z, u=u_), dtype=float)
@@ -894,7 +658,7 @@ def build_custom(
         diffusion_fn=diffusion_fn,
         small_jump_fn=_jump_fn(small_fns),
         large_jump_fn=_jump_fn(large_fns),
-        compensator_fn=None if small_fns is not None else (lambda pv, S: np.zeros(S.shape)),
+        small_jump_uses_u=any("u" in free_names(f.ast) for f in small_fns or ()),
         has_small_jumps=small_fns is not None,
         has_large_jumps=large_fns is not None,
     )

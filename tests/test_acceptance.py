@@ -14,7 +14,7 @@ import pytest
 
 from ussir.cli import main
 from ussir.integrator import SimConfig, convergence_probe, simulate_batch
-from ussir.levy import SMALL, compensator_integral, sample_jumps
+from ussir.levy import SMALL
 from ussir.criteria import report_for_model
 from ussir.models import check_conservation
 from ussir.montecarlo import run_ensemble, verdict
@@ -246,15 +246,17 @@ def test_c13_compensation_property(scenario):
     _, model = scenario("table1")
     state = np.array([0.8, 0.19, 0.01])
     dt, steps = 0.001, 100_000
-    comp = np.asarray(compensator_integral(model, 0.0, state))
+    pv = model.param_values(0.0)
+    comp = model.compensator_pv(pv, state)
+    small_mass = model.measure.mass(SMALL)
     rng = np.random.Generator(np.random.Philox(key=[2024, 13]))
     acc = np.zeros(3)
     acc_sq = np.zeros(3)
     for _ in range(steps):
-        batch = sample_jumps(model.measure, SMALL, dt, rng)
+        marks = model.measure.sample_marks(SMALL, int(rng.poisson(small_mass * dt)), rng)
         inc = -comp * dt
-        if len(batch):
-            inc = inc + model.small_jump(0.0, state, batch.marks).sum(axis=0)
+        if len(marks):
+            inc = inc + model.small_jump_pv(pv, state, marks).sum(axis=0)
         acc += inc
         acc_sq += inc**2
     mean = acc / steps

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ussir.integrator import path_generator
-from ussir.levy import LARGE, SMALL, JumpBatch, LevyMeasure, compensator_integral, region_mass, sample_jumps
+from ussir.levy import LARGE, SMALL, LevyMeasure
+from ussir.models import OCTANT, build_custom
 
 
 @pytest.fixture
@@ -10,30 +11,40 @@ def paper_measure():
     return LevyMeasure.uniform(-2.0, 2.0)
 
 
+def _step_marks(measure, region, dt, rng):
+    """One step's jumps as the integrator draws them: a Poisson(mass * dt)
+    count, then that many marks."""
+    return measure.sample_marks(region, int(rng.poisson(measure.mass(region) * dt)), rng)
+
+
+def _compensator(model, t, state):
+    return model.compensator_pv(model.param_values(t), np.asarray(state, dtype=float))
+
+
 class TestRegionMass:
     def test_small_region(self, paper_measure):
-        assert region_mass(paper_measure, SMALL) == pytest.approx(2.0)
+        assert paper_measure.mass(SMALL) == pytest.approx(2.0)
 
     def test_large_region(self, paper_measure):
-        assert region_mass(paper_measure, LARGE) == pytest.approx(2.0)
+        assert paper_measure.mass(LARGE) == pytest.approx(2.0)
 
     def test_narrow_support_has_empty_large_region(self):
         m = LevyMeasure.uniform(-0.5, 0.5)
-        assert region_mass(m, LARGE) == 0.0
-        assert region_mass(m, SMALL) == pytest.approx(1.0)
+        assert m.mass(LARGE) == 0.0
+        assert m.mass(SMALL) == pytest.approx(1.0)
 
     def test_density_scales_mass(self):
         m = LevyMeasure.uniform(-2.0, 2.0, density=0.25)
-        assert region_mass(m, SMALL) == pytest.approx(0.5)
+        assert m.mass(SMALL) == pytest.approx(0.5)
 
     def test_piecewise(self):
         m = LevyMeasure(pieces=((-2.0, -1.0, 0.5), (1.0, 2.0, 1.5)))
-        assert region_mass(m, SMALL) == 0.0
-        assert region_mass(m, LARGE) == pytest.approx(2.0)
+        assert m.mass(SMALL) == 0.0
+        assert m.mass(LARGE) == pytest.approx(2.0)
 
     def test_unknown_region(self, paper_measure):
         with pytest.raises(ValueError):
-            region_mass(paper_measure, "medium")
+            paper_measure.mass("medium")
 
     def test_bad_pieces(self):
         with pytest.raises(ValueError):
@@ -60,41 +71,35 @@ class TestQuadrature:
 class TestSampling:
     def test_zero_mass_region_yields_empty_batch(self):
         m = LevyMeasure.uniform(-0.5, 0.5)
-        batch = sample_jumps(m, LARGE, dt=0.1, rng=path_generator(0))
-        assert isinstance(batch, JumpBatch)
-        assert len(batch) == 0
+        assert m.mass(LARGE) == 0.0
+        assert len(_step_marks(m, LARGE, 0.1, path_generator(0))) == 0
 
     def test_fixed_seed_reproducible(self, paper_measure):
-        b1 = sample_jumps(paper_measure, SMALL, dt=5.0, rng=path_generator(3))
-        b2 = sample_jumps(paper_measure, SMALL, dt=5.0, rng=path_generator(3))
-        assert b1.region == b2.region == SMALL
-        assert np.array_equal(b1.marks, b2.marks)
+        b1 = _step_marks(paper_measure, SMALL, 5.0, path_generator(3))
+        b2 = _step_marks(paper_measure, SMALL, 5.0, path_generator(3))
+        assert np.array_equal(b1, b2)
 
     def test_marks_live_in_their_region(self, paper_measure):
         rng = path_generator(11)
-        small = sample_jumps(paper_measure, SMALL, dt=50.0, rng=rng)
-        assert np.all(np.abs(small.marks) < 1.0)
-        large = sample_jumps(paper_measure, LARGE, dt=50.0, rng=rng)
-        assert np.all(np.abs(large.marks) >= 1.0)
-        assert np.all(np.abs(large.marks) <= 2.0)
-
-    def test_dt_must_be_positive(self, paper_measure):
-        with pytest.raises(ValueError):
-            sample_jumps(paper_measure, SMALL, dt=0.0, rng=path_generator(0))
+        small = _step_marks(paper_measure, SMALL, 50.0, rng)
+        assert np.all(np.abs(small) < 1.0)
+        large = _step_marks(paper_measure, LARGE, 50.0, rng)
+        assert np.all(np.abs(large) >= 1.0)
+        assert np.all(np.abs(large) <= 2.0)
 
     def test_count_mean_within_one_percent(self, paper_measure):
         # engine-style block draws; 5e7 steps puts the standard error at
         # 0.32%, so the 1% band is a three-sigma check
         rng = path_generator(12345)
         dt = 0.001
-        total = sum(rng.poisson(region_mass(paper_measure, SMALL) * dt, 10_000_000).sum() for _ in range(5))
+        total = sum(rng.poisson(paper_measure.mass(SMALL) * dt, 10_000_000).sum() for _ in range(5))
         assert total / 5e7 == pytest.approx(0.002, rel=0.01)
 
     def test_batch_api_mean_count(self, paper_measure):
         rng = path_generator(77)
         dt, calls = 0.05, 20_000
-        total = sum(len(sample_jumps(paper_measure, SMALL, dt, rng)) for _ in range(calls))
-        expected = region_mass(paper_measure, SMALL) * dt * calls
+        total = sum(len(_step_marks(paper_measure, SMALL, dt, rng)) for _ in range(calls))
+        expected = paper_measure.mass(SMALL) * dt * calls
         assert total == pytest.approx(expected, rel=3.0 / np.sqrt(expected))
 
     def test_asymmetric_pieces_weighting(self):
@@ -108,35 +113,61 @@ class TestSampling:
 class TestCompensator:
     def test_ex1_closed_form(self, scenario):
         _, model = scenario("table1")
-        comp = compensator_integral(model, 0.0, (0.8, 0.19, 0.01))
+        comp = _compensator(model, 0.0, (0.8, 0.19, 0.01))
         assert comp[0] == pytest.approx(-0.01 * 0.8 * 0.19 * 2.0, abs=1e-15)
         assert comp[1] == pytest.approx((0.01 * 0.8 * 0.19 - 0.025 * 0.19 * 0.01) * 2.0, abs=1e-15)
         assert comp[2] == pytest.approx(0.025 * 0.19 * 0.01 * 2.0, abs=1e-15)
 
     def test_zero_jumps(self, scenario):
         _, model = scenario("table3")
-        assert compensator_integral(model, 1.0, (2.0, 0.8, 1.0)) == (0.0, 0.0, 0.0)
+        assert np.array_equal(_compensator(model, 1.0, (2.0, 0.8, 1.0)), [0.0, 0.0, 0.0])
 
     def test_ex1b_components_sum_to_zero(self, scenario):
         _, model = scenario("table2")
         rng = np.random.default_rng(9)
         for _ in range(100):
             state = rng.dirichlet((1, 1, 1))
-            comp = compensator_integral(model, rng.uniform(0, 50), state)
+            comp = _compensator(model, rng.uniform(0, 50), state)
             assert abs(sum(comp)) <= 1e-15
 
     def test_quadrature_path_matches_closed_form(self, scenario):
-        # drop the closed form so the generic quadrature runs instead
+        # claim u-dependence so the generic quadrature runs instead
         import dataclasses
 
         _, model = scenario("table1")
-        generic = dataclasses.replace(model, compensator_fn=None)
+        generic = dataclasses.replace(model, small_jump_uses_u=True)
         state = (0.7, 0.2, 0.1)
         assert np.allclose(
-            compensator_integral(generic, 0.3, state),
-            compensator_integral(model, 0.3, state),
+            _compensator(generic, 0.3, state),
+            _compensator(model, 0.3, state),
             atol=1e-12,
         )
+
+    def test_u_free_custom_model_uses_closed_form(self):
+        model = build_custom(
+            domain=OCTANT,
+            drift=("0", "0", "0"),
+            diffusion=(("0", "0", "0"),),
+            small_jump=("0.01*x*y", "0-0.02*y", "0.003*z*sin(t)"),
+            measure=LevyMeasure.uniform(-2.0, 2.0, density=0.75),
+        )
+        assert not model.small_jump_uses_u
+        pv, S = model.param_values(0.4), np.array([2.0, 0.5, 1.5])
+        expected = model.measure.mass(SMALL) * model.small_jump_pv(pv, S, 0.0)
+        assert np.array_equal(model.compensator_pv(pv, S), expected)
+
+    def test_u_dependent_custom_model_uses_quadrature(self):
+        model = build_custom(
+            domain=OCTANT,
+            drift=("0", "0", "0"),
+            diffusion=(("0", "0", "0"),),
+            small_jump=("0", "0.1*u*u*y", "0"),
+        )
+        assert model.small_jump_uses_u
+        comp = _compensator(model, 0.0, (1.0, 0.6, 1.0))
+        # integral of u^2 over (-1, 1) is 2/3
+        assert comp[1] == pytest.approx(0.1 * 0.6 * 2.0 / 3.0, rel=1e-5)
+        assert comp[0] == comp[2] == 0.0
 
 
 class TestCompensationProperty:
@@ -145,15 +176,16 @@ class TestCompensationProperty:
         _, model = scenario("table1")
         state = np.array([0.8, 0.19, 0.01])
         dt, steps = 0.001, 30_000
-        comp = np.asarray(compensator_integral(model, 0.0, state))
+        pv = model.param_values(0.0)
+        comp = model.compensator_pv(pv, state)
         rng = path_generator(2024)
         acc = np.zeros(3)
         acc_sq = np.zeros(3)
         for _ in range(steps):
-            batch = sample_jumps(model.measure, SMALL, dt, rng)
+            marks = _step_marks(model.measure, SMALL, dt, rng)
             inc = -comp * dt
-            if len(batch):
-                inc = inc + model.small_jump(0.0, state, batch.marks).sum(axis=0)
+            if len(marks):
+                inc = inc + model.small_jump_pv(pv, state, marks).sum(axis=0)
             acc += inc
             acc_sq += inc**2
         mean = acc / steps

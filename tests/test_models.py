@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from ussir.models import (
     OCTANT,
     SIMPLEX,
-    State,
-    as_state_array,
     build_custom,
     build_ex1,
     build_ex1b,
@@ -38,6 +36,11 @@ TABLE1_PARAMS = {
 TABLE1_JUMPS = {"h1": 0.01, "h2": 0.025, "g1": 0.1, "g2": 0.12}
 
 
+def _at(model, t, state):
+    """The (pv, S) arguments of the coefficient callables at one point."""
+    return model.param_values(t), np.asarray(state, dtype=float)
+
+
 def _random_simplex_points(n, seed=0):
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 50.0, n), rng.dirichlet((1, 1, 1), n), rng.uniform(-2.0, 2.0, n)
@@ -46,7 +49,7 @@ def _random_simplex_points(n, seed=0):
 class TestEx1:
     def test_recovery_drift_row(self, scenario):
         _, model = scenario("table1")
-        b = model.drift(0.0, (0.8, 0.19, 0.01))
+        b = model.drift_pv(*_at(model, 0.0, (0.8, 0.19, 0.01)))
         assert b[2] == pytest.approx(0.84 * 0.19, abs=1e-15)
 
     def test_drift_rows_cancel(self, scenario):
@@ -57,7 +60,7 @@ class TestEx1:
 
     def test_recovered_jump_component(self, scenario):
         _, model = scenario("table1")
-        vec = model.small_jump(0.0, (0.8, 0.19, 0.01), 0.3)
+        vec = model.small_jump_pv(*_at(model, 0.0, (0.8, 0.19, 0.01)), 0.3)
         assert vec[2] == pytest.approx(0.025 * 0.19 * 0.01, abs=1e-18)
 
     def test_rejects_exponent_below_one(self):
@@ -82,7 +85,7 @@ class TestEx1:
 class TestEx1b:
     def test_infected_drift_value(self, scenario):
         _, model = scenario("table2")
-        b = model.drift(0.0, (0.85, 0.1, 0.05))
+        b = model.drift_pv(*_at(model, 0.0, (0.85, 0.1, 0.05)))
         expected = (0.18 * 0.85 - 0.13 + 0.56 * 0.05) * 0.1
         assert b[1] == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(0.0051, abs=1e-15)
@@ -99,12 +102,12 @@ class TestEx1b:
         params = {"beta": "0.17", "gamma1": "0.12", "gamma2": "0.56", "sigma": "0.1"}
         jumps = {"h1": 0.019, "h2": 0.018, "g1": 0.11, "g2": 0.11}
         model = build_ex1b(params, jumps)
-        vec = model.large_jump(0.0, (0.6, 0.3, 0.1), 1.5)
+        vec = model.large_jump_pv(*_at(model, 0.0, (0.6, 0.3, 0.1)), 1.5)
         assert vec[1] == 0.0
 
     def test_infected_diffusion_row_is_doubled(self, scenario):
         _, model = scenario("table2")
-        sig = model.diffusion(0.0, (0.85, 0.1, 0.05))
+        sig = model.diffusion_pv(*_at(model, 0.0, (0.85, 0.1, 0.05)))
         assert sig[1, 0] == pytest.approx(-2.0 * sig[0, 0], abs=1e-18)
         assert sig[2, 0] == pytest.approx(sig[0, 0], abs=1e-18)
 
@@ -112,7 +115,7 @@ class TestEx1b:
 class TestXc:
     def test_susceptible_drift_value(self, scenario):
         _, model = scenario("table3")
-        b = model.drift(0.0, (2.0, 0.8, 1.0))
+        b = model.drift_pv(*_at(model, 0.0, (2.0, 0.8, 1.0)))
         assert b[0] == pytest.approx(0.144, abs=1e-15)
 
     def test_drift_sum_identity(self, scenario):
@@ -130,7 +133,7 @@ class TestXc:
 
     def test_diffusion_structure(self, scenario):
         _, model = scenario("table3")
-        sig = model.diffusion(0.5, (2.0, 0.8, 1.0))
+        sig = model.diffusion_pv(*_at(model, 0.5, (2.0, 0.8, 1.0)))
         assert sig.shape == (3, 1)
         assert sig[0, 0] == pytest.approx(-sig[1, 0], abs=1e-18)
         assert sig[2, 0] == 0.0
@@ -156,7 +159,7 @@ class TestEx34:
 
     def test_ex34b_infected_drift(self, scenario):
         _, model = scenario("table7")
-        b = model.drift(0.0, (7.27, 1.5, 1.11))
+        b = model.drift_pv(*_at(model, 0.0, (7.27, 1.5, 1.11)))
         # (beta(0)*min(x,1.5) - (mu(0)+gamma2(0))) * min(y,1.5)
         expected = (0.145 * 1.5 - (0.003 + 0.39)) * 1.5
         assert b[1] == pytest.approx(expected, abs=1e-15)
@@ -164,13 +167,13 @@ class TestEx34:
 
     def test_ex34a_large_jump_susceptible_term(self, scenario):
         _, model = scenario("table6")
-        vec = model.large_jump(0.0, (3.75, 1.15, 1.1), 1.5)
+        vec = model.large_jump_pv(*_at(model, 0.0, (3.75, 1.15, 1.1)), 1.5)
         assert vec[0] == pytest.approx(-0.001 * 1.0 * 1.0, abs=1e-18)
 
     def test_ex34a_small_jump_uses_all_three_products(self, scenario):
         _, model = scenario("table6")
         x, y, z = 0.5, 0.25, 0.75
-        vec = model.small_jump(0.0, (x, y, z), 0.1)
+        vec = model.small_jump_pv(*_at(model, 0.0, (x, y, z)), 0.1)
         h1, h2, h3 = 0.0001, 0.00025, 0.0009
         assert vec[0] == pytest.approx(-(h1 * x * y - h3 * x * z), abs=1e-18)
         assert vec[1] == pytest.approx(h1 * x * y - h2 * y * z, abs=1e-18)
@@ -300,7 +303,7 @@ class TestCustom:
             drift=("0", "-0.7*y", "0"),
             diffusion=(("0", "0", "0"),),
         )
-        b = model.drift(1.0, (1.0, 2.0, 3.0))
+        b = model.drift_pv(*_at(model, 1.0, (1.0, 2.0, 3.0)))
         assert np.array_equal(b, [0.0, -1.4, 0.0])
 
     def test_custom_time_dependence_flows_through(self):
@@ -309,18 +312,14 @@ class TestCustom:
             drift=("sin(t)*x", "0", "0"),
             diffusion=(("0", "0", "0"),),
         )
-        b = model.drift(math.pi / 2.0, (2.0, 1.0, 1.0))
+        b = model.drift_pv(*_at(model, math.pi / 2.0, (2.0, 1.0, 1.0)))
         assert b[0] == pytest.approx(2.0, abs=1e-12)
 
 
 class TestStateHelpers:
-    def test_state_roundtrip(self):
-        s = State(0.3, 0.4, 0.3)
-        assert State.from_array(s.as_array()) == s
-
-    def test_as_state_array_validates_shape(self):
-        with pytest.raises(ValueError):
-            as_state_array((1.0, 2.0))
+    def test_check_admissible_validates_shape(self):
+        with pytest.raises(ValueError, match="three components"):
+            check_admissible((1.0, 2.0), OCTANT)
 
     def test_check_admissible(self):
         check_admissible((0.3, 0.3, 0.4), SIMPLEX)
@@ -335,16 +334,16 @@ class TestSuppress:
     def test_noise_free_copy_has_zero_noise(self, scenario):
         _, model = scenario("table1")
         silent = suppress(model)
-        state = (0.8, 0.19, 0.01)
-        assert np.all(silent.diffusion(0.0, state) == 0.0)
-        assert np.all(silent.small_jump(0.0, state, 0.5) == 0.0)
-        assert np.all(silent.large_jump(0.0, state, 1.5) == 0.0)
-        assert np.array_equal(silent.drift(0.0, state), model.drift(0.0, state))
+        pv, S = _at(model, 0.0, (0.8, 0.19, 0.01))
+        assert np.all(silent.diffusion_pv(pv, S) == 0.0)
+        assert np.all(silent.small_jump_pv(pv, S, 0.5) == 0.0)
+        assert np.all(silent.large_jump_pv(pv, S, 1.5) == 0.0)
+        assert np.array_equal(silent.drift_pv(pv, S), model.drift_pv(pv, S))
         assert not silent.has_diffusion
 
     def test_drift_free_copy_keeps_noise(self, scenario):
         _, model = scenario("table1")
         pure_noise = suppress(model, drift=True, diffusion=False, small_jumps=False, large_jumps=False)
-        state = (0.8, 0.19, 0.01)
-        assert np.all(pure_noise.drift(0.0, state) == 0.0)
-        assert np.array_equal(pure_noise.diffusion(0.0, state), model.diffusion(0.0, state))
+        pv, S = _at(model, 0.0, (0.8, 0.19, 0.01))
+        assert np.all(pure_noise.drift_pv(pv, S) == 0.0)
+        assert np.array_equal(pure_noise.diffusion_pv(pv, S), model.diffusion_pv(pv, S))
