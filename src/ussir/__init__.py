@@ -12,15 +12,11 @@ from .levy import LevyMeasure
 from .models import (
     ModelSpec,
     build_custom,
-    build_ex1,
-    build_ex1b,
-    build_ex34a,
-    build_ex34b,
-    build_xc,
+    build_named,
     check_conservation,
     check_positivity_ratios,
 )
-from .integrator import SimConfig, Trajectory, convergence_probe, project, simulate
+from .integrator import SimConfig, Trajectory, convergence_probe, simulate
 from .criteria import (
     CriteriaReport,
     SideCondition,
@@ -59,12 +55,8 @@ __all__ = [
     "Trajectory",
     "bounds",
     "build_custom",
-    "build_ex1",
-    "build_ex1b",
-    "build_ex34a",
-    "build_ex34b",
     "build_model",
-    "build_xc",
+    "build_named",
     "check_conservation",
     "check_positivity_ratios",
     "convergence_probe",
@@ -78,7 +70,6 @@ __all__ = [
     "load_scenario",
     "lyapunov_estimate",
     "parse",
-    "project",
     "report_for_model",
     "run_ensemble",
     "serialize",

@@ -1,10 +1,14 @@
-"""Parser and evaluator for time-dependent coefficient expressions.
+"""Parser, compiler and bounds for coefficient expressions.
 
 The grammar is deliberately tiny: numerals, named variables (``t`` by
-default), ``+ - * /``, parentheses, and the functions ``sin``, ``cos``,
-``ln``, ``abs``.  Angles are radians.  Anything richer is rejected at parse
-time so that a coefficient written down in a scenario file evaluates the
-same way everywhere, bit for bit.
+default), ``+ - * /``, ``^`` (right-associative, binding tighter than unary
+minus: ``-x^2`` is ``-(x^2)``), parentheses, ``sin``, ``cos``, ``ln``,
+``abs`` and ``min(a, b)``.  Angles are radians.  Anything richer is rejected
+at parse time so that a coefficient written down in a scenario file
+evaluates the same way everywhere, bit for bit.  Every evaluation runs a
+program compiled by :func:`compile_program`; leaving the reals (division by
+zero, ``ln`` of a non-positive value, a non-real power) raises
+:class:`EvalDomainError`.
 
 Besides evaluation, this module extracts infimum/supremum of a parsed
 function over [0, oo).  Expressions that are affine in sinusoids of a
@@ -16,8 +20,10 @@ scanned on a dense grid over a finite horizon and flagged as such.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,11 +34,14 @@ __all__ = [
     "ParseError",
     "TimeFunction",
     "bounds",
+    "compile_program",
+    "evaluate",
+    "free_names",
     "parse",
     "serialize",
 ]
 
-_FUNCTIONS = ("sin", "cos", "ln", "abs")
+_FUNCTIONS = ("sin", "cos", "ln", "abs", "min")
 
 
 class ExpressionError(ValueError):
@@ -49,7 +58,8 @@ class ParseError(ExpressionError):
 
 class EvalDomainError(ExpressionError):
     """Raised when evaluation leaves the real domain (ln of non-positive
-    argument, division by zero)."""
+    argument, division by zero, negative base with a non-integer exponent,
+    zero base with a negative exponent)."""
 
 
 # --- AST -------------------------------------------------------------------
@@ -71,7 +81,7 @@ class Neg:
 
 @dataclass(frozen=True)
 class BinOp:
-    op: str  # one of + - * /
+    op: str  # one of + - * / ^ min
     left: "Node"
     right: "Node"
 
@@ -95,7 +105,7 @@ def _tokenize(text: str, variables: tuple[str, ...]) -> list[tuple[str, object, 
         if c.isspace():
             i += 1
             continue
-        if c in "+-*/()":
+        if c in "+-*/^(),":
             tokens.append((c, c, i))
             i += 1
             continue
@@ -181,7 +191,15 @@ class _Parser:
         if self.peek()[0] == "+":
             self.advance()
             return self.parse_unary()
-        return self.parse_atom()
+        return self.parse_power()
+
+    def parse_power(self) -> Node:
+        # the exponent is a unary operand, so ^ is right-associative
+        node = self.parse_atom()
+        if self.peek()[0] == "^":
+            self.advance()
+            return BinOp("^", node, self.parse_unary())
+        return node
 
     def parse_atom(self) -> Node:
         kind, value, pos = self.advance()
@@ -192,8 +210,13 @@ class _Parser:
         if kind == "func":
             self.expect("(")
             arg = self.parse_expr()
+            if value == "min":
+                self.expect(",")
+                node = BinOp("min", arg, self.parse_expr())
+            else:
+                node = Call(str(value), arg)
             self.expect(")")
-            return Call(str(value), arg)
+            return node
         if kind == "(":
             node = self.parse_expr()
             self.expect(")")
@@ -209,6 +232,14 @@ class TimeFunction:
     ast: Node
     source_text: str
     variables: tuple[str, ...] = ("t",)
+
+    @cached_property
+    def program(self) -> Callable:
+        """``program(env)``: the value for a mapping of variable values."""
+        return compile_program([self.ast])
+
+    def __reduce__(self):  # pickle the expression, not its compiled program
+        return TimeFunction, (self.ast, self.source_text, self.variables)
 
     def __call__(self, t):
         return evaluate(self, t)
@@ -232,40 +263,126 @@ def parse(text: str, variables: tuple[str, ...] = ("t",)) -> TimeFunction:
     return TimeFunction(ast=node, source_text=text, variables=variables)
 
 
-# --- evaluation ------------------------------------------------------------
+# --- compilation -------------------------------------------------------------
 
-def _eval_node(node: Node, env: dict):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -_eval_node(node.operand, env)
-    if isinstance(node, BinOp):
-        left = _eval_node(node.left, env)
-        right = _eval_node(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if np.any(right == 0):
-            raise EvalDomainError(f"division by zero in {serialize_node(node)!r}")
-        return left / right
-    if isinstance(node, Call):
-        arg = _eval_node(node.arg, env)
-        if node.func == "sin":
-            return np.sin(arg)
-        if node.func == "cos":
-            return np.cos(arg)
-        if node.func == "abs":
-            return np.abs(arg)
-        # ln
-        if np.any(arg <= 0):
-            raise EvalDomainError(f"ln of non-positive argument in {serialize_node(node)!r}")
-        return np.log(arg)
-    raise TypeError(f"not an expression node: {node!r}")
+def _any(mask) -> bool:
+    """``np.any`` without its dispatch cost (arrays and scalars)."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _divide(a, b, where: str):
+    if _any(b == 0):
+        raise EvalDomainError(f"division by zero in {where!r}")
+    return a / b
+
+
+def _power(a, b, where: str):
+    if _any(a <= 0) and _any((a < 0) & (np.floor(b) != b) | (a == 0) & (b < 0)):
+        raise EvalDomainError(f"power outside the reals in {where!r}")
+    # a Python float base goes through numpy: Python's ** raises on overflow
+    return a**b if isinstance(a, (np.ndarray, np.generic)) else np.power(a, b)
+
+
+def _log(a, where: str):
+    if _any(a <= 0):
+        raise EvalDomainError(f"ln of non-positive argument in {where!r}")
+    return np.log(a)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power, "min": np.minimum}
+_CALLS = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "ln": _log}
+_CHECKED = (_divide, _power, _log)  # these also take the text of their node
+
+
+def compile_program(
+    trees: Sequence[Node],
+    shape: Optional[tuple[int, ...]] = None,
+    constants: Optional[Mapping[str, float]] = None,
+    mark: bool = False,
+) -> Callable:
+    """Compile a group of trees into one straight-line numpy function.
+
+    Without ``shape`` the group is one tree and ``program(env)`` returns its
+    value, reading every name from the mapping ``env``.  With ``shape``,
+    ``program(env, S)`` (``program(env, S, u)`` when ``mark``) reads
+    ``x, y, z`` from the columns of the state block ``S`` (..., 3), ``u``
+    from the mark and other names from ``env``, and fills the trees in C
+    order into a new array of shape ``batch + shape``, ``batch`` being the
+    broadcast of the state batch axes, the mark and every entry.
+
+    Equal subtrees are equal (frozen, hashable) nodes, so a dict keyed by
+    node computes each once.  A subtree whose names are all in
+    ``constants`` is evaluated while compiling, by the operations the
+    program would run, and enters the program as a value.
+    """
+    constants = constants or {}
+    namespace: dict = {"_np": np}
+    folded: dict = {}  # name -> value of each folded constant
+    names: dict = {}  # node -> name holding its value
+    lines: list[tuple[str, list[str]]] = []  # (code, operands) of v0, v1, ...
+
+    def bind(value, fold: bool = False) -> str:
+        name = f"_k{len(namespace)}"
+        namespace[name] = value
+        if fold:
+            folded[name] = value
+        return name
+
+    def line(code: str, operands: Sequence[str] = ()) -> str:
+        lines.append((code, list(operands)))
+        return f"v{len(lines) - 1}"
+
+    def emit(node: Node) -> str:
+        if node in names:
+            return names[node]
+        if isinstance(node, Num):
+            name = bind(node.value, fold=True)
+        elif isinstance(node, Var) and node.name in constants:
+            name = bind(float(constants[node.name]), fold=True)
+        elif isinstance(node, Var) and shape is not None and node.name in ("x", "y", "z"):
+            name = line(f"S[..., {'xyz'.index(node.name)}]")
+        elif isinstance(node, Var):
+            name = "u" if mark and node.name == "u" else line(f"env[{node.name!r}]")
+        else:
+            if isinstance(node, Neg):
+                fn, args = operator.neg, [emit(node.operand)]
+            elif isinstance(node, BinOp):
+                fn, args = _BINARY[node.op], [emit(node.left), emit(node.right)]
+            else:
+                fn, args = _CALLS[node.func], [emit(node.arg)]
+            where = (serialize_node(node),) if fn in _CHECKED else ()
+            if all(arg in folded for arg in args):
+                name = bind(fn(*(folded[arg] for arg in args), *where), fold=True)
+            else:
+                name = line(f"{bind(fn)}({', '.join(args + [bind(w) for w in where])})", args)
+        names[node] = name
+        return name
+
+    results = [emit(tree) for tree in trees]
+    if shape is None:
+        (result,) = results
+        if result in folded:  # a constant needs no code
+            return lambda env, value=folded[result]: value
+        head, tail = "def _program(env):", [f"    return {result}"]
+    else:
+        if len(results) != math.prod(shape):
+            raise ValueError(f"{len(results)} expressions cannot fill shape {shape}")
+        operands = ["S[..., 0]", *(["u"] if mark else []), *dict.fromkeys(r for r in results if r not in folded)]
+        head = f"def _program(env, S{', u' if mark else ''}):"
+        tail = [f"    out = _np.empty(_np.broadcast({', '.join(operands)}).shape + {shape!r})"]
+        tail += [f"    out[..., {', '.join(map(str, i))}] = {r}" for i, r in zip(np.ndindex(*shape), results)]
+        tail.append("    return out")
+    # drop each intermediate after its last read, so that large arrays do not all stay alive
+    last = {arg: i for i, (_, args) in enumerate(lines) for arg in args if arg.startswith("v")}
+    dead: dict = {}
+    for arg, i in last.items():
+        if arg not in results:
+            dead.setdefault(i, []).append(arg)
+    body = []
+    for i, (code, _) in enumerate(lines):
+        body += [f"    v{i} = {code}"] + ([f"    del {', '.join(dead[i])}"] if i in dead else [])
+    exec(compile("\n".join([head, *body, *tail]), "<expression program>", "exec"), namespace)
+    return namespace["_program"]
 
 
 def evaluate(f: TimeFunction, t, **extra):
@@ -280,7 +397,7 @@ def evaluate(f: TimeFunction, t, **extra):
     missing = [v for v in f.variables if v not in env]
     if missing:
         raise EvalDomainError(f"missing variable values for {missing}")
-    out = _eval_node(f.ast, env)
+    out = f.program(env)
     target = np.broadcast_shapes(np.shape(t), *(np.shape(v) for v in extra.values()))
     if target == ():
         return float(out)
@@ -291,7 +408,7 @@ def evaluate(f: TimeFunction, t, **extra):
 
 # --- canonical serialization ------------------------------------------------
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
 
 def serialize_node(node: Node) -> str:
@@ -301,22 +418,24 @@ def serialize_node(node: Node) -> str:
         return node.name
     if isinstance(node, Neg):
         inner = serialize_node(node.operand)
-        if isinstance(node.operand, BinOp):
+        if isinstance(node.operand, BinOp) and node.operand.op != "min":
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(node, Call):
         return f"{node.func}({serialize_node(node.arg)})"
     if isinstance(node, BinOp):
-        prec = _PRECEDENCE[node.op]
         left = serialize_node(node.left)
-        if isinstance(node.left, BinOp) and _PRECEDENCE[node.left.op] < prec:
-            left = f"({left})"
         right = serialize_node(node.right)
-        if isinstance(node.right, (BinOp, Neg)):
-            rp = _PRECEDENCE[node.right.op] if isinstance(node.right, BinOp) else 0
-            # -, / are left-associative; parenthesize equal precedence on the right
-            if rp <= prec:
-                right = f"({right})"
+        if node.op == "min":
+            return f"min({left},{right})"
+        # how tightly each operand's text binds: atoms, calls, min and negation 4
+        prec, lp, rp = (_PRECEDENCE.get(getattr(n, "op", None), 4) for n in (node, node.left, node.right))
+        # ^ is right-associative and binds tighter than unary minus
+        if lp < prec or (node.op == "^" and (lp == prec or isinstance(node.left, Neg))):
+            left = f"({left})"
+        # -, / are left-associative; parenthesize equal precedence on the right
+        if isinstance(node.right, Neg) or rp <= prec:
+            right = f"({right})"
         return f"{left}{node.op}{right}"
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -367,7 +486,7 @@ def free_names(node: Node) -> frozenset[str]:
 
 
 def _const_value(node: Node) -> float:
-    return float(_eval_node(node, {}))
+    return float(compile_program([node])({}))
 
 
 def _frequency_of(node: Node, varname: str):

@@ -42,7 +42,6 @@ __all__ = [
     "Trajectory",
     "convergence_probe",
     "path_generator",
-    "project",
     "simulate",
     "simulate_batch",
 ]
@@ -130,23 +129,6 @@ def path_generator(seed: int, index: int = 0) -> np.random.Generator:
 
 def path_key_hex(seed: int, index: int) -> str:
     return "".join(f"{w:016x}" for w in _path_key(seed, index))
-
-
-def project(state, domain: str, floor: float = 1e-12, simplex_tol: float = RENORM_TOL) -> np.ndarray:
-    """Positivity safeguard: raise components at or below zero to ``floor``;
-    renormalize simplex states whose sum has drifted beyond ``simplex_tol``.
-
-    Values in (0, floor) are untouched: exponential decay through tiny
-    positive values is legitimate dynamics, not a numerical excursion.
-    Callers detect clamping by comparing input and output.
-    """
-    arr = np.array(state, dtype=float)
-    arr[arr <= 0.0] = floor
-    if domain == SIMPLEX:
-        total = arr.sum()
-        if abs(total - 1.0) > simplex_tol:
-            arr /= total
-    return arr
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,11 @@
-"""Concrete three-compartment stochastic models and their validity checks.
+"""Three-compartment stochastic models as expression tables, and their
+validity checks.
 
-Five ready-made systems are provided:
+Every model is one instance of dX = b dt + sigma dB + int H dN~ + int G dN:
+three drift rows, a column of three entries per Brownian driver, and the
+compensated small-jump and uncompensated large-jump vectors, each entry an
+expression over the state ``x, y, z``, the mark ``u``, the time ``t`` and
+named coefficients.  Five named families are tables (:data:`FAMILIES`):
 
 ``ex1``    proportion-space model, power-law transmission with a saturating
            denominator, two Brownian drivers, bilinear jump coefficients.
@@ -14,9 +19,12 @@ Five ready-made systems are provided:
            min-with-one inside jumps).
 ``ex34b``  population-count analogue of ``ex1b``, truncated the same way.
 
-A generic constructor (:func:`build_custom`) accepts raw coefficient
-expressions for experiments outside this family; on the proportions simplex
-it must pass the conservation and positivity gates before it is returned.
+:func:`build_named` fills a family's table with time functions, jump
+constants and (where its expressions use ``cap``) a truncation cap;
+:func:`build_custom` accepts raw coefficient expressions, and on the
+proportions simplex it must pass the conservation and positivity gates.
+Both compile each coefficient group once with
+:func:`ussir.expr.compile_program`, jump constants and cap folded in.
 
 A model carries only its drift, diffusion and jump coefficients, plus the
 per-capita loss of the infected row where the family has one; everything
@@ -29,30 +37,28 @@ coefficient use.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .expr import TimeFunction, bounds, evaluate, free_names, parse
+from .expr import Node, Num, TimeFunction, bounds, compile_program, free_names, parse
 from .levy import SMALL, LevyMeasure
 
 __all__ = [
+    "FAMILIES",
     "ConservationReport",
+    "Family",
     "ModelSpec",
     "PositivityReport",
     "build_custom",
-    "build_ex1",
-    "build_ex1b",
-    "build_ex34a",
-    "build_ex34b",
-    "build_xc",
+    "build_named",
     "check_admissible",
     "check_conservation",
     "check_positivity_ratios",
-    "dagger",
-    "star",
     "suppress",
 ]
 
@@ -75,39 +81,9 @@ def check_admissible(state, domain: str, simplex_tol: float = SIMPLEX_TOL) -> np
     return arr
 
 
-def star(x):
-    """Truncation at one: min(x, 1).  Idempotent and monotone."""
-    return np.minimum(x, 1.0)
-
-
-def dagger(x, cap: float):
-    """Truncation at the cap: min(x, cap).  Idempotent and monotone."""
-    return np.minimum(x, cap)
-
-
-def _with_u(u, S: np.ndarray):
-    """Broadcast a mark array against the state block.
-
-    Returns (u, X, Y, Z) all broadcast to a common shape so that
-    u-independent coefficients still produce one output row per mark.  A
-    float mark adds no axis, so the state columns come back as they are.
-    """
-    if isinstance(u, float):
-        return u, S[..., 0], S[..., 1], S[..., 2]
-    u = np.asarray(u, dtype=float)
-    shape = np.broadcast_shapes(u.shape, S.shape[:-1])
-    return (
-        np.broadcast_to(u, shape),
-        np.broadcast_to(S[..., 0], shape),
-        np.broadcast_to(S[..., 1], shape),
-        np.broadcast_to(S[..., 2], shape),
-    )
-
-
-def _zero_jump(pv, S, u):
-    _, X, _, _ = _with_u(u, S)
-    return np.zeros(X.shape + (3,))
-
+_ZERO = Num(0.0)
+# one zero row per mark, for models without jumps of a kind
+_zero_jump = compile_program([_ZERO] * 3, (3,), mark=True)
 
 _Coeff = Callable[..., np.ndarray]
 
@@ -218,362 +194,213 @@ def suppress(
     return replace(model, **changes)
 
 
-# --- shared builder plumbing -------------------------------------------------
+# --- one builder for every model ---------------------------------------------
 
-def _as_timefunction(value: Union[TimeFunction, str, float, int]) -> TimeFunction:
-    if isinstance(value, TimeFunction):
-        return value
-    if isinstance(value, (int, float)):
-        return parse(repr(float(value)))
-    return parse(value)
+def _assemble(
+    model_id: str, domain: str, measure: Optional[LevyMeasure],
+    drift: Sequence[Node], diffusion: Sequence[Sequence[Node]],
+    small_jump: Optional[Sequence[Node]], large_jump: Optional[Sequence[Node]],
+    loss_pc: Optional[Node] = None, params: Optional[Mapping[str, TimeFunction]] = None,
+    jump_constants: Optional[Mapping[str, float]] = None, cap: Optional[float] = None,
+) -> ModelSpec:
+    """Compile each coefficient group once, jump constants and cap folded
+    in; which noise the model carries follows from the trees."""
+    constants = dict(jump_constants or {}, **({} if cap is None else {"cap": cap}))
+    n = len(diffusion)
+    entries = [column[i] for i in range(3) for column in diffusion]  # row-major (3, n)
+    return ModelSpec(
+        model_id=model_id,
+        domain=domain,
+        brownian_dim=n,
+        measure=measure if measure is not None else LevyMeasure.uniform(-2.0, 2.0),
+        params=params or {},
+        jump_constants=jump_constants or {},
+        truncation_cap=cap,
+        drift_fn=compile_program(drift, (3,), constants),
+        diffusion_fn=compile_program(entries, (3, n), constants),
+        small_jump_fn=compile_program(small_jump or [_ZERO] * 3, (3,), constants, mark=True),
+        large_jump_fn=compile_program(large_jump or [_ZERO] * 3, (3,), constants, mark=True),
+        small_jump_uses_u=any("u" in free_names(tree) for tree in small_jump or ()),
+        infected_loss_pc_fn=None if loss_pc is None else compile_program([loss_pc], (), constants),
+        has_small_jumps=small_jump is not None,
+        has_large_jumps=large_jump is not None,
+    )
 
 
-def _collect_params(params: Mapping, required: Sequence[str], model_id: str) -> dict:
-    missing = [name for name in required if name not in params]
-    if missing:
-        raise ValueError(f"{model_id}: missing parameters {missing}")
-    extra = [name for name in params if name not in required]
-    if extra:
-        raise ValueError(f"{model_id}: unexpected parameters {extra}")
-    return {name: _as_timefunction(params[name]) for name in required}
+# --- named families ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """One named model family as data.
+
+    ``params`` name the time-dependent coefficients, ``jumps`` the jump
+    constants in [0, 1); expressions may also use ``x, y, z``, ``t``, the
+    cap ``cap`` and, in jump vectors, the mark ``u``.  ``diffusion`` holds
+    a column per Brownian driver; a jump vector is None when absent;
+    ``loss_pc`` is the infected row's nonnegative per-capita loss.
+    ``infima``: (coefficient, ">=" or ">", bound, meaning) checks on bounds.
+    """
+
+    name: str
+    domain: str
+    params: tuple[str, ...]
+    jumps: tuple[str, ...]
+    drift: tuple[str, ...]
+    diffusion: tuple[tuple[str, ...], ...]
+    small_jump: Optional[tuple[str, ...]]
+    large_jump: Optional[tuple[str, ...]]
+    loss_pc: str
+    infima: tuple[tuple[str, str, float, str], ...] = ()
+
+    @cached_property
+    def trees(self) -> dict:
+        """The parsed expressions, keyed and grouped as the fields are."""
+        names = ("t", "x", "y", "z", "cap") + self.params + self.jumps
+
+        def group(texts, *extra):
+            return texts and [parse(text, names + extra).ast for text in texts]
+
+        return {
+            "drift": group(self.drift),
+            "diffusion": [group(column) for column in self.diffusion],
+            "small_jump": group(self.small_jump, "u"),
+            "large_jump": group(self.large_jump, "u"),
+            "loss_pc": group([self.loss_pc])[0],
+        }
+
+    @cached_property
+    def uses_cap(self) -> bool:
+        """Whether the family's expressions mention the truncation cap."""
+        t = self.trees
+        every = [*t["drift"], *sum(t["diffusion"], []), *(t["small_jump"] or ()), *(t["large_jump"] or ())]
+        return any("cap" in free_names(tree) for tree in every + [t["loss_pc"]])
+
+    def check_names(self, params: Mapping, jumps: Mapping) -> None:
+        """Raise ValueError unless ``params`` and ``jumps`` name exactly the
+        family's coefficients and jump constants."""
+        for given, required, what in ((params, self.params, "parameters"), (jumps, self.jumps, "jump constants")):
+            missing = [name for name in required if name not in given]
+            if missing:
+                raise ValueError(f"{self.name}: missing {what} {missing}; requires {list(required)}")
+            extra = [name for name in given if name not in required]
+            if extra:
+                raise ValueError(f"{self.name}: does not take {what} {extra}")
 
 
-def _collect_jumps(jumps: Mapping, required: Sequence[str], model_id: str) -> dict:
-    missing = [name for name in required if name not in jumps]
-    if missing:
-        raise ValueError(f"{model_id}: missing jump constants {missing}")
-    extra = [name for name in jumps if name not in required]
-    if extra:
-        raise ValueError(f"{model_id}: unexpected jump constants {extra}")
-    out = {}
-    for name in required:
-        value = float(jumps[name])
+# Entries keep the association order of the models' arithmetic, e.g.
+# (h1-h2)*(x*y*z) is one folded constant times one product.
+_SAT = "(1+phi1*x+phi2*y+phi3*x*y)"  # saturating transmission denominator
+_XD, _YD, _ZD = "min(x,cap)", "min(y,cap)", "min(z,cap)"
+_XS, _YS, _ZS = "min(x,1)", "min(y,1)", "min(z,1)"
+_EX1_INFECT = f"beta*x^xi*y/{_SAT}"
+_EX34A_INFECT = f"beta*{_XD}*{_YD}^xi/{_SAT}"
+_EX34B_SIGMA = f"sigma*{_XD}*{_YD}*{_ZD}"
+_EX34B_W = f"({_XS}*{_YS}*{_ZS})"
+
+FAMILIES: Mapping[str, Family] = MappingProxyType({f.name: f for f in (
+    Family(
+        "ex1", SIMPLEX,
+        params=("beta", "gamma", "xi", "sigma1", "sigma2", "phi1", "phi2", "phi3"),
+        jumps=("h1", "h2", "g1", "g2"),
+        drift=(f"-({_EX1_INFECT})", f"{_EX1_INFECT}-gamma*y", "gamma*y"),
+        diffusion=((f"-(sigma1*x*y/{_SAT})", f"sigma1*x*y/{_SAT}", "0"), ("0", "sigma2*y*z", "-(sigma2*y*z)")),
+        small_jump=("-(h1*x*y)", "h1*x*y-h2*y*z", "h2*y*z"),
+        large_jump=("-(g1*x*y)", "g1*x*y-g2*y*z", "g2*y*z"),
+        loss_pc="gamma",
+        infima=(("xi", ">=", 1.0, "exponent"),),
+    ),
+    Family(
+        "ex1b", SIMPLEX,
+        params=("beta", "gamma1", "gamma2", "sigma"),
+        jumps=("h1", "h2", "g1", "g2"),
+        drift=("-beta*x*y", "(beta*x-gamma1+gamma2*z)*y", "(gamma1-gamma2*z)*y"),
+        diffusion=(("-(sigma*x*y*z)", "2*(sigma*x*y*z)", "-(sigma*x*y*z)"),),
+        small_jump=("-h1*(x*y*z)", "(h1-h2)*(x*y*z)", "h2*(x*y*z)"),
+        large_jump=("-g1*(x*y*z)", "(g1-g2)*(x*y*z)", "g2*(x*y*z)"),
+        loss_pc="gamma1",
+    ),
+    Family(
+        "xc", OCTANT,
+        params=("Lambda", "mu", "beta", "gamma", "epsilon", "sigma"),
+        jumps=(),
+        drift=("Lambda-mu*x-beta*x*y", "(beta*x-(mu+gamma+epsilon))*y", "gamma*y-mu*z"),
+        diffusion=(("-(sigma*x*y)", "sigma*x*y", "0"),),
+        small_jump=None,
+        large_jump=None,
+        loss_pc="mu+gamma+epsilon",
+        infima=(("mu", ">", 0.0, "mortality"),),
+    ),
+    Family(
+        "ex34a", OCTANT,
+        params=("Lambda", "mu", "beta", "gamma1", "gamma2", "gamma3", "gamma4",
+                "xi", "sigma1", "sigma2", "phi1", "phi2", "phi3"),
+        jumps=("h1", "h2", "h3", "g1", "g2"),
+        drift=(f"Lambda-mu*{_XD}-{_EX34A_INFECT}+gamma1*{_ZD}",
+               f"{_EX34A_INFECT}+(gamma2-mu-gamma3*{_YD})*{_YD}",
+               f"gamma4*{_YD}-(mu+gamma1)*{_ZD}"),
+        diffusion=((f"-(sigma1*{_XD}*{_YD}/{_SAT})", f"sigma1*{_XD}*{_YD}/{_SAT}", "0"),
+                   ("0", f"sigma2*{_YD}*{_ZD}", f"-(sigma2*{_YD}*{_ZD})")),
+        small_jump=(f"-(h1*{_XS}*{_YS}-h3*{_XS}*{_ZS})", f"h1*{_XS}*{_YS}-h2*{_YS}*{_ZS}",
+                    f"h2*{_YS}*{_ZS}-h3*{_XS}*{_ZS}"),
+        large_jump=(f"-(g1*{_XS}*{_YS})", f"g1*{_XS}*{_YS}-g2*{_YS}*{_ZS}", f"g2*{_YS}*{_ZS}"),
+        loss_pc=f"(mu+gamma3*{_YD})*({_YD}/y)",
+        infima=(("xi", ">=", 1.0, "exponent"),),
+    ),
+    Family(
+        "ex34b", OCTANT,
+        params=("Lambda", "mu", "beta", "gamma1", "gamma2", "sigma"),
+        jumps=("h1", "h2", "h3", "g1", "g2", "g3"),
+        drift=(f"Lambda-mu*{_XD}-beta*{_XD}*{_YD}+gamma1*{_ZD}", f"(beta*{_XD}-(mu+gamma2))*{_YD}",
+               f"gamma2*{_YD}-(mu+gamma1)*{_ZD}"),
+        diffusion=((f"-({_EX34B_SIGMA})", f"2*({_EX34B_SIGMA})", f"-({_EX34B_SIGMA})"),),
+        small_jump=(f"-(h1-h3)*{_EX34B_W}", f"(h1-h2)*{_EX34B_W}", f"(h2-h3)*{_EX34B_W}"),
+        large_jump=(f"-(g1-g3)*{_EX34B_W}", f"(g1-g2)*{_EX34B_W}", f"(g2-g3)*{_EX34B_W}"),
+        loss_pc=f"(mu+gamma2)*({_YD}/y)",
+    ),
+)})
+
+_RELATIONS = {">=": (operator.ge, "below"), ">": (operator.gt, "at or below")}
+
+
+def build_named(
+    model_id: str, params: Mapping, jumps: Optional[Mapping] = None,
+    cap: Optional[float] = None, measure: Optional[LevyMeasure] = None,
+) -> ModelSpec:
+    """Build the named family ``model_id`` from its table.
+
+    ``params`` maps each named coefficient to a time function (its text, or
+    a number); ``jumps`` each jump constant to a number in [0, 1).  ``cap``,
+    positive, is required exactly when the family's expressions use it.
+    The family's ``infima`` run on the coefficients' bounds over [0, oo).
+    """
+    family = FAMILIES.get(model_id)
+    if family is None:
+        raise ValueError(f"unknown model family {model_id!r}; choose from {list(FAMILIES)}")
+    jumps = jumps or {}
+    family.check_names(params, jumps)
+    p = {name: params[name] for name in family.params}
+    p = {name: v if isinstance(v, TimeFunction) else parse(str(v)) for name, v in p.items()}
+    j = {name: float(jumps[name]) for name in family.jumps}
+    for name, value in j.items():
         if not 0.0 <= value < 1.0:
             raise ValueError(f"{model_id}: jump constant {name}={value} outside [0, 1)")
-        out[name] = value
-    return out
-
-
-def _default_measure(measure: Optional[LevyMeasure]) -> LevyMeasure:
-    return measure if measure is not None else LevyMeasure.uniform(-2.0, 2.0)
-
-
-def _require_xi_at_least_one(xi: TimeFunction, model_id: str) -> None:
-    b = bounds(xi)
-    if b.inf < 1.0:
-        raise ValueError(f"{model_id}: exponent infimum {b.inf} is below 1")
-
-
-# --- ex1 ---------------------------------------------------------------------
-
-EX1_PARAMS = ("beta", "gamma", "xi", "sigma1", "sigma2", "phi1", "phi2", "phi3")
-EX1_JUMPS = ("h1", "h2", "g1", "g2")
-
-
-def build_ex1(params: Mapping, jumps: Mapping, measure: Optional[LevyMeasure] = None) -> ModelSpec:
-    """Proportions model with power-law transmission.
-
-    Requires the transmission exponent to stay at or above one and every
-    jump constant in [0, 1); both are what keep states on the simplex.
-    """
-    p = _collect_params(params, EX1_PARAMS, "ex1")
-    j = _collect_jumps(jumps, EX1_JUMPS, "ex1")
-    _require_xi_at_least_one(p["xi"], "ex1")
-    measure = _default_measure(measure)
-    h1, h2, g1, g2 = j["h1"], j["h2"], j["g1"], j["g2"]
-
-    def _denom(pv, X, Y):
-        return 1.0 + pv["phi1"] * X + pv["phi2"] * Y + pv["phi3"] * X * Y
-
-    def drift(pv, S):
-        X, Y = S[..., 0], S[..., 1]
-        infect = pv["beta"] * X ** pv["xi"] * Y / _denom(pv, X, Y)
-        recover = pv["gamma"] * Y
-        return np.stack([-infect, infect - recover, recover], axis=-1)
-
-    def diffusion(pv, S):
-        X, Y, Z = S[..., 0], S[..., 1], S[..., 2]
-        s1 = pv["sigma1"] * X * Y / _denom(pv, X, Y)
-        s2 = pv["sigma2"] * Y * Z
-        zero = np.zeros(np.broadcast_shapes(np.shape(s1), np.shape(s2)))
-        col1 = np.stack([-s1, s1 + zero, zero], axis=-1)
-        col2 = np.stack([zero, s2 + zero, -s2 + zero], axis=-1)
-        return np.stack([col1, col2], axis=-1)
-
-    def small(pv, S, u):
-        _, X, Y, Z = _with_u(u, S)
-        a = h1 * X * Y
-        b = h2 * Y * Z
-        return np.stack([-a, a - b, b], axis=-1)
-
-    def large(pv, S, u):
-        _, X, Y, Z = _with_u(u, S)
-        a = g1 * X * Y
-        b = g2 * Y * Z
-        return np.stack([-a, a - b, b], axis=-1)
-
-    def loss_pc(pv, S):
-        return pv["gamma"] + 0.0 * S[..., 0]
-
-    return ModelSpec(
-        model_id="ex1",
-        domain=SIMPLEX,
-        brownian_dim=2,
-        measure=measure,
-        params=p,
-        jump_constants=j,
-        truncation_cap=None,
-        drift_fn=drift,
-        diffusion_fn=diffusion,
-        small_jump_fn=small,
-        large_jump_fn=large,
-        small_jump_uses_u=False,
-        infected_loss_pc_fn=loss_pc,
-    )
-
-
-# --- ex1b --------------------------------------------------------------------
-
-EX1B_PARAMS = ("beta", "gamma1", "gamma2", "sigma")
-EX1B_JUMPS = ("h1", "h2", "g1", "g2")
-
-
-def build_ex1b(params: Mapping, jumps: Mapping, measure: Optional[LevyMeasure] = None) -> ModelSpec:
-    """Proportions model with linear transmission and triple-product noise.
-
-    The infected diffusion row carries twice the common amplitude, so the
-    three rows of the single Brownian column cancel exactly.
-    """
-    p = _collect_params(params, EX1B_PARAMS, "ex1b")
-    j = _collect_jumps(jumps, EX1B_JUMPS, "ex1b")
-    measure = _default_measure(measure)
-    h1, h2, g1, g2 = j["h1"], j["h2"], j["g1"], j["g2"]
-
-    def drift(pv, S):
-        X, Y, Z = S[..., 0], S[..., 1], S[..., 2]
-        b1 = -pv["beta"] * X * Y
-        b2 = (pv["beta"] * X - pv["gamma1"] + pv["gamma2"] * Z) * Y
-        b3 = (pv["gamma1"] - pv["gamma2"] * Z) * Y
-        return np.stack([b1, b2, b3], axis=-1)
-
-    def diffusion(pv, S):
-        X, Y, Z = S[..., 0], S[..., 1], S[..., 2]
-        s = pv["sigma"] * X * Y * Z
-        return np.stack([-s, 2.0 * s, -s], axis=-1)[..., None]
-
-    def small(pv, S, u):
-        _, X, Y, Z = _with_u(u, S)
-        w = X * Y * Z
-        return np.stack([-h1 * w, (h1 - h2) * w, h2 * w], axis=-1)
-
-    def large(pv, S, u):
-        _, X, Y, Z = _with_u(u, S)
-        w = X * Y * Z
-        return np.stack([-g1 * w, (g1 - g2) * w, g2 * w], axis=-1)
-
-    def loss_pc(pv, S):
-        return pv["gamma1"] + 0.0 * S[..., 0]
-
-    return ModelSpec(
-        model_id="ex1b",
-        domain=SIMPLEX,
-        brownian_dim=1,
-        measure=measure,
-        params=p,
-        jump_constants=j,
-        truncation_cap=None,
-        drift_fn=drift,
-        diffusion_fn=diffusion,
-        small_jump_fn=small,
-        large_jump_fn=large,
-        small_jump_uses_u=False,
-        infected_loss_pc_fn=loss_pc,
-    )
-
-
-# --- xc ----------------------------------------------------------------------
-
-XC_PARAMS = ("Lambda", "mu", "beta", "gamma", "epsilon", "sigma")
-
-
-def build_xc(params: Mapping, measure: Optional[LevyMeasure] = None) -> ModelSpec:
-    """Population-count model with demography, multiplicative transmission
-    noise, and no jumps.  Mortality must be bounded away from zero."""
-    p = _collect_params(params, XC_PARAMS, "xc")
-    mu_inf = bounds(p["mu"]).inf
-    if mu_inf <= 0.0:
-        raise ValueError(f"xc: mortality infimum {mu_inf} must be positive")
-    measure = _default_measure(measure)
-
-    def drift(pv, S):
-        X, Y, Z = S[..., 0], S[..., 1], S[..., 2]
-        b1 = pv["Lambda"] - pv["mu"] * X - pv["beta"] * X * Y
-        b2 = (pv["beta"] * X - (pv["mu"] + pv["gamma"] + pv["epsilon"])) * Y
-        b3 = pv["gamma"] * Y - pv["mu"] * Z
-        return np.stack([b1, b2, b3], axis=-1)
-
-    def diffusion(pv, S):
-        X, Y = S[..., 0], S[..., 1]
-        s = pv["sigma"] * X * Y
-        return np.stack([-s, s + 0.0 * s, 0.0 * s], axis=-1)[..., None]
-
-    def loss_pc(pv, S):
-        return pv["mu"] + pv["gamma"] + pv["epsilon"] + 0.0 * S[..., 0]
-
-    return ModelSpec(
-        model_id="xc",
-        domain=OCTANT,
-        brownian_dim=1,
-        measure=measure,
-        params=p,
-        jump_constants={},
-        truncation_cap=None,
-        drift_fn=drift,
-        diffusion_fn=diffusion,
-        small_jump_fn=_zero_jump,
-        large_jump_fn=_zero_jump,
-        small_jump_uses_u=False,
-        infected_loss_pc_fn=loss_pc,
-        has_small_jumps=False,
-        has_large_jumps=False,
-    )
-
-
-# --- ex34a -------------------------------------------------------------------
-
-EX34A_PARAMS = (
-    "Lambda", "mu", "beta", "gamma1", "gamma2", "gamma3", "gamma4",
-    "xi", "sigma1", "sigma2", "phi1", "phi2", "phi3",
-)
-EX34A_JUMPS = ("h1", "h2", "h3", "g1", "g2")
-
-
-def build_ex34a(params: Mapping, jumps: Mapping, cap: float, measure: Optional[LevyMeasure] = None) -> ModelSpec:
-    """Population-count model with power-law transmission and truncations:
-    min-with-cap inside drift/diffusion, min-with-one inside jumps."""
-    p = _collect_params(params, EX34A_PARAMS, "ex34a")
-    j = _collect_jumps(jumps, EX34A_JUMPS, "ex34a")
-    _require_xi_at_least_one(p["xi"], "ex34a")
-    cap = float(cap)
-    if cap <= 0:
-        raise ValueError(f"ex34a: truncation cap {cap} must be positive")
-    measure = _default_measure(measure)
-    h1, h2, h3, g1, g2 = (j[k] for k in EX34A_JUMPS)
-
-    def _denom(pv, X, Y):
-        return 1.0 + pv["phi1"] * X + pv["phi2"] * Y + pv["phi3"] * X * Y
-
-    def drift(pv, S):
-        X, Y, Z = S[..., 0], S[..., 1], S[..., 2]
-        Xd, Yd, Zd = dagger(X, cap), dagger(Y, cap), dagger(Z, cap)
-        infect = pv["beta"] * Xd * Yd ** pv["xi"] / _denom(pv, X, Y)
-        b1 = pv["Lambda"] - pv["mu"] * Xd - infect + pv["gamma1"] * Zd
-        b2 = infect + (pv["gamma2"] - pv["mu"] - pv["gamma3"] * Yd) * Yd
-        b3 = pv["gamma4"] * Yd - (pv["mu"] + pv["gamma1"]) * Zd
-        return np.stack([b1, b2, b3], axis=-1)
-
-    def diffusion(pv, S):
-        X, Y, Z = S[..., 0], S[..., 1], S[..., 2]
-        Xd, Yd, Zd = dagger(X, cap), dagger(Y, cap), dagger(Z, cap)
-        s1 = pv["sigma1"] * Xd * Yd / _denom(pv, X, Y)
-        s2 = pv["sigma2"] * Yd * Zd
-        zero = np.zeros(np.broadcast_shapes(np.shape(s1), np.shape(s2)))
-        col1 = np.stack([-s1, s1 + zero, zero], axis=-1)
-        col2 = np.stack([zero, s2 + zero, -s2 + zero], axis=-1)
-        return np.stack([col1, col2], axis=-1)
-
-    def small(pv, S, u):
-        _, X, Y, Z = _with_u(u, S)
-        Xs, Ys, Zs = star(X), star(Y), star(Z)
-        xy, yz, xz = h1 * Xs * Ys, h2 * Ys * Zs, h3 * Xs * Zs
-        return np.stack([-(xy - xz), xy - yz, yz - xz], axis=-1)
-
-    def large(pv, S, u):
-        _, X, Y, Z = _with_u(u, S)
-        Xs, Ys, Zs = star(X), star(Y), star(Z)
-        xy, yz = g1 * Xs * Ys, g2 * Ys * Zs
-        return np.stack([-xy, xy - yz, yz + 0.0 * xy], axis=-1)
-
-    def loss_pc(pv, S):
-        Y = S[..., 1]
-        Yd = dagger(Y, cap)
-        return (pv["mu"] + pv["gamma3"] * Yd) * (Yd / Y)
-
-    return ModelSpec(
-        model_id="ex34a",
-        domain=OCTANT,
-        brownian_dim=2,
-        measure=measure,
-        params=p,
-        jump_constants=j,
-        truncation_cap=cap,
-        drift_fn=drift,
-        diffusion_fn=diffusion,
-        small_jump_fn=small,
-        large_jump_fn=large,
-        small_jump_uses_u=False,
-        infected_loss_pc_fn=loss_pc,
-    )
-
-
-# --- ex34b -------------------------------------------------------------------
-
-EX34B_PARAMS = ("Lambda", "mu", "beta", "gamma1", "gamma2", "sigma")
-EX34B_JUMPS = ("h1", "h2", "h3", "g1", "g2", "g3")
-
-
-def build_ex34b(params: Mapping, jumps: Mapping, cap: float, measure: Optional[LevyMeasure] = None) -> ModelSpec:
-    """Population-count model with linear transmission and truncations; the
-    jump coefficients share one triple product with pairwise differences."""
-    p = _collect_params(params, EX34B_PARAMS, "ex34b")
-    j = _collect_jumps(jumps, EX34B_JUMPS, "ex34b")
-    cap = float(cap)
-    if cap <= 0:
-        raise ValueError(f"ex34b: truncation cap {cap} must be positive")
-    measure = _default_measure(measure)
-    h1, h2, h3, g1, g2, g3 = (j[k] for k in EX34B_JUMPS)
-
-    def drift(pv, S):
-        X, Y, Z = S[..., 0], S[..., 1], S[..., 2]
-        Xd, Yd, Zd = dagger(X, cap), dagger(Y, cap), dagger(Z, cap)
-        b1 = pv["Lambda"] - pv["mu"] * Xd - pv["beta"] * Xd * Yd + pv["gamma1"] * Zd
-        b2 = (pv["beta"] * Xd - (pv["mu"] + pv["gamma2"])) * Yd
-        b3 = pv["gamma2"] * Yd - (pv["mu"] + pv["gamma1"]) * Zd
-        return np.stack([b1, b2, b3], axis=-1)
-
-    def diffusion(pv, S):
-        X, Y, Z = S[..., 0], S[..., 1], S[..., 2]
-        s = pv["sigma"] * dagger(X, cap) * dagger(Y, cap) * dagger(Z, cap)
-        return np.stack([-s, 2.0 * s, -s], axis=-1)[..., None]
-
-    def small(pv, S, u):
-        _, X, Y, Z = _with_u(u, S)
-        w = star(X) * star(Y) * star(Z)
-        return np.stack([-(h1 - h3) * w, (h1 - h2) * w, (h2 - h3) * w], axis=-1)
-
-    def large(pv, S, u):
-        _, X, Y, Z = _with_u(u, S)
-        w = star(X) * star(Y) * star(Z)
-        return np.stack([-(g1 - g3) * w, (g1 - g2) * w, (g2 - g3) * w], axis=-1)
-
-    def loss_pc(pv, S):
-        Y = S[..., 1]
-        return (pv["mu"] + pv["gamma2"]) * (dagger(Y, cap) / Y)
-
-    return ModelSpec(
-        model_id="ex34b",
-        domain=OCTANT,
-        brownian_dim=1,
-        measure=measure,
-        params=p,
-        jump_constants=j,
-        truncation_cap=cap,
-        drift_fn=drift,
-        diffusion_fn=diffusion,
-        small_jump_fn=small,
-        large_jump_fn=large,
-        small_jump_uses_u=False,
-        infected_loss_pc_fn=loss_pc,
+    for name, relation, bound, meaning in family.infima:
+        holds, words = _RELATIONS[relation]
+        inf = bounds(p[name]).inf
+        if not holds(inf, bound):
+            raise ValueError(f"{model_id}: {meaning} infimum {inf} is {words} {bound:g}")
+    if family.uses_cap:
+        if cap is None:
+            raise ValueError(f"{model_id}: requires a truncation cap")
+        cap = float(cap)
+        if cap <= 0:
+            raise ValueError(f"{model_id}: truncation cap {cap} must be positive")
+    elif cap is not None:
+        raise ValueError(f"{model_id}: takes no truncation cap")
+    t = family.trees
+    return _assemble(
+        model_id, family.domain, measure, t["drift"], t["diffusion"], t["small_jump"], t["large_jump"],
+        loss_pc=t["loss_pc"], params=p, jump_constants=j, cap=cap,
     )
 
 
@@ -599,69 +426,21 @@ def build_custom(
     """
     state_vars = ("t", "x", "y", "z")
     jump_vars = ("t", "x", "y", "z", "u")
-    drift_fns = [parse(s, state_vars) if not isinstance(s, TimeFunction) else s for s in drift]
-    if len(drift_fns) != 3:
+    drift_trees = [(s if isinstance(s, TimeFunction) else parse(s, state_vars)).ast for s in drift]
+    if len(drift_trees) != 3:
         raise ValueError("drift needs exactly three component expressions")
-    diff_cols = [[parse(s, state_vars) for s in col] for col in diffusion]
+    diff_cols = [[parse(s, state_vars).ast for s in col] for col in diffusion]
     if any(len(col) != 3 for col in diff_cols):
         raise ValueError("each diffusion column needs exactly three components")
-    n = len(diff_cols)
-    if n == 0:
+    if not diff_cols:
         raise ValueError("at least one diffusion column is required (may be zeros)")
-    small_fns = [parse(s, jump_vars) for s in small_jump] if small_jump else None
-    large_fns = [parse(s, jump_vars) for s in large_jump] if large_jump else None
-    if small_fns is not None and len(small_fns) != 3:
+    small_trees = [parse(s, jump_vars).ast for s in small_jump] if small_jump else None
+    large_trees = [parse(s, jump_vars).ast for s in large_jump] if large_jump else None
+    if small_trees is not None and len(small_trees) != 3:
         raise ValueError("small_jump needs exactly three component expressions")
-    if large_fns is not None and len(large_fns) != 3:
+    if large_trees is not None and len(large_trees) != 3:
         raise ValueError("large_jump needs exactly three component expressions")
-    measure = _default_measure(measure)
-
-    def _eval_state(fn, pv, X, Y, Z):
-        out = np.asarray(evaluate(fn, pv["t"], x=X, y=Y, z=Z), dtype=float)
-        return np.broadcast_to(out, np.broadcast_shapes(out.shape, X.shape))
-
-    def drift_fn(pv, S):
-        X, Y, Z = S[..., 0], S[..., 1], S[..., 2]
-        return np.stack([_eval_state(f, pv, X, Y, Z) for f in drift_fns], axis=-1)
-
-    def diffusion_fn(pv, S):
-        X, Y, Z = S[..., 0], S[..., 1], S[..., 2]
-        cols = [
-            np.stack([_eval_state(f, pv, X, Y, Z) for f in col], axis=-1)
-            for col in diff_cols
-        ]
-        return np.stack(cols, axis=-1)
-
-    def _jump_fn(fns):
-        if fns is None:
-            return _zero_jump
-
-        def fn(pv, S, u):
-            u_, X, Y, Z = _with_u(u, S)
-            comps = []
-            for f in fns:
-                out = np.asarray(evaluate(f, pv["t"], x=X, y=Y, z=Z, u=u_), dtype=float)
-                comps.append(np.broadcast_to(out, X.shape))
-            return np.stack(comps, axis=-1)
-
-        return fn
-
-    model = ModelSpec(
-        model_id=model_id,
-        domain=domain,
-        brownian_dim=n,
-        measure=measure,
-        params={},
-        jump_constants={},
-        truncation_cap=None,
-        drift_fn=drift_fn,
-        diffusion_fn=diffusion_fn,
-        small_jump_fn=_jump_fn(small_fns),
-        large_jump_fn=_jump_fn(large_fns),
-        small_jump_uses_u=any("u" in free_names(f.ast) for f in small_fns or ()),
-        has_small_jumps=small_fns is not None,
-        has_large_jumps=large_fns is not None,
-    )
+    model = _assemble(model_id, domain, measure, drift_trees, diff_cols, small_trees, large_trees)
     if domain == SIMPLEX:
         rng = rng if rng is not None else np.random.default_rng(0)
         conservation = check_conservation(model, samples=256, rng=rng)

@@ -21,27 +21,7 @@ from typing import Mapping, Optional
 
 from .integrator import SimConfig
 from .levy import LevyMeasure
-from .models import (
-    EX1_JUMPS,
-    EX1_PARAMS,
-    EX1B_JUMPS,
-    EX1B_PARAMS,
-    EX34A_JUMPS,
-    EX34A_PARAMS,
-    EX34B_JUMPS,
-    EX34B_PARAMS,
-    OCTANT,
-    SIMPLEX,
-    XC_PARAMS,
-    ModelSpec,
-    build_custom,
-    build_ex1,
-    build_ex1b,
-    build_ex34a,
-    build_ex34b,
-    build_xc,
-    check_admissible,
-)
+from .models import FAMILIES, OCTANT, SIMPLEX, ModelSpec, build_custom, build_named, check_admissible
 
 __all__ = [
     "ScenarioConfig",
@@ -53,25 +33,7 @@ __all__ = [
     "sim_config",
 ]
 
-MODEL_IDS = ("ex1", "ex1b", "xc", "ex34a", "ex34b", "custom")
-
-_MODEL_DOMAIN = {"ex1": SIMPLEX, "ex1b": SIMPLEX, "xc": OCTANT, "ex34a": OCTANT, "ex34b": OCTANT}
-
-_REQUIRED_PARAMS = {
-    "ex1": EX1_PARAMS,
-    "ex1b": EX1B_PARAMS,
-    "xc": XC_PARAMS,
-    "ex34a": EX34A_PARAMS,
-    "ex34b": EX34B_PARAMS,
-}
-
-_REQUIRED_JUMPS = {
-    "ex1": EX1_JUMPS,
-    "ex1b": EX1B_JUMPS,
-    "xc": (),
-    "ex34a": EX34A_JUMPS,
-    "ex34b": EX34B_JUMPS,
-}
+MODEL_IDS = (*FAMILIES, "custom")
 
 _SECTIONS = ("model", "params", "jumps", "measure", "initial", "sim")
 
@@ -217,25 +179,12 @@ def load_scenario(path) -> ScenarioConfig:
     for key, value in sections["jumps"].items():
         jumps[key] = _want_float(value, f"{where}: [jumps] {key}")
 
-    if model_id in _REQUIRED_PARAMS:
-        required = _REQUIRED_PARAMS[model_id]
-        missing = sorted(set(required) - set(params))
-        if missing:
-            raise ScenarioError(
-                f"{where}: model {model_id} missing parameters {missing}; requires {list(required)}"
-            )
-        extra = sorted(set(params) - set(required))
-        if extra:
-            raise ScenarioError(f"{where}: model {model_id} does not take parameters {extra}")
-        required_j = _REQUIRED_JUMPS[model_id]
-        missing_j = sorted(set(required_j) - set(jumps))
-        if missing_j:
-            raise ScenarioError(
-                f"{where}: model {model_id} missing jump constants {missing_j}"
-            )
-        extra_j = sorted(set(jumps) - set(required_j))
-        if extra_j:
-            raise ScenarioError(f"{where}: model {model_id} does not take jump constants {extra_j}")
+    family = FAMILIES.get(model_id)
+    if family is not None:
+        try:
+            family.check_names(params, jumps)
+        except ValueError as exc:
+            raise ScenarioError(f"{where}: model {exc}") from None
 
     for key in sections["measure"]:
         if key not in _MEASURE_KEYS:
@@ -284,8 +233,11 @@ def load_scenario(path) -> ScenarioConfig:
     cap = model_sec.get("cap")
     if cap is not None:
         cap = _want_float(cap, f"{where}: [model] cap")
-    if model_id in ("ex34a", "ex34b") and cap is None:
+    uses_cap = family is not None and family.uses_cap
+    if uses_cap and cap is None:
         raise ScenarioError(f"{where}: model {model_id} requires cap in [model]")
+    if cap is not None and not uses_cap:
+        raise ScenarioError(f"{where}: model {model_id} does not take cap")
     domain = model_sec.get("domain")
     if domain is not None and domain not in (SIMPLEX, OCTANT):
         raise ScenarioError(f"{where}: domain must be {SIMPLEX!r} or {OCTANT!r}")
@@ -318,28 +270,29 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def _custom_model(cfg: ScenarioConfig, measure: LevyMeasure) -> ModelSpec:
-    n = cfg.brownian_dim or 1
-    missing = [k for k in ("b1", "b2", "b3") if k not in cfg.params]
-    if missing:
-        raise ScenarioError(f"{cfg.source}: custom model missing drift expressions {missing}")
-    drift = [cfg.params[k] for k in ("b1", "b2", "b3")]
-    diffusion = []
-    for j in range(1, n + 1):
-        col_keys = [f"sigma{i}{j}" for i in (1, 2, 3)]
-        missing = [k for k in col_keys if k not in cfg.params]
+    """A custom model from its [params] keys: drift ``b1..b3``, one diffusion
+    column ``sigma1j..sigma3j`` per Brownian driver, and optionally all
+    three small-jump entries ``h1..h3`` or large-jump entries ``g1..g3``."""
+    params = cfg.params
+    columns = [[f"sigma{i}{j}" for i in (1, 2, 3)] for j in range(1, (cfg.brownian_dim or 1) + 1)]
+    small, large = ["h1", "h2", "h3"], ["g1", "g2", "g3"]
+    unknown = sorted(set(params).difference(["b1", "b2", "b3"], *columns, small, large))
+    if unknown:
+        raise ScenarioError(f"{cfg.source}: custom model does not take parameters {unknown}")
+
+    def entries(keys, what, optional=False):
+        missing = [k for k in keys if k not in params]
+        if optional and len(missing) == len(keys):
+            return None
         if missing:
-            raise ScenarioError(f"{cfg.source}: custom model missing diffusion entries {missing}")
-        diffusion.append([cfg.params[k] for k in col_keys])
-    small = [cfg.params[k] for k in ("h1", "h2", "h3")] if "h1" in cfg.params else None
-    large = [cfg.params[k] for k in ("g1", "g2", "g3")] if "g1" in cfg.params else None
-    return build_custom(
-        domain=cfg.domain,
-        drift=drift,
-        diffusion=diffusion,
-        small_jump=small,
-        large_jump=large,
-        measure=measure,
-    )
+            raise ScenarioError(f"{cfg.source}: custom model missing {what} {missing}")
+        return [params[k] for k in keys]
+
+    drift = entries(["b1", "b2", "b3"], "drift expressions")
+    diffusion = [entries(keys, "diffusion entries") for keys in columns]
+    small_jump = entries(small, "small-jump entries", optional=True)
+    large_jump = entries(large, "large-jump entries", optional=True)
+    return build_custom(cfg.domain, drift, diffusion, small_jump, large_jump, measure)
 
 
 def build_model(cfg: ScenarioConfig) -> ModelSpec:
@@ -347,18 +300,10 @@ def build_model(cfg: ScenarioConfig) -> ModelSpec:
     state is admissible in its domain."""
     lo, hi = cfg.measure_support
     measure = LevyMeasure.uniform(lo, hi, cfg.measure_density)
-    if cfg.model_id == "ex1":
-        model = build_ex1(cfg.params, cfg.jumps, measure)
-    elif cfg.model_id == "ex1b":
-        model = build_ex1b(cfg.params, cfg.jumps, measure)
-    elif cfg.model_id == "xc":
-        model = build_xc(cfg.params, measure)
-    elif cfg.model_id == "ex34a":
-        model = build_ex34a(cfg.params, cfg.jumps, cfg.cap, measure)
-    elif cfg.model_id == "ex34b":
-        model = build_ex34b(cfg.params, cfg.jumps, cfg.cap, measure)
-    else:
+    if cfg.model_id == "custom":
         model = _custom_model(cfg, measure)
+    else:
+        model = build_named(cfg.model_id, cfg.params, cfg.jumps, cfg.cap, measure)
     check_admissible(cfg.initial_state, model.domain)
     return model
 

@@ -72,6 +72,24 @@ class TestParseEval:
     def test_whitespace_insignificant(self):
         assert parse(" 0.3 + 0.1 * sin( 4 * t ) ")(0.0) == parse("0.3+0.1*sin(4*t)")(0.0)
 
+    def test_power(self):
+        assert parse("t^2")(3.0) == 9.0
+        assert parse("2^t")(np.array([0.0, 3.0])).tolist() == [1.0, 8.0]
+
+    def test_power_binds_tighter_than_unary_minus(self):
+        assert parse("-t^2")(3.0) == -9.0
+        assert parse("(-t)^2")(3.0) == 9.0
+
+    def test_power_is_right_associative(self):
+        assert parse("2^3^2")(0.0) == 512.0
+        assert parse("2^-1")(0.0) == 0.5
+
+    def test_min(self):
+        f = parse("min(t, 1)")
+        assert f(0.25) == 0.25
+        assert f(np.array([0.5, 2.0])).tolist() == [0.5, 1.0]
+        assert parse("min(2*t, t+1)*3")(2.0) == 9.0
+
 
 class TestErrors:
     def test_unknown_name_position(self):
@@ -92,8 +110,25 @@ class TestErrors:
             parse("")
 
     def test_power_rejected(self):
-        with pytest.raises(ParseError):
-            parse("t^2")
+        # the power operator is ^; Python's ** is not part of the grammar
+        with pytest.raises(ParseError) as err:
+            parse("t**2")
+        assert err.value.position == 2
+
+    @pytest.mark.parametrize("text,position", [("min(t)", 5), ("min(t,1,2)", 7), ("1+,t", 2), ("t,1", 1)])
+    def test_min_arity_and_stray_comma_positions(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text", ["(0-1)^0.5", "0^(0-1)", "(t-2)^0.5", "(t-1)^(0-2)"])
+    def test_power_domain(self, text):
+        with pytest.raises(EvalDomainError, match="power"):
+            parse(text)(1.0)
+
+    def test_power_domain_allows_integer_exponents_of_negative_bases(self):
+        assert parse("(t-2)^3")(1.0) == -1.0
+        assert parse("0^0")(0.0) == 1.0
 
     def test_ln_domain(self):
         f = parse("ln(t-1)")
@@ -126,6 +161,13 @@ class TestSerialize:
         f = parse("--t")
         assert parse(serialize(f)).ast == f.ast
 
+    @pytest.mark.parametrize(
+        "text", ["-t^2", "(-t)^2", "t^2^3", "(t^2)^3", "t^-2", "2*t^2/3", "min(t^2,-t)", "-min(t,1)"]
+    )
+    def test_power_and_min_roundtrip(self, text):
+        f = parse(text)
+        assert parse(serialize(f)).ast == f.ast
+
 
 def _expr_trees(variables=("t",)):
     leaves = st.one_of(
@@ -140,6 +182,9 @@ def _expr_trees(variables=("t",)):
             st.tuples(children, op, children).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
             st.tuples(fn, children).map(lambda t: f"{t[0]}({t[1]})"),
             children.map(lambda c: f"-{c}"),
+            st.tuples(children, children).map(lambda t: f"min({t[0]},{t[1]})"),
+            # a base in [-1, 1] and a small integer exponent stay real and finite
+            st.tuples(children, st.integers(0, 3)).map(lambda t: f"sin({t[0]})^{t[1]}"),
         )
 
     return st.recursive(leaves, combine, max_leaves=12)

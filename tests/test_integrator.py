@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,13 +10,14 @@ from ussir.integrator import (
     _path_key,
     convergence_probe,
     path_generator,
-    project,
     run_paths,
     simulate,
     simulate_batch,
 )
 from ussir.levy import LARGE, SMALL
 from ussir.models import OCTANT, SIMPLEX, build_custom, suppress
+
+ZEROS = ("0", "0", "0")
 
 
 @pytest.fixture
@@ -42,32 +44,52 @@ class TestSimConfig:
 
 
 class TestProject:
+    """The engine's positivity safeguard, one deterministic step at a time."""
+
     def test_negative_component_raised_to_floor(self):
-        out = project((-1e-15, 0.5, 0.5), SIMPLEX)
+        overshoot = build_custom(domain=SIMPLEX, drift=("-2000*x", "1000*x", "1000*x"), diffusion=(ZEROS,))
+        out = _one_step(overshoot, (1e-13, 0.5, 0.5 - 1e-13), 0.001, 0)
         assert out[0] == 1e-12
         assert abs(out.sum() - 1.0) <= 1e-9
 
     def test_admissible_state_unchanged(self):
         state = (0.3, 0.45, 0.25)
-        assert np.array_equal(project(state, SIMPLEX), state)
+        still = build_custom(domain=SIMPLEX, drift=ZEROS, diffusion=(ZEROS,))
+        assert np.array_equal(_one_step(still, state, 0.001, 0), state)
 
     def test_renormalization(self):
-        out = project((0.2, 0.3, 0.6), SIMPLEX)
+        # a non-conserving drift on the simplex (the custom gate would refuse it)
+        grow = dataclasses.replace(
+            build_custom(domain=OCTANT, drift=("0", "0", "100"), diffusion=(ZEROS,)), domain=SIMPLEX
+        )
+        out = _one_step(grow, (0.2, 0.3, 0.5), 0.001, 0)
         assert np.allclose(out, np.array([0.2, 0.3, 0.6]) / 1.1, atol=1e-15)
 
     def test_octant_never_renormalizes(self):
-        out = project((2.0, 3.0, 4.0), OCTANT)
-        assert np.array_equal(out, (2.0, 3.0, 4.0))
+        grow = build_custom(domain=OCTANT, drift=("0", "0", "100"), diffusion=(ZEROS,))
+        out = _one_step(grow, (2.0, 3.0, 4.0), 0.001, 0)
+        assert np.array_equal(out, (2.0, 3.0, 4.0 + 100.0 * 0.001))
 
-    def test_tiny_positive_values_pass_through(self):
-        out = project((1e-20, 0.5, 0.5), OCTANT)
+    def test_tiny_positive_values_pass_through(self, zero_model):
+        out = _one_step(zero_model, (1e-20, 0.5, 0.5), 0.001, 0)
         assert out[0] == 1e-20
 
 
-def _reference_step(model, t, state, dt, rng, floor=1e-12):
+def _safeguard(state, domain, floor):
+    """The engine's safeguard restated: clamp at the floor, renormalize a
+    drifted simplex state."""
+    state = np.where(state <= 0.0, floor, state)
+    total = state.sum()
+    if domain == SIMPLEX and abs(total - 1.0) > 1e-9:
+        state = state / total
+    return state
+
+
+def _reference_step(model, t, state, dt, rng, floor=1e-12, counts=None):
     """One Euler-Maruyama step written out plainly, drawing in the engine's
     block-of-one order: Brownian increments, small-jump count, large-jump
-    count, small marks, large marks.  Inactive noise groups draw nothing."""
+    count, small marks, large marks.  Inactive noise groups draw nothing.
+    ``counts`` (a dict), when given, accumulates the marks drawn per region."""
     s = np.asarray(state, dtype=float)
     pv = model.param_values(t)
     incr = model.drift_pv(pv, s) * dt
@@ -83,6 +105,9 @@ def _reference_step(model, t, state, dt, rng, floor=1e-12):
         large_mass = model.measure.mass(LARGE)
         if large_mass > 0.0:
             n_large = int(rng.poisson(large_mass * dt))
+    if counts is not None:
+        counts["small"] = counts.get("small", 0) + n_small
+        counts["large"] = counts.get("large", 0) + n_large
     if model.has_small_jumps:
         if n_small:
             marks = model.measure.sample_marks(SMALL, n_small, rng)
@@ -91,7 +116,7 @@ def _reference_step(model, t, state, dt, rng, floor=1e-12):
     if n_large:
         marks = model.measure.sample_marks(LARGE, n_large, rng)
         incr = incr + model.large_jump_pv(pv, s, marks).sum(axis=0)
-    return project(s + incr, model.domain, floor)
+    return _safeguard(s + incr, model.domain, floor)
 
 
 def _one_step(model, state, dt, seed):
@@ -138,18 +163,33 @@ class TestSimulate:
         assert np.array_equal(t1.states, t2.states)
         assert np.array_equal(t1.times, t2.times)
 
+    @staticmethod
+    def _engine_and_manual(model, s0, horizon, seed):
+        """Chunk-of-one engine states, the reference loop's states, and the
+        reference's mark counts."""
+        cfg = SimConfig(horizon=horizon, dt=0.001, seed=seed, record_stride=1)
+        bundle = run_paths(model, s0, cfg, [_path_key(seed, 0)], chunk=1)
+        gen = path_generator(seed, 0)
+        s = np.array(s0, dtype=float)
+        manual = [s.copy()]
+        counts = {}
+        for k in range(cfg.n_steps):
+            s = _reference_step(model, k * cfg.dt, s, cfg.dt, gen, counts=counts)
+            manual.append(s.copy())
+        return bundle.states[0], np.array(manual), counts
+
     def test_engine_matches_manual_step_loop(self, scenario):
         # chunk-of-one engine consumes the stream exactly like the reference step
         _, model = scenario("table1")
-        cfg = SimConfig(horizon=0.3, dt=0.001, seed=7, record_stride=1)
-        bundle = run_paths(model, (0.8, 0.19, 0.01), cfg, [_path_key(7, 0)], chunk=1)
-        gen = path_generator(7, 0)
-        s = np.array([0.8, 0.19, 0.01])
-        manual = [s.copy()]
-        for k in range(cfg.n_steps):
-            s = _reference_step(model, k * cfg.dt, s, cfg.dt, gen)
-            manual.append(s.copy())
-        assert np.array_equal(bundle.states[0], np.array(manual))
+        engine, manual, _ = self._engine_and_manual(model, (0.8, 0.19, 0.01), 0.3, 7)
+        assert np.array_equal(engine, manual)
+
+    def test_engine_matches_manual_step_loop_with_large_marks(self, scenario):
+        # long enough that large marks are drawn, so the large-jump branch is compared too
+        cfg, model = scenario("table7")
+        engine, manual, counts = self._engine_and_manual(model, cfg.initial_state, 2.0, 7)
+        assert counts["large"] >= 1 and counts["small"] >= 1
+        assert np.array_equal(engine, manual)
 
     def test_batch_matches_solo_runs(self, scenario):
         _, model = scenario("table2")

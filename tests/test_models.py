@@ -6,20 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ussir.expr import evaluate, parse
 from ussir.models import (
+    FAMILIES,
     OCTANT,
     SIMPLEX,
     build_custom,
-    build_ex1,
-    build_ex1b,
-    build_ex34a,
-    build_ex34b,
-    build_xc,
+    build_named,
     check_admissible,
     check_conservation,
     check_positivity_ratios,
-    dagger,
-    star,
     suppress,
 )
 
@@ -34,6 +30,13 @@ TABLE1_PARAMS = {
     "sigma2": "0.4+0.01*sin(7*t)",
 }
 TABLE1_JUMPS = {"h1": 0.01, "h2": 0.025, "g1": 0.1, "g2": 0.12}
+
+# the truncations the families write as min(x, cap) and min(x, 1)
+_MIN = parse("min(x,c)", variables=("x", "c"))
+
+
+def _truncate(x, cap):
+    return evaluate(_MIN, x, c=cap)
 
 
 def _at(model, t, state):
@@ -66,20 +69,20 @@ class TestEx1:
     def test_rejects_exponent_below_one(self):
         params = dict(TABLE1_PARAMS, xi="0.5+0.1*sin(t)")
         with pytest.raises(ValueError, match="below 1"):
-            build_ex1(params, TABLE1_JUMPS)
+            build_named("ex1", params, TABLE1_JUMPS)
 
     def test_rejects_jump_cap_at_one(self):
         with pytest.raises(ValueError, match="outside"):
-            build_ex1(TABLE1_PARAMS, dict(TABLE1_JUMPS, g1=1.0))
+            build_named("ex1", TABLE1_PARAMS, dict(TABLE1_JUMPS, g1=1.0))
 
     def test_rejects_negative_jump(self):
         with pytest.raises(ValueError, match="outside"):
-            build_ex1(TABLE1_PARAMS, dict(TABLE1_JUMPS, h1=-0.1))
+            build_named("ex1", TABLE1_PARAMS, dict(TABLE1_JUMPS, h1=-0.1))
 
     def test_missing_parameter_named(self):
         params = {k: v for k, v in TABLE1_PARAMS.items() if k != "sigma2"}
         with pytest.raises(ValueError, match="sigma2"):
-            build_ex1(params, TABLE1_JUMPS)
+            build_named("ex1", params, TABLE1_JUMPS)
 
 
 class TestEx1b:
@@ -101,7 +104,7 @@ class TestEx1b:
     def test_equal_large_jump_constants_cancel_in_infected_row(self):
         params = {"beta": "0.17", "gamma1": "0.12", "gamma2": "0.56", "sigma": "0.1"}
         jumps = {"h1": 0.019, "h2": 0.018, "g1": 0.11, "g2": 0.11}
-        model = build_ex1b(params, jumps)
+        model = build_named("ex1b", params, jumps)
         vec = model.large_jump_pv(*_at(model, 0.0, (0.6, 0.3, 0.1)), 1.5)
         assert vec[1] == 0.0
 
@@ -148,14 +151,14 @@ class TestXc:
             "sigma": "0.12",
         }
         with pytest.raises(ValueError, match="mortality"):
-            build_xc(params)
+            build_named("xc", params)
 
 
 class TestEx34:
     def test_truncations(self):
         state = np.array([3.75, 1.15, 1.1])
-        assert np.array_equal(dagger(state, 2.0), [2.0, 1.15, 1.1])
-        assert np.array_equal(star(state), [1.0, 1.0, 1.0])
+        assert np.array_equal(_truncate(state, 2.0), [2.0, 1.15, 1.1])
+        assert np.array_equal(_truncate(state, 1.0), [1.0, 1.0, 1.0])
 
     def test_ex34b_infected_drift(self, scenario):
         _, model = scenario("table7")
@@ -182,31 +185,64 @@ class TestEx34:
     def test_cap_must_be_positive(self, scenario):
         cfg, _ = scenario("table6")
         with pytest.raises(ValueError, match="cap"):
-            build_ex34a(cfg.params, cfg.jumps, cap=0.0)
+            build_named("ex34a", cfg.params, cfg.jumps, cap=0.0)
 
     def test_rejects_violated_caps(self, scenario):
         cfg, _ = scenario("table7")
         with pytest.raises(ValueError, match="outside"):
-            build_ex34b(cfg.params, dict(cfg.jumps, g2=1.2), cap=1.5)
+            build_named("ex34b", cfg.params, dict(cfg.jumps, g2=1.2), cap=1.5)
 
 
 class TestTruncationProperties:
     @given(x=st.floats(min_value=0.0, max_value=1e6), cap=st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=200, deadline=None)
     def test_dagger_idempotent_and_bounded(self, x, cap):
-        once = dagger(x, cap)
+        once = _truncate(x, cap)
         assert once <= cap
-        assert dagger(once, cap) == once
+        assert _truncate(once, cap) == once
         assert once == x or x > cap
 
     @given(x=st.floats(min_value=0.0, max_value=10.0), y=st.floats(min_value=0.0, max_value=10.0))
     @settings(max_examples=200, deadline=None)
     def test_star_monotone(self, x, y):
         if x <= y:
-            assert star(x) <= star(y)
+            assert _truncate(x, 1.0) <= _truncate(y, 1.0)
 
     def test_dagger_with_huge_cap_is_identity(self):
-        assert dagger(123.456, 1e12) == 123.456
+        assert _truncate(123.456, 1e12) == 123.456
+
+
+class TestNamedTables:
+    def test_flags_follow_from_the_tables(self, scenario):
+        for name in ("table1", "table2", "table3", "table6", "table7"):
+            cfg, model = scenario(name)
+            family = FAMILIES[cfg.model_id]
+            assert model.domain == family.domain
+            assert model.brownian_dim == len(family.diffusion)
+            assert model.has_small_jumps == (family.small_jump is not None)
+            assert model.has_large_jumps == (family.large_jump is not None)
+            assert not model.small_jump_uses_u
+            assert family.uses_cap == (cfg.cap is not None)
+        assert [k for k, f in FAMILIES.items() if f.uses_cap] == ["ex34a", "ex34b"]
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown model family"):
+            build_named("ex2", TABLE1_PARAMS, TABLE1_JUMPS)
+
+    def test_cap_only_where_the_expressions_use_it(self, scenario):
+        with pytest.raises(ValueError, match="takes no truncation cap"):
+            build_named("ex1", TABLE1_PARAMS, TABLE1_JUMPS, cap=2.0)
+        cfg, _ = scenario("table7")
+        with pytest.raises(ValueError, match="requires a truncation cap"):
+            build_named("ex34b", cfg.params, cfg.jumps)
+
+    def test_jump_constants_fold_into_the_program(self):
+        params = {"beta": "0.17", "gamma1": "0.12", "gamma2": "0.56", "sigma": "0.1"}
+        jumps = {"h1": 0.019, "h2": 0.018, "g1": 0.11, "g2": 0.05}
+        model = build_named("ex1b", params, jumps)
+        vec = model.small_jump_pv(*_at(model, 0.0, (0.6, 0.3, 0.1)), 0.5)
+        w = 0.6 * 0.3 * 0.1
+        assert np.array_equal(vec, [-0.019 * w, (0.019 - 0.018) * w, 0.018 * w])
 
 
 class TestConservation:
@@ -250,15 +286,12 @@ class TestPositivity:
 
     def test_injected_oversized_jump_detected(self, scenario):
         _, model = scenario("table1")
-
-        def oversized(pv, S, u):
-            from ussir.models import _with_u
-
-            _, X, Y, Z = _with_u(u, S)
-            a = 0.01 * X * Y
-            b = 1.5 * Y * Z
-            return np.stack([-a, a - b, b], axis=-1)
-
+        oversized = build_custom(
+            domain=OCTANT,
+            drift=("0", "0", "0"),
+            diffusion=(("0", "0", "0"),),
+            small_jump=("-(0.01*x*y)", "0.01*x*y-1.5*y*z", "1.5*y*z"),
+        ).small_jump_fn
         broken = dataclasses.replace(model, small_jump_fn=oversized)
         report = check_positivity_ratios(broken, samples=1000, rng=np.random.default_rng(6))
         assert not report.passed

@@ -35,6 +35,25 @@ paths = 2
 """
 
 
+MINIMAL_CUSTOM = """
+[model]
+id = custom
+domain = octant
+brownian_dim = 1
+
+[initial]
+state = (1.0, 0.5, 0.25)
+
+[params]
+b1 = "-0.2*x*y"
+b2 = "0.2*x*y-0.1*y"
+b3 = "0.1*y"
+sigma11 = "0"
+sigma21 = "0.05*y"
+sigma31 = "0"
+"""
+
+
 def _write(tmp_path, text, name="case.scn"):
     target = tmp_path / name
     target.write_text(text)
@@ -124,6 +143,26 @@ class TestLoad:
         cfg = load_scenario(_write(tmp_path, bad))
         with pytest.raises(ValueError, match="sum"):
             build_model(cfg)  # (2.0, 0.8, 1.0) is not on the simplex
+
+    def test_cap_rejected_where_unused(self, tmp_path):
+        with pytest.raises(ScenarioError, match="does not take cap"):
+            load_scenario(_write(tmp_path, MINIMAL_XC.replace("id = xc", "id = xc\ncap = 2")))
+
+    def test_custom_partial_jump_group_rejected(self, tmp_path, capsys):
+        target = _write(tmp_path, MINIMAL_CUSTOM + 'h1 = "-0.01*x*y"\n')
+        with pytest.raises(ScenarioError, match=r"case\.scn: .*small-jump entries \['h2', 'h3'\]"):
+            build_model(load_scenario(target))
+        assert main(["validate", "--config", str(target)]) == 1
+        assert "['h2', 'h3']" in capsys.readouterr().err
+        only_h2 = _write(tmp_path, MINIMAL_CUSTOM + 'h2 = "0.01*x*y"\n')
+        with pytest.raises(ScenarioError, match=r"\['h1', 'h3'\]"):
+            build_model(load_scenario(only_h2))
+
+    @pytest.mark.parametrize("key", ["sigma12", "b4"])
+    def test_custom_unknown_params_rejected(self, tmp_path, key):
+        target = _write(tmp_path, MINIMAL_CUSTOM + f'{key} = "0"\n')
+        with pytest.raises(ScenarioError, match=rf"case\.scn: .*does not take parameters \['{key}'\]"):
+            build_model(load_scenario(target))
 
     def test_sim_config_overrides(self):
         cfg = load_scenario(bundled_scenario_path("table1"))
