@@ -19,16 +19,10 @@ from .models import (
 from .integrator import SimConfig, Trajectory, convergence_probe, simulate
 from .criteria import (
     CriteriaReport,
-    SideCondition,
-    ex1_extinction,
-    ex1b_persistence,
-    ex34a_persistence,
-    ex34b_extinction,
     generic_alpha_estimate,
     generic_alpha_star_estimate,
     k_value,
     report_for_model,
-    xc_report,
 )
 from .montecarlo import (
     EnsembleStats,
@@ -49,7 +43,6 @@ __all__ = [
     "ModelSpec",
     "ScenarioConfig",
     "ScenarioError",
-    "SideCondition",
     "SimConfig",
     "TimeFunction",
     "Trajectory",
@@ -60,10 +53,6 @@ __all__ = [
     "check_conservation",
     "check_positivity_ratios",
     "convergence_probe",
-    "ex1_extinction",
-    "ex1b_persistence",
-    "ex34a_persistence",
-    "ex34b_extinction",
     "generic_alpha_estimate",
     "generic_alpha_star_estimate",
     "k_value",
@@ -76,5 +65,4 @@ __all__ = [
     "simulate",
     "time_average_infected",
     "verdict",
-    "xc_report",
 ]

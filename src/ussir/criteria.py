@@ -4,12 +4,17 @@ Each named model family has a one-sided sufficient criterion built from
 coefficient bounds over [0, oo): either an exponential decay rate for the
 infected compartment (extinction) or a pair (lambda0, lambda) whose ratio
 bounds the long-run time average of the infected compartment from below
-(persistence).  The criteria are one-sided: when a gate fails the verdict
-is "indeterminate", never the opposite classification.
+(persistence).  Every gate of a criterion is a :class:`SideCondition`
+``lhs < rhs`` (or ``lhs <= rhs`` where the paper's inequality is not
+strict).  The criteria are one-sided: when a gate fails the verdict is
+"indeterminate", never the opposite classification.
 
 All closed-form functions are pure functions of :class:`BoundsPair` inputs
 and jump-constant suprema, so analytically-bounded and user-supplied bounds
-share one code path.  The generic estimators evaluate the underlying
+share one code path.  :func:`report_for_model` binds a criterion's
+arguments by name: a jump constant, the truncation ``cap``, or the bounds
+of that time coefficient, so a report bounds only what its criterion
+reads.  The generic estimators evaluate the underlying
 drift-diffusion-jump functional on explicit (t, state) grids with midpoint
 quadrature in the mark variable; they produce grid lower bounds of the true
 suprema, not certified values.
@@ -17,6 +22,7 @@ suprema, not certified values.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -51,12 +57,17 @@ INDETERMINATE = "indeterminate"
 
 @dataclass(frozen=True)
 class SideCondition:
-    """One gate of a criterion, stated as lhs (< or >) rhs."""
+    """One gate of a criterion: it holds when ``lhs < rhs``, or
+    ``lhs <= rhs`` when ``strict`` is false."""
 
     name: str
-    satisfied: bool
     lhs: float
     rhs: float
+    strict: bool = True
+
+    @property
+    def satisfied(self) -> bool:
+        return self.lhs < self.rhs if self.strict else self.lhs <= self.rhs
 
     @property
     def margin(self) -> float:
@@ -64,7 +75,28 @@ class SideCondition:
 
 
 def _fmt(value) -> str:
-    return "" if value is None else f"{value:.17g}"
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else f"{value:.17g}"
+
+
+def _yes(cond: SideCondition) -> str:
+    return "yes" if cond.satisfied else "no"
+
+
+# (key, attribute) of every scalar field, in text and CSV order
+_FIELDS = (
+    ("model", "model_id"),
+    ("classification", "classification"),
+    ("extinction_rate_lb", "extinction_rate_lb"),
+    ("lambda0", "lambda0"),
+    ("lambda", "lam"),
+    ("mean_infected_lb", "mean_infected_lb"),
+    ("r_tilde", "r_tilde"),
+    ("invariant_set_bound", "invariant_set_bound"),
+)
+
+CRITERIA_CSV_HEADER = [key for key, _ in _FIELDS] + ["side_conditions"]
 
 
 @dataclass(frozen=True)
@@ -93,53 +125,20 @@ class CriteriaReport:
                 return cond
         raise KeyError(name)
 
+    def _cells(self) -> list[tuple[str, str]]:
+        return [(key, _fmt(getattr(self, attr))) for key, attr in _FIELDS]
+
     def to_text(self) -> str:
-        lines = [
-            f"model: {self.model_id}",
-            f"classification: {self.classification}",
-            f"extinction_rate_lb: {_fmt(self.extinction_rate_lb)}",
-            f"lambda0: {_fmt(self.lambda0)}",
-            f"lambda: {_fmt(self.lam)}",
-            f"mean_infected_lb: {_fmt(self.mean_infected_lb)}",
-            f"r_tilde: {_fmt(self.r_tilde)}",
-            f"invariant_set_bound: {_fmt(self.invariant_set_bound)}",
+        lines = [f"{key}: {value}" for key, value in self._cells()]
+        lines += [
+            f"side_condition: {c.name} satisfied={_yes(c)} lhs={c.lhs:.17g} rhs={c.rhs:.17g}"
+            for c in self.side_conditions
         ]
-        for cond in self.side_conditions:
-            lines.append(
-                f"side_condition: {cond.name} satisfied={'yes' if cond.satisfied else 'no'} "
-                f"lhs={cond.lhs:.17g} rhs={cond.rhs:.17g}"
-            )
         return "\n".join(lines) + "\n"
 
     def to_csv_row(self) -> list[str]:
-        conds = ";".join(
-            f"{c.name}:{'yes' if c.satisfied else 'no'}:{c.lhs:.17g}:{c.rhs:.17g}"
-            for c in self.side_conditions
-        )
-        return [
-            self.model_id,
-            self.classification,
-            _fmt(self.extinction_rate_lb),
-            _fmt(self.lambda0),
-            _fmt(self.lam),
-            _fmt(self.mean_infected_lb),
-            _fmt(self.r_tilde),
-            _fmt(self.invariant_set_bound),
-            conds,
-        ]
-
-
-CRITERIA_CSV_HEADER = [
-    "model",
-    "classification",
-    "extinction_rate_lb",
-    "lambda0",
-    "lambda",
-    "mean_infected_lb",
-    "r_tilde",
-    "invariant_set_bound",
-    "side_conditions",
-]
+        conds = ";".join(f"{c.name}:{_yes(c)}:{c.lhs:.17g}:{c.rhs:.17g}" for c in self.side_conditions)
+        return [value for _, value in self._cells()] + [conds]
 
 
 # --- the log-compensation functional ------------------------------------------
@@ -158,23 +157,18 @@ def k_value(model: ModelSpec, t: float, state, u) -> float:
 
 # --- closed-form criteria -------------------------------------------------------
 
+def _gated(model_id: str, verdict: str, conds: tuple[SideCondition, ...], **fields) -> CriteriaReport:
+    """Report ``verdict`` when every gate holds, indeterminate otherwise."""
+    ok = all(c.satisfied for c in conds)
+    return CriteriaReport(model_id, verdict if ok else INDETERMINATE, side_conditions=conds, **fields)
+
+
 def ex1_extinction(beta: BoundsPair, gamma: BoundsPair, g1: float) -> CriteriaReport:
     """Extinction rate bound for the power-law transmission proportions
     model: recovery infimum minus transmission supremum minus twice the
     large-jump cap."""
-    rate = gamma.inf - beta.sup - 2.0 * g1
-    gate = SideCondition(
-        name="beta_sup_plus_2g1_lt_gamma_inf",
-        satisfied=beta.sup + 2.0 * g1 < gamma.inf,
-        lhs=beta.sup + 2.0 * g1,
-        rhs=gamma.inf,
-    )
-    return CriteriaReport(
-        model_id="ex1",
-        classification=EXTINCT if gate.satisfied else INDETERMINATE,
-        extinction_rate_lb=rate,
-        side_conditions=(gate,),
-    )
+    gate = SideCondition("beta_sup_plus_2g1_lt_gamma_inf", beta.sup + 2.0 * g1, gamma.inf)
+    return _gated("ex1", EXTINCT, (gate,), extinction_rate_lb=gamma.inf - beta.sup - 2.0 * g1)
 
 
 def ex1b_persistence(
@@ -191,34 +185,11 @@ def ex1b_persistence(
     lambda0 = gamma2.inf
     lam = gamma2.inf - gamma1.sup - 2.0 * bracket
     conds = (
-        SideCondition(
-            name="gamma1_sup_lt_beta_inf",
-            satisfied=gamma1.sup < beta.inf,
-            lhs=gamma1.sup,
-            rhs=beta.inf,
-        ),
-        SideCondition(
-            name="beta_inf_le_gamma2_inf",
-            satisfied=beta.inf <= gamma2.inf,
-            lhs=beta.inf,
-            rhs=gamma2.inf,
-        ),
-        SideCondition(
-            name="noise_bracket_lt_half_gap",
-            satisfied=bracket < (gamma2.inf - gamma1.sup) / 2.0,
-            lhs=bracket,
-            rhs=(gamma2.inf - gamma1.sup) / 2.0,
-        ),
+        SideCondition("gamma1_sup_lt_beta_inf", gamma1.sup, beta.inf),
+        SideCondition("beta_inf_le_gamma2_inf", beta.inf, gamma2.inf, strict=False),
+        SideCondition("noise_bracket_lt_half_gap", bracket, (gamma2.inf - gamma1.sup) / 2.0),
     )
-    ok = all(c.satisfied for c in conds)
-    return CriteriaReport(
-        model_id="ex1b",
-        classification=PERSISTENT if ok else INDETERMINATE,
-        lambda0=lambda0,
-        lam=lam,
-        mean_infected_lb=lam / lambda0,
-        side_conditions=conds,
-    )
+    return _gated("ex1b", PERSISTENT, conds, lambda0=lambda0, lam=lam, mean_infected_lb=lam / lambda0)
 
 
 def xc_report(
@@ -234,7 +205,6 @@ def xc_report(
     and one persistence regime, plus the invariant-set bound."""
     if mu.inf <= 0.0:
         raise ValueError("mortality infimum must be positive")
-    invariant_bound = Lambda.sup / mu.inf
     denom_ext = mu.inf + gamma.inf + epsilon.inf
     sigma_inf_sq = sigma.inf**2
     r_ext = (
@@ -249,71 +219,29 @@ def xc_report(
         - sigma.sup**2 * Lambda.sup**2 / (2.0 * mu.inf**2 * denom_pers)
     )
     conds = (
-        SideCondition(
-            name="sigma_inf_sq_le_low_noise_cap",
-            satisfied=sigma_inf_sq <= low_noise_cap,
-            lhs=sigma_inf_sq,
-            rhs=low_noise_cap,
-        ),
-        SideCondition(
-            name="r_tilde_lt_one",
-            satisfied=r_ext < 1.0,
-            lhs=r_ext,
-            rhs=1.0,
-        ),
-        SideCondition(
-            name="sigma_inf_sq_gt_high_noise_floor",
-            satisfied=sigma_inf_sq > high_noise_floor,
-            lhs=high_noise_floor,
-            rhs=sigma_inf_sq,
-        ),
-        SideCondition(
-            name="r_tilde_pers_gt_one",
-            satisfied=r_pers > 1.0,
-            lhs=1.0,
-            rhs=r_pers,
-        ),
+        SideCondition("sigma_inf_sq_le_low_noise_cap", sigma_inf_sq, low_noise_cap, strict=False),
+        SideCondition("r_tilde_lt_one", r_ext, 1.0),
+        SideCondition("sigma_inf_sq_gt_high_noise_floor", high_noise_floor, sigma_inf_sq),
+        SideCondition("r_tilde_pers_gt_one", 1.0, r_pers),
     )
-    case_low_noise = conds[0].satisfied and conds[1].satisfied
-    case_high_noise = conds[2].satisfied
-    case_persistent = conds[3].satisfied
-    if case_low_noise:
-        return CriteriaReport(
-            model_id="xc",
-            classification=EXTINCT,
-            extinction_rate_lb=denom_ext * (1.0 - r_ext),
-            r_tilde=r_ext,
-            invariant_set_bound=invariant_bound,
-            side_conditions=conds,
-        )
-    if case_high_noise:
-        return CriteriaReport(
-            model_id="xc",
-            classification=EXTINCT,
-            extinction_rate_lb=denom_ext - beta.sup**2 / (2.0 * sigma_inf_sq),
-            r_tilde=r_ext,
-            invariant_set_bound=invariant_bound,
-            side_conditions=conds,
-        )
-    if case_persistent:
+    low_noise, below_one, high_noise, persistent = (c.satisfied for c in conds)
+    r_tilde, fields = r_ext, {}
+    if low_noise and below_one:
+        classification = EXTINCT
+        fields["extinction_rate_lb"] = denom_ext * (1.0 - r_ext)
+    elif high_noise:
+        classification = EXTINCT
+        fields["extinction_rate_lb"] = denom_ext - beta.sup**2 / (2.0 * sigma_inf_sq)
+    elif persistent:
+        classification, r_tilde = PERSISTENT, r_pers
         mean_lb = mu.sup * (r_pers - 1.0) / beta.inf
         lambda0 = beta.inf * denom_pers / mu.sup
-        return CriteriaReport(
-            model_id="xc",
-            classification=PERSISTENT,
-            lambda0=lambda0,
-            lam=lambda0 * mean_lb,
-            mean_infected_lb=mean_lb,
-            r_tilde=r_pers,
-            invariant_set_bound=invariant_bound,
-            side_conditions=conds,
-        )
+        fields.update(lambda0=lambda0, lam=lambda0 * mean_lb, mean_infected_lb=mean_lb)
+    else:
+        classification = INDETERMINATE
     return CriteriaReport(
-        model_id="xc",
-        classification=INDETERMINATE,
-        r_tilde=r_ext,
-        invariant_set_bound=invariant_bound,
-        side_conditions=conds,
+        "xc", classification, r_tilde=r_tilde, invariant_set_bound=Lambda.sup / mu.inf,
+        side_conditions=conds, **fields,
     )
 
 
@@ -335,70 +263,42 @@ def ex34a_persistence(
     lambda0 = gamma3.sup + 1.0
     lam = growth_floor - (noise / 2.0 + log_term)
     conds = (
-        SideCondition(
-            name="mu_sup_lt_gamma2_inf",
-            satisfied=mu.sup < gamma2.inf,
-            lhs=mu.sup,
-            rhs=gamma2.inf,
-        ),
-        SideCondition(
-            name="noise_lt_twice_growth_floor",
-            satisfied=noise + 2.0 * log_term < 2.0 * growth_floor,
-            lhs=noise + 2.0 * log_term,
-            rhs=2.0 * growth_floor,
-        ),
+        SideCondition("mu_sup_lt_gamma2_inf", mu.sup, gamma2.inf),
+        SideCondition("noise_lt_twice_growth_floor", noise + 2.0 * log_term, 2.0 * growth_floor),
     )
-    ok = all(c.satisfied for c in conds)
-    return CriteriaReport(
-        model_id="ex34a",
-        classification=PERSISTENT if ok else INDETERMINATE,
-        lambda0=lambda0,
-        lam=lam,
-        mean_infected_lb=lam / lambda0,
-        side_conditions=conds,
-    )
+    return _gated("ex34a", PERSISTENT, conds, lambda0=lambda0, lam=lam, mean_infected_lb=lam / lambda0)
 
 
 def ex34b_extinction(mu: BoundsPair, beta: BoundsPair, gamma2: BoundsPair, g1: float) -> CriteriaReport:
     """Extinction rate bound for the truncated linear-transmission
     population model."""
-    rate = gamma2.inf + mu.inf - beta.sup - 2.0 * g1
-    gate = SideCondition(
-        name="beta_sup_plus_2g1_lt_gamma2_inf_plus_mu_inf",
-        satisfied=beta.sup + 2.0 * g1 < gamma2.inf + mu.inf,
-        lhs=beta.sup + 2.0 * g1,
-        rhs=gamma2.inf + mu.inf,
-    )
-    return CriteriaReport(
-        model_id="ex34b",
-        classification=EXTINCT if gate.satisfied else INDETERMINATE,
-        extinction_rate_lb=rate,
-        side_conditions=(gate,),
-    )
+    gate = SideCondition("beta_sup_plus_2g1_lt_gamma2_inf_plus_mu_inf", beta.sup + 2.0 * g1, gamma2.inf + mu.inf)
+    return _gated("ex34b", EXTINCT, (gate,), extinction_rate_lb=gamma2.inf + mu.inf - beta.sup - 2.0 * g1)
+
+
+# each criterion's parameters are named as its family's coefficients
+_CRITERIA = {
+    "ex1": ex1_extinction,
+    "ex1b": ex1b_persistence,
+    "xc": xc_report,
+    "ex34a": ex34a_persistence,
+    "ex34b": ex34b_extinction,
+}
 
 
 def report_for_model(model: ModelSpec) -> CriteriaReport:
-    """Compute the closed-form report for a built named model, deriving
-    coefficient bounds from its time functions."""
-    b = {name: bounds(fn) for name, fn in model.params.items()}
-    j = model.jump_constants
-    if model.model_id == "ex1":
-        return ex1_extinction(b["beta"], b["gamma"], j["g1"])
-    if model.model_id == "ex1b":
-        return ex1b_persistence(b["beta"], b["gamma1"], b["gamma2"], b["sigma"], j["h1"], j["h2"], j["g2"])
-    if model.model_id == "xc":
-        return xc_report(b["Lambda"], b["mu"], b["beta"], b["gamma"], b["epsilon"], b["sigma"])
-    if model.model_id == "ex34a":
-        return ex34a_persistence(
-            b["mu"], b["gamma2"], b["gamma3"], b["sigma1"], b["sigma2"],
-            j["h1"], j["h2"], j["g2"], model.truncation_cap,
+    """Compute the closed-form report for a built named model.  Each
+    argument of the family's criterion is bound by name to a jump constant,
+    the truncation cap, or the bounds of that time coefficient."""
+    criterion = _CRITERIA.get(model.model_id)
+    if criterion is None:
+        raise ValueError(
+            f"no closed-form criterion for model {model.model_id!r}; "
+            "use generic_alpha_estimate on explicit grids instead"
         )
-    if model.model_id == "ex34b":
-        return ex34b_extinction(b["mu"], b["beta"], b["gamma2"], j["g1"])
-    raise ValueError(
-        f"no closed-form criterion for model {model.model_id!r}; "
-        "use generic_alpha_estimate on explicit grids instead"
-    )
+    constants = {**model.jump_constants, "cap": model.truncation_cap}
+    names = inspect.signature(criterion).parameters
+    return criterion(**{n: constants[n] if n in constants else bounds(model.params[n]) for n in names})
 
 
 # --- grid estimators --------------------------------------------------------------
@@ -425,13 +325,6 @@ def octant_grid(hi: float, n_per_axis: int = 25, y_min: float = 1e-3, lo: float 
     return np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
 
 
-def _infected_per_capita(model: ModelSpec, pv, states: np.ndarray):
-    """Per-capita drift and diffusion row of the infected compartment."""
-    Y = states[:, 1]
-    drift_pc = model.drift_fn(pv, states)[:, 1] / Y
-    return drift_pc, model.diffusion_fn(pv, states)[:, 1, :] / Y[:, None]
-
-
 def _jump_integral(model: ModelSpec, pv, states, region: str, transform, quad_nodes: int, u_chunk: int = 64) -> float:
     """integral over the region of sup over states of transform(ratio),
     against the intensity measure, by chunked midpoint quadrature."""
@@ -449,6 +342,31 @@ def _jump_integral(model: ModelSpec, pv, states, region: str, transform, quad_no
     return total
 
 
+def _decay_estimate(model: ModelSpec, t_grid, state_grid, quad_nodes: int, bracket) -> float:
+    """Maximum over times of ``bracket(pv, states, drift_pc, diff_sq)`` plus
+    the mark integrals of the compensated log-ratio (small region) and the
+    log-ratio (large region); ``drift_pc`` is the infected row's per-capita
+    drift and ``diff_sq`` the squared norm of its per-capita diffusion row."""
+    states = np.asarray(state_grid, dtype=float)
+    if states.ndim != 2 or states.shape[1] != 3:
+        raise ValueError("state_grid must have shape (N, 3)")
+    if np.any(states <= 0.0):
+        raise ValueError("state_grid must be strictly positive")
+    Y = states[:, 1]
+    best = -math.inf
+    for t in np.asarray(t_grid, dtype=float):
+        pv = model.param_values(float(t))
+        drift_pc = model.drift_fn(pv, states)[:, 1] / Y
+        diff_sq = ((model.diffusion_fn(pv, states)[:, 1, :] / Y[:, None]) ** 2).sum(axis=-1)
+        top = bracket(pv, states, drift_pc, diff_sq)
+        small = _jump_integral(
+            model, pv, states, SMALL, lambda r: np.log1p(r) - r, quad_nodes
+        )
+        large = _jump_integral(model, pv, states, LARGE, np.log1p, quad_nodes)
+        best = max(best, top + small + large)
+    return best
+
+
 def generic_alpha_estimate(
     model: ModelSpec,
     t_grid: Sequence[float],
@@ -464,22 +382,10 @@ def generic_alpha_estimate(
     to tighten it.  The state grid must keep the infected component away
     from zero because the functional divides by it.
     """
-    states = np.asarray(state_grid, dtype=float)
-    if states.ndim != 2 or states.shape[1] != 3:
-        raise ValueError("state_grid must have shape (N, 3)")
-    if np.any(states <= 0.0):
-        raise ValueError("state_grid must be strictly positive")
-    best = -math.inf
-    for t in np.asarray(t_grid, dtype=float):
-        pv = model.param_values(float(t))
-        drift_pc, diff_pc = _infected_per_capita(model, pv, states)
-        bracket = float((drift_pc - 0.5 * (diff_pc**2).sum(axis=-1)).max())
-        small = _jump_integral(
-            model, pv, states, SMALL, lambda r: np.log1p(r) - r, quad_nodes
-        )
-        large = _jump_integral(model, pv, states, LARGE, np.log1p, quad_nodes)
-        best = max(best, bracket + small + large)
-    return best
+    return _decay_estimate(
+        model, t_grid, state_grid, quad_nodes,
+        lambda pv, states, drift_pc, diff_sq: float((drift_pc - 0.5 * diff_sq).max()),
+    )
 
 
 def generic_alpha_star_estimate(
@@ -499,23 +405,14 @@ def generic_alpha_star_estimate(
     """
     if model.infected_loss_pc_fn is None:
         raise ValueError("model does not expose a gain/loss drift split")
-    states = np.asarray(state_grid, dtype=float)
-    best = -math.inf
-    for t in np.asarray(t_grid, dtype=float):
-        pv = model.param_values(float(t))
-        drift_pc, diff_pc = _infected_per_capita(model, pv, states)
+
+    def bracket(pv, states, drift_pc, diff_sq):
         loss = model.infected_loss_pc_fn(pv, states)
-        gain = drift_pc + loss
-        denom = (diff_pc**2).sum(axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = gain**2 / (2.0 * denom) - loss
+            vals = (drift_pc + loss) ** 2 / (2.0 * diff_sq) - loss
         vals = vals[np.isfinite(vals)]
         if vals.size == 0:
             raise ValueError("diffusion row vanishes on the whole grid")
-        bracket = float(vals.max())
-        small = _jump_integral(
-            model, pv, states, SMALL, lambda r: np.log1p(r) - r, quad_nodes
-        )
-        large = _jump_integral(model, pv, states, LARGE, np.log1p, quad_nodes)
-        best = max(best, bracket + small + large)
-    return best
+        return float(vals.max())
+
+    return _decay_estimate(model, t_grid, state_grid, quad_nodes, bracket)

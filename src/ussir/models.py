@@ -371,7 +371,9 @@ def build_named(
     ``params`` maps each named coefficient to a time function (its text, or
     a number); ``jumps`` each jump constant to a number in [0, 1).  ``cap``,
     positive, is required exactly when the family's expressions use it.
-    The family's ``infima`` run on the coefficients' bounds over [0, oo).
+    Every time coefficient is bounded over [0, oo) once, here: a
+    coefficient that leaves the reals on the scan grid is rejected, and the
+    family's ``infima`` run on those bounds.
     """
     family = FAMILIES.get(model_id)
     if family is None:
@@ -384,9 +386,10 @@ def build_named(
     for name, value in j.items():
         if not 0.0 <= value < 1.0:
             raise ValueError(f"{model_id}: jump constant {name}={value} outside [0, 1)")
+    pairs = {name: bounds(fn) for name, fn in p.items()}  # also rejects a coefficient leaving the reals
     for name, relation, bound, meaning in family.infima:
         holds, words = _RELATIONS[relation]
-        inf = bounds(p[name]).inf
+        inf = pairs[name].inf
         if not holds(inf, bound):
             raise ValueError(f"{model_id}: {meaning} infimum {inf} is {words} {bound:g}")
     if family.uses_cap:

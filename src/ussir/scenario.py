@@ -238,6 +238,9 @@ def load_scenario(path) -> ScenarioConfig:
         raise ScenarioError(f"{where}: model {model_id} requires cap in [model]")
     if cap is not None and not uses_cap:
         raise ScenarioError(f"{where}: model {model_id} does not take cap")
+    for key in ("domain", "brownian_dim"):
+        if family is not None and key in model_sec:
+            raise ScenarioError(f"{where}: model {model_id} does not take {key}; its family fixes it")
     domain = model_sec.get("domain")
     if domain is not None and domain not in (SIMPLEX, OCTANT):
         raise ScenarioError(f"{where}: domain must be {SIMPLEX!r} or {OCTANT!r}")

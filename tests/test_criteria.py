@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ussir import criteria
 from ussir.criteria import (
     CRITERIA_CSV_HEADER,
     ex1_extinction,
@@ -17,7 +18,7 @@ from ussir.criteria import (
     simplex_grid,
     xc_report,
 )
-from ussir.expr import BoundsPair
+from ussir.expr import BoundsPair, bounds
 from ussir.models import OCTANT, build_custom
 
 
@@ -274,8 +275,13 @@ class TestGenericEstimates:
 
     def test_requires_positive_grid(self, scenario):
         _, model = scenario("table1")
-        with pytest.raises(ValueError, match="positive"):
-            generic_alpha_estimate(model, [0.0], np.array([[0.5, 0.0, 0.5]]))
+        for estimate in (generic_alpha_estimate, generic_alpha_star_estimate):
+            with pytest.raises(ValueError, match="positive"):
+                estimate(model, [0.0], np.array([[0.5, 0.0, 0.5]]))
+            with pytest.raises(ValueError, match="positive"):
+                estimate(model, [0.0], np.array([[0.5, 0.0, 0.5], [0.3, 0.3, 0.4]]))
+            with pytest.raises(ValueError, match=r"shape \(N, 3\)"):
+                estimate(model, [0.0], np.array([0.3, 0.3, 0.4]))
 
     def test_star_estimate_needs_split(self):
         model = build_custom(
@@ -300,6 +306,20 @@ class TestReportPlumbing:
         assert "classification: extinct" in text
         assert "invariant_set_bound: 8.4848484" in text
         assert text == report.to_text()
+
+    @pytest.mark.parametrize("name", ["table1", "table6"])
+    def test_report_bounds_only_what_its_criterion_reads(self, scenario, monkeypatch, name):
+        _, model = scenario(name)
+        methods = []
+
+        def recording(fn):
+            pair = bounds(fn)
+            methods.append(pair.method)
+            return pair
+
+        monkeypatch.setattr(criteria, "bounds", recording)
+        report_for_model(model)
+        assert methods and "grid" not in methods  # xi is grid-bounded and read by neither
 
     def test_csv_row_matches_header(self, scenario):
         _, model = scenario("table1")

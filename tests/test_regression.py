@@ -1,14 +1,17 @@
-"""Pinned trajectories of the bundled scenarios.
+"""Pinned trajectories and criteria reports of the bundled scenarios.
 
 Final states of ``simulate`` at horizon 1 under each scenario's own seed
 and time step, recorded from the hand-written named-model coefficients.  A
 change to a named model's arithmetic, draw order or safeguard shows up here
-even when reruns of one version stay byte-identical.
+even when reruns of one version stay byte-identical.  The closed-form
+reports are pinned the same way: classification and gate verdicts exactly,
+numbers to rtol 1e-12.
 """
 
 import numpy as np
 import pytest
 
+from ussir.criteria import report_for_model
 from ussir.integrator import simulate
 from ussir.scenario import sim_config
 
@@ -28,3 +31,114 @@ def test_final_state_pinned(scenario, name):
     cfg, model = scenario(name)
     traj = simulate(model, cfg.initial_state, sim_config(cfg, horizon=1.0))
     np.testing.assert_allclose(traj.final_state, FINAL_STATES[name], rtol=1e-12, atol=0.0)
+
+
+NUMBERS = ("extinction_rate_lb", "lambda0", "lam", "mean_infected_lb", "r_tilde", "invariant_set_bound")
+
+# name: (classification, numeric fields that are set, (gate, satisfied, lhs, rhs) per side condition)
+REPORTS = {
+    "table1": (
+        "extinct",
+        {
+            "extinction_rate_lb": 0.15999999999999998,
+        },
+        (
+            ("beta_sup_plus_2g1_lt_gamma_inf", True, 0.6000000000000001, 0.76),
+        ),
+    ),
+    "table2": (
+        "persistent",
+        {
+            "lambda0": 0.55,
+            "lam": 0.07763669844543664,
+            "mean_infected_lb": 0.14115763353715752,
+        },
+        (
+            ("gamma1_sup_lt_beta_inf", True, 0.13, 0.16),
+            ("beta_inf_le_gamma2_inf", True, 0.16, 0.55),
+            ("noise_bracket_lt_half_gap", True, 0.1711816507772817, 0.21000000000000002),
+        ),
+    ),
+    "table3": (
+        "extinct",
+        {
+            "extinction_rate_lb": 0.2414920000476942,
+            "r_tilde": 0.7646276802654053,
+            "invariant_set_bound": 8.484848484848484,
+        },
+        (
+            ("sigma_inf_sq_le_low_noise_cap", True, 0.011205887450304569, 0.0165),
+            ("r_tilde_lt_one", True, 0.7646276802654053, 1.0),
+            ("sigma_inf_sq_gt_high_noise_floor", False, 0.0165, 0.011205887450304569),
+            ("r_tilde_pers_gt_one", False, 1.0, 0.05419403278566359),
+        ),
+    ),
+    "table4": (
+        "extinct",
+        {
+            "extinction_rate_lb": 0.9930976533023447,
+            "r_tilde": -9.292072715075097,
+            "invariant_set_bound": 8.484848484848484,
+        },
+        (
+            ("sigma_inf_sq_le_low_noise_cap", False, 0.2978510952441688, 0.0165),
+            ("r_tilde_lt_one", True, -9.292072715075097, 1.0),
+            ("sigma_inf_sq_gt_high_noise_floor", True, 0.0165, 0.2978510952441688),
+            ("r_tilde_pers_gt_one", False, 1.0, -8.520605221159002),
+        ),
+    ),
+    "table5": (
+        "persistent",
+        {
+            "lambda0": 4.786486486486486,
+            "lam": 0.30133140535188474,
+            "mean_infected_lb": 0.06295461320169247,
+            "r_tilde": 1.467905908931498,
+            "invariant_set_bound": 8.484848484848484,
+        },
+        (
+            ("sigma_inf_sq_le_low_noise_cap", True, 0.05101177490060914, 0.06717857142857143),
+            ("r_tilde_lt_one", False, 10.135564564242305, 1.0),
+            ("sigma_inf_sq_gt_high_noise_floor", False, 0.5488175675675677, 0.05101177490060914),
+            ("r_tilde_pers_gt_one", True, 1.0, 1.467905908931498),
+        ),
+    ),
+    "table6": (
+        "persistent",
+        {
+            "lambda0": 1.16,
+            "lam": 0.07509924816827178,
+            "mean_infected_lb": 0.06474073117954464,
+        },
+        (
+            ("mu_sup_lt_gamma2_inf", True, 0.0021, 0.09999999999999999),
+            ("noise_lt_twice_growth_floor", True, 0.045601503663456416, 0.19579999999999997),
+        ),
+    ),
+    "table7": (
+        "extinct",
+        {
+            "extinction_rate_lb": 0.16499999999999998,
+        },
+        (
+            ("beta_sup_plus_2g1_lt_gamma2_inf_plus_mu_inf", True, 0.14700000000000002, 0.312),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_pinned(scenario, name):
+    classification, numbers, gates = REPORTS[name]
+    report = report_for_model(scenario(name)[1])
+    assert report.classification == classification
+    for field in NUMBERS:
+        value = getattr(report, field)
+        if field in numbers:
+            np.testing.assert_allclose(value, numbers[field], rtol=1e-12, atol=0.0)
+        else:
+            assert value is None
+    assert [(c.name, c.satisfied) for c in report.side_conditions] == [g[:2] for g in gates]
+    np.testing.assert_allclose(
+        [(c.lhs, c.rhs) for c in report.side_conditions], [g[2:] for g in gates], rtol=1e-12, atol=0.0
+    )

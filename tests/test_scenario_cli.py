@@ -3,6 +3,7 @@ import filecmp
 import pytest
 
 from ussir.cli import main
+from ussir.expr import EvalDomainError
 from ussir.scenario import (
     ScenarioError,
     build_model,
@@ -147,6 +148,28 @@ class TestLoad:
     def test_cap_rejected_where_unused(self, tmp_path):
         with pytest.raises(ScenarioError, match="does not take cap"):
             load_scenario(_write(tmp_path, MINIMAL_XC.replace("id = xc", "id = xc\ncap = 2")))
+
+    @pytest.mark.parametrize("line", ["brownian_dim = 3", "domain = octant"])
+    def test_named_family_rejects_domain_and_brownian_dim(self, tmp_path, capsys, line):
+        key = line.split()[0]
+        text = bundled_scenario_path("table1").read_text()
+        target = _write(tmp_path, text.replace("id = ex1", f"id = ex1\n{line}"))
+        with pytest.raises(ScenarioError, match=rf"case\.scn: model ex1 does not take {key}"):
+            load_scenario(target)
+        assert main(["validate", "--config", str(target)]) == 1
+        assert f"does not take {key}" in capsys.readouterr().err
+
+    def test_unread_coefficient_leaving_the_reals_rejected_at_build(self, tmp_path, capsys):
+        text = bundled_scenario_path("table1").read_text()
+        bad = text.replace('phi1 = "0.01+0.005*cos(t)"', 'phi1 = "0.01+0.005*cos(t)+1/(t-5)"')
+        assert bad != text
+        target = _write(tmp_path, bad)
+        with pytest.raises(EvalDomainError, match=r"division by zero in '1\.0/\(t-5\.0\)'"):
+            build_model(load_scenario(target))  # no criterion reads phi1
+        for command in ("simulate", "criteria"):
+            argv = [command, "--config", str(target), "--out", str(tmp_path), "--horizon", "0.01"]
+            assert main(argv) == 1
+            assert "division by zero" in capsys.readouterr().err
 
     def test_custom_partial_jump_group_rejected(self, tmp_path, capsys):
         target = _write(tmp_path, MINIMAL_CUSTOM + 'h1 = "-0.01*x*y"\n')
