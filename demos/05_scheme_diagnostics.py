@@ -41,7 +41,7 @@ def compensation():
         marks = model.measure.sample_marks(SMALL, int(rng.poisson(small_mass * dt)), rng)
         acc -= comp * dt
         if len(marks):
-            acc += model.small_jump_pv(pv, state, marks).sum(axis=0)
+            acc += model.small_jump_fn(pv, state, marks).sum(axis=0)
     print(f"    mean increment over {steps} steps: {(acc / steps).round(10).tolist()}\n")
 
 

@@ -57,7 +57,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--dt", type=float, default=None, help="override the time step")
     parser.add_argument("--horizon", type=float, default=None, help="override the horizon")
-    parser.add_argument("--paths", type=int, default=None, help="override the path count")
 
 
 def _out_dir(args, cfg: ScenarioConfig) -> Path:
@@ -172,6 +171,7 @@ def main(argv=None) -> int:
 
     p_ens = sub.add_parser("ensemble", help="seeded path ensemble, statistics, and verdict")
     _add_common(p_ens)
+    p_ens.add_argument("--paths", type=int, default=None, help="override the path count")
     p_ens.add_argument("--slack", type=float, default=0.5, help="comparator slack (default 0.5)")
     p_ens.set_defaults(func=cmd_ensemble)
 

@@ -148,7 +148,7 @@ def k_value(model: ModelSpec, t: float, state, u) -> float:
     of their positivity factors.  Nonnegative wherever defined (log(1+x) is
     at most x)."""
     s = np.asarray(state, dtype=float)
-    ratios = model.small_jump_pv(model.param_values(t), s, u) / s
+    ratios = model.small_jump_fn(model.param_values(t), s, u) / s
     factors = 1.0 + ratios
     if np.any(factors <= 0.0):
         raise ValueError(f"positivity factor not positive: {factors.tolist()}")
@@ -296,8 +296,7 @@ def report_for_model(model: ModelSpec) -> CriteriaReport:
             f"no closed-form criterion for model {model.model_id!r}; "
             "use generic_alpha_estimate on explicit grids instead"
         )
-    constants = {**model.jump_constants, "cap": model.truncation_cap}
-    names = inspect.signature(criterion).parameters
+    constants, names = model.constants, inspect.signature(criterion).parameters
     return criterion(**{n: constants[n] if n in constants else bounds(model.params[n]) for n in names})
 
 

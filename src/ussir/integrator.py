@@ -62,6 +62,8 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.horizon, self.dt, self.positivity_floor))):
+            raise ValueError("horizon, dt and positivity_floor must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.horizon < self.dt:
@@ -207,20 +209,20 @@ def run_paths(
         for j in range(block):
             k = k0 + j
             pv = {name: arr[k] for name, arr in pv_grid.items()}
-            incr = model.drift_pv(pv, states) * dt
+            incr = model.drift_fn(pv, states) * dt
             if model.has_diffusion:
-                sig = model.diffusion_pv(pv, states)
+                sig = model.diffusion_fn(pv, states)
                 incr += (sig * normals[:, j, None, :]).sum(axis=-1)
             if model.has_small_jumps:
                 if draw_small:
                     for i in np.nonzero(small_counts[:, j])[0]:
                         marks = model.measure.sample_marks(SMALL, int(small_counts[i, j]), gens[i])
-                        incr[i] += model.small_jump_pv(pv, states[i], marks).sum(axis=0)
+                        incr[i] += model.small_jump_fn(pv, states[i], marks).sum(axis=0)
                 incr -= model.compensator_pv(pv, states) * dt
             if draw_large:
                 for i in np.nonzero(large_counts[:, j])[0]:
                     marks = model.measure.sample_marks(LARGE, int(large_counts[i, j]), gens[i])
-                    incr[i] += model.large_jump_pv(pv, states[i], marks).sum(axis=0)
+                    incr[i] += model.large_jump_fn(pv, states[i], marks).sum(axis=0)
             states = states + incr
             below = states <= 0.0
             if below.any():

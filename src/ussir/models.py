@@ -19,29 +19,30 @@ named coefficients.  Five named families are tables (:data:`FAMILIES`):
            min-with-one inside jumps).
 ``ex34b``  population-count analogue of ``ex1b``, truncated the same way.
 
-:func:`build_named` fills a family's table with time functions, jump
+A :class:`ModelSpec` is such a table: the trees of drift, diffusion and
+jumps, plus the per-capita loss of the infected row where the family has
+one.  :func:`build_named` fills a family's table with time functions, jump
 constants and (where its expressions use ``cap``) a truncation cap;
 :func:`build_custom` accepts raw coefficient expressions, and on the
 proportions simplex it must pass the conservation and positivity gates.
-Both compile each coefficient group once with
-:func:`ussir.expr.compile_program`, jump constants and cap folded in.
-
-A model carries only its drift, diffusion and jump coefficients, plus the
-per-capita loss of the infected row where the family has one; everything
-else (the compensator, the per-capita forms the criteria use) is derived
-from those.  Coefficients take a dict of already-evaluated time-coefficient
-values (see :meth:`ModelSpec.param_values`) so that integrators evaluate
-each time function once per step (or once per grid) instead of once per
-coefficient use.
+Everything else is derived from the trees: constructing a model compiles
+each group once with :func:`ussir.expr.compile_program`, jump constants and
+cap folded in, and sets the flags saying which noise it carries; the
+compensator and the per-capita forms the criteria use are computed from the
+programs; :func:`suppress` rebuilds a model from a reduced table.  Programs
+take a dict of already-evaluated time-coefficient values (see
+:meth:`ModelSpec.param_values`) so that integrators evaluate each time
+function once per step (or once per grid) instead of once per coefficient
+use.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -82,51 +83,64 @@ def check_admissible(state, domain: str, simplex_tol: float = SIMPLEX_TOL) -> np
 
 
 _ZERO = Num(0.0)
-# one zero row per mark, for models without jumps of a kind
-_zero_jump = compile_program([_ZERO] * 3, (3,), mark=True)
-
-_Coeff = Callable[..., np.ndarray]
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Full coefficient set of one stochastic compartment system.
+    """Coefficient table of one stochastic compartment system.
 
-    Immutable after construction; shareable across threads.  Coefficient
-    callables are vectorized over a leading batch axis of the state block
-    ``S`` with shape (..., 3); jump callables additionally broadcast the
-    mark ``u`` against the batch axes.  ``small_jump_uses_u`` is False only
-    when the small-jump coefficients are known not to depend on the mark,
-    which lets the compensator skip quadrature.  ``infected_loss_pc_fn``,
-    when present, is the nonnegative per-capita loss of the infected row,
-    so that the row's drift splits into gain minus loss.
+    The fields are the table: ``drift`` is three trees, ``diffusion`` a
+    column of three trees per Brownian driver, ``small_jump`` and
+    ``large_jump`` three trees each (they may also use the mark ``u``), or
+    None when the model has no jumps of that kind.  ``loss_pc``, when
+    present, is the nonnegative per-capita loss of the infected row, so that
+    the row's drift splits into gain minus loss.  ``constants`` holds the
+    jump constants and, where the expressions use it, the cap ``cap``; a
+    ``measure`` of None is the uniform density on [-2, 2].
+
+    Everything else is derived once, at construction.  Each group is
+    compiled into a program: ``drift_fn``, ``diffusion_fn``,
+    ``small_jump_fn``, ``large_jump_fn`` and ``infected_loss_pc_fn``.  The
+    programs are vectorized over the leading batch axes of the state block
+    ``S`` (..., 3); the jump programs also broadcast the mark, and an absent
+    jump group computes zeros.  The flags ``brownian_dim``,
+    ``has_diffusion``, ``has_small_jumps`` and ``has_large_jumps`` say which
+    groups are present.  ``small_jump_uses_u`` is False when no small-jump
+    tree mentions the mark, which lets the compensator skip quadrature.
+    Immutable; shareable across threads.
     """
 
     model_id: str
     domain: str
-    brownian_dim: int
-    measure: LevyMeasure
-    params: Mapping[str, TimeFunction]
-    jump_constants: Mapping[str, float]
-    truncation_cap: Optional[float]
-    drift_fn: _Coeff
-    diffusion_fn: _Coeff
-    small_jump_fn: _Coeff
-    large_jump_fn: _Coeff
-    small_jump_uses_u: bool = True
-    infected_loss_pc_fn: Optional[_Coeff] = None
-    has_diffusion: bool = True
-    has_small_jumps: bool = True
-    has_large_jumps: bool = True
+    measure: Optional[LevyMeasure]
+    drift: Sequence[Node]
+    diffusion: Sequence[Sequence[Node]]
+    small_jump: Optional[Sequence[Node]] = None
+    large_jump: Optional[Sequence[Node]] = None
+    loss_pc: Optional[Node] = None
+    params: Mapping[str, TimeFunction] = field(default_factory=dict)
+    constants: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.domain not in (SIMPLEX, OCTANT):
             raise ValueError(f"domain must be {SIMPLEX!r} or {OCTANT!r}")
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
-        object.__setattr__(self, "jump_constants", MappingProxyType(dict(self.jump_constants)))
-        object.__setattr__(self, "_small_mass", self.measure.mass(SMALL))
-
-    # -- coefficient evaluation ------------------------------------------
+        derive = partial(object.__setattr__, self)
+        derive("measure", self.measure if self.measure is not None else LevyMeasure.uniform())
+        derive("params", MappingProxyType(dict(self.params)))
+        derive("constants", MappingProxyType(dict(self.constants)))
+        n, small, large, k = len(self.diffusion), self.small_jump, self.large_jump, self.constants
+        entries = [column[i] for i in range(3) for column in self.diffusion]  # row-major (3, n)
+        derive("drift_fn", compile_program(self.drift, (3,), k))
+        derive("diffusion_fn", compile_program(entries, (3, n), k))
+        derive("small_jump_fn", compile_program(small or (_ZERO,) * 3, (3,), k, mark=True))
+        derive("large_jump_fn", compile_program(large or (_ZERO,) * 3, (3,), k, mark=True))
+        derive("infected_loss_pc_fn", None if self.loss_pc is None else compile_program([self.loss_pc], (), k))
+        derive("brownian_dim", n)
+        derive("has_diffusion", n > 0)
+        derive("has_small_jumps", small is not None)
+        derive("has_large_jumps", large is not None)
+        derive("small_jump_uses_u", any("u" in free_names(tree) for tree in small or ()))
+        derive("_small_mass", self.measure.mass(SMALL))
 
     def param_values(self, t) -> dict:
         """Evaluate every time-dependent coefficient at ``t`` (scalar or
@@ -135,18 +149,6 @@ class ModelSpec:
         for name, fn in self.params.items():
             pv[name] = fn(t)
         return pv
-
-    def drift_pv(self, pv: Mapping, S: np.ndarray) -> np.ndarray:
-        return self.drift_fn(pv, S)
-
-    def diffusion_pv(self, pv: Mapping, S: np.ndarray) -> np.ndarray:
-        return self.diffusion_fn(pv, S)
-
-    def small_jump_pv(self, pv: Mapping, S: np.ndarray, u) -> np.ndarray:
-        return self.small_jump_fn(pv, S, u)
-
-    def large_jump_pv(self, pv: Mapping, S: np.ndarray, u) -> np.ndarray:
-        return self.large_jump_fn(pv, S, u)
 
     def compensator_pv(self, pv: Mapping, S: np.ndarray) -> np.ndarray:
         """Small-region integral of the jump coefficient vector against the
@@ -171,59 +173,20 @@ def suppress(
     small_jumps: bool = True,
     large_jumps: bool = True,
 ) -> ModelSpec:
-    """Copy of ``model`` with the selected coefficient groups zeroed.
+    """Copy of ``model`` rebuilt without the selected coefficient groups.
 
+    A suppressed drift is three zeros, and so is its per-capita loss; a
+    suppressed noise group is absent, so the copy draws no noise for it.
     ``suppress(m)`` is the deterministic companion (noise-free); drift-only
     suppression yields the pure-noise panels.
     """
-    n = model.brownian_dim
-    changes: dict = {}
-    if drift:
-        changes["drift_fn"] = lambda pv, S: np.zeros(S.shape)
-        changes["infected_loss_pc_fn"] = lambda pv, S: np.zeros(S.shape[:-1])
-    if diffusion:
-        changes["diffusion_fn"] = lambda pv, S: np.zeros(S.shape[:-1] + (3, n))
-        changes["has_diffusion"] = False
-    if small_jumps:
-        changes["small_jump_fn"] = _zero_jump
-        changes["small_jump_uses_u"] = False
-        changes["has_small_jumps"] = False
-    if large_jumps:
-        changes["large_jump_fn"] = _zero_jump
-        changes["has_large_jumps"] = False
-    return replace(model, **changes)
-
-
-# --- one builder for every model ---------------------------------------------
-
-def _assemble(
-    model_id: str, domain: str, measure: Optional[LevyMeasure],
-    drift: Sequence[Node], diffusion: Sequence[Sequence[Node]],
-    small_jump: Optional[Sequence[Node]], large_jump: Optional[Sequence[Node]],
-    loss_pc: Optional[Node] = None, params: Optional[Mapping[str, TimeFunction]] = None,
-    jump_constants: Optional[Mapping[str, float]] = None, cap: Optional[float] = None,
-) -> ModelSpec:
-    """Compile each coefficient group once, jump constants and cap folded
-    in; which noise the model carries follows from the trees."""
-    constants = dict(jump_constants or {}, **({} if cap is None else {"cap": cap}))
-    n = len(diffusion)
-    entries = [column[i] for i in range(3) for column in diffusion]  # row-major (3, n)
-    return ModelSpec(
-        model_id=model_id,
-        domain=domain,
-        brownian_dim=n,
-        measure=measure if measure is not None else LevyMeasure.uniform(-2.0, 2.0),
-        params=params or {},
-        jump_constants=jump_constants or {},
-        truncation_cap=cap,
-        drift_fn=compile_program(drift, (3,), constants),
-        diffusion_fn=compile_program(entries, (3, n), constants),
-        small_jump_fn=compile_program(small_jump or [_ZERO] * 3, (3,), constants, mark=True),
-        large_jump_fn=compile_program(large_jump or [_ZERO] * 3, (3,), constants, mark=True),
-        small_jump_uses_u=any("u" in free_names(tree) for tree in small_jump or ()),
-        infected_loss_pc_fn=None if loss_pc is None else compile_program([loss_pc], (), constants),
-        has_small_jumps=small_jump is not None,
-        has_large_jumps=large_jump is not None,
+    return replace(
+        model,
+        drift=(_ZERO,) * 3 if drift else model.drift,
+        loss_pc=_ZERO if drift else model.loss_pc,
+        diffusion=() if diffusion else model.diffusion,
+        small_jump=None if small_jumps else model.small_jump,
+        large_jump=None if large_jumps else model.large_jump,
     )
 
 
@@ -258,21 +221,21 @@ class Family:
         names = ("t", "x", "y", "z", "cap") + self.params + self.jumps
 
         def group(texts, *extra):
-            return texts and [parse(text, names + extra).ast for text in texts]
+            return texts and tuple(parse(text, names + extra).ast for text in texts)
 
         return {
             "drift": group(self.drift),
-            "diffusion": [group(column) for column in self.diffusion],
+            "diffusion": tuple(group(column) for column in self.diffusion),
             "small_jump": group(self.small_jump, "u"),
             "large_jump": group(self.large_jump, "u"),
-            "loss_pc": group([self.loss_pc])[0],
+            "loss_pc": group((self.loss_pc,))[0],
         }
 
     @cached_property
     def uses_cap(self) -> bool:
         """Whether the family's expressions mention the truncation cap."""
         t = self.trees
-        every = [*t["drift"], *sum(t["diffusion"], []), *(t["small_jump"] or ()), *(t["large_jump"] or ())]
+        every = [*t["drift"], *sum(t["diffusion"], ()), *(t["small_jump"] or ()), *(t["large_jump"] or ())]
         return any("cap" in free_names(tree) for tree in every + [t["loss_pc"]])
 
     def check_names(self, params: Mapping, jumps: Mapping) -> None:
@@ -400,11 +363,8 @@ def build_named(
             raise ValueError(f"{model_id}: truncation cap {cap} must be positive")
     elif cap is not None:
         raise ValueError(f"{model_id}: takes no truncation cap")
-    t = family.trees
-    return _assemble(
-        model_id, family.domain, measure, t["drift"], t["diffusion"], t["small_jump"], t["large_jump"],
-        loss_pc=t["loss_pc"], params=p, jump_constants=j, cap=cap,
-    )
+    constants = j if cap is None else {**j, "cap": cap}
+    return ModelSpec(model_id, family.domain, measure, **family.trees, params=p, constants=constants)
 
 
 # --- generic expression-driven model ------------------------------------------
@@ -429,21 +389,21 @@ def build_custom(
     """
     state_vars = ("t", "x", "y", "z")
     jump_vars = ("t", "x", "y", "z", "u")
-    drift_trees = [(s if isinstance(s, TimeFunction) else parse(s, state_vars)).ast for s in drift]
+    drift_trees = tuple((s if isinstance(s, TimeFunction) else parse(s, state_vars)).ast for s in drift)
     if len(drift_trees) != 3:
         raise ValueError("drift needs exactly three component expressions")
-    diff_cols = [[parse(s, state_vars).ast for s in col] for col in diffusion]
+    diff_cols = tuple(tuple(parse(s, state_vars).ast for s in col) for col in diffusion)
     if any(len(col) != 3 for col in diff_cols):
         raise ValueError("each diffusion column needs exactly three components")
     if not diff_cols:
         raise ValueError("at least one diffusion column is required (may be zeros)")
-    small_trees = [parse(s, jump_vars).ast for s in small_jump] if small_jump else None
-    large_trees = [parse(s, jump_vars).ast for s in large_jump] if large_jump else None
+    small_trees = tuple(parse(s, jump_vars).ast for s in small_jump) if small_jump else None
+    large_trees = tuple(parse(s, jump_vars).ast for s in large_jump) if large_jump else None
     if small_trees is not None and len(small_trees) != 3:
         raise ValueError("small_jump needs exactly three component expressions")
     if large_trees is not None and len(large_trees) != 3:
         raise ValueError("large_jump needs exactly three component expressions")
-    model = _assemble(model_id, domain, measure, drift_trees, diff_cols, small_trees, large_trees)
+    model = ModelSpec(model_id, domain, measure, drift_trees, diff_cols, small_trees, large_trees)
     if domain == SIMPLEX:
         rng = rng if rng is not None else np.random.default_rng(0)
         conservation = check_conservation(model, samples=256, rng=rng)
@@ -498,7 +458,8 @@ def _sample_support(measure: LevyMeasure, count: int, rng: np.random.Generator) 
 def _sample_states(model: ModelSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     if model.domain == SIMPLEX:
         return rng.dirichlet((1.0, 1.0, 1.0), size=count)
-    hi = 10.0 if model.truncation_cap is None else max(10.0, 2.0 * model.truncation_cap)
+    cap = model.constants.get("cap")
+    hi = 10.0 if cap is None else max(10.0, 2.0 * cap)
     return rng.uniform(1e-3, hi, size=(count, 3))
 
 
@@ -522,10 +483,11 @@ def check_conservation(
     us = _sample_support(model.measure, samples, rng)
     pv = model.param_values(ts)
     breakdown = {
-        "drift": float(np.abs(model.drift_pv(pv, states).sum(axis=-1)).max()),
-        "diffusion": float(np.abs(model.diffusion_pv(pv, states).sum(axis=-2)).max()),
-        "small_jump": float(np.abs(model.small_jump_pv(pv, states, us).sum(axis=-1)).max()),
-        "large_jump": float(np.abs(model.large_jump_pv(pv, states, us).sum(axis=-1)).max()),
+        "drift": float(np.abs(model.drift_fn(pv, states).sum(axis=-1)).max()),
+        # a model without Brownian drivers has a (samples, 3, 0) diffusion block
+        "diffusion": float(np.abs(model.diffusion_fn(pv, states).sum(axis=-2)).max(initial=0.0)),
+        "small_jump": float(np.abs(model.small_jump_fn(pv, states, us).sum(axis=-1)).max()),
+        "large_jump": float(np.abs(model.large_jump_fn(pv, states, us).sum(axis=-1)).max()),
     }
     worst = max(breakdown.values())
     return ConservationReport(
@@ -550,8 +512,8 @@ def check_positivity_ratios(
     states = _sample_states(model, samples, rng)
     us = _sample_support(model.measure, samples, rng)
     pv = model.param_values(ts)
-    small = model.small_jump_pv(pv, states, us)
-    large = model.large_jump_pv(pv, states, us)
+    small = model.small_jump_fn(pv, states, us)
+    large = model.large_jump_fn(pv, states, us)
     ratios = np.concatenate([1.0 + small / states, 1.0 + large / states], axis=0)
     min_ratio = float(ratios.min())
     return PositivityReport(min_ratio=min_ratio, samples=samples, passed=min_ratio > 0.0)

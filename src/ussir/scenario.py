@@ -14,6 +14,7 @@ by name.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -99,18 +100,22 @@ def _parse_value(raw: str, where: str):
             raise ScenarioError(f"{where}: unterminated tuple {raw!r}")
         parts = [p.strip() for p in raw[1:-1].split(",") if p.strip()]
         try:
-            return tuple(float(p) for p in parts)
+            value = numbers = tuple(float(p) for p in parts)
         except ValueError:
             raise ScenarioError(f"{where}: tuple entries must be numerals in {raw!r}") from None
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    if raw and all(c.isalnum() or c in "_./-" for c in raw):
-        return raw  # bare identifier (model id, domain, output path)
-    raise ScenarioError(
-        f"{where}: expected a numeral, tuple, quoted expression, or bare identifier, got {raw!r}"
-    )
+    else:
+        try:
+            value = float(raw)
+        except ValueError:
+            if raw and all(c.isalnum() or c in "_./-" for c in raw):
+                return raw  # bare identifier (model id, domain, output path)
+            raise ScenarioError(
+                f"{where}: expected a numeral, tuple, quoted expression, or bare identifier, got {raw!r}"
+            ) from None
+        numbers = (value,)
+    if not all(map(math.isfinite, numbers)):
+        raise ScenarioError(f"{where}: numerals must be finite, got {raw!r}")
+    return value
 
 
 def _want_float(value, where: str) -> float:
@@ -210,22 +215,20 @@ def load_scenario(path) -> ScenarioConfig:
         if key not in _SIM_KEYS:
             raise ScenarioError(f"{where}: unknown key {key!r} in [sim]")
     dt = _want_float(sim.get("dt", 0.001), f"{where}: [sim] dt")
-    if dt <= 0:
-        raise ScenarioError(f"{where}: dt must be positive, got {dt}")
     horizon = _want_float(sim.get("horizon", 100.0), f"{where}: [sim] horizon")
-    if horizon < dt:
-        raise ScenarioError(f"{where}: horizon must cover at least one step")
     seed = _want_int(sim.get("seed", 0.0), f"{where}: [sim] seed")
+    stride = _want_int(sim.get("record_stride", 1.0), f"{where}: [sim] record_stride")
+    floor = _want_float(sim.get("positivity_floor", 1e-12), f"{where}: [sim] positivity_floor")
+    try:
+        SimConfig(horizon, dt, seed, floor, stride)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: [sim] {exc}") from None
     paths = _want_int(sim.get("paths", 50.0), f"{where}: [sim] paths")
     if paths < 1:
         raise ScenarioError(f"{where}: paths must be positive")
-    stride = _want_int(sim.get("record_stride", 1.0), f"{where}: [sim] record_stride")
-    if stride < 1:
-        raise ScenarioError(f"{where}: record_stride must be positive")
-    floor = _want_float(sim.get("positivity_floor", 1e-12), f"{where}: [sim] positivity_floor")
     y_extinct = sim.get("y_extinct")
-    if y_extinct is not None:
-        y_extinct = _want_float(y_extinct, f"{where}: [sim] y_extinct")
+    if y_extinct is not None and not _want_float(y_extinct, f"{where}: [sim] y_extinct") > 0:
+        raise ScenarioError(f"{where}: y_extinct must be positive, got {y_extinct}")
     out_dir = sim.get("out")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ScenarioError(f"{where}: [sim] out must be a quoted path")

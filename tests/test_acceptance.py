@@ -256,7 +256,7 @@ def test_c13_compensation_property(scenario):
         marks = model.measure.sample_marks(SMALL, int(rng.poisson(small_mass * dt)), rng)
         inc = -comp * dt
         if len(marks):
-            inc = inc + model.small_jump_pv(pv, state, marks).sum(axis=0)
+            inc = inc + model.small_jump_fn(pv, state, marks).sum(axis=0)
         acc += inc
         acc_sq += inc**2
     mean = acc / steps

@@ -92,10 +92,10 @@ def _reference_step(model, t, state, dt, rng, floor=1e-12, counts=None):
     ``counts`` (a dict), when given, accumulates the marks drawn per region."""
     s = np.asarray(state, dtype=float)
     pv = model.param_values(t)
-    incr = model.drift_pv(pv, s) * dt
+    incr = model.drift_fn(pv, s) * dt
     if model.has_diffusion:
         dB = rng.standard_normal(model.brownian_dim) * math.sqrt(dt)
-        incr = incr + (model.diffusion_pv(pv, s) * dB).sum(axis=-1)
+        incr = incr + (model.diffusion_fn(pv, s) * dB).sum(axis=-1)
     n_small = n_large = 0
     if model.has_small_jumps:
         small_mass = model.measure.mass(SMALL)
@@ -111,11 +111,11 @@ def _reference_step(model, t, state, dt, rng, floor=1e-12, counts=None):
     if model.has_small_jumps:
         if n_small:
             marks = model.measure.sample_marks(SMALL, n_small, rng)
-            incr = incr + model.small_jump_pv(pv, s, marks).sum(axis=0)
+            incr = incr + model.small_jump_fn(pv, s, marks).sum(axis=0)
         incr = incr - model.compensator_pv(pv, s) * dt
     if n_large:
         marks = model.measure.sample_marks(LARGE, n_large, rng)
-        incr = incr + model.large_jump_pv(pv, s, marks).sum(axis=0)
+        incr = incr + model.large_jump_fn(pv, s, marks).sum(axis=0)
     return _safeguard(s + incr, model.domain, floor)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ussir.expr import BinOp, Num, Var
 from ussir.integrator import path_generator
 from ussir.levy import LARGE, SMALL, LevyMeasure
 from ussir.models import OCTANT, build_custom
@@ -131,11 +132,13 @@ class TestCompensator:
             assert abs(sum(comp)) <= 1e-15
 
     def test_quadrature_path_matches_closed_form(self, scenario):
-        # claim u-dependence so the generic quadrature runs instead
+        # add 0*u to every entry so the generic quadrature runs instead
         import dataclasses
 
         _, model = scenario("table1")
-        generic = dataclasses.replace(model, small_jump_uses_u=True)
+        zero_u = BinOp("*", Num(0.0), Var("u"))
+        generic = dataclasses.replace(model, small_jump=[BinOp("+", tree, zero_u) for tree in model.small_jump])
+        assert generic.small_jump_uses_u
         state = (0.7, 0.2, 0.1)
         assert np.allclose(
             _compensator(generic, 0.3, state),
@@ -153,7 +156,7 @@ class TestCompensator:
         )
         assert not model.small_jump_uses_u
         pv, S = model.param_values(0.4), np.array([2.0, 0.5, 1.5])
-        expected = model.measure.mass(SMALL) * model.small_jump_pv(pv, S, 0.0)
+        expected = model.measure.mass(SMALL) * model.small_jump_fn(pv, S, 0.0)
         assert np.array_equal(model.compensator_pv(pv, S), expected)
 
     def test_u_dependent_custom_model_uses_quadrature(self):
@@ -185,7 +188,7 @@ class TestCompensationProperty:
             marks = _step_marks(model.measure, SMALL, dt, rng)
             inc = -comp * dt
             if len(marks):
-                inc = inc + model.small_jump_pv(pv, state, marks).sum(axis=0)
+                inc = inc + model.small_jump_fn(pv, state, marks).sum(axis=0)
             acc += inc
             acc_sq += inc**2
         mean = acc / steps

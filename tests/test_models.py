@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ussir.expr import evaluate, parse
+from ussir.expr import BinOp, Num, evaluate, parse
 from ussir.models import (
     FAMILIES,
     OCTANT,
@@ -52,18 +52,18 @@ def _random_simplex_points(n, seed=0):
 class TestEx1:
     def test_recovery_drift_row(self, scenario):
         _, model = scenario("table1")
-        b = model.drift_pv(*_at(model, 0.0, (0.8, 0.19, 0.01)))
+        b = model.drift_fn(*_at(model, 0.0, (0.8, 0.19, 0.01)))
         assert b[2] == pytest.approx(0.84 * 0.19, abs=1e-15)
 
     def test_drift_rows_cancel(self, scenario):
         _, model = scenario("table1")
         ts, states, _ = _random_simplex_points(500)
         pv = model.param_values(ts)
-        assert np.abs(model.drift_pv(pv, states).sum(axis=-1)).max() <= 1e-12
+        assert np.abs(model.drift_fn(pv, states).sum(axis=-1)).max() <= 1e-12
 
     def test_recovered_jump_component(self, scenario):
         _, model = scenario("table1")
-        vec = model.small_jump_pv(*_at(model, 0.0, (0.8, 0.19, 0.01)), 0.3)
+        vec = model.small_jump_fn(*_at(model, 0.0, (0.8, 0.19, 0.01)), 0.3)
         assert vec[2] == pytest.approx(0.025 * 0.19 * 0.01, abs=1e-18)
 
     def test_rejects_exponent_below_one(self):
@@ -88,7 +88,7 @@ class TestEx1:
 class TestEx1b:
     def test_infected_drift_value(self, scenario):
         _, model = scenario("table2")
-        b = model.drift_pv(*_at(model, 0.0, (0.85, 0.1, 0.05)))
+        b = model.drift_fn(*_at(model, 0.0, (0.85, 0.1, 0.05)))
         expected = (0.18 * 0.85 - 0.13 + 0.56 * 0.05) * 0.1
         assert b[1] == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(0.0051, abs=1e-15)
@@ -97,20 +97,20 @@ class TestEx1b:
         _, model = scenario("table2")
         ts, states, us = _random_simplex_points(500, seed=3)
         pv = model.param_values(ts)
-        assert np.abs(model.drift_pv(pv, states).sum(axis=-1)).max() <= 1e-12
-        assert np.abs(model.diffusion_pv(pv, states).sum(axis=-2)).max() <= 1e-12
-        assert np.abs(model.small_jump_pv(pv, states, us).sum(axis=-1)).max() <= 1e-12
+        assert np.abs(model.drift_fn(pv, states).sum(axis=-1)).max() <= 1e-12
+        assert np.abs(model.diffusion_fn(pv, states).sum(axis=-2)).max() <= 1e-12
+        assert np.abs(model.small_jump_fn(pv, states, us).sum(axis=-1)).max() <= 1e-12
 
     def test_equal_large_jump_constants_cancel_in_infected_row(self):
         params = {"beta": "0.17", "gamma1": "0.12", "gamma2": "0.56", "sigma": "0.1"}
         jumps = {"h1": 0.019, "h2": 0.018, "g1": 0.11, "g2": 0.11}
         model = build_named("ex1b", params, jumps)
-        vec = model.large_jump_pv(*_at(model, 0.0, (0.6, 0.3, 0.1)), 1.5)
+        vec = model.large_jump_fn(*_at(model, 0.0, (0.6, 0.3, 0.1)), 1.5)
         assert vec[1] == 0.0
 
     def test_infected_diffusion_row_is_doubled(self, scenario):
         _, model = scenario("table2")
-        sig = model.diffusion_pv(*_at(model, 0.0, (0.85, 0.1, 0.05)))
+        sig = model.diffusion_fn(*_at(model, 0.0, (0.85, 0.1, 0.05)))
         assert sig[1, 0] == pytest.approx(-2.0 * sig[0, 0], abs=1e-18)
         assert sig[2, 0] == pytest.approx(sig[0, 0], abs=1e-18)
 
@@ -118,7 +118,7 @@ class TestEx1b:
 class TestXc:
     def test_susceptible_drift_value(self, scenario):
         _, model = scenario("table3")
-        b = model.drift_pv(*_at(model, 0.0, (2.0, 0.8, 1.0)))
+        b = model.drift_fn(*_at(model, 0.0, (2.0, 0.8, 1.0)))
         assert b[0] == pytest.approx(0.144, abs=1e-15)
 
     def test_drift_sum_identity(self, scenario):
@@ -128,7 +128,7 @@ class TestXc:
         ts = rng.uniform(0, 50, 300)
         states = rng.uniform(0.05, 5.0, (300, 3))
         pv = model.param_values(ts)
-        total = model.drift_pv(pv, states).sum(axis=-1)
+        total = model.drift_fn(pv, states).sum(axis=-1)
         expected = (
             pv["Lambda"] - pv["mu"] * states.sum(axis=-1) - pv["epsilon"] * states[:, 1]
         )
@@ -136,7 +136,7 @@ class TestXc:
 
     def test_diffusion_structure(self, scenario):
         _, model = scenario("table3")
-        sig = model.diffusion_pv(*_at(model, 0.5, (2.0, 0.8, 1.0)))
+        sig = model.diffusion_fn(*_at(model, 0.5, (2.0, 0.8, 1.0)))
         assert sig.shape == (3, 1)
         assert sig[0, 0] == pytest.approx(-sig[1, 0], abs=1e-18)
         assert sig[2, 0] == 0.0
@@ -162,7 +162,7 @@ class TestEx34:
 
     def test_ex34b_infected_drift(self, scenario):
         _, model = scenario("table7")
-        b = model.drift_pv(*_at(model, 0.0, (7.27, 1.5, 1.11)))
+        b = model.drift_fn(*_at(model, 0.0, (7.27, 1.5, 1.11)))
         # (beta(0)*min(x,1.5) - (mu(0)+gamma2(0))) * min(y,1.5)
         expected = (0.145 * 1.5 - (0.003 + 0.39)) * 1.5
         assert b[1] == pytest.approx(expected, abs=1e-15)
@@ -170,13 +170,13 @@ class TestEx34:
 
     def test_ex34a_large_jump_susceptible_term(self, scenario):
         _, model = scenario("table6")
-        vec = model.large_jump_pv(*_at(model, 0.0, (3.75, 1.15, 1.1)), 1.5)
+        vec = model.large_jump_fn(*_at(model, 0.0, (3.75, 1.15, 1.1)), 1.5)
         assert vec[0] == pytest.approx(-0.001 * 1.0 * 1.0, abs=1e-18)
 
     def test_ex34a_small_jump_uses_all_three_products(self, scenario):
         _, model = scenario("table6")
         x, y, z = 0.5, 0.25, 0.75
-        vec = model.small_jump_pv(*_at(model, 0.0, (x, y, z)), 0.1)
+        vec = model.small_jump_fn(*_at(model, 0.0, (x, y, z)), 0.1)
         h1, h2, h3 = 0.0001, 0.00025, 0.0009
         assert vec[0] == pytest.approx(-(h1 * x * y - h3 * x * z), abs=1e-18)
         assert vec[1] == pytest.approx(h1 * x * y - h2 * y * z, abs=1e-18)
@@ -240,7 +240,7 @@ class TestNamedTables:
         params = {"beta": "0.17", "gamma1": "0.12", "gamma2": "0.56", "sigma": "0.1"}
         jumps = {"h1": 0.019, "h2": 0.018, "g1": 0.11, "g2": 0.05}
         model = build_named("ex1b", params, jumps)
-        vec = model.small_jump_pv(*_at(model, 0.0, (0.6, 0.3, 0.1)), 0.5)
+        vec = model.small_jump_fn(*_at(model, 0.0, (0.6, 0.3, 0.1)), 0.5)
         w = 0.6 * 0.3 * 0.1
         assert np.array_equal(vec, [-0.019 * w, (0.019 - 0.018) * w, 0.018 * w])
 
@@ -259,14 +259,8 @@ class TestConservation:
 
     def test_corrupted_drift_detected(self, scenario):
         _, model = scenario("table1")
-        original = model.drift_fn
-
-        def corrupted(pv, S):
-            out = original(pv, S).copy()
-            out[..., 0] = out[..., 0] + 1e-6
-            return out
-
-        broken = dataclasses.replace(model, drift_fn=corrupted)
+        corrupted = [BinOp("+", model.drift[0], Num(1e-6)), *model.drift[1:]]
+        broken = dataclasses.replace(model, drift=corrupted)
         report = check_conservation(broken, samples=200, rng=np.random.default_rng(3))
         assert not report.passed
         assert report.breakdown["drift"] >= 1e-7
@@ -291,8 +285,8 @@ class TestPositivity:
             drift=("0", "0", "0"),
             diffusion=(("0", "0", "0"),),
             small_jump=("-(0.01*x*y)", "0.01*x*y-1.5*y*z", "1.5*y*z"),
-        ).small_jump_fn
-        broken = dataclasses.replace(model, small_jump_fn=oversized)
+        ).small_jump
+        broken = dataclasses.replace(model, small_jump=oversized)
         report = check_positivity_ratios(broken, samples=1000, rng=np.random.default_rng(6))
         assert not report.passed
 
@@ -336,7 +330,7 @@ class TestCustom:
             drift=("0", "-0.7*y", "0"),
             diffusion=(("0", "0", "0"),),
         )
-        b = model.drift_pv(*_at(model, 1.0, (1.0, 2.0, 3.0)))
+        b = model.drift_fn(*_at(model, 1.0, (1.0, 2.0, 3.0)))
         assert np.array_equal(b, [0.0, -1.4, 0.0])
 
     def test_custom_time_dependence_flows_through(self):
@@ -345,7 +339,7 @@ class TestCustom:
             drift=("sin(t)*x", "0", "0"),
             diffusion=(("0", "0", "0"),),
         )
-        b = model.drift_pv(*_at(model, math.pi / 2.0, (2.0, 1.0, 1.0)))
+        b = model.drift_fn(*_at(model, math.pi / 2.0, (2.0, 1.0, 1.0)))
         assert b[0] == pytest.approx(2.0, abs=1e-12)
 
 
@@ -368,15 +362,52 @@ class TestSuppress:
         _, model = scenario("table1")
         silent = suppress(model)
         pv, S = _at(model, 0.0, (0.8, 0.19, 0.01))
-        assert np.all(silent.diffusion_pv(pv, S) == 0.0)
-        assert np.all(silent.small_jump_pv(pv, S, 0.5) == 0.0)
-        assert np.all(silent.large_jump_pv(pv, S, 1.5) == 0.0)
-        assert np.array_equal(silent.drift_pv(pv, S), model.drift_pv(pv, S))
+        assert np.all(silent.diffusion_fn(pv, S) == 0.0)
+        assert np.all(silent.small_jump_fn(pv, S, 0.5) == 0.0)
+        assert np.all(silent.large_jump_fn(pv, S, 1.5) == 0.0)
+        assert np.array_equal(silent.drift_fn(pv, S), model.drift_fn(pv, S))
         assert not silent.has_diffusion
 
     def test_drift_free_copy_keeps_noise(self, scenario):
         _, model = scenario("table1")
         pure_noise = suppress(model, drift=True, diffusion=False, small_jumps=False, large_jumps=False)
         pv, S = _at(model, 0.0, (0.8, 0.19, 0.01))
-        assert np.all(pure_noise.drift_pv(pv, S) == 0.0)
-        assert np.array_equal(pure_noise.diffusion_pv(pv, S), model.diffusion_pv(pv, S))
+        assert np.all(pure_noise.drift_fn(pv, S) == 0.0)
+        assert np.array_equal(pure_noise.diffusion_fn(pv, S), model.diffusion_fn(pv, S))
+
+    @pytest.mark.parametrize("name", ["table1", "table3", "table6"])
+    def test_suppressed_copies_derive_their_flags(self, scenario, name):
+        _, model = scenario(name)
+        n, small, large = model.brownian_dim, model.has_small_jumps, model.has_large_jumps
+        panels = {
+            # (brownian_dim, has_diffusion, has_small_jumps, has_large_jumps)
+            "deterministic": (suppress(model), (0, False, False, False)),
+            "diffusion_only": (suppress(model, drift=True, diffusion=False), (n, True, False, False)),
+            "jumps_only": (
+                suppress(model, drift=True, small_jumps=False, large_jumps=False), (0, False, small, large)
+            ),
+            "unchanged": (
+                suppress(model, diffusion=False, small_jumps=False, large_jumps=False), (n, True, small, large)
+            ),
+        }
+        for label, (copy, flags) in panels.items():
+            assert (copy.brownian_dim, copy.has_diffusion, copy.has_small_jumps, copy.has_large_jumps) == flags, label
+            assert copy.small_jump_uses_u == (copy.has_small_jumps and model.small_jump_uses_u), label
+            assert copy.params == model.params and copy.constants == model.constants, label
+        silent_drift = panels["jumps_only"][0]
+        S = np.array([[2.0, 0.8, 1.0], [0.3, 0.3, 0.4]])
+        pv = model.param_values(0.5)
+        assert np.all(silent_drift.drift_fn(pv, S) == 0.0)
+        assert np.all(silent_drift.infected_loss_pc_fn(pv, S) == 0.0)
+        assert silent_drift.diffusion_fn(pv, S).shape == (2, 3, 0)
+
+    def test_checks_run_on_suppressed_simplex_copy(self, scenario):
+        _, model = scenario("table1")
+        for copy in (suppress(model), suppress(model, drift=True, small_jumps=False, large_jumps=False)):
+            conservation = check_conservation(copy, samples=200, rng=np.random.default_rng(8))
+            assert conservation.passed
+            assert conservation.breakdown["diffusion"] == 0.0
+            assert check_positivity_ratios(copy, samples=200, rng=np.random.default_rng(9)).passed
+        silent = suppress(model)
+        report = check_positivity_ratios(silent, samples=200, rng=np.random.default_rng(9))
+        assert report.min_ratio == 1.0

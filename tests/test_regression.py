@@ -3,7 +3,10 @@
 Final states of ``simulate`` at horizon 1 under each scenario's own seed
 and time step, recorded from the hand-written named-model coefficients.  A
 change to a named model's arithmetic, draw order or safeguard shows up here
-even when reruns of one version stay byte-identical.  The closed-form
+even when reruns of one version stay byte-identical.  The noise panels
+``ussir simulate`` writes next to the stochastic path (the deterministic
+companion and, where the model has that noise, the diffusion-only and
+jumps-only runs built by ``suppress``) are pinned the same way.  The closed-form
 reports are pinned the same way: classification and gate verdicts exactly,
 numbers to rtol 1e-12.
 """
@@ -13,6 +16,7 @@ import pytest
 
 from ussir.criteria import report_for_model
 from ussir.integrator import simulate
+from ussir.models import suppress
 from ussir.scenario import sim_config
 
 FINAL_STATES = {
@@ -31,6 +35,42 @@ def test_final_state_pinned(scenario, name):
     cfg, model = scenario(name)
     traj = simulate(model, cfg.initial_state, sim_config(cfg, horizon=1.0))
     np.testing.assert_allclose(traj.final_state, FINAL_STATES[name], rtol=1e-12, atol=0.0)
+
+
+PANELS = {
+    "deterministic": {},
+    "diffusion_only": {"drift": True, "diffusion": False},
+    "jumps_only": {"drift": True, "small_jumps": False, "large_jumps": False},
+}
+
+# (scenario, panel): final state; a panel is absent where the model lacks its noise
+PANEL_FINAL_STATES = {
+    ("table1", "deterministic"): (0.767694158608839, 0.10585027473154195, 0.12645556665961855),
+    ("table1", "diffusion_only"): (0.8453688321165375, 0.14455421278492728, 0.010076955098534329),
+    ("table1", "jumps_only"): (0.7481688105724117, 0.24095122918828685, 0.010879960239301807),
+    ("table2", "deterministic"): (0.8353108667374838, 0.10473896061093294, 0.05995017265158231),
+    ("table2", "diffusion_only"): (0.8497934484551014, 0.1004131030897984, 0.04979344845510081),
+    ("table2", "jumps_only"): (0.8489790763785849, 0.10008970750277886, 0.05093121611863642),
+    ("table3", "deterministic"): (2.2246366908203643, 0.33107874172935037, 1.393469567908137),
+    ("table3", "diffusion_only"): (1.5992668680982678, 1.2007331319017303, 1.0),
+    ("table4", "deterministic"): (2.2246366908203643, 0.33107874172935037, 1.393469567908137),
+    ("table4", "diffusion_only"): (1.3211889965796804, 1.47881100342032, 1.0),
+    ("table5", "deterministic"): (1.4078837460590894, 1.2885372084518776, 1.156242494965921),
+    ("table5", "diffusion_only"): (2.0941855024202685, 0.7058144975797349, 1.0),
+    ("table6", "deterministic"): (3.982423055889882, 1.2019315804988489, 1.0671401072229407),
+    ("table6", "diffusion_only"): (3.688857808533183, 1.2680624419347946, 1.043079749532024),
+    ("table6", "jumps_only"): (3.747999999999954, 1.1495999999999533, 1.1024000000000926),
+    ("table7", "deterministic"): (7.072967105017476, 1.2967023895943512, 1.594046660040453),
+    ("table7", "diffusion_only"): (6.552964239001896, 2.9340715219962226, 0.3929642390018901),
+    ("table7", "jumps_only"): (7.280399999999955, 1.4825999999999062, 1.1169999999999178),
+}
+
+
+@pytest.mark.parametrize("name,panel", sorted(PANEL_FINAL_STATES))
+def test_panel_final_state_pinned(scenario, name, panel):
+    cfg, model = scenario(name)
+    traj = simulate(suppress(model, **PANELS[panel]), cfg.initial_state, sim_config(cfg, horizon=1.0))
+    np.testing.assert_allclose(traj.final_state, PANEL_FINAL_STATES[name, panel], rtol=1e-12, atol=0.0)
 
 
 NUMBERS = ("extinction_rate_lb", "lambda0", "lam", "mean_infected_lb", "r_tilde", "invariant_set_bound")

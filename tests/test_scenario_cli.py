@@ -187,6 +187,44 @@ class TestLoad:
         with pytest.raises(ScenarioError, match=rf"case\.scn: .*does not take parameters \['{key}'\]"):
             build_model(load_scenario(target))
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("seed = 3", "seed = 3\npositivity_floor = 0", "positivity_floor must be positive"),
+            ("seed = 3", "seed = 1e19", "seed must fit in a signed 64-bit integer"),
+            ("horizon = 1", "horizon = 1\nrecord_stride = 0", "record_stride must be a positive integer"),
+        ],
+        ids=["positivity_floor=0", "seed=1e19", "record_stride=0"],
+    )
+    def test_sim_section_checked_at_load(self, tmp_path, capsys, old, new, message):
+        target = _write(tmp_path, MINIMAL_XC.replace(old, new))
+        with pytest.raises(ScenarioError, match=rf"case\.scn: \[sim\] {message}"):
+            load_scenario(target)
+        for command in ("validate", "criteria"):
+            assert main([command, "--config", str(target), "--out", str(tmp_path)]) == 1
+            assert f"case.scn: [sim] {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("dt = 0.001", "dt = nan", r"case\.scn:\d+: numerals must be finite, got 'nan'"),
+            ("horizon = 1", "horizon = inf", r"case\.scn:\d+: numerals must be finite, got 'inf'"),
+            ("(2.0, 0.8, 1.0)", "(2.0, nan, 1.0)", r"case\.scn:\d+: numerals must be finite"),
+            ("[initial]", "[measure]\nsupport = (-inf, 2)\n[initial]", r"case\.scn:\d+: numerals must be finite"),
+            ("seed = 3", "seed = 3\ny_extinct = -1", r"case\.scn: y_extinct must be positive"),
+            ("seed = 3", "seed = 3\ny_extinct = 0", r"case\.scn: y_extinct must be positive"),
+        ],
+        ids=["dt=nan", "horizon=inf", "state=nan", "support=-inf", "y_extinct=-1", "y_extinct=0"],
+    )
+    def test_non_finite_and_non_positive_numbers_rejected(self, tmp_path, capsys, old, new, message):
+        text = MINIMAL_XC.replace(old, new)
+        assert text != MINIMAL_XC
+        target = _write(tmp_path, text)
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(target)
+        assert main(["validate", "--config", str(target)]) == 1
+        assert "case.scn" in capsys.readouterr().err
+
     def test_sim_config_overrides(self):
         cfg = load_scenario(bundled_scenario_path("table1"))
         sim = sim_config(cfg, seed=9, dt=0.01, horizon=5.0, record_stride=2)
@@ -305,6 +343,17 @@ paths = 2
         code = main(["ensemble", "--config", str(target), "--out", str(tmp_path)])
         assert code == 2
         assert "verdict: inconsistent" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["simulate", "criteria", "validate"])
+    def test_paths_only_on_ensemble(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", "table1", "--out", str(tmp_path), "--paths", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --paths 7" in capsys.readouterr().err
+
+    def test_non_finite_flag_is_error(self, tmp_path, capsys):
+        assert main(["simulate", "--config", "table3", "--out", str(tmp_path), "--horizon", "inf"]) == 1
+        assert "must be finite" in capsys.readouterr().err
 
     def test_missing_config_is_error(self, capsys):
         assert main(["criteria", "--config", "does-not-exist.scn"]) == 1
