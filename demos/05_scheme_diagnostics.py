@@ -1,7 +1,8 @@
 """Numerical diagnostics of the integrator itself.
 
-Three independent checks: the strong convergence order against the
-geometric Brownian closed form (should be about one half), the zero-mean
+Three independent checks: the strong convergence order of the engine
+against the geometric Brownian closed form (should be about one half;
+``convergence_probe`` runs the scheme through ``run_paths``), the zero-mean
 property of compensated small-jump increments, and containment of the
 demography model inside its invariant set.
 """

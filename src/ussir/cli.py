@@ -29,7 +29,7 @@ from pathlib import Path
 from . import __version__
 from .criteria import CRITERIA_CSV_HEADER, report_for_model
 from .models import SIMPLEX, suppress, check_conservation, check_positivity_ratios
-from .montecarlo import run_ensemble, verdict, write_ensemble_csv
+from .montecarlo import check_slack, run_ensemble, verdict, write_ensemble_csv
 from .integrator import simulate
 from .scenario import (
     ScenarioConfig,
@@ -94,6 +94,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
+    check_slack(args.slack)
     cfg = _load(args)
     model = build_model(cfg)
     sim = sim_config(cfg, seed=args.seed, dt=args.dt, horizon=args.horizon)

@@ -16,11 +16,12 @@ from typing import Optional
 import numpy as np
 
 from .criteria import EXTINCT, INDETERMINATE, PERSISTENT, CriteriaReport
-from .integrator import SimConfig, Trajectory, _path_key, path_key_hex, run_paths
+from .integrator import PathBundle, SimConfig, Trajectory, _path_key, run_paths
 from .models import SIMPLEX, ModelSpec
 
 __all__ = [
     "EnsembleStats",
+    "check_slack",
     "lyapunov_estimate",
     "run_ensemble",
     "time_average_infected",
@@ -36,30 +37,29 @@ Y_EXTINCT_SIMPLEX = 1e-6
 Y_EXTINCT_OCTANT = 1e-3
 
 
-def lyapunov_estimate(traj: Trajectory) -> float:
+def lyapunov_estimate(paths: Trajectory | PathBundle) -> float | np.ndarray:
     """Finite-horizon log slope (ln Y_T - ln Y_0) / T of the infected
-    component; the positivity floor keeps the logs defined."""
-    horizon = traj.times[-1] - traj.times[0]
+    component, one per path of a bundle; the floor keeps the logs defined."""
+    horizon = paths.times[-1] - paths.times[0]
     if horizon <= 0:
         raise ValueError("trajectory must span a positive horizon")
-    return float((np.log(traj.y[-1]) - np.log(traj.y[0])) / horizon)
+    y = paths.states[..., 1]
+    return (np.log(y[..., -1]) - np.log(y[..., 0])) / horizon
 
 
-def time_average_infected(traj: Trajectory, window: str = FULL) -> float:
+def time_average_infected(paths: Trajectory | PathBundle, window: str = FULL) -> float | np.ndarray:
     """Trapezoidal time average of the infected component over the full
-    recorded window or its tail half."""
+    recorded window or its tail half, one per path of a bundle."""
     if window not in (FULL, TAIL_HALF):
         raise ValueError(f"window must be {FULL!r} or {TAIL_HALF!r}")
-    times, values = traj.times, traj.y
+    times, values = paths.times, paths.states[..., 1]
     if window == TAIL_HALF:
         cut = times[0] + 0.5 * (times[-1] - times[0])
-        start = int(np.searchsorted(times, cut))
-        if start > 0 and times[start - 1] >= cut:
-            start -= 1
-        times, values = times[start:], values[start:]
+        start = int(np.searchsorted(times, cut))  # the first record at or after the cut
+        times, values = times[start:], values[..., start:]
     if len(times) < 2:
-        return float(values[-1])
-    return float(np.trapezoid(values, times) / (times[-1] - times[0]))
+        return np.take(values, -1, axis=-1)
+    return np.trapezoid(values, times) / (times[-1] - times[0])
 
 
 @dataclass(frozen=True)
@@ -118,16 +118,21 @@ def run_ensemble(
         y_extinct = Y_EXTINCT_SIMPLEX if model.domain == SIMPLEX else Y_EXTINCT_OCTANT
     keys = [_path_key(cfg.seed, i) for i in range(paths)]
     bundle = run_paths(model, s0, cfg, keys)
-    trajectories = [bundle.trajectory(i) for i in range(paths)]
     return EnsembleStats(
         master_seed=cfg.seed,
-        path_seeds=tuple(path_key_hex(cfg.seed, i) for i in range(paths)),
-        lyapunov=np.array([lyapunov_estimate(tr) for tr in trajectories]),
-        mean_infected=np.array([time_average_infected(tr, FULL) for tr in trajectories]),
-        tail_mean_infected=np.array([time_average_infected(tr, TAIL_HALF) for tr in trajectories]),
-        y_final=np.array([tr.y[-1] for tr in trajectories]),
+        path_seeds=tuple("".join(f"{w:016x}" for w in key) for key in keys),
+        lyapunov=lyapunov_estimate(bundle),
+        mean_infected=time_average_infected(bundle, FULL),
+        tail_mean_infected=time_average_infected(bundle, TAIL_HALF),
+        y_final=bundle.states[:, -1, 1].copy(),
         y_extinct=float(y_extinct),
     )
+
+
+def check_slack(slack: float) -> None:
+    """Raise ValueError unless the comparator slack is positive and finite."""
+    if not (np.isfinite(slack) and slack > 0):
+        raise ValueError(f"slack must be positive and finite, got {slack!r}")
 
 
 def verdict(stats: EnsembleStats, report: CriteriaReport, slack: float) -> str:
@@ -138,8 +143,7 @@ def verdict(stats: EnsembleStats, report: CriteriaReport, slack: float) -> str:
     average at least bound*(1-slack).  Indeterminate reports admit no
     comparison.
     """
-    if slack <= 0:
-        raise ValueError("slack must be positive")
+    check_slack(slack)
     if report.classification == INDETERMINATE:
         return "inapplicable"
     if report.classification == EXTINCT:

@@ -284,3 +284,38 @@ class TestConvergenceProbe:
         )
         assert 0.35 <= table.order <= 0.65
         assert all(e2 < e1 for e1, e2 in zip(table.errors, table.errors[1:]))
+
+
+class TestJumpOracle:
+    """The engine against the stochastic exponential of a jump-diffusion.
+
+    ``x`` has drift a x, diffusion b x and the jump (e^(c u) - 1) x in both
+    regions; ``y`` records W (diffusion 1 on the same driver) and ``z``
+    records the sum of the marks (jump u in both regions).  Marks in the
+    small region depend on u, so its compensator runs the quadrature
+    branch.  For the uniform density on [-2, 2] the exact solution is
+    x_T = s0 exp((a - b^2/2 - (2 sinh(c)/c - 2)) T + b W_T + c sum(u)).
+    """
+
+    A, B, C, S0, R0 = 0.1, 0.2, 0.3, 1.0, 32.0
+
+    def _strong_error(self, dt, level, paths=100, seed=3):
+        jump = (f"({math.e!r}^({self.C!r}*u)-1)*x", "0", "u")
+        model = build_custom(
+            domain=OCTANT, drift=(f"{self.A!r}*x", "0", "0"), diffusion=((f"{self.B!r}*x", "1", "0"),),
+            small_jump=jump, large_jump=jump,
+        )
+        assert model.small_jump_uses_u
+        cfg = SimConfig(horizon=1.0, dt=dt, record_stride=math.ceil(1.0 / dt))
+        keys = [_path_key(seed, level * paths + i) for i in range(paths)]
+        bundle = run_paths(model, (self.S0, self.R0, self.R0), cfg, keys)
+        assert not bundle.floor_hits.any()  # a clamped recorder would make the oracle wrong
+        x_T, (w_T, marks) = bundle.states[:, -1, 0], (bundle.states[:, -1, 1:] - self.R0).T
+        compensator = 2.0 * math.sinh(self.C) / self.C - 2.0
+        drift = self.A - 0.5 * self.B**2 - compensator
+        exact = self.S0 * np.exp(drift * bundle.times[-1] + self.B * w_T + self.C * marks)
+        return float(np.mean(np.abs(x_T - exact)))
+
+    def test_strong_error_shrinks_at_order_half(self):
+        coarse, fine = self._strong_error(1e-2, level=0), self._strong_error(1.25e-3, level=1)
+        assert fine / coarse <= 0.5  # 8^(-1/2) = 0.35 at order 1/2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ussir.expr import BinOp, Num, evaluate, parse
+from ussir.expr import BinOp, Num, _compile_source, evaluate, parse
 from ussir.models import (
     FAMILIES,
     OCTANT,
@@ -18,6 +18,7 @@ from ussir.models import (
     check_positivity_ratios,
     suppress,
 )
+from ussir.scenario import build_model
 
 TABLE1_PARAMS = {
     "beta": "0.3+0.1*sin(4*t)",
@@ -400,6 +401,23 @@ class TestSuppress:
         assert np.all(silent_drift.drift_fn(pv, S) == 0.0)
         assert np.all(silent_drift.infected_loss_pc_fn(pv, S) == 0.0)
         assert silent_drift.diffusion_fn(pv, S).shape == (2, 3, 0)
+
+    @pytest.mark.parametrize("name", ["table1", "table6"])
+    def test_rebuilds_reuse_compiled_code(self, scenario, name):
+        cfg, _ = scenario(name)
+        programs = ("drift_fn", "diffusion_fn", "small_jump_fn", "large_jump_fn", "infected_loss_pc_fn")
+        model = build_model(cfg)
+        misses = _compile_source.cache_info().misses
+        again = build_model(cfg)
+        assert _compile_source.cache_info().misses == misses
+        for program in programs:
+            assert getattr(again, program).__code__ is getattr(model, program).__code__, program
+        # a suppressed copy recompiles none of the groups it keeps
+        assert suppress(model, drift=True, diffusion=False).diffusion_fn.__code__ is model.diffusion_fn.__code__
+        jumps_only = suppress(model, drift=True, small_jumps=False, large_jumps=False)
+        assert jumps_only.small_jump_fn.__code__ is model.small_jump_fn.__code__
+        assert jumps_only.large_jump_fn.__code__ is model.large_jump_fn.__code__
+        assert suppress(model).drift_fn.__code__ is model.drift_fn.__code__
 
     def test_checks_run_on_suppressed_simplex_copy(self, scenario):
         _, model = scenario("table1")

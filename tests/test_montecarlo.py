@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ussir.criteria import CriteriaReport
-from ussir.integrator import SimConfig, Trajectory, simulate
+from ussir.integrator import SimConfig, Trajectory, _path_key, run_paths, simulate
 from ussir.models import suppress
 from ussir.montecarlo import (
     EnsembleStats,
@@ -98,6 +98,24 @@ class TestRunEnsemble:
         assert np.all(stats.lyapunov == expected)
         assert np.all(stats.y_final == solo.y[-1])
 
+    @pytest.mark.parametrize("stride", [1, 3, 1000])
+    def test_bundle_statistics_match_per_path_calls(self, scenario, stride):
+        cfg, model = scenario("table6")
+        sim = SimConfig(horizon=1.0, dt=0.01, seed=4, record_stride=stride)
+        bundle = run_paths(model, cfg.initial_state, sim, [_path_key(4, i) for i in range(6)])
+        rows = [bundle.trajectory(i) for i in range(6)]
+        lyapunov = lyapunov_estimate(bundle)
+        assert np.array_equal(lyapunov, [lyapunov_estimate(tr) for tr in rows])
+        averages = {w: time_average_infected(bundle, w) for w in ("full", "tail_half")}
+        for window, values in averages.items():
+            assert np.array_equal(values, [time_average_infected(tr, window) for tr in rows]), window
+        stats = run_ensemble(model, cfg.initial_state, sim, paths=6)
+        assert np.array_equal(stats.lyapunov, lyapunov)
+        assert np.array_equal(stats.mean_infected, averages["full"])
+        assert np.array_equal(stats.tail_mean_infected, averages["tail_half"])
+        assert np.array_equal(stats.y_final, [tr.y[-1] for tr in rows])
+        assert stats.path_seeds[1] == "".join(f"{w:016x}" for w in _path_key(4, 1))
+
     def test_extinction_fraction_uses_threshold(self):
         stats = _stats(lyapunov=[0.0, 0.0])
         assert stats.extinction_fraction == 0.0  # y_final 0.1 above 1e-6
@@ -127,8 +145,9 @@ class TestVerdict:
 
     def test_slack_must_be_positive(self):
         report = CriteriaReport(model_id="x", classification="indeterminate")
-        with pytest.raises(ValueError):
-            verdict(_stats(lyapunov=[0.0]), report, slack=0.0)
+        for slack in (0.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                verdict(_stats(lyapunov=[0.0]), report, slack=slack)
 
 
 class TestEnsembleCsv:

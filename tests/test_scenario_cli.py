@@ -351,6 +351,12 @@ paths = 2
         assert exc.value.code == 2
         assert "unrecognized arguments: --paths 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("slack", ["nan", "inf", "-0.1", "0"])
+    def test_bad_slack_rejected_before_simulating(self, tmp_path, capsys, slack):
+        assert main(["ensemble", "--config", "table1", "--out", str(tmp_path), f"--slack={slack}"]) == 1
+        assert "slack must be positive and finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_ensemble.csv"))
+
     def test_non_finite_flag_is_error(self, tmp_path, capsys):
         assert main(["simulate", "--config", "table3", "--out", str(tmp_path), "--horizon", "inf"]) == 1
         assert "must be finite" in capsys.readouterr().err
