@@ -10,9 +10,10 @@ generator keyed by a hash of (master seed, path index), so paths are
 independent, reproducible, and independent of how many run together.  The
 per-path stream is consumed in fixed blocks of ``CHUNK_STEPS`` steps:
 Brownian increments for the block, then small-jump counts, then large-jump
-counts, then marks step by step (small before large).  With ``chunk=1``
-the per-step order is therefore Brownian increments, small-jump count,
-large-jump count, small marks, large marks.
+counts, then the block's marks as one run of uniforms, split step by step
+(small before large), scaled by the region's mass and mapped by inverse
+CDF.  With ``chunk=1`` the per-step order is therefore Brownian
+increments, small-jump count, large-jump count, small marks, large marks.
 
 The safeguard raises components at or below zero to the configured floor
 and counts every such clamp; positive values below the floor are legitimate
@@ -70,6 +71,7 @@ class SimConfig:
             raise ValueError("horizon must cover at least one step")
         if self.record_stride < 1 or int(self.record_stride) != self.record_stride:
             raise ValueError("record_stride must be a positive integer")
+        object.__setattr__(self, "record_stride", int(self.record_stride))
         if self.positivity_floor <= 0:
             raise ValueError("positivity_floor must be positive")
         if not -(2**63) <= int(self.seed) < 2**63:
@@ -147,6 +149,48 @@ class PathBundle:
         )
 
 
+def _block_marks(measure, gens, regions, block: int) -> dict:
+    """Draw one block's marks for ``regions``, (region, (paths, block) counts)
+    pairs: per path one run of uniforms, split step by step with small before
+    large.  Per region, in step order: step bounds, paths and marks of the
+    single-mark events, then step bounds and (path, marks) of the others."""
+    events = []  # (path, step, count) per region, step-major
+    for _, counts in regions:
+        i, j = np.nonzero(counts)
+        by_step = np.argsort(j, kind="stable")
+        events.append((i[by_step], j[by_step], counts[i[by_step], j[by_step]]))
+    # each event's place in its path's run: order by (path, step, region)
+    key = np.concatenate([(i * block + j) * 2 + r for r, (i, j, _) in enumerate(events)])
+    n = np.concatenate([c for _, _, c in events])
+    order = np.argsort(key, kind="stable")  # keys are distinct; "stable" pages in no second sort
+    start = np.empty_like(n)
+    start[order] = np.cumsum(n[order]) - n[order]
+    per_path = sum(c.sum(axis=1) for _, c in regions).tolist()
+    uniforms = np.concatenate([np.empty(0)] + [g.random(m) for g, m in zip(gens, per_path) if m])
+    out, lo, steps = {}, 0, np.arange(block + 1)
+    for (region, _), (i, j, c) in zip(regions, events):
+        first = np.cumsum(c) - c
+        at = np.repeat(start[lo : lo + len(c)] - first, c) + np.arange(c.sum())
+        lo += len(c)
+        marks = measure.inverse_cdf(region, measure.mass(region) * uniforms[at])
+        one, many = c == 1, np.nonzero(c > 1)[0]
+        out[region] = (np.searchsorted(j[one], steps).tolist(), i[one], marks[first[one]],
+                       np.searchsorted(j[many], steps).tolist(),
+                       [(int(i[e]), marks[first[e] : first[e] + c[e]]) for e in many])
+    return out
+
+
+def _add_jumps(jump_fn, pv, states, incr, marks, j: int) -> None:
+    """Add step ``j``'s jumps of one region to ``incr``: all single-mark paths
+    in one call of ``jump_fn``, each path with several marks on its own."""
+    bounds, paths, single, many_bounds, many = marks
+    a, b = bounds[j], bounds[j + 1]
+    if a < b:
+        incr[paths[a:b]] += jump_fn(pv, states[paths[a:b]], single[a:b])
+    for i, path_marks in many[many_bounds[j] : many_bounds[j + 1]]:
+        incr[i] += jump_fn(pv, states[i], path_marks).sum(axis=0)
+
+
 def run_paths(
     model: ModelSpec,
     s0,
@@ -175,10 +219,9 @@ def run_paths(
     }
 
     gens = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
-    small_mass = model.measure.mass(SMALL) if model.has_small_jumps else 0.0
-    large_mass = model.measure.mass(LARGE) if model.has_large_jumps else 0.0
-    draw_small = model.has_small_jumps and small_mass > 0.0
-    draw_large = model.has_large_jumps and large_mass > 0.0
+    present = ((SMALL, model.has_small_jumps), (LARGE, model.has_large_jumps))
+    drawn = [(region, model.measure.mass(region)) for region, has in present if has]
+    drawn = [(region, mass) for region, mass in drawn if mass > 0.0]
 
     states = np.tile(s0_arr, (n_paths, 1))
     recorded = np.empty((n_paths, n_records, 3))
@@ -192,29 +235,23 @@ def run_paths(
         if model.has_diffusion:
             normals = np.stack([g.standard_normal((block, n_brownian)) for g in gens])
             normals *= sqrt_dt
-        small_counts = (
-            np.stack([g.poisson(small_mass * dt, block) for g in gens]) if draw_small else None
-        )
-        large_counts = (
-            np.stack([g.poisson(large_mass * dt, block) for g in gens]) if draw_large else None
-        )
+        counts = [(region, np.stack([g.poisson(mass * dt, block) for g in gens])) for region, mass in drawn]
+        marks = _block_marks(model.measure, gens, counts, block) if counts else {}
         for j in range(block):
             k = k0 + j
             pv = {name: arr[k] for name, arr in pv_grid.items()}
             incr = model.drift_fn(pv, states) * dt
             if model.has_diffusion:
                 sig = model.diffusion_fn(pv, states)
-                incr += (sig * normals[:, j, None, :]).sum(axis=-1)
+                # sum_c sig[..., c] * dW_c, left to right as numpy sums a short last axis
+                cols = [sig[..., c] * normals[:, j, c, None] for c in range(n_brownian)]
+                incr += sum(cols[1:], cols[0])
             if model.has_small_jumps:
-                if draw_small:
-                    for i in np.nonzero(small_counts[:, j])[0]:
-                        marks = model.measure.sample_marks(SMALL, int(small_counts[i, j]), gens[i])
-                        incr[i] += model.small_jump_fn(pv, states[i], marks).sum(axis=0)
+                if SMALL in marks:
+                    _add_jumps(model.small_jump_fn, pv, states, incr, marks[SMALL], j)
                 incr -= model.compensator_pv(pv, states) * dt
-            if draw_large:
-                for i in np.nonzero(large_counts[:, j])[0]:
-                    marks = model.measure.sample_marks(LARGE, int(large_counts[i, j]), gens[i])
-                    incr[i] += model.large_jump_fn(pv, states[i], marks).sum(axis=0)
+            if LARGE in marks:
+                _add_jumps(model.large_jump_fn, pv, states, incr, marks[LARGE], j)
             states = states + incr
             below = states <= 0.0
             if below.any():

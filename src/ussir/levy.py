@@ -6,7 +6,7 @@ dynamics compensated); |u| >= 1 is the "large" region (uncompensated).  The
 bundled scenarios all use the uniform density on [-2, 2], which splits into
 mass 2 small and mass 2 large, but the measure is a config value rather
 than a constant.  The integrator draws each step's jump counts from
-Poisson(mass * dt) and their marks from :meth:`LevyMeasure.sample_marks`;
+Poisson(mass * dt) and their marks by :meth:`LevyMeasure.inverse_cdf`;
 the compensator itself belongs to the model
 (:meth:`ussir.models.ModelSpec.compensator_pv`).
 """
@@ -92,20 +92,22 @@ class LevyMeasure:
             return np.empty(0), np.empty(0)
         return np.concatenate(us), np.concatenate(ws)
 
-    def sample_marks(self, region: str, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` i.i.d. marks from the normalized measure on
-        ``region`` by inverse CDF on the piecewise-constant density.  Exact
-        and rejection-free; consumes exactly ``count`` uniforms."""
+    def inverse_cdf(self, region: str, levels: np.ndarray) -> np.ndarray:
+        """Map measure levels in [0, mass(region)) to marks by inverse CDF on
+        the piecewise-constant density: the integrator's one mark mapping."""
         pieces = self.region_pieces(region)
-        total = sum((hi - lo) * dens for lo, hi, dens in pieces)
-        if count == 0:
-            return np.empty(0)
-        if total <= 0:
-            raise ValueError(f"cannot sample from massless region {region!r}")
-        u = rng.uniform(0.0, total, size=count)
         cum = np.cumsum([(hi - lo) * dens for lo, hi, dens in pieces])
-        idx = np.searchsorted(cum, u, side="right")
+        idx = np.searchsorted(cum, levels, side="right")
         lows = np.array([p[0] for p in pieces])
         denss = np.array([p[2] for p in pieces])
-        offsets = u - np.concatenate(([0.0], cum[:-1]))[idx]
+        offsets = levels - np.concatenate(([0.0], cum[:-1]))[idx]
         return lows[idx] + offsets / denss[idx]
+
+    def sample_marks(self, region: str, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``count`` i.i.d. marks from the normalized measure on
+        ``region``: ``count`` uniforms scaled by the region's mass, then
+        :meth:`inverse_cdf`.  Exact and rejection-free."""
+        total = self.mass(region)
+        if count and total <= 0:
+            raise ValueError(f"cannot sample from massless region {region!r}")
+        return self.inverse_cdf(region, total * rng.random(count))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ussir.integrator import (
+    CHUNK_STEPS,
     SimConfig,
     Trajectory,
     _path_key,
@@ -215,6 +216,13 @@ class TestSimulate:
         assert len(traj.times) == 16
         assert np.all(np.diff(traj.times) > 0)
 
+    def test_float_record_stride_records_the_integer_grid(self, zero_model):
+        cfgs = [SimConfig(horizon=1.0, dt=0.01, seed=0, record_stride=stride) for stride in (7, 7.0)]
+        assert cfgs[1].record_stride == 7 and type(cfgs[1].record_stride) is int
+        a, b = (simulate(zero_model, (1.0, 1.0, 1.0), cfg) for cfg in cfgs)
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.states, b.states)
+
     def test_simplex_drift_tracked_small(self, scenario):
         _, model = scenario("table1")
         cfg = SimConfig(horizon=2.0, dt=0.001, seed=11, record_stride=100)
@@ -227,6 +235,83 @@ class TestSimulate:
         cfg = SimConfig(horizon=0.1, dt=0.001, seed=1)
         traj = simulate(model, (2.0, 0.8, 1.0), cfg)
         assert traj.simplex_drift is None
+
+
+def _replayed_counts(model, cfg, keys, chunk):
+    """Each path's jump counts per drawn region, (paths, steps), read by
+    replaying its stream in the engine's block order: Brownian increments,
+    small-jump counts, large-jump counts, then all the block's marks as one
+    run of uniforms."""
+    masses = {region: model.measure.mass(region) for region in (SMALL, LARGE)}
+    drawn = [r for r, flag in ((SMALL, model.has_small_jumps), (LARGE, model.has_large_jumps)) if flag and masses[r] > 0]
+    rows = {region: [] for region in drawn}
+    for key in keys:
+        g = np.random.Generator(np.random.Philox(key=key))
+        blocks = {region: [] for region in drawn}
+        for k0 in range(0, cfg.n_steps, chunk):
+            block = min(chunk, cfg.n_steps - k0)
+            if model.has_diffusion:
+                g.standard_normal((block, model.brownian_dim))
+            counts = [g.poisson(masses[region] * cfg.dt, block) for region in drawn]
+            g.random(sum(int(c.sum()) for c in counts))
+            for region, c in zip(drawn, counts):
+                blocks[region].append(c)
+        for region in drawn:
+            rows[region].append(np.concatenate(blocks[region]))
+    return {region: np.array(r) for region, r in rows.items()}
+
+
+class TestBatchedJumps:
+    """Batched mark draws and jump evaluation against one path at a time.
+    At dt 0.02 with 120 paths, some steps have several paths jumping in one
+    region and some paths take several marks of one region in one step.
+    The bundled jump coefficients do not read the mark, so ``marked`` (a
+    custom model whose jumps do, differently per region) checks the mark
+    values and their order in the stream as well."""
+
+    CFG = SimConfig(horizon=1.0, dt=0.02, seed=4, record_stride=1)
+    KEYS = [_path_key(4, i) for i in range(120)]
+    CASES = ["table1", "table6", "marked"]
+
+    def _model(self, scenario, name):
+        if name != "marked":
+            cfg, model = scenario(name)
+            return model, cfg.initial_state
+        model = build_custom(
+            domain=OCTANT, drift=("-0.1*x", "0", "0"), diffusion=(("0.2*x", "0", "0"),),
+            small_jump=("0.1*u*x", "u", "0"), large_jump=("0.05*u*x", "0", "u"),
+        )
+        return model, (1.0, 5.0, 5.0)
+
+    def _assert_crowded(self, model, chunk):
+        counts = _replayed_counts(model, self.CFG, self.KEYS, chunk)
+        assert set(counts) == {SMALL, LARGE}
+        assert max((c > 0).sum(axis=0).max() for c in counts.values()) >= 2  # paths jumping in one step
+        assert max(c.max() for c in counts.values()) >= 2  # marks of one path in one step
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_batch_matches_one_key_runs(self, scenario, name):
+        model, s0 = self._model(scenario, name)
+        self._assert_crowded(model, CHUNK_STEPS)
+        batch = run_paths(model, s0, self.CFG, self.KEYS)
+        for p, key in enumerate(self.KEYS):
+            solo = run_paths(model, s0, self.CFG, [key])
+            assert np.array_equal(batch.states[p], solo.states[0])
+            assert batch.floor_hits[p] == solo.floor_hits[0]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_chunk_of_one_matches_reference_loops(self, scenario, name):
+        model, s0 = self._model(scenario, name)
+        self._assert_crowded(model, 1)
+        batch = run_paths(model, s0, self.CFG, self.KEYS, chunk=1)
+        for p, key in enumerate(self.KEYS):
+            gen = np.random.Generator(np.random.Philox(key=key))
+            s = np.array(s0, dtype=float)
+            manual = [s]
+            for k in range(self.CFG.n_steps):
+                s = _reference_step(model, k * self.CFG.dt, s, self.CFG.dt, gen)
+                manual.append(s)
+            assert np.array_equal(batch.states[p], manual)
 
 
 class TestFloorSemantics:

@@ -110,6 +110,22 @@ class TestSampling:
         # densities 0.5 vs 1.5 put 75% of the mass on the positive side
         assert frac_positive == pytest.approx(0.75, abs=0.01)
 
+    @pytest.mark.parametrize("mass", [2.0, 4.0 / 3.0, 0.7])
+    def test_scaled_uniform_run_matches_split_uniform_draws(self, mass):
+        # the engine draws a path's marks of a block as one run of random()
+        # scaled by the mass, where marks were once drawn event by event
+        gen = path_generator(6)
+        split = np.concatenate([gen.uniform(0.0, mass, n) for n in (3, 1, 5)])
+        assert np.array_equal(split, mass * path_generator(6).random(9))
+
+    def test_sample_marks_is_the_inverse_cdf_of_scaled_uniforms(self):
+        m = LevyMeasure(pieces=((-2.0, -1.0, 0.5), (-0.5, 0.5, 2.0), (1.0, 3.0, 1.5)))
+        for region in (SMALL, LARGE):
+            marks = m.sample_marks(region, 500, path_generator(9))
+            levels = m.mass(region) * path_generator(9).random(500)
+            assert np.array_equal(marks, m.inverse_cdf(region, levels))
+            assert np.all([any(lo <= u < hi for lo, hi, _ in m.region_pieces(region)) for u in marks])
+
 
 class TestCompensator:
     def test_ex1_closed_form(self, scenario):

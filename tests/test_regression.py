@@ -17,6 +17,7 @@ import pytest
 from ussir.criteria import report_for_model
 from ussir.integrator import simulate
 from ussir.models import suppress
+from ussir.montecarlo import run_ensemble
 from ussir.scenario import sim_config
 
 FINAL_STATES = {
@@ -71,6 +72,39 @@ def test_panel_final_state_pinned(scenario, name, panel):
     cfg, model = scenario(name)
     traj = simulate(suppress(model, **PANELS[panel]), cfg.initial_state, sim_config(cfg, horizon=1.0))
     np.testing.assert_allclose(traj.final_state, PANEL_FINAL_STATES[name, panel], rtol=1e-12, atol=0.0)
+
+
+# name: (y_final, lyapunov) of run_ensemble at horizon 0.5 with 200 paths, each as
+# (mean, min, max, mean of (i+1)/paths * value); the weighted mean catches a
+# reordering of the paths
+ENSEMBLE_SUMMARIES = {
+    "table1": (
+        (0.1545637440472318, 0.06401173000837442, 0.275748012163336, 0.07793451389465163),
+        (-0.47288362521415345, -2.175915448427889, 0.7449267542212903, -0.23364012853678415),
+    ),
+    "table2": (
+        (0.10218312899028671, 0.09965679643202702, 0.10501607824375547, 0.05138717348051644),
+        (0.04306784476814245, -0.006875877248261553, 0.09788655715565397, 0.0224252488831938),
+    ),
+    "table6": (
+        (1.1697956242239536, 0.8453409656637507, 1.4326731184191333, 0.5923045330132172),
+        (0.024805879060848364, -0.6155543314540171, 0.4395601409682555, 0.020121031515254927),
+    ),
+    "table7": (
+        (1.513922819969079, 0.08977755488483002, 3.516018045938074, 0.737999096944138),
+        (-0.544760641402474, -5.631770777253969, 1.703728008441912, -0.32404272546564145),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENSEMBLE_SUMMARIES))
+def test_ensemble_pinned(scenario, name):
+    cfg, model = scenario(name)
+    paths = 200
+    stats = run_ensemble(model, cfg.initial_state, sim_config(cfg, horizon=0.5), paths)
+    weights = np.arange(1, paths + 1) / paths
+    got = [(arr.mean(), arr.min(), arr.max(), (weights * arr).mean()) for arr in (stats.y_final, stats.lyapunov)]
+    np.testing.assert_allclose(got, ENSEMBLE_SUMMARIES[name], rtol=1e-12, atol=0.0)
 
 
 NUMBERS = ("extinction_rate_lb", "lambda0", "lam", "mean_infected_lb", "r_tilde", "invariant_set_bound")
