@@ -27,8 +27,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .criteria import CRITERIA_CSV_HEADER, report_for_model
-from .models import SIMPLEX, suppress, check_conservation, check_positivity_ratios
+from .criteria import CRITERIA_CSV_HEADER, NoCriterionError, report_for_model
+from .models import SIMPLEX, ModelSpec, suppress, check_conservation, check_positivity_ratios
 from .montecarlo import check_slack, run_ensemble, verdict, write_ensemble_csv
 from .integrator import simulate
 from .scenario import (
@@ -42,13 +42,6 @@ from .scenario import (
 )
 
 __all__ = ["main"]
-
-
-def _resolve_config(name: str) -> Path:
-    path = Path(name)
-    if path.is_file():
-        return path
-    return bundled_scenario_path(name)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -66,13 +59,15 @@ def _out_dir(args, cfg: ScenarioConfig) -> Path:
     return path
 
 
-def _load(args) -> ScenarioConfig:
-    return load_scenario(_resolve_config(args.config))
+def _load(args) -> tuple[ScenarioConfig, ModelSpec]:
+    """``--config`` is a file path or the name of a bundled scenario."""
+    path = Path(args.config)
+    cfg = load_scenario(path if path.is_file() else bundled_scenario_path(args.config))
+    return cfg, build_model(cfg)
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load(args)
-    model = build_model(cfg)
+    cfg, model = _load(args)
     sim = sim_config(cfg, seed=args.seed, dt=args.dt, horizon=args.horizon)
     out = _out_dir(args, cfg)
     panels = [
@@ -95,8 +90,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_ensemble(args) -> int:
     check_slack(args.slack)
-    cfg = _load(args)
-    model = build_model(cfg)
+    cfg, model = _load(args)
     sim = sim_config(cfg, seed=args.seed, dt=args.dt, horizon=args.horizon)
     paths = args.paths if args.paths is not None else cfg.paths
     out = _out_dir(args, cfg)
@@ -106,9 +100,11 @@ def cmd_ensemble(args) -> int:
     print(f"wrote {target}")
     try:
         report = report_for_model(model)
-    except ValueError:
+    except NoCriterionError:
         print("verdict: inapplicable (no closed-form criterion for this model)")
         return 0
+    except ValueError as exc:  # the criterion is undefined on these coefficient bounds
+        raise ScenarioError(f"{cfg.source}: {exc}") from exc
     outcome = verdict(stats, report, slack=args.slack)
     summary = stats.summary()
     print(f"classification: {report.classification}")
@@ -119,9 +115,11 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_criteria(args) -> int:
-    cfg = _load(args)
-    model = build_model(cfg)
-    report = report_for_model(model)
+    cfg, model = _load(args)
+    try:
+        report = report_for_model(model)
+    except ValueError as exc:
+        raise ScenarioError(f"{cfg.source}: {exc}") from exc
     out = _out_dir(args, cfg)
     text_target = out / f"{cfg.stem}_criteria.txt"
     text_target.write_text(report.to_text())
@@ -137,8 +135,7 @@ def cmd_criteria(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _load(args)
-    model = build_model(cfg)
+    cfg, model = _load(args)
     ok = True
     if model.domain == SIMPLEX:
         report = check_conservation(model)
@@ -191,7 +188,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,6 +36,7 @@ from .models import ModelSpec
 __all__ = [
     "CRITERIA_CSV_HEADER",
     "CriteriaReport",
+    "NoCriterionError",
     "SideCondition",
     "ex1_extinction",
     "ex1b_persistence",
@@ -68,10 +69,6 @@ class SideCondition:
     @property
     def satisfied(self) -> bool:
         return self.lhs < self.rhs if self.strict else self.lhs <= self.rhs
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
 
 
 def _fmt(value) -> str:
@@ -286,18 +283,25 @@ _CRITERIA = {
 }
 
 
+class NoCriterionError(ValueError):
+    """The model's family has no closed-form criterion."""
+
+
 def report_for_model(model: ModelSpec) -> CriteriaReport:
     """Compute the closed-form report for a built named model.  Each
     argument of the family's criterion is bound by name to a jump constant,
     the truncation cap, or the bounds of that time coefficient."""
     criterion = _CRITERIA.get(model.model_id)
     if criterion is None:
-        raise ValueError(
+        raise NoCriterionError(
             f"no closed-form criterion for model {model.model_id!r}; "
             "use generic_alpha_estimate on explicit grids instead"
         )
     constants, names = model.constants, inspect.signature(criterion).parameters
-    return criterion(**{n: constants[n] if n in constants else bounds(model.params[n]) for n in names})
+    try:
+        return criterion(**{n: constants[n] if n in constants else bounds(model.params[n]) for n in names})
+    except ArithmeticError as exc:  # a bound at zero or a square beyond float range
+        raise ValueError(f"{model.model_id} criterion is undefined on these coefficient bounds: {exc}") from exc
 
 
 # --- grid estimators --------------------------------------------------------------

@@ -126,6 +126,8 @@ def _tokenize(text: str, variables: tuple[str, ...]) -> list[tuple[str, object, 
                 value = float(lexeme)
             except ValueError:
                 raise ParseError(f"bad numeral {lexeme!r}", i) from None
+            if not math.isfinite(value):
+                raise ParseError(f"numeral {lexeme!r} overflows", i)
             tokens.append(("num", value, i))
             i = j
             continue
@@ -151,7 +153,13 @@ def _tokenize(text: str, variables: tuple[str, ...]) -> list[tuple[str, object, 
     return tokens
 
 
+# Height limit of a parsed tree, parentheses and signs counted: parsing and every
+# later recursive pass (compiling, bounds, hashing) stay far below Python's limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    # each parse_* takes the height still allowed and returns (node, height)
     def __init__(self, tokens: list[tuple[str, object, int]]):
         self.tokens = tokens
         self.pos = 0
@@ -170,57 +178,70 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
+    def fit(self, height: int, room: int, pos: int) -> int:
+        if height > room:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+        return height
+
+    def parse_expr(self, room: int) -> tuple[Node, int]:
+        node, height = self.parse_term(room)
         while self.peek()[0] in ("+", "-"):
-            op, _, _ = self.advance()
-            node = BinOp(op, node, self.parse_term())
-        return node
+            op, _, pos = self.advance()
+            right, rh = self.parse_term(room - 1)
+            node, height = BinOp(op, node, right), self.fit(1 + max(height, rh), room, pos)
+        return node, height
 
-    def parse_term(self) -> Node:
-        node = self.parse_unary()
+    def parse_term(self, room: int) -> tuple[Node, int]:
+        node, height = self.parse_unary(room)
         while self.peek()[0] in ("*", "/"):
-            op, _, _ = self.advance()
-            node = BinOp(op, node, self.parse_unary())
-        return node
+            op, _, pos = self.advance()
+            right, rh = self.parse_unary(room - 1)
+            node, height = BinOp(op, node, right), self.fit(1 + max(height, rh), room, pos)
+        return node, height
 
-    def parse_unary(self) -> Node:
-        if self.peek()[0] == "-":
+    def parse_unary(self, room: int) -> tuple[Node, int]:
+        # every recursion passes through here, so the check runs on the way down
+        kind, _, pos = self.peek()
+        self.fit(1, room, pos)
+        if kind == "-":
             self.advance()
-            return Neg(self.parse_unary())
-        if self.peek()[0] == "+":
+            node, height = self.parse_unary(room - 1)
+            return Neg(node), height + 1
+        if kind == "+":
             self.advance()
-            return self.parse_unary()
-        return self.parse_power()
+            return self.parse_unary(room - 1)
+        return self.parse_power(room)
 
-    def parse_power(self) -> Node:
+    def parse_power(self, room: int) -> tuple[Node, int]:
         # the exponent is a unary operand, so ^ is right-associative
-        node = self.parse_atom()
+        node, height = self.parse_atom(room)
         if self.peek()[0] == "^":
-            self.advance()
-            return BinOp("^", node, self.parse_unary())
-        return node
+            _, _, pos = self.advance()
+            exponent, eh = self.parse_unary(room - 1)
+            return BinOp("^", node, exponent), self.fit(1 + max(height, eh), room, pos)
+        return node, height
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self, room: int) -> tuple[Node, int]:
         kind, value, pos = self.advance()
         if kind == "num":
-            return Num(float(value))
+            return Num(float(value)), 1
         if kind == "var":
-            return Var(str(value))
+            return Var(str(value)), 1
         if kind == "func":
             self.expect("(")
-            arg = self.parse_expr()
+            node, height = self.parse_expr(room - 1)
             if value == "min":
                 self.expect(",")
-                node = BinOp("min", arg, self.parse_expr())
+                right, rh = self.parse_expr(room - 1)
+                node, height = BinOp("min", node, right), max(height, rh)
             else:
-                node = Call(str(value), arg)
+                node = Call(str(value), node)
             self.expect(")")
-            return node
+            return node, height + 1
         if kind == "(":
-            node = self.parse_expr()
+            node, height = self.parse_expr(room - 1)
             self.expect(")")
-            return node
+            return node, height
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
@@ -251,12 +272,13 @@ class TimeFunction:
 def parse(text: str, variables: tuple[str, ...] = ("t",)) -> TimeFunction:
     """Parse ``text`` into a :class:`TimeFunction`.
 
-    Raises :class:`ParseError` (with position) on malformed input.  The
+    Raises :class:`ParseError` (with position) on malformed input, and on
+    input whose tree would be more than :data:`MAX_DEPTH` levels high.  The
     default grammar knows the single variable ``t``; generic-model
     coefficients pass ``variables=("t", "x", "y", "z", "u")``.
     """
     parser = _Parser(_tokenize(text, variables))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr(MAX_DEPTH)
     end = parser.advance()
     if end[0] != "end":
         raise ParseError(f"trailing input {end[1]!r}", end[2])
@@ -315,7 +337,8 @@ def compile_program(
     Equal subtrees are equal (frozen, hashable) nodes, so a dict keyed by
     node computes each once.  A subtree whose names are all in
     ``constants`` is evaluated while compiling, by the operations the
-    program would run, and enters the program as a value.
+    program would run, and enters the program as a value; a value that is
+    not finite raises :class:`EvalDomainError` naming the subtree.
     """
     constants = constants or {}
     namespace: dict = {"_np": np}
@@ -334,13 +357,18 @@ def compile_program(
         lines.append((code, list(operands)))
         return f"v{len(lines) - 1}"
 
+    def fold(node: Node, value) -> str:
+        if not np.isfinite(value):
+            raise EvalDomainError(f"{serialize_node(node)!r} folds to the non-finite constant {value}")
+        return bind(value, fold=True)
+
     def emit(node: Node) -> str:
         if node in names:
             return names[node]
         if isinstance(node, Num):
-            name = bind(node.value, fold=True)
+            name = fold(node, node.value)
         elif isinstance(node, Var) and node.name in constants:
-            name = bind(float(constants[node.name]), fold=True)
+            name = fold(node, float(constants[node.name]))
         elif isinstance(node, Var) and shape is not None and node.name in ("x", "y", "z"):
             name = line(f"S[..., {'xyz'.index(node.name)}]")
         elif isinstance(node, Var):
@@ -354,7 +382,7 @@ def compile_program(
                 fn, args = _CALLS[node.func], [emit(node.arg)]
             where = (serialize_node(node),) if fn in _CHECKED else ()
             if all(arg in folded for arg in args):
-                name = bind(fn(*(folded[arg] for arg in args), *where), fold=True)
+                name = fold(node, fn(*(folded[arg] for arg in args), *where))
             else:
                 name = line(f"{bind(fn)}({', '.join(args + [bind(w) for w in where])})", args)
         names[node] = name
@@ -548,7 +576,7 @@ def _sinusoid_terms(node: Node, varname: str):
     return None
 
 
-def _analytic_bounds(f: TimeFunction):
+def _analytic_bounds(f: TimeFunction) -> Optional[tuple[float, float]]:
     terms = _sinusoid_terms(f.ast, f.variables[0])
     if terms is None:
         return None
@@ -571,18 +599,19 @@ def _analytic_bounds(f: TimeFunction):
             cos_c[abs(w)] = cos_c.get(abs(w), 0.0) + coeff
     freqs = {w for w, c in sin_c.items() if c != 0.0} | {w for w, c in cos_c.items() if c != 0.0}
     if not freqs:
-        return BoundsPair(offset, offset, "analytic")
+        return offset, offset
     if len(freqs) > 1:
         return None
     w = freqs.pop()
     # b*sin(wt) + c*cos(wt) sweeps [-r, r] with r = hypot(b, c) over [0, oo)
     amp = math.hypot(sin_c.get(w, 0.0), cos_c.get(w, 0.0))
-    return BoundsPair(offset - amp, offset + amp, "analytic")
+    return offset - amp, offset + amp
 
 
 def bounds(f: TimeFunction, scan_horizon: float = 1.0e4, grid_points: int = 1_000_001) -> BoundsPair:
     """Bounds of ``f`` over [0, oo): analytic when the tree matches a
     recognized sinusoid pattern, otherwise a grid scan of [0, scan_horizon].
+    Bounds that are not finite raise :class:`EvalDomainError`.
 
     Grid bounds on monotone saturating terms report the value at the scan
     horizon, which approaches the limit from inside (one-sided tolerance
@@ -592,11 +621,10 @@ def bounds(f: TimeFunction, scan_horizon: float = 1.0e4, grid_points: int = 1_00
         raise ValueError("scan_horizon must be positive")
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
-    analytic = _analytic_bounds(f)
-    if analytic is not None:
-        return analytic
-    ts = np.linspace(0.0, scan_horizon, grid_points)
-    vals = np.asarray(evaluate(f, ts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise EvalDomainError(f"{f.source_text!r} is non-finite on the scan grid")
-    return BoundsPair(float(vals.min()), float(vals.max()), "grid")
+    pair, method = _analytic_bounds(f), "analytic"
+    if pair is None:
+        vals = np.asarray(evaluate(f, np.linspace(0.0, scan_horizon, grid_points)), dtype=float)
+        pair, method = (vals.min(), vals.max()), "grid"
+    if not np.isfinite(pair).all():
+        raise EvalDomainError(f"{f.source_text!r} has non-finite bounds {pair} over [0, oo)")
+    return BoundsPair(float(pair[0]), float(pair[1]), method)

@@ -74,8 +74,9 @@ class SimConfig:
         object.__setattr__(self, "record_stride", int(self.record_stride))
         if self.positivity_floor <= 0:
             raise ValueError("positivity_floor must be positive")
-        if not -(2**63) <= int(self.seed) < 2**63:
+        if not (-(2**63) <= self.seed < 2**63 and int(self.seed) == self.seed):
             raise ValueError("seed must fit in a signed 64-bit integer")
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def n_steps(self) -> int:

@@ -23,20 +23,8 @@ SMALL = "small"
 LARGE = "large"
 
 
-def _clip_small(lo: float, hi: float) -> list[tuple[float, float]]:
-    a, b = max(lo, -1.0), min(hi, 1.0)
-    return [(a, b)] if a < b else []
-
-
-def _clip_large(lo: float, hi: float) -> list[tuple[float, float]]:
-    out = []
-    a, b = max(lo, -np.inf), min(hi, -1.0)
-    if a < b:
-        out.append((a, b))
-    a, b = max(lo, 1.0), min(hi, np.inf)
-    if a < b:
-        out.append((a, b))
-    return out
+# the mark windows of each region: |u| < 1 is small, |u| >= 1 is large
+_WINDOWS = {SMALL: ((-1.0, 1.0),), LARGE: ((-np.inf, -1.0), (1.0, np.inf))}
 
 
 @dataclass(frozen=True)
@@ -56,9 +44,9 @@ class LevyMeasure:
         ordered = sorted(self.pieces)
         for lo, hi, dens in ordered:
             if not lo < hi:
-                raise ValueError(f"empty interval ({lo}, {hi})")
+                raise ValueError(f"measure interval ({lo}, {hi}) is empty")
             if dens < 0:
-                raise ValueError(f"negative density {dens}")
+                raise ValueError(f"measure density {dens} is negative")
         for (_, hi1, _), (lo2, _, _) in zip(ordered, ordered[1:]):
             if hi1 > lo2:
                 raise ValueError("overlapping intervals")
@@ -71,10 +59,12 @@ class LevyMeasure:
     def region_pieces(self, region: str) -> tuple[tuple[float, float, float], ...]:
         if region not in (SMALL, LARGE):
             raise ValueError(f"region must be {SMALL!r} or {LARGE!r}, got {region!r}")
-        clip = _clip_small if region == SMALL else _clip_large
         out = []
         for lo, hi, dens in self.pieces:
-            out.extend((a, b, dens) for a, b in clip(lo, hi))
+            for w_lo, w_hi in _WINDOWS[region]:
+                a, b = max(lo, w_lo), min(hi, w_hi)
+                if a < b:
+                    out.append((a, b, dens))
         return tuple(out)
 
     def mass(self, region: str) -> float:

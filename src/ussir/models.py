@@ -124,6 +124,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.domain not in (SIMPLEX, OCTANT):
             raise ValueError(f"domain must be {SIMPLEX!r} or {OCTANT!r}")
+        groups = {"drift": self.drift, "small_jump": self.small_jump, "large_jump": self.large_jump}
+        for what, group in [*groups.items(), *(("diffusion column", column) for column in self.diffusion)]:
+            if group is not None and len(group) != 3:
+                raise ValueError(f"{what} needs exactly three entries, got {len(group)}")
         derive = partial(object.__setattr__, self)
         derive("measure", self.measure if self.measure is not None else LevyMeasure.uniform())
         derive("params", MappingProxyType(dict(self.params)))
@@ -238,17 +242,6 @@ class Family:
         every = [*t["drift"], *sum(t["diffusion"], ()), *(t["small_jump"] or ()), *(t["large_jump"] or ())]
         return any("cap" in free_names(tree) for tree in every + [t["loss_pc"]])
 
-    def check_names(self, params: Mapping, jumps: Mapping) -> None:
-        """Raise ValueError unless ``params`` and ``jumps`` name exactly the
-        family's coefficients and jump constants."""
-        for given, required, what in ((params, self.params, "parameters"), (jumps, self.jumps, "jump constants")):
-            missing = [name for name in required if name not in given]
-            if missing:
-                raise ValueError(f"{self.name}: missing {what} {missing}; requires {list(required)}")
-            extra = [name for name in given if name not in required]
-            if extra:
-                raise ValueError(f"{self.name}: does not take {what} {extra}")
-
 
 # Entries keep the association order of the models' arithmetic, e.g.
 # (h1-h2)*(x*y*z) is one folded constant times one product.
@@ -342,7 +335,13 @@ def build_named(
     if family is None:
         raise ValueError(f"unknown model family {model_id!r}; choose from {list(FAMILIES)}")
     jumps = jumps or {}
-    family.check_names(params, jumps)
+    for given, required, what in ((params, family.params, "parameters"), (jumps, family.jumps, "jump constants")):
+        missing = [name for name in required if name not in given]
+        if missing:
+            raise ValueError(f"{model_id}: missing {what} {missing}; requires {list(required)}")
+        extra = [name for name in given if name not in required]
+        if extra:
+            raise ValueError(f"{model_id}: does not take {what} {extra}")
     p = {name: params[name] for name in family.params}
     p = {name: v if isinstance(v, TimeFunction) else parse(str(v)) for name, v in p.items()}
     j = {name: float(jumps[name]) for name in family.jumps}
@@ -361,8 +360,8 @@ def build_named(
         cap = float(cap)
         if cap <= 0:
             raise ValueError(f"{model_id}: truncation cap {cap} must be positive")
-    elif cap is not None:
-        raise ValueError(f"{model_id}: takes no truncation cap")
+    elif cap is not None:  # tests pin both phrasings: "does not take cap", "takes no truncation cap"
+        raise ValueError(f"{model_id}: does not take cap; the family takes no truncation cap")
     constants = j if cap is None else {**j, "cap": cap}
     return ModelSpec(model_id, family.domain, measure, **family.trees, params=p, constants=constants)
 
@@ -390,19 +389,11 @@ def build_custom(
     state_vars = ("t", "x", "y", "z")
     jump_vars = ("t", "x", "y", "z", "u")
     drift_trees = tuple((s if isinstance(s, TimeFunction) else parse(s, state_vars)).ast for s in drift)
-    if len(drift_trees) != 3:
-        raise ValueError("drift needs exactly three component expressions")
     diff_cols = tuple(tuple(parse(s, state_vars).ast for s in col) for col in diffusion)
-    if any(len(col) != 3 for col in diff_cols):
-        raise ValueError("each diffusion column needs exactly three components")
     if not diff_cols:
         raise ValueError("at least one diffusion column is required (may be zeros)")
     small_trees = tuple(parse(s, jump_vars).ast for s in small_jump) if small_jump else None
     large_trees = tuple(parse(s, jump_vars).ast for s in large_jump) if large_jump else None
-    if small_trees is not None and len(small_trees) != 3:
-        raise ValueError("small_jump needs exactly three component expressions")
-    if large_trees is not None and len(large_trees) != 3:
-        raise ValueError("large_jump needs exactly three component expressions")
     model = ModelSpec(model_id, domain, measure, drift_trees, diff_cols, small_trees, large_trees)
     if domain == SIMPLEX:
         rng = rng if rng is not None else np.random.default_rng(0)

@@ -7,6 +7,15 @@ sections or keys are rejected so a typo cannot silently fall back to a
 default.  The format is diff-friendly and bit-exact: loading the same file
 twice builds the same model and the same simulation config.
 
+Each fault is refused once, by the code that owns its rule.  Loading
+checks what the format alone knows: sections, keys, value kinds, finite
+numerals, the support pair and state triple shapes, and ``[sim]`` as the
+``SimConfig`` it becomes.  Building checks the values in the constructors
+(names, jump constants and cap in ``build_named``, a custom model's keys,
+the measure, the domain, the initial state), and :func:`build_model`
+re-raises their errors as :class:`ScenarioError`, so errors of both
+stages name the file.
+
 Seven scenarios ship with the package (``table1.scn`` .. ``table7.scn``)
 covering every named model family; ``bundled_scenario_path`` resolves them
 by name.
@@ -22,7 +31,7 @@ from typing import Mapping, Optional
 
 from .integrator import SimConfig
 from .levy import LevyMeasure
-from .models import FAMILIES, OCTANT, SIMPLEX, ModelSpec, build_custom, build_named, check_admissible
+from .models import FAMILIES, ModelSpec, build_custom, build_named, check_admissible
 
 __all__ = [
     "ScenarioConfig",
@@ -38,10 +47,15 @@ MODEL_IDS = (*FAMILIES, "custom")
 
 _SECTIONS = ("model", "params", "jumps", "measure", "initial", "sim")
 
-_MODEL_KEYS = ("id", "cap", "domain", "brownian_dim")
-_MEASURE_KEYS = ("support", "density")
-_INITIAL_KEYS = ("state",)
-_SIM_KEYS = ("dt", "horizon", "seed", "paths", "record_stride", "positivity_floor", "y_extinct", "out")
+# the keys of each fixed section; [params] and [jumps] keys are the model's to check
+_KEYS = {
+    "model": ("id", "cap", "domain", "brownian_dim"),
+    "measure": ("support", "density"),
+    "initial": ("state",),
+    "sim": ("dt", "horizon", "seed", "paths", "record_stride", "positivity_floor", "y_extinct", "out"),
+}
+# the [sim] numerals a SimConfig checks; it keeps their defaults
+_SIM_NUMBERS = ("horizon", "dt", "seed", "positivity_floor", "record_stride")
 
 
 class ScenarioError(ValueError):
@@ -160,67 +174,47 @@ def load_scenario(path) -> ScenarioConfig:
             raise ScenarioError(f"{where}: key outside any section")
         key, _, raw_value = line.partition("=")
         key = key.strip()
+        if current in _KEYS and key not in _KEYS[current]:
+            raise ScenarioError(f"{where}: unknown key {key!r} in [{current}]")
         if key in sections[current]:
             raise ScenarioError(f"{where}: duplicate key {key!r} in [{current}]")
         sections[current][key] = _parse_value(raw_value, where)
 
     where = str(path)
     model_sec = sections["model"]
-    for key in model_sec:
-        if key not in _MODEL_KEYS:
-            raise ScenarioError(f"{where}: unknown key {key!r} in [model]")
     if "id" not in model_sec:
         raise ScenarioError(f"{where}: [model] must set id")
     model_id = model_sec["id"]
     if model_id not in MODEL_IDS:
         raise ScenarioError(f"{where}: unknown model id {model_id!r}; choose from {MODEL_IDS}")
+    for key in ("domain", "brownian_dim"):
+        if model_id != "custom" and key in model_sec:
+            raise ScenarioError(f"{where}: model {model_id} does not take {key}; its family fixes it")
+    cap = model_sec.get("cap")
+    if cap is not None:
+        cap = _want_float(cap, f"{where}: [model] cap")
+    brownian_dim = model_sec.get("brownian_dim")
+    if brownian_dim is not None:
+        brownian_dim = _want_int(brownian_dim, f"{where}: [model] brownian_dim")
 
-    params = {}
-    for key, value in sections["params"].items():
+    params = sections["params"]
+    for key, value in params.items():
         if not isinstance(value, str):
             raise ScenarioError(f"{where}: [params] {key} must be a quoted expression")
-        params[key] = value
-    jumps = {}
-    for key, value in sections["jumps"].items():
-        jumps[key] = _want_float(value, f"{where}: [jumps] {key}")
+    jumps = {key: _want_float(value, f"{where}: [jumps] {key}") for key, value in sections["jumps"].items()}
 
-    family = FAMILIES.get(model_id)
-    if family is not None:
-        try:
-            family.check_names(params, jumps)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: model {exc}") from None
-
-    for key in sections["measure"]:
-        if key not in _MEASURE_KEYS:
-            raise ScenarioError(f"{where}: unknown key {key!r} in [measure]")
     support = sections["measure"].get("support", (-2.0, 2.0))
-    if not (isinstance(support, tuple) and len(support) == 2 and support[0] < support[1]):
-        raise ScenarioError(f"{where}: measure support must be an increasing pair, got {support!r}")
+    if not (isinstance(support, tuple) and len(support) == 2):
+        raise ScenarioError(f"{where}: measure support must be a pair (lo, hi), got {support!r}")
     density = _want_float(sections["measure"].get("density", 1.0), f"{where}: [measure] density")
-    if density < 0:
-        raise ScenarioError(f"{where}: measure density must be nonnegative")
-
-    for key in sections["initial"]:
-        if key not in _INITIAL_KEYS:
-            raise ScenarioError(f"{where}: unknown key {key!r} in [initial]")
     state = sections["initial"].get("state")
     if not (isinstance(state, tuple) and len(state) == 3):
         raise ScenarioError(f"{where}: [initial] must set state = (x, y, z)")
-    if not all(v > 0 for v in state):
-        raise ScenarioError(f"{where}: initial state must be positive, got {state}")
 
     sim = sections["sim"]
-    for key in sim:
-        if key not in _SIM_KEYS:
-            raise ScenarioError(f"{where}: unknown key {key!r} in [sim]")
-    dt = _want_float(sim.get("dt", 0.001), f"{where}: [sim] dt")
-    horizon = _want_float(sim.get("horizon", 100.0), f"{where}: [sim] horizon")
-    seed = _want_int(sim.get("seed", 0.0), f"{where}: [sim] seed")
-    stride = _want_int(sim.get("record_stride", 1.0), f"{where}: [sim] record_stride")
-    floor = _want_float(sim.get("positivity_floor", 1e-12), f"{where}: [sim] positivity_floor")
+    numbers = {key: _want_float(sim[key], f"{where}: [sim] {key}") for key in _SIM_NUMBERS if key in sim}
     try:
-        SimConfig(horizon, dt, seed, floor, stride)
+        run = SimConfig(**{"horizon": 100.0, **numbers})
     except ValueError as exc:
         raise ScenarioError(f"{where}: [sim] {exc}") from None
     paths = _want_int(sim.get("paths", 50.0), f"{where}: [sim] paths")
@@ -233,41 +227,21 @@ def load_scenario(path) -> ScenarioConfig:
     if out_dir is not None and not isinstance(out_dir, str):
         raise ScenarioError(f"{where}: [sim] out must be a quoted path")
 
-    cap = model_sec.get("cap")
-    if cap is not None:
-        cap = _want_float(cap, f"{where}: [model] cap")
-    uses_cap = family is not None and family.uses_cap
-    if uses_cap and cap is None:
-        raise ScenarioError(f"{where}: model {model_id} requires cap in [model]")
-    if cap is not None and not uses_cap:
-        raise ScenarioError(f"{where}: model {model_id} does not take cap")
-    for key in ("domain", "brownian_dim"):
-        if family is not None and key in model_sec:
-            raise ScenarioError(f"{where}: model {model_id} does not take {key}; its family fixes it")
-    domain = model_sec.get("domain")
-    if domain is not None and domain not in (SIMPLEX, OCTANT):
-        raise ScenarioError(f"{where}: domain must be {SIMPLEX!r} or {OCTANT!r}")
-    if model_id == "custom" and domain is None:
-        raise ScenarioError(f"{where}: custom models must set domain in [model]")
-    brownian_dim = model_sec.get("brownian_dim")
-    if brownian_dim is not None:
-        brownian_dim = _want_int(brownian_dim, f"{where}: [model] brownian_dim")
-
     return ScenarioConfig(
         model_id=model_id,
         params=params,
         jumps=jumps,
-        measure_support=(float(support[0]), float(support[1])),
+        measure_support=support,
         measure_density=density,
-        initial_state=(float(state[0]), float(state[1]), float(state[2])),
-        dt=dt,
-        horizon=horizon,
-        seed=seed,
+        initial_state=state,
+        dt=run.dt,
+        horizon=run.horizon,
+        seed=run.seed,
         paths=paths,
-        record_stride=stride,
-        positivity_floor=floor,
+        record_stride=run.record_stride,
+        positivity_floor=run.positivity_floor,
         cap=cap,
-        domain=domain,
+        domain=model_sec.get("domain"),
         brownian_dim=brownian_dim,
         y_extinct=y_extinct,
         out_dir=out_dir,
@@ -279,19 +253,28 @@ def _custom_model(cfg: ScenarioConfig, measure: LevyMeasure) -> ModelSpec:
     """A custom model from its [params] keys: drift ``b1..b3``, one diffusion
     column ``sigma1j..sigma3j`` per Brownian driver, and optionally all
     three small-jump entries ``h1..h3`` or large-jump entries ``g1..g3``."""
+    if cfg.cap is not None or cfg.jumps:
+        raise ValueError("custom model does not take cap or [jumps]; write constants into its expressions")
     params = cfg.params
-    columns = [[f"sigma{i}{j}" for i in (1, 2, 3)] for j in range(1, (cfg.brownian_dim or 1) + 1)]
+    dim = 1 if cfg.brownian_dim is None else cfg.brownian_dim
+    if dim < 1:
+        raise ValueError(f"custom model brownian_dim must be at least 1, got {dim}")
+    if 3 * dim > len(params):  # before building 3 * dim key names
+        raise ValueError(
+            f"custom model brownian_dim = {dim} needs {3 * dim} diffusion entries; [params] has {len(params)} keys"
+        )
+    columns = [[f"sigma{i}{j}" for i in (1, 2, 3)] for j in range(1, dim + 1)]
     small, large = ["h1", "h2", "h3"], ["g1", "g2", "g3"]
     unknown = sorted(set(params).difference(["b1", "b2", "b3"], *columns, small, large))
     if unknown:
-        raise ScenarioError(f"{cfg.source}: custom model does not take parameters {unknown}")
+        raise ValueError(f"custom model does not take parameters {unknown}")
 
     def entries(keys, what, optional=False):
         missing = [k for k in keys if k not in params]
         if optional and len(missing) == len(keys):
             return None
         if missing:
-            raise ScenarioError(f"{cfg.source}: custom model missing {what} {missing}")
+            raise ValueError(f"custom model missing {what} {missing}")
         return [params[k] for k in keys]
 
     drift = entries(["b1", "b2", "b3"], "drift expressions")
@@ -303,14 +286,17 @@ def _custom_model(cfg: ScenarioConfig, measure: LevyMeasure) -> ModelSpec:
 
 def build_model(cfg: ScenarioConfig) -> ModelSpec:
     """Construct the ModelSpec a scenario describes and check the initial
-    state is admissible in its domain."""
-    lo, hi = cfg.measure_support
-    measure = LevyMeasure.uniform(lo, hi, cfg.measure_density)
-    if cfg.model_id == "custom":
-        model = _custom_model(cfg, measure)
-    else:
-        model = build_named(cfg.model_id, cfg.params, cfg.jumps, cfg.cap, measure)
-    check_admissible(cfg.initial_state, model.domain)
+    state is admissible in its domain.  The constructors check the values;
+    any error they raise comes back as a ScenarioError naming the file."""
+    try:
+        measure = LevyMeasure.uniform(*cfg.measure_support, cfg.measure_density)
+        if cfg.model_id == "custom":
+            model = _custom_model(cfg, measure)
+        else:
+            model = build_named(cfg.model_id, cfg.params, cfg.jumps, cfg.cap, measure)
+        check_admissible(cfg.initial_state, model.domain)
+    except ValueError as exc:
+        raise ScenarioError(f"{cfg.source}: {exc}") from exc
     return model
 
 

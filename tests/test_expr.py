@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ussir.expr import (
+    MAX_DEPTH,
     BoundsPair,
     EvalDomainError,
     ParseError,
     bounds,
+    compile_program,
     evaluate,
     parse,
     serialize,
@@ -144,6 +147,55 @@ class TestErrors:
         f = parse("x+u", variables=("x", "u"))
         with pytest.raises(EvalDomainError):
             evaluate(f, 1.0)
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("(" * 200 + "t" + ")" * 200, MAX_DEPTH),
+            ("-" * 900 + "t", MAX_DEPTH),
+            ("sin(" * 150 + "t" + ")" * 150, 4 * MAX_DEPTH),
+            ("t" + "+t" * 200, 2 * MAX_DEPTH - 1),  # the operator that makes the sum too high
+            ("t" + "^t" * 200, 2 * MAX_DEPTH),
+        ],
+        ids=["parentheses", "unary-minus", "calls", "left-sum", "right-power"],
+    )
+    def test_nesting_deeper_than_max_depth_refused(self, text, position):
+        with pytest.raises(ParseError, match=f"nests deeper than {MAX_DEPTH}") as err:
+            parse(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1), "-" * (MAX_DEPTH - 1) + "t", "t" + "+t" * (MAX_DEPTH - 1)],
+        ids=["parentheses", "unary-minus", "left-sum"],
+    )
+    def test_deepest_accepted_trees_pass_every_recursive_pass(self, text):
+        f = parse(text)
+        assert parse(serialize(f)).ast == f.ast
+        assert {f.ast: 1}[f.ast] == 1  # hashing recurses too
+        assert math.isfinite(bounds(f, grid_points=11).sup)
+        assert compile_program([f.ast], (1,))({"t": 1.0}, np.ones((2, 3))).shape == (2, 1)
+
+    @pytest.mark.parametrize("text,position", [("1e400", 0), ("sin(1e400)", 4), ("t*-1e999", 3)])
+    def test_overflowing_numeral_refused(self, text, position):
+        with pytest.raises(ParseError, match="overflows") as err:
+            parse(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "text,where",
+        [("1e300*1e300", "'1e+300*1e+300'"), ("t+10^400", "'10.0^400.0'"), ("sin(1e300*1e300)", "'1e+300*1e+300'")],
+    )
+    def test_non_finite_folded_constant_refused(self, text, where):
+        f = parse(text)
+        with pytest.raises(EvalDomainError, match=f"{re.escape(where)} folds to the non-finite constant inf"):
+            f(1.0)
+        with pytest.raises(EvalDomainError, match="non-finite constant"):
+            bounds(f)
+
+    def test_non_finite_model_constant_refused(self):
+        with pytest.raises(EvalDomainError, match="'cap' folds to the non-finite constant nan"):
+            compile_program([parse("min(t,cap)", ("t", "cap")).ast], (), {"cap": math.nan})
 
 
 class TestSerialize:

@@ -43,6 +43,15 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(horizon=1.0, seed=2**64)
 
+    @pytest.mark.parametrize("seed", [5.9, -0.5, math.nan, math.inf])
+    def test_non_integral_seed_refused(self, seed):
+        with pytest.raises(ValueError, match="seed must fit in a signed 64-bit integer"):
+            SimConfig(horizon=1.0, seed=seed)
+
+    def test_integral_seed_stored_as_int(self):
+        seed = SimConfig(horizon=1.0, seed=np.float64(5.0)).seed
+        assert seed == 5 and type(seed) is int
+
 
 class TestProject:
     """The engine's positivity safeguard, one deterministic step at a time."""

@@ -8,15 +8,16 @@ even when reruns of one version stay byte-identical.  The noise panels
 companion and, where the model has that noise, the diffusion-only and
 jumps-only runs built by ``suppress``) are pinned the same way.  The closed-form
 reports are pinned the same way: classification and gate verdicts exactly,
-numbers to rtol 1e-12.
+numbers to rtol 1e-12.  One custom model whose jumps read the mark pins
+the mark values, which the bundled coefficients never read.
 """
 
 import numpy as np
 import pytest
 
 from ussir.criteria import report_for_model
-from ussir.integrator import simulate
-from ussir.models import suppress
+from ussir.integrator import SimConfig, simulate, simulate_batch
+from ussir.models import OCTANT, build_custom, suppress
 from ussir.montecarlo import run_ensemble
 from ussir.scenario import sim_config
 
@@ -105,6 +106,31 @@ def test_ensemble_pinned(scenario, name):
     weights = np.arange(1, paths + 1) / paths
     got = [(arr.mean(), arr.min(), arr.max(), (weights * arr).mean()) for arr in (stats.y_final, stats.lyapunov)]
     np.testing.assert_allclose(got, ENSEMBLE_SUMMARIES[name], rtol=1e-12, atol=0.0)
+
+
+# per component x, y, z of the final states of 60 paths of a custom model whose
+# jumps read the mark, differently per region (no bundled jump coefficient
+# does): (mean, min, max, mean of (i+1)/paths * value).  A change to the mark
+# values or to their place in the stream shows up here.
+MARKED_FINAL_STATES = (
+    (0.901847591590007, 0.536223078337949, 1.5974752893794808, 0.460478005508779),
+    (5.032533474493978, 3.778113725179101, 7.54194388696984, 2.575896991998999),
+    (4.973715408174468, 0.7642334803791935, 11.816355785610456, 2.606176098872629),
+)
+
+
+def test_marked_jumps_pinned():
+    model = build_custom(
+        domain=OCTANT, drift=("-0.1*x", "0", "0"), diffusion=(("0.2*x", "0", "0"),),
+        small_jump=("0.1*u*x", "u", "0"), large_jump=("0.05*u*x", "0", "u"),
+    )
+    paths = 60
+    trajs = simulate_batch(model, (1.0, 5.0, 5.0), SimConfig(horizon=1.0, dt=0.02, seed=4), range(paths))
+    final = np.array([traj.final_state for traj in trajs])
+    weights = np.arange(1, paths + 1) / paths
+    got = [(col.mean(), col.min(), col.max(), (weights * col).mean()) for col in final.T]
+    np.testing.assert_allclose(got, MARKED_FINAL_STATES, rtol=1e-12, atol=0.0)
+    assert sum(traj.floor_hits for traj in trajs) == 1
 
 
 NUMBERS = ("extinction_rate_lb", "lambda0", "lam", "mean_infected_lb", "r_tilde", "invariant_set_bound")

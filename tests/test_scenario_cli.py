@@ -3,7 +3,6 @@ import filecmp
 import pytest
 
 from ussir.cli import main
-from ussir.expr import EvalDomainError
 from ussir.scenario import (
     ScenarioError,
     build_model,
@@ -90,7 +89,7 @@ class TestLoad:
     def test_missing_parameter_names_requirements(self, tmp_path):
         bad = MINIMAL_XC.replace('epsilon = "0.15"\n', "")
         with pytest.raises(ScenarioError, match="epsilon"):
-            load_scenario(_write(tmp_path, bad))
+            build_model(load_scenario(_write(tmp_path, bad)))
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = MINIMAL_XC.replace("seed = 3", "seed = 3\nwibble = 4")
@@ -124,7 +123,7 @@ class TestLoad:
         cfg_text = bundled_scenario_path("table6").read_text()
         without_cap = cfg_text.replace("cap = 2\n", "")
         with pytest.raises(ScenarioError, match="cap"):
-            load_scenario(_write(tmp_path, without_cap))
+            build_model(load_scenario(_write(tmp_path, without_cap)))
 
     def test_comments_and_whitespace_tolerated(self, tmp_path):
         text = MINIMAL_XC.replace("[sim]", "# leading comment\n[sim]  ")
@@ -147,7 +146,7 @@ class TestLoad:
 
     def test_cap_rejected_where_unused(self, tmp_path):
         with pytest.raises(ScenarioError, match="does not take cap"):
-            load_scenario(_write(tmp_path, MINIMAL_XC.replace("id = xc", "id = xc\ncap = 2")))
+            build_model(load_scenario(_write(tmp_path, MINIMAL_XC.replace("id = xc", "id = xc\ncap = 2"))))
 
     @pytest.mark.parametrize("line", ["brownian_dim = 3", "domain = octant"])
     def test_named_family_rejects_domain_and_brownian_dim(self, tmp_path, capsys, line):
@@ -164,7 +163,7 @@ class TestLoad:
         bad = text.replace('phi1 = "0.01+0.005*cos(t)"', 'phi1 = "0.01+0.005*cos(t)+1/(t-5)"')
         assert bad != text
         target = _write(tmp_path, bad)
-        with pytest.raises(EvalDomainError, match=r"division by zero in '1\.0/\(t-5\.0\)'"):
+        with pytest.raises(ScenarioError, match=r"division by zero in '1\.0/\(t-5\.0\)'"):
             build_model(load_scenario(target))  # no criterion reads phi1
         for command in ("simulate", "criteria"):
             argv = [command, "--config", str(target), "--out", str(tmp_path), "--horizon", "0.01"]
@@ -180,6 +179,68 @@ class TestLoad:
         only_h2 = _write(tmp_path, MINIMAL_CUSTOM + 'h2 = "0.01*x*y"\n')
         with pytest.raises(ScenarioError, match=r"\['h1', 'h3'\]"):
             build_model(load_scenario(only_h2))
+
+    @pytest.mark.parametrize(
+        "dim,message",
+        [("0", "brownian_dim must be at least 1, got 0"), ("-2", "brownian_dim must be at least 1, got -2"),
+         ("1e12", "brownian_dim = 1000000000000 needs 3000000000000 diffusion entries; \\[params\\] has 6 keys")],
+    )
+    def test_custom_brownian_dim_checked_before_key_lists(self, tmp_path, capsys, dim, message):
+        target = _write(tmp_path, MINIMAL_CUSTOM.replace("brownian_dim = 1", f"brownian_dim = {dim}"))
+        with pytest.raises(ScenarioError, match=rf"case\.scn: custom model {message}"):
+            build_model(load_scenario(target))
+        assert main(["validate", "--config", str(target)]) == 1
+        assert "case.scn: custom model brownian_dim" in capsys.readouterr().err
+
+    TABLE3_BETA = 'beta = "0.13+0.01*sin(t)"'
+
+    @pytest.mark.parametrize(
+        "name,old,new",
+        [
+            ("table1", 'xi = "1+t/(1+t)"', 'xi = "0.5"'),
+            ("table3", 'mu = "0.07+0.004*cos(t)"', 'mu = "0"'),
+            ("table3", TABLE3_BETA, 'beta = "0.13+q"'),
+            ("table3", "support = (-2, 2)", "support = (2, -2)"),
+            ("table3", "density = 1", "density = -1"),
+            ("table3", "state = (2.0, 0.8, 1.0)", "state = (2, -0.8, 1)"),
+            ("table3", TABLE3_BETA, 'beta = "' + "(" * 200 + "0.13" + ")" * 200 + '"'),
+            ("table3", TABLE3_BETA, 'beta = "' + "-" * 900 + '0.13"'),
+            ("table3", TABLE3_BETA, 'beta = "1e400"'),
+            ("table3", TABLE3_BETA, 'beta = "1e300*1e300"'),
+            ("table3", TABLE3_BETA, 'beta = "sin(1e400)"'),
+            ("table3", 'mu = "0.07+0.004*cos(t)"', 'mu = "0.07+0.004*cos(t)"\nq = "1"'),
+            ("table6", "cap = 2", "cap = 0"),
+            ("table3", 'beta = "0.13+0.01*sin(t)"', 'beta = "1e308+1e308*sin(t)"'),
+            # the model builds, and its criterion divides by a zero bound or squares past float range
+            ("table3", 'Lambda = "0.5+0.06*sin(t)"', 'Lambda = "0"'),
+            ("table3", 'sigma = "0.12+0.01*(sin(t)+cos(t))"', 'sigma = "1e200"'),
+            ("table2", 'gamma2 = "0.56+0.01*sin(t)"', 'gamma2 = "0"'),
+            ("table6", 'gamma3 = "0.12+0.04*cos(2*t)"', 'gamma3 = "-1"'),
+        ],
+        ids=["xi=0.5", "mu=0", "unknown-name", "support", "density", "state", "parentheses", "unary-minus",
+             "1e400", "1e300*1e300", "sin(1e400)", "extra-param", "cap=0", "infinite-bound",
+             "report-Lambda=0", "report-sigma=1e200", "report-gamma2=0", "report-gamma3=-1"],
+    )
+    def test_value_errors_name_the_file(self, tmp_path, capsys, name, old, new):
+        text = bundled_scenario_path(name).read_text()
+        assert old in text
+        target = _write(tmp_path, text.replace(old, new, 1))
+        assert main(["criteria", "--config", str(target), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {target}: ")
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [("brownian_dim = 1", "brownian_dim = 1\ncap = 2"), ('b1 = "-0.2*x*y"', 'b1 = "-0.2*x*y"\n[jumps]\nh1 = 0.1\n[params]')],
+        ids=["cap", "jumps"],
+    )
+    def test_custom_model_refuses_cap_and_jumps(self, tmp_path, capsys, old, new):
+        # its constants are written into its expressions, so a cap or jump constant would go unread
+        target = _write(tmp_path, MINIMAL_CUSTOM.replace(old, new))
+        with pytest.raises(ScenarioError, match=r"case\.scn: custom model does not take cap or \[jumps\]"):
+            build_model(load_scenario(target))
+        assert main(["validate", "--config", str(target)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {target}: ")
 
     @pytest.mark.parametrize("key", ["sigma12", "b4"])
     def test_custom_unknown_params_rejected(self, tmp_path, key):
@@ -310,6 +371,22 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "verdict:" in out
         assert (tmp_path / "table1_ensemble.csv").is_file()
+
+    def test_ensemble_without_criterion_is_inapplicable(self, tmp_path, capsys):
+        target = _write(tmp_path, MINIMAL_CUSTOM)
+        assert main(["ensemble", "--config", str(target), "--out", str(tmp_path), "--paths", "2"]) == 0
+        assert "verdict: inapplicable (no closed-form criterion for this model)" in capsys.readouterr().out
+
+    def test_ensemble_criterion_undefined_on_bounds_names_the_file(self, tmp_path, capsys):
+        # xc has a criterion; it divides by the Lambda bound, so Lambda = 0 is an error, not "inapplicable"
+        text = bundled_scenario_path("table3").read_text().replace('Lambda = "0.5+0.06*sin(t)"', 'Lambda = "0"')
+        target = _write(tmp_path, text)
+        argv = ["ensemble", "--config", str(target), "--out", str(tmp_path), "--horizon", "0.1", "--paths", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {target}: xc criterion is undefined")
 
     def test_inconsistent_verdict_exits_two(self, tmp_path, capsys):
         # theory says persistent with average at least 1; a short horizon from a
