@@ -8,9 +8,10 @@ Subcommands::
     ussir validate --config table1.scn [...]
 
 ``--config`` takes a filesystem path or the name of a bundled scenario
-(``table1`` .. ``table7``).  Flag overrides beat file values.  Exit status:
-0 success, 1 error (including failed validation), 2 theory-versus-simulation
-verdict "inconsistent".
+(``table1`` .. ``table7``).  Flag overrides beat file values.  An error is
+one ``error:`` line, which names the scenario file once it has loaded.
+Exit status: 0 success, 1 error (including failed validation), 2
+theory-versus-simulation verdict "inconsistent".
 
 ``simulate`` writes the stochastic trajectory plus panel companions: the
 deterministic run (all noise zeroed) and, where the model carries that kind
@@ -63,6 +64,7 @@ def _load(args) -> tuple[ScenarioConfig, ModelSpec]:
     """``--config`` is a file path or the name of a bundled scenario."""
     path = Path(args.config)
     cfg = load_scenario(path if path.is_file() else bundled_scenario_path(args.config))
+    args.source = cfg.source  # where main locates the errors raised from here on
     return cfg, build_model(cfg)
 
 
@@ -103,8 +105,6 @@ def cmd_ensemble(args) -> int:
     except NoCriterionError:
         print("verdict: inapplicable (no closed-form criterion for this model)")
         return 0
-    except ValueError as exc:  # the criterion is undefined on these coefficient bounds
-        raise ScenarioError(f"{cfg.source}: {exc}") from exc
     outcome = verdict(stats, report, slack=args.slack)
     summary = stats.summary()
     print(f"classification: {report.classification}")
@@ -116,10 +116,7 @@ def cmd_ensemble(args) -> int:
 
 def cmd_criteria(args) -> int:
     cfg, model = _load(args)
-    try:
-        report = report_for_model(model)
-    except ValueError as exc:
-        raise ScenarioError(f"{cfg.source}: {exc}") from exc
+    report = report_for_model(model)
     out = _out_dir(args, cfg)
     text_target = out / f"{cfg.stem}_criteria.txt"
     text_target.write_text(report.to_text())
@@ -188,8 +185,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # a ScenarioError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:  # a ScenarioError names its file itself
+        source = getattr(args, "source", None)
+        located = source is not None and isinstance(exc, ValueError) and not isinstance(exc, ScenarioError)
+        print(f"error: {source}: {exc}" if located else f"error: {exc}", file=sys.stderr)
         return 1
 
 

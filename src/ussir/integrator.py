@@ -202,7 +202,9 @@ def run_paths(
     """Advance every keyed path over the full grid, vectorized across paths.
 
     The paths are mathematically independent (private generators); batching
-    them only amortizes interpreter overhead.
+    them only amortizes interpreter overhead.  Time coefficients are
+    evaluated per block of ``chunk`` steps, so memory does not grow with
+    the horizon beyond the recorded states.
     """
     s0_arr = check_admissible(s0, model.domain)
     n_paths = len(keys)
@@ -212,12 +214,6 @@ def run_paths(
     n_brownian = model.brownian_dim
     simplex = model.domain == SIMPLEX
     n_records = -(-K // stride) + 1  # steps 0, stride, 2*stride, ... and the last step K
-
-    t_grid = np.arange(K, dtype=float) * dt
-    pv_grid = {
-        name: np.broadcast_to(np.asarray(vals, dtype=float), (K,))
-        for name, vals in model.param_values(t_grid).items()
-    }
 
     gens = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
     present = ((SMALL, model.has_small_jumps), (LARGE, model.has_large_jumps))
@@ -233,6 +229,7 @@ def run_paths(
 
     for k0 in range(0, K, chunk):
         block = min(chunk, K - k0)
+        pv_block = model.param_values(np.arange(k0, k0 + block, dtype=float) * dt)
         if model.has_diffusion:
             normals = np.stack([g.standard_normal((block, n_brownian)) for g in gens])
             normals *= sqrt_dt
@@ -240,7 +237,7 @@ def run_paths(
         marks = _block_marks(model.measure, gens, counts, block) if counts else {}
         for j in range(block):
             k = k0 + j
-            pv = {name: arr[k] for name, arr in pv_grid.items()}
+            pv = {name: arr[j] for name, arr in pv_block.items()}
             incr = model.drift_fn(pv, states) * dt
             if model.has_diffusion:
                 sig = model.diffusion_fn(pv, states)

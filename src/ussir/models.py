@@ -32,8 +32,8 @@ compensator and the per-capita forms the criteria use are computed from the
 programs; :func:`suppress` rebuilds a model from a reduced table.  Programs
 take a dict of already-evaluated time-coefficient values (see
 :meth:`ModelSpec.param_values`) so that integrators evaluate each time
-function once per step (or once per grid) instead of once per coefficient
-use.
+function once per step (or once per block of steps) instead of once per
+coefficient use.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class ModelSpec:
             if group is not None and len(group) != 3:
                 raise ValueError(f"{what} needs exactly three entries, got {len(group)}")
         derive = partial(object.__setattr__, self)
-        derive("measure", self.measure if self.measure is not None else LevyMeasure.uniform())
+        derive("measure", self.measure if self.measure is not None else LevyMeasure())
         derive("params", MappingProxyType(dict(self.params)))
         derive("constants", MappingProxyType(dict(self.constants)))
         n, small, large, k = len(self.diffusion), self.small_jump, self.large_jump, self.constants
@@ -342,13 +342,18 @@ def build_named(
         extra = [name for name in given if name not in required]
         if extra:
             raise ValueError(f"{model_id}: does not take {what} {extra}")
-    p = {name: params[name] for name in family.params}
-    p = {name: v if isinstance(v, TimeFunction) else parse(str(v)) for name, v in p.items()}
     j = {name: float(jumps[name]) for name in family.jumps}
     for name, value in j.items():
         if not 0.0 <= value < 1.0:
             raise ValueError(f"{model_id}: jump constant {name}={value} outside [0, 1)")
-    pairs = {name: bounds(fn) for name, fn in p.items()}  # also rejects a coefficient leaving the reals
+    p, pairs = {}, {}
+    for name in family.params:
+        v = params[name]
+        try:
+            p[name] = v if isinstance(v, TimeFunction) else parse(str(v))
+            pairs[name] = bounds(p[name])  # also rejects a coefficient leaving the reals
+        except ValueError as exc:
+            raise ValueError(f"{model_id}: coefficient {name}: {exc}") from exc
     for name, relation, bound, meaning in family.infima:
         holds, words = _RELATIONS[relation]
         inf = pairs[name].inf
@@ -436,22 +441,18 @@ class PositivityReport:
     passed: bool
 
 
-def _sample_support(measure: LevyMeasure, count: int, rng: np.random.Generator) -> np.ndarray:
-    pieces = measure.pieces
-    lens = np.array([(hi - lo) for lo, hi, _ in pieces])
-    u = rng.uniform(0.0, lens.sum(), size=count)
-    cum = np.cumsum(lens)
-    idx = np.searchsorted(cum, u, side="right")
-    lows = np.array([p[0] for p in pieces])
-    return lows[idx] + (u - np.concatenate(([0.0], cum[:-1]))[idx])
-
-
-def _sample_states(model: ModelSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_points(model: ModelSpec, count: int, rng: Optional[np.random.Generator], t_hi: float):
+    """Time-coefficient values, admissible states and marks at ``count``
+    random points, drawn in that order (``rng`` None is seed 0)."""
+    rng = rng if rng is not None else np.random.default_rng(0)
+    ts = rng.uniform(0.0, t_hi, size=count)
     if model.domain == SIMPLEX:
-        return rng.dirichlet((1.0, 1.0, 1.0), size=count)
-    cap = model.constants.get("cap")
-    hi = 10.0 if cap is None else max(10.0, 2.0 * cap)
-    return rng.uniform(1e-3, hi, size=(count, 3))
+        states = rng.dirichlet((1.0, 1.0, 1.0), size=count)
+    else:
+        cap = model.constants.get("cap")
+        states = rng.uniform(1e-3, 10.0 if cap is None else max(10.0, 2.0 * cap), size=(count, 3))
+    m = model.measure
+    return model.param_values(ts), states, m.lo + rng.uniform(0.0, m.hi - m.lo, size=count)
 
 
 def check_conservation(
@@ -468,11 +469,7 @@ def check_conservation(
     """
     if model.domain != SIMPLEX:
         raise ValueError("conservation check applies to simplex models only")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    ts = rng.uniform(0.0, t_hi, size=samples)
-    states = _sample_states(model, samples, rng)
-    us = _sample_support(model.measure, samples, rng)
-    pv = model.param_values(ts)
+    pv, states, us = _sample_points(model, samples, rng, t_hi)
     breakdown = {
         "drift": float(np.abs(model.drift_fn(pv, states).sum(axis=-1)).max()),
         # a model without Brownian drivers has a (samples, 3, 0) diffusion block
@@ -497,12 +494,13 @@ def check_positivity_ratios(
     t_hi: float = 100.0,
 ) -> PositivityReport:
     """Verify 1 + coeff_i/state_i > 0 for both jump vectors at sampled
-    admissible points; reports the minimum ratio found."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    ts = rng.uniform(0.0, t_hi, size=samples)
-    states = _sample_states(model, samples, rng)
-    us = _sample_support(model.measure, samples, rng)
-    pv = model.param_values(ts)
+    admissible points; reports the minimum ratio found.
+
+    The ratios are those of one mark.  A step applies all of its marks at
+    its start state, so a step with several marks can still take a
+    component to zero or below; the safeguard then clamps it, and the run
+    counts each clamp in ``floor_hits``."""
+    pv, states, us = _sample_points(model, samples, rng, t_hi)
     small = model.small_jump_fn(pv, states, us)
     large = model.large_jump_fn(pv, states, us)
     ratios = np.concatenate([1.0 + small / states, 1.0 + large / states], axis=0)

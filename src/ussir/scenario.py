@@ -289,7 +289,7 @@ def build_model(cfg: ScenarioConfig) -> ModelSpec:
     state is admissible in its domain.  The constructors check the values;
     any error they raise comes back as a ScenarioError naming the file."""
     try:
-        measure = LevyMeasure.uniform(*cfg.measure_support, cfg.measure_density)
+        measure = LevyMeasure(*cfg.measure_support, cfg.measure_density)
         if cfg.model_id == "custom":
             model = _custom_model(cfg, measure)
         else:

@@ -253,7 +253,7 @@ def test_c13_compensation_property(scenario):
     acc = np.zeros(3)
     acc_sq = np.zeros(3)
     for _ in range(steps):
-        marks = model.measure.sample_marks(SMALL, int(rng.poisson(small_mass * dt)), rng)
+        marks = model.measure.inverse_cdf(SMALL, small_mass * rng.random(int(rng.poisson(small_mass * dt))))
         inc = -comp * dt
         if len(marks):
             inc = inc + model.small_jump_fn(pv, state, marks).sum(axis=0)

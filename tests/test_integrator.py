@@ -16,7 +16,7 @@ from ussir.integrator import (
     simulate_batch,
 )
 from ussir.levy import LARGE, SMALL
-from ussir.models import OCTANT, SIMPLEX, build_custom, suppress
+from ussir.models import OCTANT, SIMPLEX, ModelSpec, build_custom, suppress
 
 ZEROS = ("0", "0", "0")
 
@@ -120,11 +120,11 @@ def _reference_step(model, t, state, dt, rng, floor=1e-12, counts=None):
         counts["large"] = counts.get("large", 0) + n_large
     if model.has_small_jumps:
         if n_small:
-            marks = model.measure.sample_marks(SMALL, n_small, rng)
+            marks = model.measure.inverse_cdf(SMALL, small_mass * rng.random(n_small))
             incr = incr + model.small_jump_fn(pv, s, marks).sum(axis=0)
         incr = incr - model.compensator_pv(pv, s) * dt
     if n_large:
-        marks = model.measure.sample_marks(LARGE, n_large, rng)
+        marks = model.measure.inverse_cdf(LARGE, large_mass * rng.random(n_large))
         incr = incr + model.large_jump_fn(pv, s, marks).sum(axis=0)
     return _safeguard(s + incr, model.domain, floor)
 
@@ -321,6 +321,23 @@ class TestBatchedJumps:
                 s = _reference_step(model, k * self.CFG.dt, s, self.CFG.dt, gen)
                 manual.append(s)
             assert np.array_equal(batch.states[p], manual)
+
+
+def test_time_coefficients_evaluated_per_chunk(scenario, monkeypatch):
+    # memory for the time coefficients is bounded by the chunk, not the horizon
+    cfg, model = scenario("table1")
+    seen = []
+    evaluate = ModelSpec.param_values
+
+    def spy(self, t):
+        seen.append(np.array(t))
+        return evaluate(self, t)
+
+    monkeypatch.setattr(ModelSpec, "param_values", spy)
+    sim = SimConfig(horizon=0.05, dt=0.001, seed=1)
+    run_paths(model, cfg.initial_state, sim, [_path_key(1, 0)], chunk=7)
+    assert max(t.size for t in seen) == 7
+    assert np.array_equal(np.concatenate(seen), np.arange(sim.n_steps) * sim.dt)  # the grid's own floats
 
 
 class TestFloorSemantics:

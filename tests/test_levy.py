@@ -9,13 +9,14 @@ from ussir.models import OCTANT, build_custom
 
 @pytest.fixture
 def paper_measure():
-    return LevyMeasure.uniform(-2.0, 2.0)
+    return LevyMeasure(-2.0, 2.0)
 
 
 def _step_marks(measure, region, dt, rng):
     """One step's jumps as the integrator draws them: a Poisson(mass * dt)
-    count, then that many marks."""
-    return measure.sample_marks(region, int(rng.poisson(measure.mass(region) * dt)), rng)
+    count, then that many uniforms scaled by the mass and mapped by inverse CDF."""
+    count = int(rng.poisson(measure.mass(region) * dt))
+    return measure.inverse_cdf(region, measure.mass(region) * rng.random(count))
 
 
 def _compensator(model, t, state):
@@ -30,17 +31,19 @@ class TestRegionMass:
         assert paper_measure.mass(LARGE) == pytest.approx(2.0)
 
     def test_narrow_support_has_empty_large_region(self):
-        m = LevyMeasure.uniform(-0.5, 0.5)
+        m = LevyMeasure(-0.5, 0.5)
         assert m.mass(LARGE) == 0.0
         assert m.mass(SMALL) == pytest.approx(1.0)
 
     def test_density_scales_mass(self):
-        m = LevyMeasure.uniform(-2.0, 2.0, density=0.25)
+        m = LevyMeasure(-2.0, 2.0, density=0.25)
         assert m.mass(SMALL) == pytest.approx(0.5)
 
     def test_piecewise(self):
-        m = LevyMeasure(pieces=((-2.0, -1.0, 0.5), (1.0, 2.0, 1.5)))
-        assert m.mass(SMALL) == 0.0
+        # an asymmetric support puts two pieces of different length in the large region
+        m = LevyMeasure(-2.0, 4.0, density=0.5)
+        assert m.region_pieces(LARGE) == ((-2.0, -1.0, 0.5), (1.0, 4.0, 0.5))
+        assert m.mass(SMALL) == pytest.approx(1.0)
         assert m.mass(LARGE) == pytest.approx(2.0)
 
     def test_unknown_region(self, paper_measure):
@@ -48,14 +51,10 @@ class TestRegionMass:
             paper_measure.mass("medium")
 
     def test_bad_pieces(self):
-        with pytest.raises(ValueError):
-            LevyMeasure(pieces=((1.0, 1.0, 1.0),))
-        with pytest.raises(ValueError):
-            LevyMeasure(pieces=((0.0, 2.0, 1.0), (1.0, 3.0, 1.0)))
-        with pytest.raises(ValueError):
-            LevyMeasure(pieces=((0.0, 1.0, -1.0),))
-        with pytest.raises(ValueError):
-            LevyMeasure(pieces=())
+        with pytest.raises(ValueError, match=r"measure interval \(1\.0, 1\.0\) is empty"):
+            LevyMeasure(1.0, 1.0)
+        with pytest.raises(ValueError, match="measure density -1.0 is negative"):
+            LevyMeasure(0.0, 1.0, -1.0)
 
 
 class TestQuadrature:
@@ -71,7 +70,7 @@ class TestQuadrature:
 
 class TestSampling:
     def test_zero_mass_region_yields_empty_batch(self):
-        m = LevyMeasure.uniform(-0.5, 0.5)
+        m = LevyMeasure(-0.5, 0.5)
         assert m.mass(LARGE) == 0.0
         assert len(_step_marks(m, LARGE, 0.1, path_generator(0))) == 0
 
@@ -104,10 +103,10 @@ class TestSampling:
         assert total == pytest.approx(expected, rel=3.0 / np.sqrt(expected))
 
     def test_asymmetric_pieces_weighting(self):
-        m = LevyMeasure(pieces=((-2.0, -1.0, 0.5), (1.0, 2.0, 1.5)))
-        marks = m.sample_marks(LARGE, 40_000, path_generator(5))
+        m = LevyMeasure(-2.0, 4.0)
+        marks = m.inverse_cdf(LARGE, m.mass(LARGE) * path_generator(5).random(40_000))
         frac_positive = (marks > 0).mean()
-        # densities 0.5 vs 1.5 put 75% of the mass on the positive side
+        # pieces [-2, -1] and [1, 4] put 75% of the mass on the positive side
         assert frac_positive == pytest.approx(0.75, abs=0.01)
 
     @pytest.mark.parametrize("mass", [2.0, 4.0 / 3.0, 0.7])
@@ -118,13 +117,13 @@ class TestSampling:
         split = np.concatenate([gen.uniform(0.0, mass, n) for n in (3, 1, 5)])
         assert np.array_equal(split, mass * path_generator(6).random(9))
 
-    def test_sample_marks_is_the_inverse_cdf_of_scaled_uniforms(self):
-        m = LevyMeasure(pieces=((-2.0, -1.0, 0.5), (-0.5, 0.5, 2.0), (1.0, 3.0, 1.5)))
+    def test_inverse_cdf_of_scaled_uniforms(self):
+        m = LevyMeasure(-2.0, 4.0, density=0.5)
         for region in (SMALL, LARGE):
-            marks = m.sample_marks(region, 500, path_generator(9))
-            levels = m.mass(region) * path_generator(9).random(500)
-            assert np.array_equal(marks, m.inverse_cdf(region, levels))
+            marks = m.inverse_cdf(region, m.mass(region) * path_generator(9).random(500))
             assert np.all([any(lo <= u < hi for lo, hi, _ in m.region_pieces(region)) for u in marks])
+        # levels fill [-2, -1] (mass 0.5) before [1, 4], at density 0.5
+        assert np.array_equal(m.inverse_cdf(LARGE, np.array([0.0, 0.25, 0.5, 1.25])), [-2.0, -1.5, 1.0, 2.5])
 
 
 class TestCompensator:
@@ -168,7 +167,7 @@ class TestCompensator:
             drift=("0", "0", "0"),
             diffusion=(("0", "0", "0"),),
             small_jump=("0.01*x*y", "0-0.02*y", "0.003*z*sin(t)"),
-            measure=LevyMeasure.uniform(-2.0, 2.0, density=0.75),
+            measure=LevyMeasure(-2.0, 2.0, density=0.75),
         )
         assert not model.small_jump_uses_u
         pv, S = model.param_values(0.4), np.array([2.0, 0.5, 1.5])

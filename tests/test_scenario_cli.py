@@ -228,6 +228,8 @@ class TestLoad:
         assert main(["criteria", "--config", str(target), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {target}: ")
+        if old == self.TABLE3_BETA:  # a position into the coefficient's text comes with its name
+            assert err[0].startswith(f"error: {target}: xc: coefficient beta: ")
 
     @pytest.mark.parametrize(
         "old,new",
@@ -387,6 +389,17 @@ class TestCliCommands:
         assert "verdict" not in captured.out
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {target}: xc criterion is undefined")
+
+    @pytest.mark.parametrize("command", ["validate", "simulate", "ensemble"])
+    def test_run_time_errors_name_the_file(self, tmp_path, capsys, command):
+        # an octant model is not sampled at build, so ln(x-3) first fails when the model runs
+        text = MINIMAL_CUSTOM.replace("(1.0, 0.5, 0.25)", "(2.0, 0.5, 0.25)") + 'h1 = "0.01*ln(x-3)"\nh2 = "0"\nh3 = "0"\n'
+        target = _write(tmp_path, text)
+        build_model(load_scenario(target))
+        argv = [command, "--config", str(target), "--out", str(tmp_path), "--horizon", "0.01"]
+        assert main(argv + (["--paths", "2"] if command == "ensemble" else [])) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {target}: ln of non-positive argument in 'ln(x-3.0)'"]
 
     def test_inconsistent_verdict_exits_two(self, tmp_path, capsys):
         # theory says persistent with average at least 1; a short horizon from a
