@@ -34,10 +34,8 @@ def main():
         trajectories[label] = traj
         stem = label.replace(" ", "_")
         traj.write_csv(OUT / f"{stem}.csv")
-        print(
-            f"{label:16s} final (X, Y, Z) = "
-            f"({traj.x[-1]:.4f}, {traj.y[-1]:.3e}, {traj.z[-1]:.4f})"
-        )
+        x, y, z = traj.states[0, -1]
+        print(f"{label:16s} final (X, Y, Z) = ({x:.4f}, {y:.3e}, {z:.4f})")
 
     print(f"\nCSV files in {OUT.resolve()}")
 
@@ -52,9 +50,8 @@ def main():
 
     fig, axes = plt.subplots(len(panels), 1, figsize=(8, 10), sharex=True)
     for ax, (label, traj) in zip(axes, trajectories.items()):
-        ax.plot(traj.times, traj.x, label="susceptible")
-        ax.plot(traj.times, traj.y, label="infected")
-        ax.plot(traj.times, traj.z, label="recovered")
+        for c, name in enumerate(("susceptible", "infected", "recovered")):
+            ax.plot(traj.times, traj.states[0, :, c], label=name)
         ax.set_ylabel(label, fontsize=8)
     axes[0].legend(loc="upper right", fontsize=8)
     axes[-1].set_xlabel("t")

@@ -10,9 +10,8 @@ demography model inside its invariant set.
 import numpy as np
 
 from ussir import SimConfig, convergence_probe, report_for_model
-from ussir.integrator import simulate_batch
+from ussir.integrator import _path_key, path_generator, run_paths
 from ussir.levy import SMALL
-from ussir.integrator import path_generator
 from ussir.scenario import build_model, bundled_scenario_path, load_scenario
 
 
@@ -52,8 +51,8 @@ def invariant_set():
     model = build_model(cfg)
     bound = report_for_model(model).invariant_set_bound
     sim = SimConfig(horizon=50.0, dt=cfg.dt, seed=0, record_stride=100)
-    trajs = simulate_batch(model, cfg.initial_state, sim, seeds=[0, 1, 2])
-    worst = max(float(tr.states.sum(axis=1).max()) for tr in trajs)
+    traj = run_paths(model, cfg.initial_state, sim, [_path_key(seed, 0) for seed in (0, 1, 2)])
+    worst = float(traj.states.sum(axis=2).max())
     print(f"    largest total population over 3 seeds: {worst:.4f}")
     print(f"    invariant-set bound:                   {bound:.4f}")
 

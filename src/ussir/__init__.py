@@ -17,13 +17,7 @@ from .models import (
     check_positivity_ratios,
 )
 from .integrator import SimConfig, Trajectory, convergence_probe, simulate
-from .criteria import (
-    CriteriaReport,
-    generic_alpha_estimate,
-    generic_alpha_star_estimate,
-    k_value,
-    report_for_model,
-)
+from .criteria import CriteriaReport, generic_alpha_estimate, report_for_model
 from .montecarlo import (
     EnsembleStats,
     lyapunov_estimate,
@@ -54,8 +48,6 @@ __all__ = [
     "check_positivity_ratios",
     "convergence_probe",
     "generic_alpha_estimate",
-    "generic_alpha_star_estimate",
-    "k_value",
     "load_scenario",
     "lyapunov_estimate",
     "parse",

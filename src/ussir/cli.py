@@ -8,10 +8,12 @@ Subcommands::
     ussir validate --config table1.scn [...]
 
 ``--config`` takes a filesystem path or the name of a bundled scenario
-(``table1`` .. ``table7``).  Flag overrides beat file values.  An error is
-one ``error:`` line, which names the scenario file once it has loaded.
-Exit status: 0 success, 1 error (including failed validation), 2
-theory-versus-simulation verdict "inconsistent".
+(``table1`` .. ``table7``).  Flag overrides beat file values.  A flag value
+out of range is a usage error, refused before any file is read.  Any other
+error is one ``error:`` line, which names the scenario file once it has
+loaded.  Exit status: 0 success, 1 error (including failed validation), 2
+usage error (from argparse) or theory-versus-simulation verdict
+"inconsistent".
 
 ``simulate`` writes the stochastic trajectory plus panel companions: the
 deterministic run (all noise zeroed) and, where the model carries that kind
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -45,12 +48,33 @@ from .scenario import (
 __all__ = ["main"]
 
 
+def _flag_type(convert, ok, what: str):
+    """An argparse ``type=``: ``convert`` the text and refuse it unless
+    ``ok`` holds, so argparse reports the flag and exits 2."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+
+    return parse
+
+
+_FINITE_POSITIVE = _flag_type(float, lambda v: math.isfinite(v) and v > 0, "a finite positive number")
+_POSITIVE_INT = _flag_type(int, lambda v: v > 0, "a positive integer")
+_SEED = _flag_type(int, lambda v: -(2**63) <= v < 2**63, "a signed 64-bit integer")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="scenario file or bundled scenario name")
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    parser.add_argument("--seed", type=_SEED, default=None, help="override the scenario seed")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--dt", type=float, default=None, help="override the time step")
-    parser.add_argument("--horizon", type=float, default=None, help="override the horizon")
+    parser.add_argument("--dt", type=_FINITE_POSITIVE, default=None, help="override the time step")
+    parser.add_argument("--horizon", type=_FINITE_POSITIVE, default=None, help="override the horizon")
 
 
 def _out_dir(args, cfg: ScenarioConfig) -> Path:
@@ -86,7 +110,7 @@ def cmd_simulate(args) -> int:
         traj = simulate(variant, cfg.initial_state, sim)
         target = out / f"{cfg.stem}_{label}.csv"
         traj.write_csv(target)
-        print(f"wrote {target} (floor_hits={traj.floor_hits})")
+        print(f"wrote {target} (floor_hits={int(traj.floor_hits[0])})")
     return 0
 
 
@@ -166,7 +190,7 @@ def main(argv=None) -> int:
 
     p_ens = sub.add_parser("ensemble", help="seeded path ensemble, statistics, and verdict")
     _add_common(p_ens)
-    p_ens.add_argument("--paths", type=int, default=None, help="override the path count")
+    p_ens.add_argument("--paths", type=_POSITIVE_INT, default=None, help="override the path count")
     p_ens.add_argument("--slack", type=float, default=0.5, help="comparator slack (default 0.5)")
     p_ens.set_defaults(func=cmd_ensemble)
 

@@ -1,4 +1,4 @@
-"""Closed-form extinction/persistence thresholds and grid estimators.
+"""Closed-form extinction/persistence thresholds and a grid estimator.
 
 Each named model family has a one-sided sufficient criterion built from
 coefficient bounds over [0, oo): either an exponential decay rate for the
@@ -14,10 +14,10 @@ and jump-constant suprema, so analytically-bounded and user-supplied bounds
 share one code path.  :func:`report_for_model` binds a criterion's
 arguments by name: a jump constant, the truncation ``cap``, or the bounds
 of that time coefficient, so a report bounds only what its criterion
-reads.  The generic estimators evaluate the underlying
-drift-diffusion-jump functional on explicit (t, state) grids with midpoint
-quadrature in the mark variable; they produce grid lower bounds of the true
-suprema, not certified values.
+reads.  :func:`generic_alpha_estimate` evaluates the underlying
+drift-diffusion-jump decay functional on explicit (t, state) grids with
+midpoint quadrature in the mark variable; it gives a grid lower bound of
+the true supremum, not a certified value.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ __all__ = [
     "ex34a_persistence",
     "ex34b_extinction",
     "generic_alpha_estimate",
-    "generic_alpha_star_estimate",
-    "k_value",
     "octant_grid",
     "report_for_model",
     "simplex_grid",
@@ -136,20 +134,6 @@ class CriteriaReport:
     def to_csv_row(self) -> list[str]:
         conds = ";".join(f"{c.name}:{_yes(c)}:{c.lhs:.17g}:{c.rhs:.17g}" for c in self.side_conditions)
         return [value for _, value in self._cells()] + [conds]
-
-
-# --- the log-compensation functional ------------------------------------------
-
-def k_value(model: ModelSpec, t: float, state, u) -> float:
-    """Sum of small-jump per-compartment ratios minus the log of the product
-    of their positivity factors.  Nonnegative wherever defined (log(1+x) is
-    at most x)."""
-    s = np.asarray(state, dtype=float)
-    ratios = model.small_jump_fn(model.param_values(t), s, u) / s
-    factors = 1.0 + ratios
-    if np.any(factors <= 0.0):
-        raise ValueError(f"positivity factor not positive: {factors.tolist()}")
-    return float(ratios.sum(axis=-1) - np.log1p(ratios).sum(axis=-1))
 
 
 # --- closed-form criteria -------------------------------------------------------
@@ -304,7 +288,7 @@ def report_for_model(model: ModelSpec) -> CriteriaReport:
         raise ValueError(f"{model.model_id} criterion is undefined on these coefficient bounds: {exc}") from exc
 
 
-# --- grid estimators --------------------------------------------------------------
+# --- grid estimator ---------------------------------------------------------------
 
 def simplex_grid(nx: int = 200, ny: int = 200, y_min: float = 1e-3, margin: float = 1e-3) -> np.ndarray:
     """Interior grid of the proportions simplex with the infected component
@@ -345,31 +329,6 @@ def _jump_integral(model: ModelSpec, pv, states, region: str, transform, quad_no
     return total
 
 
-def _decay_estimate(model: ModelSpec, t_grid, state_grid, quad_nodes: int, bracket) -> float:
-    """Maximum over times of ``bracket(pv, states, drift_pc, diff_sq)`` plus
-    the mark integrals of the compensated log-ratio (small region) and the
-    log-ratio (large region); ``drift_pc`` is the infected row's per-capita
-    drift and ``diff_sq`` the squared norm of its per-capita diffusion row."""
-    states = np.asarray(state_grid, dtype=float)
-    if states.ndim != 2 or states.shape[1] != 3:
-        raise ValueError("state_grid must have shape (N, 3)")
-    if np.any(states <= 0.0):
-        raise ValueError("state_grid must be strictly positive")
-    Y = states[:, 1]
-    best = -math.inf
-    for t in np.asarray(t_grid, dtype=float):
-        pv = model.param_values(float(t))
-        drift_pc = model.drift_fn(pv, states)[:, 1] / Y
-        diff_sq = ((model.diffusion_fn(pv, states)[:, 1, :] / Y[:, None]) ** 2).sum(axis=-1)
-        top = bracket(pv, states, drift_pc, diff_sq)
-        small = _jump_integral(
-            model, pv, states, SMALL, lambda r: np.log1p(r) - r, quad_nodes
-        )
-        large = _jump_integral(model, pv, states, LARGE, np.log1p, quad_nodes)
-        best = max(best, top + small + large)
-    return best
-
-
 def generic_alpha_estimate(
     model: ModelSpec,
     t_grid: Sequence[float],
@@ -385,37 +344,21 @@ def generic_alpha_estimate(
     to tighten it.  The state grid must keep the infected component away
     from zero because the functional divides by it.
     """
-    return _decay_estimate(
-        model, t_grid, state_grid, quad_nodes,
-        lambda pv, states, drift_pc, diff_sq: float((drift_pc - 0.5 * diff_sq).max()),
-    )
-
-
-def generic_alpha_star_estimate(
-    model: ModelSpec,
-    t_grid: Sequence[float],
-    state_grid: np.ndarray,
-    quad_nodes: int = 1001,
-) -> float:
-    """Grid estimate of the strengthened decay functional available when the
-    infected drift splits into nonnegative gain and loss parts: gain squared
-    over twice the squared diffusion row, minus per-capita loss, plus the
-    same mark integrals.  Never smaller than the plain estimate on matching
-    grids.
-
-    States where the diffusion row vanishes are excluded from the supremum
-    (the strengthened form needs nondegenerate noise there).
-    """
-    if model.infected_loss_pc_fn is None:
-        raise ValueError("model does not expose a gain/loss drift split")
-
-    def bracket(pv, states, drift_pc, diff_sq):
-        loss = model.infected_loss_pc_fn(pv, states)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = (drift_pc + loss) ** 2 / (2.0 * diff_sq) - loss
-        vals = vals[np.isfinite(vals)]
-        if vals.size == 0:
-            raise ValueError("diffusion row vanishes on the whole grid")
-        return float(vals.max())
-
-    return _decay_estimate(model, t_grid, state_grid, quad_nodes, bracket)
+    states = np.asarray(state_grid, dtype=float)
+    if states.ndim != 2 or states.shape[1] != 3:
+        raise ValueError("state_grid must have shape (N, 3)")
+    if np.any(states <= 0.0):
+        raise ValueError("state_grid must be strictly positive")
+    Y = states[:, 1]
+    best = -math.inf
+    for t in np.asarray(t_grid, dtype=float):
+        pv = model.param_values(float(t))
+        drift_pc = model.drift_fn(pv, states)[:, 1] / Y
+        diff_sq = ((model.diffusion_fn(pv, states)[:, 1, :] / Y[:, None]) ** 2).sum(axis=-1)
+        top = float((drift_pc - 0.5 * diff_sq).max())
+        small = _jump_integral(
+            model, pv, states, SMALL, lambda r: np.log1p(r) - r, quad_nodes
+        )
+        large = _jump_integral(model, pv, states, LARGE, np.log1p, quad_nodes)
+        best = max(best, top + small + large)
+    return best

@@ -20,6 +20,10 @@ and counts every such clamp; positive values below the floor are legitimate
 decay and pass through untouched.  Simplex states are renormalized only
 when the unit-sum deviation exceeds 1e-9 (the coefficient rows cancel
 algebraically, so only accumulated rounding ever needs correction).
+
+Every run returns one :class:`Trajectory`: the shared record times, a
+(paths, records, 3) state block and the safeguard counts of each path;
+:func:`simulate` is the one-path run.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ __all__ = [
     "convergence_probe",
     "path_generator",
     "simulate",
-    "simulate_batch",
 ]
 
 CHUNK_STEPS = 8192
@@ -85,39 +88,29 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded times and states of one path, with safeguard diagnostics.
+    """Recorded states of a batch of paths sharing one time grid, with
+    safeguard diagnostics per path.
 
-    ``floor_hits`` counts component clamps; ``simplex_drift`` is the largest
-    unit-sum deviation seen on simplex models (None on the octant).
+    ``states`` is (paths, records, 3) over ``times`` (records,);
+    ``floor_hits`` counts each path's component clamps; ``simplex_drift`` is
+    each path's largest unit-sum deviation on simplex models (None on the
+    octant).
     """
 
     times: np.ndarray
     states: np.ndarray
-    floor_hits: int
-    simplex_drift: Optional[float]
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.states[:, 0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.states[:, 1]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.states[:, 2]
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
+    floor_hits: np.ndarray
+    simplex_drift: Optional[np.ndarray]
 
     def write_csv(self, path) -> None:
-        """Write ``t,X,Y,Z`` rows with 17 significant digits."""
+        """Write the ``t,X,Y,Z`` rows of a one-path result with 17
+        significant digits."""
+        if len(self.states) != 1:
+            raise ValueError(f"write_csv writes one path, this result has {len(self.states)}")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "X", "Y", "Z"])
-            for t, (x, y, z) in zip(self.times, self.states):
+            for t, (x, y, z) in zip(self.times, self.states[0]):
                 writer.writerow([f"{v:.17g}" for v in (t, x, y, z)])
 
 
@@ -130,24 +123,6 @@ def _path_key(seed: int, index: int) -> np.ndarray:
 def path_generator(seed: int, index: int = 0) -> np.random.Generator:
     """The generator a given path owns under master ``seed``."""
     return np.random.Generator(np.random.Philox(key=_path_key(seed, index)))
-
-
-@dataclass(frozen=True)
-class PathBundle:
-    """Raw engine output for a batch of paths sharing one time grid."""
-
-    times: np.ndarray
-    states: np.ndarray  # (paths, records, 3)
-    floor_hits: np.ndarray  # (paths,)
-    simplex_drift: Optional[np.ndarray]  # (paths,) or None
-
-    def trajectory(self, i: int) -> Trajectory:
-        return Trajectory(
-            times=self.times,
-            states=self.states[i],
-            floor_hits=int(self.floor_hits[i]),
-            simplex_drift=None if self.simplex_drift is None else float(self.simplex_drift[i]),
-        )
 
 
 def _block_marks(measure, gens, regions, block: int) -> dict:
@@ -198,7 +173,7 @@ def run_paths(
     cfg: SimConfig,
     keys: Sequence[np.ndarray],
     chunk: int = CHUNK_STEPS,
-) -> PathBundle:
+) -> Trajectory:
     """Advance every keyed path over the full grid, vectorized across paths.
 
     The paths are mathematically independent (private generators); batching
@@ -265,7 +240,7 @@ def run_paths(
             if (k + 1) % stride == 0 or k + 1 == K:
                 recorded[:, -(-(k + 1) // stride), :] = states
 
-    return PathBundle(
+    return Trajectory(
         times=np.minimum(np.arange(n_records) * stride, K) * dt,
         states=recorded,
         floor_hits=floor_hits,
@@ -275,18 +250,7 @@ def run_paths(
 
 def simulate(model: ModelSpec, s0, cfg: SimConfig) -> Trajectory:
     """Single path under ``cfg.seed`` (stream index 0 of that seed)."""
-    bundle = run_paths(model, s0, cfg, [_path_key(cfg.seed, 0)])
-    return bundle.trajectory(0)
-
-
-def simulate_batch(model: ModelSpec, s0, cfg: SimConfig, seeds: Sequence[int]) -> list[Trajectory]:
-    """Independent master seeds run as one vectorized batch.
-
-    Produces bit-identical trajectories to calling :func:`simulate` once
-    per seed; the batching is purely a speed device.
-    """
-    bundle = run_paths(model, s0, cfg, [_path_key(s, 0) for s in seeds])
-    return [bundle.trajectory(i) for i in range(len(seeds))]
+    return run_paths(model, s0, cfg, [_path_key(cfg.seed, 0)])
 
 
 @dataclass(frozen=True)
@@ -328,11 +292,11 @@ def convergence_probe(
     for level, dt in enumerate(dts):
         cfg = SimConfig(horizon=horizon, dt=dt, record_stride=math.ceil(horizon / dt))
         keys = [_path_key(seed, level * paths + i) for i in range(paths)]
-        bundle = run_paths(model, (s0, 1.0, z0), cfg, keys)
-        if bundle.floor_hits.any():
+        traj = run_paths(model, (s0, 1.0, z0), cfg, keys)
+        if traj.floor_hits.any():
             raise ValueError(f"the positivity safeguard clamped the oracle at dt={dt:g}")
-        approx, w_T = bundle.states[:, -1, 0], bundle.states[:, -1, 2] - z0
-        exact = s0 * np.exp((a - 0.5 * b * b) * bundle.times[-1] + b * w_T)
+        approx, w_T = traj.states[:, -1, 0], traj.states[:, -1, 2] - z0
+        exact = s0 * np.exp((a - 0.5 * b * b) * traj.times[-1] + b * w_T)
         errors.append(float(np.mean(np.abs(approx - exact))))
     if len(dts) >= 2 and all(e > 0 for e in errors):
         slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]

@@ -20,20 +20,18 @@ named coefficients.  Five named families are tables (:data:`FAMILIES`):
 ``ex34b``  population-count analogue of ``ex1b``, truncated the same way.
 
 A :class:`ModelSpec` is such a table: the trees of drift, diffusion and
-jumps, plus the per-capita loss of the infected row where the family has
-one.  :func:`build_named` fills a family's table with time functions, jump
+jumps.  :func:`build_named` fills a family's table with time functions, jump
 constants and (where its expressions use ``cap``) a truncation cap;
 :func:`build_custom` accepts raw coefficient expressions, and on the
 proportions simplex it must pass the conservation and positivity gates.
 Everything else is derived from the trees: constructing a model compiles
 each group once with :func:`ussir.expr.compile_program`, jump constants and
 cap folded in, and sets the flags saying which noise it carries; the
-compensator and the per-capita forms the criteria use are computed from the
-programs; :func:`suppress` rebuilds a model from a reduced table.  Programs
-take a dict of already-evaluated time-coefficient values (see
-:meth:`ModelSpec.param_values`) so that integrators evaluate each time
-function once per step (or once per block of steps) instead of once per
-coefficient use.
+compensator is computed from the programs; :func:`suppress` rebuilds a
+model from a reduced table.  Programs take a dict of already-evaluated
+time-coefficient values (see :meth:`ModelSpec.param_values`) so that
+integrators evaluate each time function once per step (or once per block of
+steps) instead of once per coefficient use.
 """
 
 from __future__ import annotations
@@ -92,18 +90,16 @@ class ModelSpec:
     The fields are the table: ``drift`` is three trees, ``diffusion`` a
     column of three trees per Brownian driver, ``small_jump`` and
     ``large_jump`` three trees each (they may also use the mark ``u``), or
-    None when the model has no jumps of that kind.  ``loss_pc``, when
-    present, is the nonnegative per-capita loss of the infected row, so that
-    the row's drift splits into gain minus loss.  ``constants`` holds the
+    None when the model has no jumps of that kind.  ``constants`` holds the
     jump constants and, where the expressions use it, the cap ``cap``; a
     ``measure`` of None is the uniform density on [-2, 2].
 
     Everything else is derived once, at construction.  Each group is
     compiled into a program: ``drift_fn``, ``diffusion_fn``,
-    ``small_jump_fn``, ``large_jump_fn`` and ``infected_loss_pc_fn``.  The
-    programs are vectorized over the leading batch axes of the state block
-    ``S`` (..., 3); the jump programs also broadcast the mark, and an absent
-    jump group computes zeros.  The flags ``brownian_dim``,
+    ``small_jump_fn`` and ``large_jump_fn``.  The programs are vectorized
+    over the leading batch axes of the state block ``S`` (..., 3); the jump
+    programs also broadcast the mark, and an absent jump group computes
+    zeros.  The flags ``brownian_dim``,
     ``has_diffusion``, ``has_small_jumps`` and ``has_large_jumps`` say which
     groups are present.  ``small_jump_uses_u`` is False when no small-jump
     tree mentions the mark, which lets the compensator skip quadrature.
@@ -117,7 +113,6 @@ class ModelSpec:
     diffusion: Sequence[Sequence[Node]]
     small_jump: Optional[Sequence[Node]] = None
     large_jump: Optional[Sequence[Node]] = None
-    loss_pc: Optional[Node] = None
     params: Mapping[str, TimeFunction] = field(default_factory=dict)
     constants: Mapping[str, float] = field(default_factory=dict)
 
@@ -138,7 +133,6 @@ class ModelSpec:
         derive("diffusion_fn", compile_program(entries, (3, n), k))
         derive("small_jump_fn", compile_program(small or (_ZERO,) * 3, (3,), k, mark=True))
         derive("large_jump_fn", compile_program(large or (_ZERO,) * 3, (3,), k, mark=True))
-        derive("infected_loss_pc_fn", None if self.loss_pc is None else compile_program([self.loss_pc], (), k))
         derive("brownian_dim", n)
         derive("has_diffusion", n > 0)
         derive("has_small_jumps", small is not None)
@@ -179,15 +173,13 @@ def suppress(
 ) -> ModelSpec:
     """Copy of ``model`` rebuilt without the selected coefficient groups.
 
-    A suppressed drift is three zeros, and so is its per-capita loss; a
-    suppressed noise group is absent, so the copy draws no noise for it.
+    A suppressed drift is three zeros; a suppressed noise group is absent, so the copy draws no noise for it.
     ``suppress(m)`` is the deterministic companion (noise-free); drift-only
     suppression yields the pure-noise panels.
     """
     return replace(
         model,
         drift=(_ZERO,) * 3 if drift else model.drift,
-        loss_pc=_ZERO if drift else model.loss_pc,
         diffusion=() if diffusion else model.diffusion,
         small_jump=None if small_jumps else model.small_jump,
         large_jump=None if large_jumps else model.large_jump,
@@ -203,8 +195,7 @@ class Family:
     ``params`` name the time-dependent coefficients, ``jumps`` the jump
     constants in [0, 1); expressions may also use ``x, y, z``, ``t``, the
     cap ``cap`` and, in jump vectors, the mark ``u``.  ``diffusion`` holds
-    a column per Brownian driver; a jump vector is None when absent;
-    ``loss_pc`` is the infected row's nonnegative per-capita loss.
+    a column per Brownian driver; a jump vector is None when absent.
     ``infima``: (coefficient, ">=" or ">", bound, meaning) checks on bounds.
     """
 
@@ -216,7 +207,6 @@ class Family:
     diffusion: tuple[tuple[str, ...], ...]
     small_jump: Optional[tuple[str, ...]]
     large_jump: Optional[tuple[str, ...]]
-    loss_pc: str
     infima: tuple[tuple[str, str, float, str], ...] = ()
 
     @cached_property
@@ -232,7 +222,6 @@ class Family:
             "diffusion": tuple(group(column) for column in self.diffusion),
             "small_jump": group(self.small_jump, "u"),
             "large_jump": group(self.large_jump, "u"),
-            "loss_pc": group((self.loss_pc,))[0],
         }
 
     @cached_property
@@ -240,7 +229,7 @@ class Family:
         """Whether the family's expressions mention the truncation cap."""
         t = self.trees
         every = [*t["drift"], *sum(t["diffusion"], ()), *(t["small_jump"] or ()), *(t["large_jump"] or ())]
-        return any("cap" in free_names(tree) for tree in every + [t["loss_pc"]])
+        return any("cap" in free_names(tree) for tree in every)
 
 
 # Entries keep the association order of the models' arithmetic, e.g.
@@ -262,7 +251,6 @@ FAMILIES: Mapping[str, Family] = MappingProxyType({f.name: f for f in (
         diffusion=((f"-(sigma1*x*y/{_SAT})", f"sigma1*x*y/{_SAT}", "0"), ("0", "sigma2*y*z", "-(sigma2*y*z)")),
         small_jump=("-(h1*x*y)", "h1*x*y-h2*y*z", "h2*y*z"),
         large_jump=("-(g1*x*y)", "g1*x*y-g2*y*z", "g2*y*z"),
-        loss_pc="gamma",
         infima=(("xi", ">=", 1.0, "exponent"),),
     ),
     Family(
@@ -273,7 +261,6 @@ FAMILIES: Mapping[str, Family] = MappingProxyType({f.name: f for f in (
         diffusion=(("-(sigma*x*y*z)", "2*(sigma*x*y*z)", "-(sigma*x*y*z)"),),
         small_jump=("-h1*(x*y*z)", "(h1-h2)*(x*y*z)", "h2*(x*y*z)"),
         large_jump=("-g1*(x*y*z)", "(g1-g2)*(x*y*z)", "g2*(x*y*z)"),
-        loss_pc="gamma1",
     ),
     Family(
         "xc", OCTANT,
@@ -283,7 +270,6 @@ FAMILIES: Mapping[str, Family] = MappingProxyType({f.name: f for f in (
         diffusion=(("-(sigma*x*y)", "sigma*x*y", "0"),),
         small_jump=None,
         large_jump=None,
-        loss_pc="mu+gamma+epsilon",
         infima=(("mu", ">", 0.0, "mortality"),),
     ),
     Family(
@@ -299,7 +285,6 @@ FAMILIES: Mapping[str, Family] = MappingProxyType({f.name: f for f in (
         small_jump=(f"-(h1*{_XS}*{_YS}-h3*{_XS}*{_ZS})", f"h1*{_XS}*{_YS}-h2*{_YS}*{_ZS}",
                     f"h2*{_YS}*{_ZS}-h3*{_XS}*{_ZS}"),
         large_jump=(f"-(g1*{_XS}*{_YS})", f"g1*{_XS}*{_YS}-g2*{_YS}*{_ZS}", f"g2*{_YS}*{_ZS}"),
-        loss_pc=f"(mu+gamma3*{_YD})*({_YD}/y)",
         infima=(("xi", ">=", 1.0, "exponent"),),
     ),
     Family(
@@ -311,7 +296,6 @@ FAMILIES: Mapping[str, Family] = MappingProxyType({f.name: f for f in (
         diffusion=((f"-({_EX34B_SIGMA})", f"2*({_EX34B_SIGMA})", f"-({_EX34B_SIGMA})"),),
         small_jump=(f"-(h1-h3)*{_EX34B_W}", f"(h1-h2)*{_EX34B_W}", f"(h2-h3)*{_EX34B_W}"),
         large_jump=(f"-(g1-g3)*{_EX34B_W}", f"(g1-g2)*{_EX34B_W}", f"(g2-g3)*{_EX34B_W}"),
-        loss_pc=f"(mu+gamma2)*({_YD}/y)",
     ),
 )})
 

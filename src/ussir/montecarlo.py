@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .criteria import EXTINCT, INDETERMINATE, PERSISTENT, CriteriaReport
-from .integrator import PathBundle, SimConfig, Trajectory, _path_key, run_paths
+from .integrator import SimConfig, Trajectory, _path_key, run_paths
 from .models import SIMPLEX, ModelSpec
 
 __all__ = [
@@ -37,28 +37,28 @@ Y_EXTINCT_SIMPLEX = 1e-6
 Y_EXTINCT_OCTANT = 1e-3
 
 
-def lyapunov_estimate(paths: Trajectory | PathBundle) -> float | np.ndarray:
+def lyapunov_estimate(traj: Trajectory) -> np.ndarray:
     """Finite-horizon log slope (ln Y_T - ln Y_0) / T of the infected
-    component, one per path of a bundle; the floor keeps the logs defined."""
-    horizon = paths.times[-1] - paths.times[0]
+    component, one per path; the floor keeps the logs defined."""
+    horizon = traj.times[-1] - traj.times[0]
     if horizon <= 0:
         raise ValueError("trajectory must span a positive horizon")
-    y = paths.states[..., 1]
-    return (np.log(y[..., -1]) - np.log(y[..., 0])) / horizon
+    y = traj.states[:, :, 1]
+    return (np.log(y[:, -1]) - np.log(y[:, 0])) / horizon
 
 
-def time_average_infected(paths: Trajectory | PathBundle, window: str = FULL) -> float | np.ndarray:
+def time_average_infected(traj: Trajectory, window: str = FULL) -> np.ndarray:
     """Trapezoidal time average of the infected component over the full
-    recorded window or its tail half, one per path of a bundle."""
+    recorded window or its tail half, one per path."""
     if window not in (FULL, TAIL_HALF):
         raise ValueError(f"window must be {FULL!r} or {TAIL_HALF!r}")
-    times, values = paths.times, paths.states[..., 1]
+    times, values = traj.times, traj.states[:, :, 1]
     if window == TAIL_HALF:
         cut = times[0] + 0.5 * (times[-1] - times[0])
         start = int(np.searchsorted(times, cut))  # the first record at or after the cut
-        times, values = times[start:], values[..., start:]
+        times, values = times[start:], values[:, start:]
     if len(times) < 2:
-        return np.take(values, -1, axis=-1)
+        return values[:, -1].copy()
     return np.trapezoid(values, times) / (times[-1] - times[0])
 
 
@@ -117,14 +117,14 @@ def run_ensemble(
     if y_extinct is None:
         y_extinct = Y_EXTINCT_SIMPLEX if model.domain == SIMPLEX else Y_EXTINCT_OCTANT
     keys = [_path_key(cfg.seed, i) for i in range(paths)]
-    bundle = run_paths(model, s0, cfg, keys)
+    traj = run_paths(model, s0, cfg, keys)
     return EnsembleStats(
         master_seed=cfg.seed,
         path_seeds=tuple("".join(f"{w:016x}" for w in key) for key in keys),
-        lyapunov=lyapunov_estimate(bundle),
-        mean_infected=time_average_infected(bundle, FULL),
-        tail_mean_infected=time_average_infected(bundle, TAIL_HALF),
-        y_final=bundle.states[:, -1, 1].copy(),
+        lyapunov=lyapunov_estimate(traj),
+        mean_infected=time_average_infected(traj, FULL),
+        tail_mean_infected=time_average_infected(traj, TAIL_HALF),
+        y_final=traj.states[:, -1, 1].copy(),
         y_extinct=float(y_extinct),
     )
 

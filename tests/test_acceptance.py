@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ussir.cli import main
-from ussir.integrator import SimConfig, convergence_probe, simulate_batch
+from ussir.integrator import SimConfig, _path_key, convergence_probe, run_paths
 from ussir.levy import SMALL
 from ussir.criteria import report_for_model
 from ussir.models import check_conservation
@@ -162,8 +162,8 @@ def test_c08_simplex_drift(scenario):
     failures = []
     for dt in (0.001, 0.0005):
         sim = SimConfig(horizon=10.0, dt=dt, seed=0, record_stride=100)
-        trajs = simulate_batch(model, cfg.initial_state, sim, seeds=seeds)
-        drifts = [tr.simplex_drift for tr in trajs]
+        traj = run_paths(model, cfg.initial_state, sim, [_path_key(s, 0) for s in seeds])
+        drifts = traj.simplex_drift.tolist()
         maxima[dt] = max(drifts)
         if any(d > 1e-2 for d in drifts):
             failures.append(f"dt={dt}: drift {max(drifts):.3e} above 1e-2")
@@ -181,9 +181,10 @@ def test_c09_invariant_set(scenario):
     report = report_for_model(model)
     bound = report.invariant_set_bound + 1e-3
     sim = SimConfig(horizon=100.0, dt=0.001, seed=0, record_stride=100)
-    trajs = simulate_batch(model, cfg.initial_state, sim, seeds=list(range(20)))
-    outside = sum(int((tr.states.sum(axis=1) > bound).sum()) for tr in trajs)
-    worst = max(float(tr.states.sum(axis=1).max()) for tr in trajs)
+    traj = run_paths(model, cfg.initial_state, sim, [_path_key(s, 0) for s in range(20)])
+    totals = traj.states.sum(axis=2)
+    outside = int((totals > bound).sum())
+    worst = float(totals.max())
     failures = [] if outside == 0 else [f"{outside} recorded states outside the inflated set"]
     _finish("C9 invariant set containment", failures, time.perf_counter() - t0, 120.0,
             f"max total={worst:.4f} vs bound={report.invariant_set_bound:.6f}")

@@ -11,8 +11,6 @@ from ussir.criteria import (
     ex34a_persistence,
     ex34b_extinction,
     generic_alpha_estimate,
-    generic_alpha_star_estimate,
-    k_value,
     octant_grid,
     report_for_model,
     simplex_grid,
@@ -24,39 +22,6 @@ from ussir.models import OCTANT, build_custom
 
 def B(inf, sup=None):
     return BoundsPair(inf, sup if sup is not None else inf)
-
-
-class TestKValue:
-    def test_zero_jumps_give_zero(self, scenario):
-        _, model = scenario("table3")
-        assert k_value(model, 0.0, (2.0, 0.8, 1.0), 0.5) == 0.0
-
-    def test_single_unit_ratio(self):
-        model = build_custom(
-            domain=OCTANT,
-            drift=("0", "0", "0"),
-            diffusion=(("0", "0", "0"),),
-            small_jump=("0", "y", "0"),
-        )
-        val = k_value(model, 0.0, (1.0, 2.0, 3.0), 0.1)
-        assert val == pytest.approx(1.0 - math.log(2.0), abs=1e-15)
-
-    def test_nonnegative_on_admissible_points(self, scenario):
-        _, model = scenario("table1")
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            state = rng.dirichlet((1, 1, 1))
-            assert k_value(model, rng.uniform(0, 20), state, rng.uniform(-1, 1)) >= 0.0
-
-    def test_domain_error_on_bad_factor(self):
-        model = build_custom(
-            domain=OCTANT,
-            drift=("0", "0", "0"),
-            diffusion=(("0", "0", "0"),),
-            small_jump=("0", "0-2*y", "0"),
-        )
-        with pytest.raises(ValueError, match="positivity"):
-            k_value(model, 0.0, (1.0, 1.0, 1.0), 0.1)
 
 
 class TestEx1Criterion:
@@ -255,14 +220,6 @@ class TestGenericEstimates:
         assert est <= -closed.extinction_rate_lb + 1e-9
         assert -0.33 < est < -0.29  # frozen regression window
 
-    def test_strengthened_estimate_dominates_on_matching_grids(self, scenario):
-        _, model = scenario("table1")
-        grid = simplex_grid(100, 100, y_min=1e-3)
-        t_grid = np.linspace(0.0, 2.0 * math.pi, 9)
-        alpha = generic_alpha_estimate(model, t_grid, grid, quad_nodes=101)
-        alpha_star = generic_alpha_star_estimate(model, t_grid, grid, quad_nodes=101)
-        assert alpha <= alpha_star + 1e-12
-
     def test_permutation_invariance(self):
         model = build_custom(
             domain=OCTANT, drift=("0", "0-0.3*y", "0"), diffusion=(("0", "0", "0"),)
@@ -275,20 +232,12 @@ class TestGenericEstimates:
 
     def test_requires_positive_grid(self, scenario):
         _, model = scenario("table1")
-        for estimate in (generic_alpha_estimate, generic_alpha_star_estimate):
-            with pytest.raises(ValueError, match="positive"):
-                estimate(model, [0.0], np.array([[0.5, 0.0, 0.5]]))
-            with pytest.raises(ValueError, match="positive"):
-                estimate(model, [0.0], np.array([[0.5, 0.0, 0.5], [0.3, 0.3, 0.4]]))
-            with pytest.raises(ValueError, match=r"shape \(N, 3\)"):
-                estimate(model, [0.0], np.array([0.3, 0.3, 0.4]))
-
-    def test_star_estimate_needs_split(self):
-        model = build_custom(
-            domain=OCTANT, drift=("0", "0-0.3*y", "0"), diffusion=(("0", "0", "0"),)
-        )
-        with pytest.raises(ValueError, match="split"):
-            generic_alpha_star_estimate(model, [0.0], octant_grid(hi=2.0, n_per_axis=4))
+        with pytest.raises(ValueError, match="positive"):
+            generic_alpha_estimate(model, [0.0], np.array([[0.5, 0.0, 0.5]]))
+        with pytest.raises(ValueError, match="positive"):
+            generic_alpha_estimate(model, [0.0], np.array([[0.5, 0.0, 0.5], [0.3, 0.3, 0.4]]))
+        with pytest.raises(ValueError, match=r"shape \(N, 3\)"):
+            generic_alpha_estimate(model, [0.0], np.array([0.3, 0.3, 0.4]))
 
 
 class TestReportPlumbing:

@@ -54,6 +54,6 @@ def test_custom_restatement_follows_the_named_model(scenario, tmp_path, name):
     assert custom.model_id == "custom" and not custom.params
     assert (custom.has_small_jumps, custom.has_large_jumps) == (named.has_small_jumps, named.has_large_jumps)
     sim = sim_config(cfg, horizon=1.0)
-    expected = simulate(named, cfg.initial_state, sim).final_state
-    got = simulate(custom, custom_cfg.initial_state, sim).final_state
+    expected = simulate(named, cfg.initial_state, sim).states[0, -1]
+    got = simulate(custom, custom_cfg.initial_state, sim).states[0, -1]
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)

@@ -13,7 +13,6 @@ from ussir.integrator import (
     path_generator,
     run_paths,
     simulate,
-    simulate_batch,
 )
 from ussir.levy import LARGE, SMALL
 from ussir.models import OCTANT, SIMPLEX, ModelSpec, build_custom, suppress
@@ -130,7 +129,7 @@ def _reference_step(model, t, state, dt, rng, floor=1e-12, counts=None):
 
 
 def _one_step(model, state, dt, seed):
-    return simulate(model, state, SimConfig(horizon=dt, dt=dt, seed=seed)).final_state
+    return simulate(model, state, SimConfig(horizon=dt, dt=dt, seed=seed)).states[0, -1]
 
 
 class TestStep:
@@ -204,11 +203,11 @@ class TestSimulate:
     def test_batch_matches_solo_runs(self, scenario):
         _, model = scenario("table2")
         cfg = SimConfig(horizon=0.5, dt=0.001, seed=0, record_stride=50)
-        batch = simulate_batch(model, (0.85, 0.1, 0.05), cfg, seeds=[3, 9])
-        for seed, traj in zip([3, 9], batch):
+        batch = run_paths(model, (0.85, 0.1, 0.05), cfg, [_path_key(seed, 0) for seed in (3, 9)])
+        for seed, states in zip([3, 9], batch.states):
             solo_cfg = SimConfig(horizon=0.5, dt=0.001, seed=seed, record_stride=50)
             solo = simulate(model, (0.85, 0.1, 0.05), solo_cfg)
-            assert np.array_equal(traj.states, solo.states)
+            assert np.array_equal(states, solo.states[0])
 
     def test_rejects_inadmissible_start(self, scenario):
         _, model = scenario("table1")
@@ -346,14 +345,14 @@ class TestFloorSemantics:
         cfg = SimConfig(horizon=10.0, dt=0.001, seed=0, record_stride=1000)
         traj = simulate(model, (1.0, 1.0, 1.0), cfg)
         assert traj.floor_hits == 0
-        assert 0.0 < traj.y[-1] < 1e-12  # legitimate tiny value, untouched
+        assert 0.0 < traj.states[0, -1, 1] < 1e-12  # legitimate tiny value, untouched
 
     def test_zero_crossing_is_clamped_and_counted(self):
         model = build_custom(domain=OCTANT, drift=("0", "-2", "0"), diffusion=(("0", "0", "0"),))
         cfg = SimConfig(horizon=1.0, dt=0.01, seed=0)
         traj = simulate(model, (1.0, 0.5, 1.0), cfg)
         assert traj.floor_hits > 0
-        assert traj.y[-1] >= 1e-12
+        assert traj.states[0, -1, 1] >= 1e-12
 
 
 class TestTrajectoryCsv:
@@ -369,6 +368,19 @@ class TestTrajectoryCsv:
         assert lines[0] == "t,X,Y,Z"
         assert lines[1].startswith("0,1,0.5,0.25")
         assert len(lines) == len(traj.times) + 1
+
+    def test_one_result_type(self, zero_model, tmp_path):
+        # simulate is the one-path run: a leading path axis, and write_csv
+        # refuses a result holding more than one path
+        cfg = SimConfig(horizon=0.05, dt=0.01, seed=0)
+        traj = simulate(zero_model, (1.0, 0.5, 0.25), cfg)
+        assert traj.states.shape == (1, len(traj.times), 3)
+        assert traj.floor_hits.shape == (1,)
+        pair = run_paths(zero_model, (1.0, 0.5, 0.25), cfg, [_path_key(0, i) for i in range(2)])
+        assert type(traj) is type(pair) is Trajectory
+        with pytest.raises(ValueError, match="one path, this result has 2"):
+            pair.write_csv(tmp_path / "pair.csv")
+        assert not (tmp_path / "pair.csv").exists()
 
 
 class TestConvergenceProbe:

@@ -399,13 +399,12 @@ class TestSuppress:
         S = np.array([[2.0, 0.8, 1.0], [0.3, 0.3, 0.4]])
         pv = model.param_values(0.5)
         assert np.all(silent_drift.drift_fn(pv, S) == 0.0)
-        assert np.all(silent_drift.infected_loss_pc_fn(pv, S) == 0.0)
         assert silent_drift.diffusion_fn(pv, S).shape == (2, 3, 0)
 
     @pytest.mark.parametrize("name", ["table1", "table6"])
     def test_rebuilds_reuse_compiled_code(self, scenario, name):
         cfg, _ = scenario(name)
-        programs = ("drift_fn", "diffusion_fn", "small_jump_fn", "large_jump_fn", "infected_loss_pc_fn")
+        programs = ("drift_fn", "diffusion_fn", "small_jump_fn", "large_jump_fn")
         model = build_model(cfg)
         misses = _compile_source.cache_info().misses
         again = build_model(cfg)

@@ -15,10 +15,11 @@ from ussir.montecarlo import (
 
 
 def _traj(times, ys):
+    """A one-path result whose infected component is ``ys``."""
     times = np.asarray(times, dtype=float)
     ys = np.asarray(ys, dtype=float)
     states = np.stack([np.full_like(ys, 0.5), ys, np.full_like(ys, 0.5)], axis=-1)
-    return Trajectory(times=times, states=states, floor_hits=0, simplex_drift=None)
+    return Trajectory(times=times, states=states[None], floor_hits=np.zeros(1, dtype=np.int64), simplex_drift=None)
 
 
 def _stats(lyapunov=(), tail=()):
@@ -96,24 +97,25 @@ class TestRunEnsemble:
         solo = simulate(silent, cfg.initial_state, sim)
         expected = lyapunov_estimate(solo)
         assert np.all(stats.lyapunov == expected)
-        assert np.all(stats.y_final == solo.y[-1])
+        assert np.all(stats.y_final == solo.states[0, -1, 1])
 
     @pytest.mark.parametrize("stride", [1, 3, 1000])
     def test_bundle_statistics_match_per_path_calls(self, scenario, stride):
         cfg, model = scenario("table6")
         sim = SimConfig(horizon=1.0, dt=0.01, seed=4, record_stride=stride)
-        bundle = run_paths(model, cfg.initial_state, sim, [_path_key(4, i) for i in range(6)])
-        rows = [bundle.trajectory(i) for i in range(6)]
+        keys = [_path_key(4, i) for i in range(6)]
+        bundle = run_paths(model, cfg.initial_state, sim, keys)
+        rows = [run_paths(model, cfg.initial_state, sim, [key]) for key in keys]
         lyapunov = lyapunov_estimate(bundle)
-        assert np.array_equal(lyapunov, [lyapunov_estimate(tr) for tr in rows])
+        assert np.array_equal(lyapunov, np.concatenate([lyapunov_estimate(tr) for tr in rows]))
         averages = {w: time_average_infected(bundle, w) for w in ("full", "tail_half")}
         for window, values in averages.items():
-            assert np.array_equal(values, [time_average_infected(tr, window) for tr in rows]), window
+            assert np.array_equal(values, np.concatenate([time_average_infected(tr, window) for tr in rows])), window
         stats = run_ensemble(model, cfg.initial_state, sim, paths=6)
         assert np.array_equal(stats.lyapunov, lyapunov)
         assert np.array_equal(stats.mean_infected, averages["full"])
         assert np.array_equal(stats.tail_mean_infected, averages["tail_half"])
-        assert np.array_equal(stats.y_final, [tr.y[-1] for tr in rows])
+        assert np.array_equal(stats.y_final, [tr.states[0, -1, 1] for tr in rows])
         assert stats.path_seeds[1] == "".join(f"{w:016x}" for w in _path_key(4, 1))
 
     def test_extinction_fraction_uses_threshold(self):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from ussir.criteria import report_for_model
-from ussir.integrator import SimConfig, simulate, simulate_batch
+from ussir.integrator import SimConfig, _path_key, run_paths, simulate
 from ussir.models import OCTANT, build_custom, suppress
 from ussir.montecarlo import run_ensemble
 from ussir.scenario import sim_config
@@ -36,7 +36,7 @@ FINAL_STATES = {
 def test_final_state_pinned(scenario, name):
     cfg, model = scenario(name)
     traj = simulate(model, cfg.initial_state, sim_config(cfg, horizon=1.0))
-    np.testing.assert_allclose(traj.final_state, FINAL_STATES[name], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(traj.states[0, -1], FINAL_STATES[name], rtol=1e-12, atol=0.0)
 
 
 PANELS = {
@@ -72,7 +72,7 @@ PANEL_FINAL_STATES = {
 def test_panel_final_state_pinned(scenario, name, panel):
     cfg, model = scenario(name)
     traj = simulate(suppress(model, **PANELS[panel]), cfg.initial_state, sim_config(cfg, horizon=1.0))
-    np.testing.assert_allclose(traj.final_state, PANEL_FINAL_STATES[name, panel], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(traj.states[0, -1], PANEL_FINAL_STATES[name, panel], rtol=1e-12, atol=0.0)
 
 
 # name: (y_final, lyapunov) of run_ensemble at horizon 0.5 with 200 paths, each as
@@ -125,12 +125,13 @@ def test_marked_jumps_pinned():
         small_jump=("0.1*u*x", "u", "0"), large_jump=("0.05*u*x", "0", "u"),
     )
     paths = 60
-    trajs = simulate_batch(model, (1.0, 5.0, 5.0), SimConfig(horizon=1.0, dt=0.02, seed=4), range(paths))
-    final = np.array([traj.final_state for traj in trajs])
+    cfg = SimConfig(horizon=1.0, dt=0.02, seed=4)
+    traj = run_paths(model, (1.0, 5.0, 5.0), cfg, [_path_key(s, 0) for s in range(paths)])
+    final = traj.states[:, -1]
     weights = np.arange(1, paths + 1) / paths
     got = [(col.mean(), col.min(), col.max(), (weights * col).mean()) for col in final.T]
     np.testing.assert_allclose(got, MARKED_FINAL_STATES, rtol=1e-12, atol=0.0)
-    assert sum(traj.floor_hits for traj in trajs) == 1
+    assert traj.floor_hits.sum() == 1
 
 
 NUMBERS = ("extinction_rate_lb", "lambda0", "lam", "mean_infected_lb", "r_tilde", "invariant_set_bound")

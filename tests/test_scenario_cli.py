@@ -448,8 +448,34 @@ paths = 2
         assert not list(tmp_path.glob("*_ensemble.csv"))
 
     def test_non_finite_flag_is_error(self, tmp_path, capsys):
-        assert main(["simulate", "--config", "table3", "--out", str(tmp_path), "--horizon", "inf"]) == 1
-        assert "must be finite" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", "table3", "--out", str(tmp_path), "--horizon", "inf"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --horizon" in err and "table3.scn" not in err
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("simulate", "--horizon", "inf"),
+            ("simulate", "--dt", "-1"),
+            ("ensemble", "--paths", "0"),
+            ("simulate", "--seed", "99999999999999999999"),
+        ],
+    )
+    def test_bad_flag_is_usage_error_before_loading(self, tmp_path, capsys, monkeypatch, command, flag, value):
+        # argparse refuses the flag itself, so no scenario file is read or blamed
+        def no_load(path):
+            raise AssertionError(f"loaded {path}")
+
+        monkeypatch.setattr("ussir.cli.load_scenario", no_load)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", "table3", "--out", str(tmp_path), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {value!r} is not" in err
+        assert ".scn" not in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_missing_config_is_error(self, capsys):
         assert main(["criteria", "--config", "does-not-exist.scn"]) == 1
