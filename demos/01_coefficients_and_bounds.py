@@ -1,13 +1,15 @@
 """Parsing time-dependent coefficients and extracting their bounds.
 
-Every model coefficient is a small expression in the time variable.  The
-bounds over [0, oo) drive the closed-form criteria: sinusoidal patterns get
-exact analytic bounds, everything else a dense grid scan.
+Every model coefficient is a small expression in the time variable, and
+``parse`` returns its tree.  The bounds over [0, oo) drive the
+closed-form criteria: sinusoidal patterns get exact analytic bounds,
+everything else a dense grid scan.
 """
 
 import math
 
 from ussir import bounds, parse, serialize
+from ussir.expr import evaluate
 
 COEFFICIENTS = [
     ("transmission", "0.3+0.1*sin(4*t)"),
@@ -24,7 +26,7 @@ def main():
         f = parse(text)
         b = bounds(f)
         print(f"{label:24s} {text}")
-        print(f"{'':24s} f(0) = {f(0.0):.6g}, f(pi/2) = {f(math.pi / 2):.6g}")
+        print(f"{'':24s} f(0) = {evaluate(f, t=0.0):.6g}, f(pi/2) = {evaluate(f, t=math.pi / 2):.6g}")
         print(f"{'':24s} inf = {b.inf:.10g}, sup = {b.sup:.10g}  [{b.method}]")
         print(f"{'':24s} canonical form: {serialize(f)}\n")
 

@@ -7,7 +7,7 @@ seeded Monte Carlo ensembles.  The ``ussir`` command line front end runs
 bundled parameter scenarios end to end.
 """
 
-from .expr import BoundsPair, TimeFunction, bounds, parse, serialize
+from .expr import BoundsPair, bounds, parse, serialize
 from .levy import LevyMeasure
 from .models import (
     ModelSpec,
@@ -38,7 +38,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioError",
     "SimConfig",
-    "TimeFunction",
     "Trajectory",
     "bounds",
     "build_custom",

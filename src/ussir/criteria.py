@@ -290,9 +290,11 @@ def report_for_model(model: ModelSpec) -> CriteriaReport:
 
 # --- grid estimator ---------------------------------------------------------------
 
-def simplex_grid(nx: int = 200, ny: int = 200, y_min: float = 1e-3, margin: float = 1e-3) -> np.ndarray:
+def simplex_grid(nx: int = 200, ny: int = 200, y_min: float = 1e-3) -> np.ndarray:
     """Interior grid of the proportions simplex with the infected component
-    bounded away from zero.  Returns an (N, 3) state block."""
+    bounded away from zero and a margin of 1e-3 to the other faces.
+    Returns an (N, 3) state block."""
+    margin = 1e-3
     xs = np.linspace(margin, 1.0 - y_min - 2.0 * margin, nx)
     fractions = np.linspace(0.0, 1.0, ny)
     x = np.repeat(xs, ny)
@@ -312,12 +314,12 @@ def octant_grid(hi: float, n_per_axis: int = 25, y_min: float = 1e-3, lo: float 
     return np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
 
 
-def _jump_integral(model: ModelSpec, pv, states, region: str, transform, quad_nodes: int, u_chunk: int = 64) -> float:
+def _jump_integral(model: ModelSpec, pv, states, region: str, transform, quad_nodes: int) -> float:
     """integral over the region of sup over states of transform(ratio),
-    against the intensity measure, by chunked midpoint quadrature."""
+    against the intensity measure, by midpoint quadrature in chunks of 64
+    nodes."""
+    u_chunk = 64
     nodes, weights = model.measure.quadrature(region, nodes_per_piece=quad_nodes)
-    if nodes.size == 0:
-        return 0.0
     jump_fn = model.small_jump_fn if region == SMALL else model.large_jump_fn
     total = 0.0
     for start in range(0, nodes.size, u_chunk):

@@ -5,14 +5,17 @@ default), ``+ - * /``, ``^`` (right-associative, binding tighter than unary
 minus: ``-x^2`` is ``-(x^2)``), parentheses, ``sin``, ``cos``, ``ln``,
 ``abs`` and ``min(a, b)``.  Angles are radians.  Anything richer is rejected
 at parse time so that a coefficient written down in a scenario file
-evaluates the same way everywhere, bit for bit.  Every evaluation runs a
-program compiled by :func:`compile_program`; leaving the reals (division by
-zero, ``ln`` of a non-positive value, a non-real power) raises
-:class:`EvalDomainError`.
+evaluates the same way everywhere, bit for bit.
 
-Besides evaluation, this module extracts infimum/supremum of a parsed
-function over [0, oo).  Expressions that are affine in sinusoids of a
-single frequency (``a + b*sin(w*t)``, ``a + b*cos(w*t)``,
+A parsed expression is its tree of frozen, hashable nodes;
+:func:`serialize` writes it back as canonical text.  Every evaluation runs
+a program compiled by :func:`compile_program` (:func:`evaluate` compiles
+one tree for one call); leaving the reals (division by zero, ``ln`` of a
+non-positive value, a non-real power) raises :class:`EvalDomainError`.
+
+Besides evaluation, this module extracts infimum/supremum of a time
+coefficient, a tree in ``t``, over [0, oo).  Expressions that are affine in
+sinusoids of a single frequency (``a + b*sin(w*t)``, ``a + b*cos(w*t)``,
 ``a + b*(sin(t)+cos(t))``) get exact analytic bounds; everything else is
 scanned on a dense grid over a finite horizon and flagged as such.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -32,7 +35,6 @@ __all__ = [
     "EvalDomainError",
     "ExpressionError",
     "ParseError",
-    "TimeFunction",
     "bounds",
     "compile_program",
     "evaluate",
@@ -245,32 +247,8 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
-@dataclass(frozen=True)
-class TimeFunction:
-    """A parsed coefficient expression.  Immutable; safe to share between
-    threads and evaluate concurrently."""
-
-    ast: Node
-    source_text: str
-    variables: tuple[str, ...] = ("t",)
-
-    @cached_property
-    def program(self) -> Callable:
-        """``program(env)``: the value for a mapping of variable values."""
-        return compile_program([self.ast])
-
-    def __reduce__(self):  # pickle the expression, not its compiled program
-        return TimeFunction, (self.ast, self.source_text, self.variables)
-
-    def __call__(self, t):
-        return evaluate(self, t)
-
-    def serialize(self) -> str:
-        return serialize(self)
-
-
-def parse(text: str, variables: tuple[str, ...] = ("t",)) -> TimeFunction:
-    """Parse ``text`` into a :class:`TimeFunction`.
+def parse(text: str, variables: tuple[str, ...] = ("t",)) -> Node:
+    """Parse ``text`` into its expression tree.
 
     Raises :class:`ParseError` (with position) on malformed input, and on
     input whose tree would be more than :data:`MAX_DEPTH` levels high.  The
@@ -282,7 +260,7 @@ def parse(text: str, variables: tuple[str, ...] = ("t",)) -> TimeFunction:
     end = parser.advance()
     if end[0] != "end":
         raise ParseError(f"trailing input {end[1]!r}", end[2])
-    return TimeFunction(ast=node, source_text=text, variables=variables)
+    return node
 
 
 # --- compilation -------------------------------------------------------------
@@ -359,7 +337,7 @@ def compile_program(
 
     def fold(node: Node, value) -> str:
         if not np.isfinite(value):
-            raise EvalDomainError(f"{serialize_node(node)!r} folds to the non-finite constant {value}")
+            raise EvalDomainError(f"{serialize(node)!r} folds to the non-finite constant {value}")
         return bind(value, fold=True)
 
     def emit(node: Node) -> str:
@@ -380,7 +358,7 @@ def compile_program(
                 fn, args = _BINARY[node.op], [emit(node.left), emit(node.right)]
             else:
                 fn, args = _CALLS[node.func], [emit(node.arg)]
-            where = (serialize_node(node),) if fn in _CHECKED else ()
+            where = (serialize(node),) if fn in _CHECKED else ()
             if all(arg in folded for arg in args):
                 name = fold(node, fn(*(folded[arg] for arg in args), *where))
             else:
@@ -388,7 +366,8 @@ def compile_program(
         names[node] = name
         return name
 
-    results = [emit(tree) for tree in trees]
+    with np.errstate(over="ignore", invalid="ignore"):  # fold refuses a non-finite constant
+        results = [emit(tree) for tree in trees]
     if shape is None:
         (result,) = results
         if result in folded:  # a constant needs no code
@@ -415,25 +394,28 @@ def compile_program(
     return namespace["_program"]
 
 
-def evaluate(f: TimeFunction, t, **extra):
-    """Evaluate ``f`` at ``t`` (scalar or ndarray).
+def shaped(value, shape: tuple[int, ...]):
+    """A program's value as callers see it: a plain float for scalar input,
+    otherwise an array of the input's ``shape`` (a constant broadcast)."""
+    if shape == ():
+        return float(value)
+    return np.full(shape, float(value)) if np.ndim(value) == 0 else value
 
-    Scalars come back as plain floats; arrays element-wise.  Pure: the same
-    inputs always produce bit-identical output.  Extra variables for
-    multi-variable functions are passed by keyword.
+
+def evaluate(tree: Node, **values):
+    """Evaluate ``tree`` with its names bound by keyword to scalars or
+    arrays, e.g. ``evaluate(tree, t=ts)``.
+
+    Scalar input gives a plain float; array input an array of the inputs'
+    broadcast shape.  Pure: the same inputs always produce bit-identical
+    output.  A name the tree mentions but ``values`` lacks raises
+    :class:`EvalDomainError`.
     """
-    env = {f.variables[0]: t} if f.variables else {}
-    env.update(extra)
-    missing = [v for v in f.variables if v not in env]
+    missing = sorted(free_names(tree) - values.keys())
     if missing:
         raise EvalDomainError(f"missing variable values for {missing}")
-    out = f.program(env)
-    target = np.broadcast_shapes(np.shape(t), *(np.shape(v) for v in extra.values()))
-    if target == ():
-        return float(out)
-    if np.ndim(out) == 0:
-        return np.full(target, float(out))
-    return out
+    out = compile_program([tree])(values)
+    return shaped(out, np.broadcast_shapes(*map(np.shape, values.values())))
 
 
 # --- canonical serialization ------------------------------------------------
@@ -441,21 +423,22 @@ def evaluate(f: TimeFunction, t, **extra):
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
 
-def serialize_node(node: Node) -> str:
+def serialize(node: Node) -> str:
+    """Canonical infix text; reparsing it reproduces the identical tree."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        inner = serialize_node(node.operand)
+        inner = serialize(node.operand)
         if isinstance(node.operand, BinOp) and node.operand.op != "min":
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(node, Call):
-        return f"{node.func}({serialize_node(node.arg)})"
+        return f"{node.func}({serialize(node.arg)})"
     if isinstance(node, BinOp):
-        left = serialize_node(node.left)
-        right = serialize_node(node.right)
+        left = serialize(node.left)
+        right = serialize(node.right)
         if node.op == "min":
             return f"min({left},{right})"
         # how tightly each operand's text binds: atoms, calls, min and negation 4
@@ -468,11 +451,6 @@ def serialize_node(node: Node) -> str:
             right = f"({right})"
         return f"{left}{node.op}{right}"
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def serialize(f: TimeFunction) -> str:
-    """Canonical infix text; reparsing it reproduces the identical tree."""
-    return serialize_node(f.ast)
 
 
 # --- bounds over [0, oo) ----------------------------------------------------
@@ -497,10 +475,6 @@ class BoundsPair:
         if self.method not in ("analytic", "grid"):
             raise ValueError(f"unknown bounds method {self.method!r}")
 
-    @classmethod
-    def exact(cls, value: float) -> "BoundsPair":
-        return cls(value, value, "analytic")
-
 
 def free_names(node: Node) -> frozenset[str]:
     """The variable names an expression tree mentions."""
@@ -515,37 +489,33 @@ def free_names(node: Node) -> frozenset[str]:
     return free_names(node.arg)
 
 
-def _const_value(node: Node) -> float:
-    return float(compile_program([node])({}))
-
-
-def _frequency_of(node: Node, varname: str):
+def _frequency_of(node: Node):
     """Angular frequency w if ``node`` is w*t / t*w / t / -(...), else None."""
-    if isinstance(node, Var) and node.name == varname:
+    if isinstance(node, Var) and node.name == "t":
         return 1.0
     if isinstance(node, Neg):
-        w = _frequency_of(node.operand, varname)
+        w = _frequency_of(node.operand)
         return None if w is None else -w
     if isinstance(node, BinOp) and node.op == "*":
-        if not free_names(node.left) and isinstance(node.right, Var) and node.right.name == varname:
-            return _const_value(node.left)
-        if not free_names(node.right) and isinstance(node.left, Var) and node.left.name == varname:
-            return _const_value(node.right)
+        if not free_names(node.left) and node.right == Var("t"):
+            return evaluate(node.left)
+        if not free_names(node.right) and node.left == Var("t"):
+            return evaluate(node.right)
     return None
 
 
-def _sinusoid_terms(node: Node, varname: str):
+def _sinusoid_terms(node: Node):
     """Decompose into [(coeff, None | (func, w))] or None if not affine in
-    sinusoids of the time variable."""
+    sinusoids of the time ``t``."""
     if not free_names(node):
-        return [(_const_value(node), None)]
+        return [(evaluate(node), None)]
     if isinstance(node, Neg):
-        inner = _sinusoid_terms(node.operand, varname)
+        inner = _sinusoid_terms(node.operand)
         return None if inner is None else [(-c, osc) for c, osc in inner]
     if isinstance(node, BinOp):
         if node.op in ("+", "-"):
-            left = _sinusoid_terms(node.left, varname)
-            right = _sinusoid_terms(node.right, varname)
+            left = _sinusoid_terms(node.left)
+            right = _sinusoid_terms(node.right)
             if left is None or right is None:
                 return None
             if node.op == "-":
@@ -553,31 +523,31 @@ def _sinusoid_terms(node: Node, varname: str):
             return left + right
         if node.op == "*":
             if not free_names(node.left):
-                inner = _sinusoid_terms(node.right, varname)
-                scale = _const_value(node.left)
+                inner = _sinusoid_terms(node.right)
+                scale = evaluate(node.left)
             elif not free_names(node.right):
-                inner = _sinusoid_terms(node.left, varname)
-                scale = _const_value(node.right)
+                inner = _sinusoid_terms(node.left)
+                scale = evaluate(node.right)
             else:
                 return None
             return None if inner is None else [(scale * c, osc) for c, osc in inner]
         if node.op == "/" and not free_names(node.right):
-            denom = _const_value(node.right)
+            denom = evaluate(node.right)
             if denom == 0:
                 return None
-            inner = _sinusoid_terms(node.left, varname)
+            inner = _sinusoid_terms(node.left)
             return None if inner is None else [(c / denom, osc) for c, osc in inner]
         return None
     if isinstance(node, Call) and node.func in ("sin", "cos"):
-        w = _frequency_of(node.arg, varname)
+        w = _frequency_of(node.arg)
         if w is None:
             return None
         return [(1.0, (node.func, w))]
     return None
 
 
-def _analytic_bounds(f: TimeFunction) -> Optional[tuple[float, float]]:
-    terms = _sinusoid_terms(f.ast, f.variables[0])
+def _analytic_bounds(tree: Node) -> Optional[tuple[float, float]]:
+    terms = _sinusoid_terms(tree)
     if terms is None:
         return None
     offset = 0.0
@@ -608,9 +578,10 @@ def _analytic_bounds(f: TimeFunction) -> Optional[tuple[float, float]]:
     return offset - amp, offset + amp
 
 
-def bounds(f: TimeFunction, scan_horizon: float = 1.0e4, grid_points: int = 1_000_001) -> BoundsPair:
-    """Bounds of ``f`` over [0, oo): analytic when the tree matches a
-    recognized sinusoid pattern, otherwise a grid scan of [0, scan_horizon].
+def bounds(tree: Node, scan_horizon: float = 1.0e4, grid_points: int = 1_000_001) -> BoundsPair:
+    """Bounds of the time coefficient ``tree`` over [0, oo): analytic when
+    it matches a recognized sinusoid pattern, otherwise a grid scan of
+    [0, scan_horizon].
     Bounds that are not finite raise :class:`EvalDomainError`.
 
     Grid bounds on monotone saturating terms report the value at the scan
@@ -621,10 +592,12 @@ def bounds(f: TimeFunction, scan_horizon: float = 1.0e4, grid_points: int = 1_00
         raise ValueError("scan_horizon must be positive")
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
-    pair, method = _analytic_bounds(f), "analytic"
+    pair, method = _analytic_bounds(tree), "analytic"
     if pair is None:
-        vals = np.asarray(evaluate(f, np.linspace(0.0, scan_horizon, grid_points)), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite scan is refused below
+            vals = np.asarray(evaluate(tree, t=np.linspace(0.0, scan_horizon, grid_points)), dtype=float)
         pair, method = (vals.min(), vals.max()), "grid"
-    if not np.isfinite(pair).all():
-        raise EvalDomainError(f"{f.source_text!r} has non-finite bounds {pair} over [0, oo)")
-    return BoundsPair(float(pair[0]), float(pair[1]), method)
+    lo, hi = map(float, pair)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise EvalDomainError(f"{serialize(tree)!r} has non-finite bounds ({lo}, {hi}) over [0, oo)")
+    return BoundsPair(lo, hi, method)

@@ -128,8 +128,9 @@ def path_generator(seed: int, index: int = 0) -> np.random.Generator:
 def _block_marks(measure, gens, regions, block: int) -> dict:
     """Draw one block's marks for ``regions``, (region, (paths, block) counts)
     pairs: per path one run of uniforms, split step by step with small before
-    large.  Per region, in step order: step bounds, paths and marks of the
-    single-mark events, then step bounds and (path, marks) of the others."""
+    large.  Per region, the marked path-steps in step order: the step bounds
+    into them, their paths and the offsets of their marks, then each mark's
+    path and value, a path's marks in draw order."""
     events = []  # (path, step, count) per region, step-major
     for _, counts in regions:
         i, j = np.nonzero(counts)
@@ -145,26 +146,23 @@ def _block_marks(measure, gens, regions, block: int) -> dict:
     uniforms = np.concatenate([np.empty(0)] + [g.random(m) for g, m in zip(gens, per_path) if m])
     out, lo, steps = {}, 0, np.arange(block + 1)
     for (region, _), (i, j, c) in zip(regions, events):
-        first = np.cumsum(c) - c
-        at = np.repeat(start[lo : lo + len(c)] - first, c) + np.arange(c.sum())
+        offsets = np.concatenate(([0], np.cumsum(c)))
+        at = np.repeat(start[lo : lo + len(c)] - offsets[:-1], c) + np.arange(offsets[-1])
         lo += len(c)
         marks = measure.inverse_cdf(region, measure.mass(region) * uniforms[at])
-        one, many = c == 1, np.nonzero(c > 1)[0]
-        out[region] = (np.searchsorted(j[one], steps).tolist(), i[one], marks[first[one]],
-                       np.searchsorted(j[many], steps).tolist(),
-                       [(int(i[e]), marks[first[e] : first[e] + c[e]]) for e in many])
+        out[region] = (np.searchsorted(j, steps).tolist(), i, offsets, np.repeat(i, c), marks)
     return out
 
 
 def _add_jumps(jump_fn, pv, states, incr, marks, j: int) -> None:
-    """Add step ``j``'s jumps of one region to ``incr``: all single-mark paths
-    in one call of ``jump_fn``, each path with several marks on its own."""
-    bounds, paths, single, many_bounds, many = marks
+    """Add step ``j``'s jumps of one region to ``incr``: every mark in one
+    call of ``jump_fn``, each path's marks summed in draw order."""
+    bounds, paths, offsets, mark_paths, values = marks
     a, b = bounds[j], bounds[j + 1]
     if a < b:
-        incr[paths[a:b]] += jump_fn(pv, states[paths[a:b]], single[a:b])
-    for i, path_marks in many[many_bounds[j] : many_bounds[j + 1]]:
-        incr[i] += jump_fn(pv, states[i], path_marks).sum(axis=0)
+        lo, hi = offsets[a], offsets[b]
+        jumps = jump_fn(pv, states[mark_paths[lo:hi]], values[lo:hi])
+        incr[paths[a:b]] += np.add.reduceat(jumps, offsets[a:b] - lo)
 
 
 def run_paths(

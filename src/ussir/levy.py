@@ -43,24 +43,24 @@ class LevyMeasure:
         if self.density < 0:
             raise ValueError(f"measure density {self.density} is negative")
 
-    def region_pieces(self, region: str) -> tuple[tuple[float, float, float], ...]:
-        """The (lo, hi, density) pieces of the support inside ``region``."""
+    def region_pieces(self, region: str) -> tuple[tuple[float, float], ...]:
+        """The (lo, hi) pieces of the support inside ``region``."""
         if region not in (SMALL, LARGE):
             raise ValueError(f"region must be {SMALL!r} or {LARGE!r}, got {region!r}")
         clipped = ((max(self.lo, w_lo), min(self.hi, w_hi)) for w_lo, w_hi in _WINDOWS[region])
-        return tuple((a, b, self.density) for a, b in clipped if a < b)
+        return tuple((a, b) for a, b in clipped if a < b)
 
     def mass(self, region: str) -> float:
-        return float(sum((hi - lo) * dens for lo, hi, dens in self.region_pieces(region)))
+        return float(sum((hi - lo) * self.density for lo, hi in self.region_pieces(region)))
 
     def quadrature(self, region: str, nodes_per_piece: int = 1001):
         """Midpoint nodes and weights for integrating against the measure
         restricted to ``region``.  Exact for u-constant integrands."""
         us, ws = [], []
-        for lo, hi, dens in self.region_pieces(region):
+        for lo, hi in self.region_pieces(region):
             edges = np.linspace(lo, hi, nodes_per_piece + 1)
             us.append(0.5 * (edges[:-1] + edges[1:]))
-            ws.append(np.full(nodes_per_piece, (hi - lo) / nodes_per_piece * dens))
+            ws.append(np.full(nodes_per_piece, (hi - lo) / nodes_per_piece * self.density))
         if not us:
             return np.empty(0), np.empty(0)
         return np.concatenate(us), np.concatenate(ws)
@@ -69,7 +69,7 @@ class LevyMeasure:
         """Map measure levels in [0, mass(region)) to marks in ``region``: the
         integrator's one mark mapping."""
         pieces = self.region_pieces(region)
-        cum = np.cumsum([(hi - lo) * dens for lo, hi, dens in pieces])
+        cum = np.cumsum([(hi - lo) * self.density for lo, hi in pieces])
         idx = np.searchsorted(cum, levels, side="right")
-        lows = np.array([lo for lo, _, _ in pieces])
+        lows = np.array([lo for lo, _ in pieces])
         return lows[idx] + (levels - np.concatenate(([0.0], cum[:-1]))[idx]) / self.density

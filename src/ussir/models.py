@@ -20,18 +20,20 @@ named coefficients.  Five named families are tables (:data:`FAMILIES`):
 ``ex34b``  population-count analogue of ``ex1b``, truncated the same way.
 
 A :class:`ModelSpec` is such a table: the trees of drift, diffusion and
-jumps.  :func:`build_named` fills a family's table with time functions, jump
-constants and (where its expressions use ``cap``) a truncation cap;
-:func:`build_custom` accepts raw coefficient expressions, and on the
-proportions simplex it must pass the conservation and positivity gates.
-Everything else is derived from the trees: constructing a model compiles
-each group once with :func:`ussir.expr.compile_program`, jump constants and
-cap folded in, and sets the flags saying which noise it carries; the
-compensator is computed from the programs; :func:`suppress` rebuilds a
-model from a reduced table.  Programs take a dict of already-evaluated
-time-coefficient values (see :meth:`ModelSpec.param_values`) so that
-integrators evaluate each time function once per step (or once per block of
-steps) instead of once per coefficient use.
+jumps, and the trees of its named time coefficients.  :func:`build_named`
+fills a family's table with its time coefficients, jump constants and
+(where its expressions use ``cap``) a truncation cap; :func:`build_custom`
+accepts raw coefficient expressions, and on the proportions simplex it
+must pass the conservation and positivity gates.  Everything else is
+derived from the trees: constructing a model compiles each group, and each
+time coefficient, once with :func:`ussir.expr.compile_program`, jump
+constants and cap folded in, and sets the flags saying which noise it
+carries; the compensator is computed from the programs; :func:`suppress`
+rebuilds a model from a reduced table.  Programs take a dict of
+already-evaluated time-coefficient values (see
+:meth:`ModelSpec.param_values`) so that integrators evaluate each time
+coefficient once per step (or once per block of steps) instead of once per
+coefficient use.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .expr import Node, Num, TimeFunction, bounds, compile_program, free_names, parse
+from .expr import Node, Num, bounds, compile_program, free_names, parse, shaped
 from .levy import SMALL, LevyMeasure
 
 __all__ = [
@@ -65,9 +67,10 @@ SIMPLEX = "simplex"
 OCTANT = "octant"
 
 SIMPLEX_TOL = 1e-6
+CONSERVATION_TOL = 1e-12  # the rows cancel algebraically, so only rounding noise may remain
 
 
-def check_admissible(state, domain: str, simplex_tol: float = SIMPLEX_TOL) -> np.ndarray:
+def check_admissible(state, domain: str) -> np.ndarray:
     """Validate shape, positivity (and the unit-sum constraint on the
     simplex); return the state as a float (3,) array."""
     arr = np.asarray(state, dtype=float)
@@ -75,7 +78,7 @@ def check_admissible(state, domain: str, simplex_tol: float = SIMPLEX_TOL) -> np
         raise ValueError(f"state must have three components, got shape {arr.shape}")
     if not np.all(arr > 0):
         raise ValueError(f"state components must be positive, got {arr.tolist()}")
-    if domain == SIMPLEX and abs(arr.sum() - 1.0) > simplex_tol:
+    if domain == SIMPLEX and abs(arr.sum() - 1.0) > SIMPLEX_TOL:
         raise ValueError(f"simplex state must sum to 1 (got {arr.sum()!r})")
     return arr
 
@@ -90,7 +93,8 @@ class ModelSpec:
     The fields are the table: ``drift`` is three trees, ``diffusion`` a
     column of three trees per Brownian driver, ``small_jump`` and
     ``large_jump`` three trees each (they may also use the mark ``u``), or
-    None when the model has no jumps of that kind.  ``constants`` holds the
+    None when the model has no jumps of that kind.  ``params`` maps each
+    named time coefficient to its tree in ``t``.  ``constants`` holds the
     jump constants and, where the expressions use it, the cap ``cap``; a
     ``measure`` of None is the uniform density on [-2, 2].
 
@@ -102,7 +106,8 @@ class ModelSpec:
     zeros.  The flags ``brownian_dim``,
     ``has_diffusion``, ``has_small_jumps`` and ``has_large_jumps`` say which
     groups are present.  ``small_jump_uses_u`` is False when no small-jump
-    tree mentions the mark, which lets the compensator skip quadrature.
+    tree mentions the mark, which lets the compensator skip quadrature;
+    otherwise the small region's quadrature nodes are built here, once.
     Immutable; shareable across threads.
     """
 
@@ -113,7 +118,7 @@ class ModelSpec:
     diffusion: Sequence[Sequence[Node]]
     small_jump: Optional[Sequence[Node]] = None
     large_jump: Optional[Sequence[Node]] = None
-    params: Mapping[str, TimeFunction] = field(default_factory=dict)
+    params: Mapping[str, Node] = field(default_factory=dict)
     constants: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -137,15 +142,19 @@ class ModelSpec:
         derive("has_diffusion", n > 0)
         derive("has_small_jumps", small is not None)
         derive("has_large_jumps", large is not None)
+        derive("_param_fns", {name: compile_program([tree]) for name, tree in self.params.items()})
         derive("small_jump_uses_u", any("u" in free_names(tree) for tree in small or ()))
         derive("_small_mass", self.measure.mass(SMALL))
+        if self.small_jump_uses_u:
+            derive("_small_quadrature", self.measure.quadrature(SMALL))
 
     def param_values(self, t) -> dict:
         """Evaluate every time-dependent coefficient at ``t`` (scalar or
-        array); the returned dict also carries ``t`` itself."""
-        pv = {"t": t}
-        for name, fn in self.params.items():
-            pv[name] = fn(t)
+        array), as :func:`ussir.expr.evaluate` would; the returned dict also
+        carries ``t`` itself."""
+        pv, shape = {"t": t}, np.shape(t)
+        for name, fn in self._param_fns.items():
+            pv[name] = shaped(fn(pv), shape)
         return pv
 
     def compensator_pv(self, pv: Mapping, S: np.ndarray) -> np.ndarray:
@@ -154,9 +163,7 @@ class ModelSpec:
         not depend on the mark, midpoint quadrature otherwise."""
         if not self.small_jump_uses_u:
             return self._small_mass * self.small_jump_fn(pv, S, 0.0)
-        nodes, weights = self.measure.quadrature(SMALL)
-        if nodes.size == 0:
-            return np.zeros(S.shape)
+        nodes, weights = self._small_quadrature
         lead = S.ndim - 1
         u = nodes.reshape((-1,) + (1,) * lead)
         vals = self.small_jump_fn(pv, S, u)
@@ -215,7 +222,7 @@ class Family:
         names = ("t", "x", "y", "z", "cap") + self.params + self.jumps
 
         def group(texts, *extra):
-            return texts and tuple(parse(text, names + extra).ast for text in texts)
+            return texts and tuple(parse(text, names + extra) for text in texts)
 
         return {
             "drift": group(self.drift),
@@ -308,8 +315,8 @@ def build_named(
 ) -> ModelSpec:
     """Build the named family ``model_id`` from its table.
 
-    ``params`` maps each named coefficient to a time function (its text, or
-    a number); ``jumps`` each jump constant to a number in [0, 1).  ``cap``,
+    ``params`` maps each named coefficient to its text in ``t`` (or a
+    number); ``jumps`` each jump constant to a number in [0, 1).  ``cap``,
     positive, is required exactly when the family's expressions use it.
     Every time coefficient is bounded over [0, oo) once, here: a
     coefficient that leaves the reals on the scan grid is rejected, and the
@@ -332,9 +339,8 @@ def build_named(
             raise ValueError(f"{model_id}: jump constant {name}={value} outside [0, 1)")
     p, pairs = {}, {}
     for name in family.params:
-        v = params[name]
         try:
-            p[name] = v if isinstance(v, TimeFunction) else parse(str(v))
+            p[name] = parse(str(params[name]))
             pairs[name] = bounds(p[name])  # also rejects a coefficient leaving the reals
         except ValueError as exc:
             raise ValueError(f"{model_id}: coefficient {name}: {exc}") from exc
@@ -364,8 +370,6 @@ def build_custom(
     small_jump: Optional[Sequence[str]] = None,
     large_jump: Optional[Sequence[str]] = None,
     measure: Optional[LevyMeasure] = None,
-    model_id: str = "custom",
-    rng: Optional[np.random.Generator] = None,
 ) -> ModelSpec:
     """Build a model from raw coefficient expressions.
 
@@ -377,15 +381,15 @@ def build_custom(
     """
     state_vars = ("t", "x", "y", "z")
     jump_vars = ("t", "x", "y", "z", "u")
-    drift_trees = tuple((s if isinstance(s, TimeFunction) else parse(s, state_vars)).ast for s in drift)
-    diff_cols = tuple(tuple(parse(s, state_vars).ast for s in col) for col in diffusion)
+    drift_trees = tuple(parse(s, state_vars) for s in drift)
+    diff_cols = tuple(tuple(parse(s, state_vars) for s in col) for col in diffusion)
     if not diff_cols:
         raise ValueError("at least one diffusion column is required (may be zeros)")
-    small_trees = tuple(parse(s, jump_vars).ast for s in small_jump) if small_jump else None
-    large_trees = tuple(parse(s, jump_vars).ast for s in large_jump) if large_jump else None
-    model = ModelSpec(model_id, domain, measure, drift_trees, diff_cols, small_trees, large_trees)
+    small_trees = tuple(parse(s, jump_vars) for s in small_jump) if small_jump else None
+    large_trees = tuple(parse(s, jump_vars) for s in large_jump) if large_jump else None
+    model = ModelSpec("custom", domain, measure, drift_trees, diff_cols, small_trees, large_trees)
     if domain == SIMPLEX:
-        rng = rng if rng is not None else np.random.default_rng(0)
+        rng = np.random.default_rng(0)  # one stream for both gates
         conservation = check_conservation(model, samples=256, rng=rng)
         if not conservation.passed:
             raise ValueError(
@@ -425,11 +429,11 @@ class PositivityReport:
     passed: bool
 
 
-def _sample_points(model: ModelSpec, count: int, rng: Optional[np.random.Generator], t_hi: float):
-    """Time-coefficient values, admissible states and marks at ``count``
-    random points, drawn in that order (``rng`` None is seed 0)."""
+def _sample_points(model: ModelSpec, count: int, rng: Optional[np.random.Generator]):
+    """Time-coefficient values at t in [0, 100), admissible states and marks
+    at ``count`` random points, drawn in that order (``rng`` None is seed 0)."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    ts = rng.uniform(0.0, t_hi, size=count)
+    ts = rng.uniform(0.0, 100.0, size=count)
     if model.domain == SIMPLEX:
         states = rng.dirichlet((1.0, 1.0, 1.0), size=count)
     else:
@@ -443,17 +447,15 @@ def check_conservation(
     model: ModelSpec,
     samples: int = 1000,
     rng: Optional[np.random.Generator] = None,
-    t_hi: float = 100.0,
-    tolerance: float = 1e-12,
 ) -> ConservationReport:
     """Verify the simplex row-sum identities at random (t, state, u) points.
 
     The four sums cancel algebraically for well-formed simplex models, so
-    anything beyond rounding noise (default gate 1e-12) is a failure.
+    anything beyond rounding noise (:data:`CONSERVATION_TOL`) is a failure.
     """
     if model.domain != SIMPLEX:
         raise ValueError("conservation check applies to simplex models only")
-    pv, states, us = _sample_points(model, samples, rng, t_hi)
+    pv, states, us = _sample_points(model, samples, rng)
     breakdown = {
         "drift": float(np.abs(model.drift_fn(pv, states).sum(axis=-1)).max()),
         # a model without Brownian drivers has a (samples, 3, 0) diffusion block
@@ -466,8 +468,8 @@ def check_conservation(
         max_abs_deviation=worst,
         breakdown=breakdown,
         samples=samples,
-        tolerance=tolerance,
-        passed=worst <= tolerance,
+        tolerance=CONSERVATION_TOL,
+        passed=worst <= CONSERVATION_TOL,
     )
 
 
@@ -475,7 +477,6 @@ def check_positivity_ratios(
     model: ModelSpec,
     samples: int = 1000,
     rng: Optional[np.random.Generator] = None,
-    t_hi: float = 100.0,
 ) -> PositivityReport:
     """Verify 1 + coeff_i/state_i > 0 for both jump vectors at sampled
     admissible points; reports the minimum ratio found.
@@ -484,7 +485,7 @@ def check_positivity_ratios(
     its start state, so a step with several marks can still take a
     component to zero or below; the safeguard then clamps it, and the run
     counts each clamp in ``floor_hits``."""
-    pv, states, us = _sample_points(model, samples, rng, t_hi)
+    pv, states, us = _sample_points(model, samples, rng)
     small = model.small_jump_fn(pv, states, us)
     large = model.large_jump_fn(pv, states, us)
     ratios = np.concatenate([1.0 + small / states, 1.0 + large / states], axis=0)

@@ -305,7 +305,6 @@ def sim_config(
     seed: Optional[int] = None,
     dt: Optional[float] = None,
     horizon: Optional[float] = None,
-    record_stride: Optional[int] = None,
 ) -> SimConfig:
     """SimConfig from a scenario, with optional overrides beating file
     values."""
@@ -314,7 +313,7 @@ def sim_config(
         dt=dt if dt is not None else cfg.dt,
         seed=seed if seed is not None else cfg.seed,
         positivity_floor=cfg.positivity_floor,
-        record_stride=record_stride if record_stride is not None else cfg.record_stride,
+        record_stride=cfg.record_stride,
     )
 
 

@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ussir
 from ussir.expr import (
     MAX_DEPTH,
+    BinOp,
     BoundsPair,
+    Call,
     EvalDomainError,
+    Num,
     ParseError,
+    Var,
     bounds,
     compile_program,
     evaluate,
@@ -33,65 +38,70 @@ TABLE_EXPRESSIONS = [
 
 class TestParseEval:
     def test_sin_at_zero(self):
-        assert parse("0.3+0.1*sin(4*t)")(0.0) == pytest.approx(0.3, abs=1e-15)
+        assert evaluate(parse("0.3+0.1*sin(4*t)"), t=0.0) == pytest.approx(0.3, abs=1e-15)
 
     def test_rational(self):
-        assert parse("1+t/(1+t)")(1.0) == pytest.approx(1.5, abs=1e-15)
+        assert evaluate(parse("1+t/(1+t)"), t=1.0) == pytest.approx(1.5, abs=1e-15)
 
     def test_log_abs(self):
         f = parse("1+ln(1+abs(sin(t)))")
-        assert f(math.pi / 2) == pytest.approx(1.0 + math.log(2.0), abs=1e-12)
+        assert evaluate(f, t=math.pi / 2) == pytest.approx(1.0 + math.log(2.0), abs=1e-12)
 
     def test_cos_at_zero(self):
-        assert parse("0.8+0.04*cos(7*t)")(0.0) == pytest.approx(0.84, abs=1e-15)
+        assert evaluate(parse("0.8+0.04*cos(7*t)"), t=0.0) == pytest.approx(0.84, abs=1e-15)
 
     def test_constant(self):
         f = parse("5")
-        assert f(0.0) == 5.0
-        assert f(123.4) == 5.0
+        assert evaluate(f, t=0.0) == 5.0
+        assert evaluate(f, t=123.4) == 5.0
 
     def test_sin_three_half_pi(self):
         f = parse("0.15+0.07*sin(t)")
-        assert f(3 * math.pi / 2) == pytest.approx(0.08, abs=1e-12)
+        assert evaluate(f, t=3 * math.pi / 2) == pytest.approx(0.08, abs=1e-12)
 
     def test_eval_is_pure(self):
         f = parse("0.3+0.1*sin(4*t)")
-        assert f(1.2345) == f(1.2345)
+        assert evaluate(f, t=1.2345) == evaluate(f, t=1.2345)
 
     def test_vectorized_eval(self):
         f = parse("2*t")
-        out = f(np.array([0.0, 1.0, 2.5]))
+        out = evaluate(f, t=np.array([0.0, 1.0, 2.5]))
         assert np.array_equal(out, [0.0, 2.0, 5.0])
 
     def test_constant_broadcasts_on_arrays(self):
         f = parse("0.25")
-        out = f(np.linspace(0, 1, 7))
+        out = evaluate(f, t=np.linspace(0, 1, 7))
         assert out.shape == (7,)
         assert np.all(out == 0.25)
 
     def test_unary_minus(self):
-        assert parse("-t+3")(1.0) == 2.0
+        assert evaluate(parse("-t+3"), t=1.0) == 2.0
 
     def test_whitespace_insignificant(self):
-        assert parse(" 0.3 + 0.1 * sin( 4 * t ) ")(0.0) == parse("0.3+0.1*sin(4*t)")(0.0)
+        assert evaluate(parse(" 0.3 + 0.1 * sin( 4 * t ) "), t=0.0) == evaluate(parse("0.3+0.1*sin(4*t)"), t=0.0)
 
     def test_power(self):
-        assert parse("t^2")(3.0) == 9.0
-        assert parse("2^t")(np.array([0.0, 3.0])).tolist() == [1.0, 8.0]
+        assert evaluate(parse("t^2"), t=3.0) == 9.0
+        assert evaluate(parse("2^t"), t=np.array([0.0, 3.0])).tolist() == [1.0, 8.0]
 
     def test_power_binds_tighter_than_unary_minus(self):
-        assert parse("-t^2")(3.0) == -9.0
-        assert parse("(-t)^2")(3.0) == 9.0
+        assert evaluate(parse("-t^2"), t=3.0) == -9.0
+        assert evaluate(parse("(-t)^2"), t=3.0) == 9.0
 
     def test_power_is_right_associative(self):
-        assert parse("2^3^2")(0.0) == 512.0
-        assert parse("2^-1")(0.0) == 0.5
+        assert evaluate(parse("2^3^2"), t=0.0) == 512.0
+        assert evaluate(parse("2^-1"), t=0.0) == 0.5
+
+    def test_a_parsed_coefficient_is_its_tree(self):
+        sin4t = Call("sin", BinOp("*", Num(4.0), Var("t")))
+        assert parse("0.3+0.1*sin(4*t)") == BinOp("+", Num(0.3), BinOp("*", Num(0.1), sin4t))
+        assert len(ussir.__all__) == 26
 
     def test_min(self):
         f = parse("min(t, 1)")
-        assert f(0.25) == 0.25
-        assert f(np.array([0.5, 2.0])).tolist() == [0.5, 1.0]
-        assert parse("min(2*t, t+1)*3")(2.0) == 9.0
+        assert evaluate(f, t=0.25) == 0.25
+        assert evaluate(f, t=np.array([0.5, 2.0])).tolist() == [0.5, 1.0]
+        assert evaluate(parse("min(2*t, t+1)*3"), t=2.0) == 9.0
 
 
 class TestErrors:
@@ -127,26 +137,26 @@ class TestErrors:
     @pytest.mark.parametrize("text", ["(0-1)^0.5", "0^(0-1)", "(t-2)^0.5", "(t-1)^(0-2)"])
     def test_power_domain(self, text):
         with pytest.raises(EvalDomainError, match="power"):
-            parse(text)(1.0)
+            evaluate(parse(text), t=1.0)
 
     def test_power_domain_allows_integer_exponents_of_negative_bases(self):
-        assert parse("(t-2)^3")(1.0) == -1.0
-        assert parse("0^0")(0.0) == 1.0
+        assert evaluate(parse("(t-2)^3"), t=1.0) == -1.0
+        assert evaluate(parse("0^0"), t=0.0) == 1.0
 
     def test_ln_domain(self):
         f = parse("ln(t-1)")
         with pytest.raises(EvalDomainError):
-            f(0.5)
+            evaluate(f, t=0.5)
 
     def test_division_by_zero(self):
         f = parse("1/(t-1)")
         with pytest.raises(EvalDomainError):
-            f(1.0)
+            evaluate(f, t=1.0)
 
     def test_missing_variable(self):
         f = parse("x+u", variables=("x", "u"))
         with pytest.raises(EvalDomainError):
-            evaluate(f, 1.0)
+            evaluate(f, x=1.0)
 
     @pytest.mark.parametrize(
         "text,position",
@@ -171,10 +181,10 @@ class TestErrors:
     )
     def test_deepest_accepted_trees_pass_every_recursive_pass(self, text):
         f = parse(text)
-        assert parse(serialize(f)).ast == f.ast
-        assert {f.ast: 1}[f.ast] == 1  # hashing recurses too
+        assert parse(serialize(f)) == f
+        assert {f: 1}[f] == 1  # hashing recurses too
         assert math.isfinite(bounds(f, grid_points=11).sup)
-        assert compile_program([f.ast], (1,))({"t": 1.0}, np.ones((2, 3))).shape == (2, 1)
+        assert compile_program([f], (1,))({"t": 1.0}, np.ones((2, 3))).shape == (2, 1)
 
     @pytest.mark.parametrize("text,position", [("1e400", 0), ("sin(1e400)", 4), ("t*-1e999", 3)])
     def test_overflowing_numeral_refused(self, text, position):
@@ -189,13 +199,13 @@ class TestErrors:
     def test_non_finite_folded_constant_refused(self, text, where):
         f = parse(text)
         with pytest.raises(EvalDomainError, match=f"{re.escape(where)} folds to the non-finite constant inf"):
-            f(1.0)
+            evaluate(f, t=1.0)
         with pytest.raises(EvalDomainError, match="non-finite constant"):
             bounds(f)
 
     def test_non_finite_model_constant_refused(self):
         with pytest.raises(EvalDomainError, match="'cap' folds to the non-finite constant nan"):
-            compile_program([parse("min(t,cap)", ("t", "cap")).ast], (), {"cap": math.nan})
+            compile_program([parse("min(t,cap)", ("t", "cap"))], (), {"cap": math.nan})
 
 
 class TestSerialize:
@@ -203,22 +213,22 @@ class TestSerialize:
     def test_roundtrip_table_expressions(self, text):
         f = parse(text)
         again = parse(serialize(f))
-        assert again.ast == f.ast
+        assert again == f
 
     def test_precedence_parens(self):
         f = parse("1-(2-3)*4/(5*6)")
-        assert parse(serialize(f)).ast == f.ast
+        assert parse(serialize(f)) == f
 
     def test_double_negation(self):
         f = parse("--t")
-        assert parse(serialize(f)).ast == f.ast
+        assert parse(serialize(f)) == f
 
     @pytest.mark.parametrize(
         "text", ["-t^2", "(-t)^2", "t^2^3", "(t^2)^3", "t^-2", "2*t^2/3", "min(t^2,-t)", "-min(t,1)"]
     )
     def test_power_and_min_roundtrip(self, text):
         f = parse(text)
-        assert parse(serialize(f)).ast == f.ast
+        assert parse(serialize(f)) == f
 
 
 def _expr_trees(variables=("t",)):
@@ -247,12 +257,12 @@ class TestProperties:
     @settings(max_examples=120, deadline=None)
     def test_roundtrip_random_trees(self, text):
         f = parse(text)
-        assert parse(serialize(f)).ast == f.ast
+        assert parse(serialize(f)) == f
 
     @given(text=_expr_trees(), t=st.floats(min_value=0.0, max_value=50.0))
     @settings(max_examples=120, deadline=None)
     def test_division_free_trees_evaluate_finite(self, text, t):
-        value = parse(text)(t)
+        value = evaluate(parse(text), t=t)
         assert math.isfinite(value)
 
 
@@ -300,7 +310,7 @@ class TestBounds:
         assert analytic.method == "analytic"
         assert grid.method == "analytic"  # matcher catches it first
         ts = np.linspace(0.0, 2 * math.pi / 7, 10_001)
-        vals = f(ts)
+        vals = evaluate(f, t=ts)
         assert abs(vals.min() - analytic.inf) < 1e-6
         assert abs(vals.max() - analytic.sup) < 1e-6
 

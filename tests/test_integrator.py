@@ -14,7 +14,7 @@ from ussir.integrator import (
     run_paths,
     simulate,
 )
-from ussir.levy import LARGE, SMALL
+from ussir.levy import LARGE, SMALL, LevyMeasure
 from ussir.models import OCTANT, SIMPLEX, ModelSpec, build_custom, suppress
 
 ZEROS = ("0", "0", "0")
@@ -296,6 +296,16 @@ class TestBatchedJumps:
         assert set(counts) == {SMALL, LARGE}
         assert max((c > 0).sum(axis=0).max() for c in counts.values()) >= 2  # paths jumping in one step
         assert max(c.max() for c in counts.values()) >= 2  # marks of one path in one step
+
+    def test_compensator_quadrature_built_with_the_model(self, scenario, monkeypatch):
+        # the compensator's nodes and weights are fixed per model, so no step rebuilds them
+        model, s0 = self._model(scenario, "marked")
+        assert model.small_jump_uses_u
+        calls = []
+        quadrature = LevyMeasure.quadrature
+        monkeypatch.setattr(LevyMeasure, "quadrature", lambda *args: calls.append(args) or quadrature(*args))
+        run_paths(model, s0, self.CFG, self.KEYS[:3])
+        assert calls == []
 
     @pytest.mark.parametrize("name", CASES)
     def test_batch_matches_one_key_runs(self, scenario, name):

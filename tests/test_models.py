@@ -37,7 +37,7 @@ _MIN = parse("min(x,c)", variables=("x", "c"))
 
 
 def _truncate(x, cap):
-    return evaluate(_MIN, x, c=cap)
+    return evaluate(_MIN, x=x, c=cap)
 
 
 def _at(model, t, state):

@@ -1,4 +1,5 @@
 import filecmp
+import warnings
 
 import pytest
 
@@ -216,18 +217,26 @@ class TestLoad:
             ("table3", 'sigma = "0.12+0.01*(sin(t)+cos(t))"', 'sigma = "1e200"'),
             ("table2", 'gamma2 = "0.56+0.01*sin(t)"', 'gamma2 = "0"'),
             ("table6", 'gamma3 = "0.12+0.04*cos(2*t)"', 'gamma3 = "-1"'),
+            # numpy overflows while folding a constant, or on the bounds scan grid
+            ("table3", TABLE3_BETA, 'beta = "0.13+10^400"'),
+            ("table3", TABLE3_BETA, 'beta = "0.13+1e-300*(1e300*t^40)"'),
         ],
         ids=["xi=0.5", "mu=0", "unknown-name", "support", "density", "state", "parentheses", "unary-minus",
              "1e400", "1e300*1e300", "sin(1e400)", "extra-param", "cap=0", "infinite-bound",
-             "report-Lambda=0", "report-sigma=1e200", "report-gamma2=0", "report-gamma3=-1"],
+             "report-Lambda=0", "report-sigma=1e200", "report-gamma2=0", "report-gamma3=-1",
+             "folded-overflow", "scan-overflow"],
     )
     def test_value_errors_name_the_file(self, tmp_path, capsys, name, old, new):
         text = bundled_scenario_path(name).read_text()
         assert old in text
         target = _write(tmp_path, text.replace(old, new, 1))
-        assert main(["criteria", "--config", str(target), "--out", str(tmp_path)]) == 1
+        with warnings.catch_warnings(record=True) as caught:  # a warning would print to stderr too
+            warnings.simplefilter("always")
+            assert main(["criteria", "--config", str(target), "--out", str(tmp_path)]) == 1
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {target}: ")
+        assert "np.float64" not in err[0]
         if old == self.TABLE3_BETA:  # a position into the coefficient's text comes with its name
             assert err[0].startswith(f"error: {target}: xc: coefficient beta: ")
 
@@ -290,8 +299,8 @@ class TestLoad:
 
     def test_sim_config_overrides(self):
         cfg = load_scenario(bundled_scenario_path("table1"))
-        sim = sim_config(cfg, seed=9, dt=0.01, horizon=5.0, record_stride=2)
-        assert (sim.seed, sim.dt, sim.horizon, sim.record_stride) == (9, 0.01, 5.0, 2)
+        sim = sim_config(cfg, seed=9, dt=0.01, horizon=5.0)
+        assert (sim.seed, sim.dt, sim.horizon, sim.record_stride) == (9, 0.01, 5.0, cfg.record_stride)
         sim = sim_config(cfg)
         assert (sim.seed, sim.dt, sim.horizon) == (101, 0.001, 100.0)
 
