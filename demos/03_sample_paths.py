@@ -24,7 +24,7 @@ def main():
         "full dynamics": model,
         "drift only": suppress(model),
         "diffusion only": suppress(model, drift=True, diffusion=False),
-        "jumps only": suppress(model, drift=True, small_jumps=False, large_jumps=False),
+        "jumps only": suppress(model, drift=True, jumps=False),
     }
 
     OUT.mkdir(exist_ok=True)

@@ -9,7 +9,8 @@ Subcommands::
 
 ``--config`` takes a filesystem path or the name of a bundled scenario
 (``table1`` .. ``table7``).  Flag overrides beat file values.  A flag value
-out of range is a usage error, refused before any file is read.  Any other
+out of range (``--slack`` included) is a usage error, refused before any
+file is read.  Any other
 error is one ``error:`` line, which names the scenario file once it has
 loaded.  Exit status: 0 success, 1 error (including failed validation), 2
 usage error (from argparse) or theory-versus-simulation verdict
@@ -33,7 +34,7 @@ from pathlib import Path
 from . import __version__
 from .criteria import CRITERIA_CSV_HEADER, NoCriterionError, report_for_model
 from .models import SIMPLEX, ModelSpec, suppress, check_conservation, check_positivity_ratios
-from .montecarlo import check_slack, run_ensemble, verdict, write_ensemble_csv
+from .montecarlo import run_ensemble, verdict, write_ensemble_csv
 from .integrator import simulate
 from .scenario import (
     ScenarioConfig,
@@ -103,9 +104,7 @@ def cmd_simulate(args) -> int:
     if model.has_diffusion:
         panels.append(("diffusion_only", suppress(model, drift=True, diffusion=False)))
     if model.has_small_jumps or model.has_large_jumps:
-        panels.append(
-            ("jumps_only", suppress(model, drift=True, small_jumps=False, large_jumps=False))
-        )
+        panels.append(("jumps_only", suppress(model, drift=True, jumps=False)))
     for label, variant in panels:
         traj = simulate(variant, cfg.initial_state, sim)
         target = out / f"{cfg.stem}_{label}.csv"
@@ -115,7 +114,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    check_slack(args.slack)
     cfg, model = _load(args)
     sim = sim_config(cfg, seed=args.seed, dt=args.dt, horizon=args.horizon)
     paths = args.paths if args.paths is not None else cfg.paths
@@ -191,7 +189,7 @@ def main(argv=None) -> int:
     p_ens = sub.add_parser("ensemble", help="seeded path ensemble, statistics, and verdict")
     _add_common(p_ens)
     p_ens.add_argument("--paths", type=_POSITIVE_INT, default=None, help="override the path count")
-    p_ens.add_argument("--slack", type=float, default=0.5, help="comparator slack (default 0.5)")
+    p_ens.add_argument("--slack", type=_FINITE_POSITIVE, default=0.5, help="comparator slack (default 0.5)")
     p_ens.set_defaults(func=cmd_ensemble)
 
     p_cri = sub.add_parser("criteria", help="closed-form extinction/persistence report")

@@ -15,8 +15,9 @@ share one code path.  :func:`report_for_model` binds a criterion's
 arguments by name: a jump constant, the truncation ``cap``, or the bounds
 of that time coefficient, so a report bounds only what its criterion
 reads.  :func:`generic_alpha_estimate` evaluates the underlying
-drift-diffusion-jump decay functional on explicit (t, state) grids with
-midpoint quadrature in the mark variable; it gives a grid lower bound of
+drift-diffusion-jump decay functional on explicit (t, state) grids,
+integrating in the mark variable by the model's mark rule of each region
+(:attr:`ussir.models.ModelSpec.mark_rules`); it gives a grid lower bound of
 the true supremum, not a certified value.
 """
 
@@ -43,7 +44,6 @@ __all__ = [
     "ex34a_persistence",
     "ex34b_extinction",
     "generic_alpha_estimate",
-    "octant_grid",
     "report_for_model",
     "simplex_grid",
     "xc_report",
@@ -290,36 +290,28 @@ def report_for_model(model: ModelSpec) -> CriteriaReport:
 
 # --- grid estimator ---------------------------------------------------------------
 
-def simplex_grid(nx: int = 200, ny: int = 200, y_min: float = 1e-3) -> np.ndarray:
-    """Interior grid of the proportions simplex with the infected component
-    bounded away from zero and a margin of 1e-3 to the other faces.
-    Returns an (N, 3) state block."""
+def simplex_grid(nx: int = 200, ny: int = 200) -> np.ndarray:
+    """Interior grid of the proportions simplex with a margin of 1e-3 to
+    every face, so the infected component stays away from zero.  Returns an
+    (N, 3) state block."""
     margin = 1e-3
-    xs = np.linspace(margin, 1.0 - y_min - 2.0 * margin, nx)
+    xs = np.linspace(margin, 1.0 - margin - 2.0 * margin, nx)
     fractions = np.linspace(0.0, 1.0, ny)
     x = np.repeat(xs, ny)
-    span = 1.0 - x - margin - y_min
-    y = y_min + np.tile(fractions, nx) * span
+    span = 1.0 - x - margin - margin
+    y = margin + np.tile(fractions, nx) * span
     z = 1.0 - x - y
     grid = np.stack([x, y, z], axis=-1)
-    keep = (grid > 0.0).all(axis=1) & (grid[:, 1] >= y_min)
+    keep = (grid > 0.0).all(axis=1) & (grid[:, 1] >= margin)
     return grid[keep]
 
 
-def octant_grid(hi: float, n_per_axis: int = 25, y_min: float = 1e-3, lo: float = 1e-3) -> np.ndarray:
-    """Box grid of the positive octant up to ``hi`` per component."""
-    axis = np.linspace(lo, hi, n_per_axis)
-    y_axis = np.linspace(max(lo, y_min), hi, n_per_axis)
-    X, Y, Z = np.meshgrid(axis, y_axis, axis, indexing="ij")
-    return np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
-
-
-def _jump_integral(model: ModelSpec, pv, states, region: str, transform, quad_nodes: int) -> float:
+def _jump_integral(model: ModelSpec, pv, states, region: str, transform) -> float:
     """integral over the region of sup over states of transform(ratio),
-    against the intensity measure, by midpoint quadrature in chunks of 64
-    nodes."""
+    against the intensity measure, by the region's mark rule in chunks of
+    64 nodes."""
     u_chunk = 64
-    nodes, weights = model.measure.quadrature(region, nodes_per_piece=quad_nodes)
+    nodes, weights = model.mark_rules[region]
     jump_fn = model.small_jump_fn if region == SMALL else model.large_jump_fn
     total = 0.0
     for start in range(0, nodes.size, u_chunk):
@@ -335,7 +327,6 @@ def generic_alpha_estimate(
     model: ModelSpec,
     t_grid: Sequence[float],
     state_grid: np.ndarray,
-    quad_nodes: int = 1001,
 ) -> float:
     """Grid estimate of the decay functional: the maximum over times of the
     state supremum of per-capita infected drift minus half the squared
@@ -358,9 +349,7 @@ def generic_alpha_estimate(
         drift_pc = model.drift_fn(pv, states)[:, 1] / Y
         diff_sq = ((model.diffusion_fn(pv, states)[:, 1, :] / Y[:, None]) ** 2).sum(axis=-1)
         top = float((drift_pc - 0.5 * diff_sq).max())
-        small = _jump_integral(
-            model, pv, states, SMALL, lambda r: np.log1p(r) - r, quad_nodes
-        )
-        large = _jump_integral(model, pv, states, LARGE, np.log1p, quad_nodes)
+        small = _jump_integral(model, pv, states, SMALL, lambda r: np.log1p(r) - r)
+        large = _jump_integral(model, pv, states, LARGE, np.log1p)
         best = max(best, top + small + large)
     return best

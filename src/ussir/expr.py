@@ -455,12 +455,15 @@ def serialize(node: Node) -> str:
 
 # --- bounds over [0, oo) ----------------------------------------------------
 
+SCAN_HORIZON, SCAN_POINTS = 1.0e4, 1_000_001  # the grid of a scan for bounds
+
+
 @dataclass(frozen=True)
 class BoundsPair:
     """Infimum and supremum of a coefficient over [0, oo).
 
     ``method`` records how they were obtained: "analytic" bounds are exact;
-    "grid" bounds come from a dense scan of [0, scan_horizon] and are only
+    "grid" bounds come from a dense scan of [0, SCAN_HORIZON] and are only
     as sharp as the scan (inner approximation of the range: grid inf >= true
     inf, grid sup <= true sup).
     """
@@ -578,24 +581,20 @@ def _analytic_bounds(tree: Node) -> Optional[tuple[float, float]]:
     return offset - amp, offset + amp
 
 
-def bounds(tree: Node, scan_horizon: float = 1.0e4, grid_points: int = 1_000_001) -> BoundsPair:
+def bounds(tree: Node) -> BoundsPair:
     """Bounds of the time coefficient ``tree`` over [0, oo): analytic when
-    it matches a recognized sinusoid pattern, otherwise a grid scan of
-    [0, scan_horizon].
+    it matches a recognized sinusoid pattern, otherwise a scan of
+    :data:`SCAN_POINTS` equally spaced times in [0, :data:`SCAN_HORIZON`].
     Bounds that are not finite raise :class:`EvalDomainError`.
 
     Grid bounds on monotone saturating terms report the value at the scan
     horizon, which approaches the limit from inside (one-sided tolerance
     set by the horizon).
     """
-    if scan_horizon <= 0:
-        raise ValueError("scan_horizon must be positive")
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
     pair, method = _analytic_bounds(tree), "analytic"
     if pair is None:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite scan is refused below
-            vals = np.asarray(evaluate(tree, t=np.linspace(0.0, scan_horizon, grid_points)), dtype=float)
+            vals = np.asarray(evaluate(tree, t=np.linspace(0.0, SCAN_HORIZON, SCAN_POINTS)), dtype=float)
         pair, method = (vals.min(), vals.max()), "grid"
     lo, hi = map(float, pair)
     if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -8,14 +8,15 @@ at the step's start state, then applies the positivity safeguard.
 Randomness is organized per path: each path owns a Philox counter-based
 generator keyed by a hash of (master seed, path index), so paths are
 independent, reproducible, and independent of how many run together.  The
-per-path stream is consumed in fixed blocks of ``CHUNK_STEPS`` steps:
+per-path stream is consumed in fixed blocks of ``CHUNK_STEPS`` steps,
+each written in place into one array per stream with a row per path:
 Brownian increments for the block, then small-jump counts, then large-jump
 counts, then the block's marks as one run of uniforms, split step by step
 (small before large), scaled by the region's mass and mapped by inverse
 CDF.  With ``chunk=1`` the per-step order is therefore Brownian
 increments, small-jump count, large-jump count, small marks, large marks.
 
-The safeguard raises components at or below zero to the configured floor
+The safeguard raises components at or below zero to ``POSITIVITY_FLOOR``
 and counts every such clamp; positive values below the floor are legitimate
 decay and pass through untouched.  Simplex states are renormalized only
 when the unit-sum deviation exceeds 1e-9 (the coefficient rows cancel
@@ -52,22 +53,22 @@ __all__ = [
 
 CHUNK_STEPS = 8192
 
+POSITIVITY_FLOOR = 1e-12
 RENORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Time grid, seed, and safeguard settings for one run."""
+    """Time grid, seed and record stride of one run."""
 
     horizon: float
     dt: float = 0.001
     seed: int = 0
-    positivity_floor: float = 1e-12
     record_stride: int = 1
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.horizon, self.dt, self.positivity_floor))):
-            raise ValueError("horizon, dt and positivity_floor must be finite")
+        if not all(map(math.isfinite, (self.horizon, self.dt))):
+            raise ValueError("horizon and dt must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.horizon < self.dt:
@@ -75,8 +76,6 @@ class SimConfig:
         if self.record_stride < 1 or int(self.record_stride) != self.record_stride:
             raise ValueError("record_stride must be a positive integer")
         object.__setattr__(self, "record_stride", int(self.record_stride))
-        if self.positivity_floor <= 0:
-            raise ValueError("positivity_floor must be positive")
         if not (-(2**63) <= self.seed < 2**63 and int(self.seed) == self.seed):
             raise ValueError("seed must fit in a signed 64-bit integer")
         object.__setattr__(self, "seed", int(self.seed))
@@ -198,15 +197,22 @@ def run_paths(
     recorded[:, 0, :] = states
     floor_hits = np.zeros(n_paths, dtype=np.int64)
     drift_max = np.zeros(n_paths) if simplex else None
-    floor = cfg.positivity_floor
+    width = min(chunk, K)  # each block's draws are written in place, one row per path
+    normal_buf = np.empty((n_paths, width, n_brownian))
+    count_bufs = [(region, mass, np.empty((n_paths, width), dtype=np.int64)) for region, mass in drawn]
 
     for k0 in range(0, K, chunk):
         block = min(chunk, K - k0)
         pv_block = model.param_values(np.arange(k0, k0 + block, dtype=float) * dt)
         if model.has_diffusion:
-            normals = np.stack([g.standard_normal((block, n_brownian)) for g in gens])
+            normals = normal_buf[:, :block]
+            for g, row in zip(gens, normals):
+                g.standard_normal(out=row)
             normals *= sqrt_dt
-        counts = [(region, np.stack([g.poisson(mass * dt, block) for g in gens])) for region, mass in drawn]
+        for _, mass, buf in count_bufs:
+            for g, row in zip(gens, buf):
+                row[:block] = g.poisson(mass * dt, block)
+        counts = [(region, buf[:, :block]) for region, _, buf in count_bufs]
         marks = _block_marks(model.measure, gens, counts, block) if counts else {}
         for j in range(block):
             k = k0 + j
@@ -227,7 +233,7 @@ def run_paths(
             below = states <= 0.0
             if below.any():
                 floor_hits += below.sum(axis=1)
-                states = np.where(below, floor, states)
+                states = np.where(below, POSITIVITY_FLOOR, states)
             if simplex:
                 sums = states.sum(axis=1)
                 dev = np.abs(sums - 1.0)

@@ -1,15 +1,16 @@
 """Jump-noise intensity measure: region masses, quadrature, mark mapping.
 
-The driving Poisson random measure lives on R - {0} with one uniform
-density on one bounded interval.  Marks with |u| < 1 are the "small" region
-(they enter the dynamics compensated); |u| >= 1 is the "large" region
-(uncompensated), which can be two pieces, one on each side of zero.  The
-bundled scenarios all use the uniform density on [-2, 2], which splits into
-mass 2 small and mass 2 large, but the measure is a config value rather
-than a constant.  The integrator draws each step's jump counts from
-Poisson(mass * dt) and their marks as ``mass * rng.random(n)`` mapped by
-:meth:`LevyMeasure.inverse_cdf`; the compensator itself belongs to the
-model (:meth:`ussir.models.ModelSpec.compensator_pv`).
+The driving Poisson random measure lives on R - {0} with one finite
+uniform density on one finite interval.  Marks with |u| < 1 are the
+"small" region (they enter the dynamics compensated); |u| >= 1 is the
+"large" region (uncompensated), which can be two pieces, one on each side
+of zero.  The bundled scenarios all use the uniform density on [-2, 2],
+which splits into mass 2 small and mass 2 large, but the measure is a
+config value rather than a constant.  The integrator draws each step's
+jump counts from Poisson(mass * dt) and their marks as
+``mass * rng.random(n)`` mapped by :meth:`LevyMeasure.inverse_cdf`; the
+rule each integral against the measure uses is the model's
+(:attr:`ussir.models.ModelSpec.mark_rules`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = ["LevyMeasure"]
 
 SMALL = "small"
 LARGE = "large"
+QUAD_NODES = 1001
 
 
 # the mark windows of each region: |u| < 1 is small, |u| >= 1 is large
@@ -38,6 +40,9 @@ class LevyMeasure:
     density: float = 1.0
 
     def __post_init__(self):
+        for name in ("lo", "hi", "density"):
+            if not np.isfinite(value := getattr(self, name)):
+                raise ValueError(f"measure {name} must be finite, got {value}")
         if not self.lo < self.hi:
             raise ValueError(f"measure interval ({self.lo}, {self.hi}) is empty")
         if self.density < 0:
@@ -53,14 +58,14 @@ class LevyMeasure:
     def mass(self, region: str) -> float:
         return float(sum((hi - lo) * self.density for lo, hi in self.region_pieces(region)))
 
-    def quadrature(self, region: str, nodes_per_piece: int = 1001):
-        """Midpoint nodes and weights for integrating against the measure
-        restricted to ``region``.  Exact for u-constant integrands."""
+    def quadrature(self, region: str):
+        """Midpoint nodes and weights, :data:`QUAD_NODES` per piece, for
+        integrating against the measure restricted to ``region``."""
         us, ws = [], []
         for lo, hi in self.region_pieces(region):
-            edges = np.linspace(lo, hi, nodes_per_piece + 1)
+            edges = np.linspace(lo, hi, QUAD_NODES + 1)
             us.append(0.5 * (edges[:-1] + edges[1:]))
-            ws.append(np.full(nodes_per_piece, (hi - lo) / nodes_per_piece * self.density))
+            ws.append(np.full(QUAD_NODES, (hi - lo) / QUAD_NODES * self.density))
         if not us:
             return np.empty(0), np.empty(0)
         return np.concatenate(us), np.concatenate(ws)

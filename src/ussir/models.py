@@ -27,10 +27,11 @@ accepts raw coefficient expressions, and on the proportions simplex it
 must pass the conservation and positivity gates.  Everything else is
 derived from the trees: constructing a model compiles each group, and each
 time coefficient, once with :func:`ussir.expr.compile_program`, jump
-constants and cap folded in, and sets the flags saying which noise it
-carries; the compensator is computed from the programs; :func:`suppress`
-rebuilds a model from a reduced table.  Programs take a dict of
-already-evaluated time-coefficient values (see
+constants and cap folded in, sets the flags saying which noise it carries
+and fixes the mark rule of each jump region, which the compensator and
+:func:`ussir.criteria.generic_alpha_estimate` integrate with;
+:func:`suppress` rebuilds a model from a reduced table.  Programs take a
+dict of already-evaluated time-coefficient values (see
 :meth:`ModelSpec.param_values`) so that integrators evaluate each time
 coefficient once per step (or once per block of steps) instead of once per
 coefficient use.
@@ -47,7 +48,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .expr import Node, Num, bounds, compile_program, free_names, parse, shaped
-from .levy import SMALL, LevyMeasure
+from .levy import LARGE, SMALL, LevyMeasure
 
 __all__ = [
     "FAMILIES",
@@ -76,6 +77,8 @@ def check_admissible(state, domain: str) -> np.ndarray:
     arr = np.asarray(state, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"state must have three components, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"state components must be finite, got {arr.tolist()}")
     if not np.all(arr > 0):
         raise ValueError(f"state components must be positive, got {arr.tolist()}")
     if domain == SIMPLEX and abs(arr.sum() - 1.0) > SIMPLEX_TOL:
@@ -106,8 +109,11 @@ class ModelSpec:
     zeros.  The flags ``brownian_dim``,
     ``has_diffusion``, ``has_small_jumps`` and ``has_large_jumps`` say which
     groups are present.  ``small_jump_uses_u`` is False when no small-jump
-    tree mentions the mark, which lets the compensator skip quadrature;
-    otherwise the small region's quadrature nodes are built here, once.
+    tree mentions the mark.  ``mark_rules`` maps each jump region to the
+    ``(nodes, weights)`` that integrate against the measure there: empty
+    for a region of zero mass, one node carrying the region's mass when no
+    tree of that region's group reads ``u``, the measure's midpoint
+    :meth:`~ussir.levy.LevyMeasure.quadrature` otherwise.
     Immutable; shareable across threads.
     """
 
@@ -143,10 +149,18 @@ class ModelSpec:
         derive("has_small_jumps", small is not None)
         derive("has_large_jumps", large is not None)
         derive("_param_fns", {name: compile_program([tree]) for name, tree in self.params.items()})
-        derive("small_jump_uses_u", any("u" in free_names(tree) for tree in small or ()))
-        derive("_small_mass", self.measure.mass(SMALL))
-        if self.small_jump_uses_u:
-            derive("_small_quadrature", self.measure.quadrature(SMALL))
+        uses_u = [any("u" in free_names(tree) for tree in group or ()) for group in (small, large)]
+        derive("small_jump_uses_u", uses_u[0])
+        rules = {}
+        for region, reads_u in zip((SMALL, LARGE), uses_u):
+            mass = self.measure.mass(region)
+            if mass == 0.0:
+                rules[region] = np.empty(0), np.empty(0)
+            elif reads_u:
+                rules[region] = self.measure.quadrature(region)
+            else:
+                rules[region] = np.zeros(1), np.array([mass])
+        derive("mark_rules", MappingProxyType(rules))
 
     def param_values(self, t) -> dict:
         """Evaluate every time-dependent coefficient at ``t`` (scalar or
@@ -159,13 +173,11 @@ class ModelSpec:
 
     def compensator_pv(self, pv: Mapping, S: np.ndarray) -> np.ndarray:
         """Small-region integral of the jump coefficient vector against the
-        intensity measure: the small mass times the coefficient when it does
-        not depend on the mark, midpoint quadrature otherwise."""
-        if not self.small_jump_uses_u:
-            return self._small_mass * self.small_jump_fn(pv, S, 0.0)
-        nodes, weights = self._small_quadrature
-        lead = S.ndim - 1
-        u = nodes.reshape((-1,) + (1,) * lead)
+        intensity measure, by the small region's mark rule."""
+        nodes, weights = self.mark_rules[SMALL]
+        if nodes.size == 1:  # one program call times one weight
+            return weights[0] * self.small_jump_fn(pv, S, nodes[0])
+        u = nodes.reshape((-1,) + (1,) * (S.ndim - 1))
         vals = self.small_jump_fn(pv, S, u)
         w = weights.reshape((-1,) + (1,) * (vals.ndim - 1))
         return (vals * w).sum(axis=0)
@@ -175,12 +187,12 @@ def suppress(
     model: ModelSpec,
     drift: bool = False,
     diffusion: bool = True,
-    small_jumps: bool = True,
-    large_jumps: bool = True,
+    jumps: bool = True,
 ) -> ModelSpec:
     """Copy of ``model`` rebuilt without the selected coefficient groups.
 
-    A suppressed drift is three zeros; a suppressed noise group is absent, so the copy draws no noise for it.
+    A suppressed drift is three zeros; suppressed noise is absent, so the
+    copy draws none of it (``jumps`` covers both jump regions).
     ``suppress(m)`` is the deterministic companion (noise-free); drift-only
     suppression yields the pure-noise panels.
     """
@@ -188,8 +200,8 @@ def suppress(
         model,
         drift=(_ZERO,) * 3 if drift else model.drift,
         diffusion=() if diffusion else model.diffusion,
-        small_jump=None if small_jumps else model.small_jump,
-        large_jump=None if large_jumps else model.large_jump,
+        small_jump=None if jumps else model.small_jump,
+        large_jump=None if jumps else model.large_jump,
     )
 
 

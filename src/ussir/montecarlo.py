@@ -21,7 +21,6 @@ from .models import SIMPLEX, ModelSpec
 
 __all__ = [
     "EnsembleStats",
-    "check_slack",
     "lyapunov_estimate",
     "run_ensemble",
     "time_average_infected",
@@ -66,7 +65,6 @@ def time_average_infected(traj: Trajectory, window: str = FULL) -> np.ndarray:
 class EnsembleStats:
     """Per-path statistics of one seeded ensemble plus its thresholds."""
 
-    master_seed: int
     path_seeds: tuple[str, ...]
     lyapunov: np.ndarray
     mean_infected: np.ndarray
@@ -119,7 +117,6 @@ def run_ensemble(
     keys = [_path_key(cfg.seed, i) for i in range(paths)]
     traj = run_paths(model, s0, cfg, keys)
     return EnsembleStats(
-        master_seed=cfg.seed,
         path_seeds=tuple("".join(f"{w:016x}" for w in key) for key in keys),
         lyapunov=lyapunov_estimate(traj),
         mean_infected=time_average_infected(traj, FULL),
@@ -129,21 +126,16 @@ def run_ensemble(
     )
 
 
-def check_slack(slack: float) -> None:
-    """Raise ValueError unless the comparator slack is positive and finite."""
-    if not (np.isfinite(slack) and slack > 0):
-        raise ValueError(f"slack must be positive and finite, got {slack!r}")
-
-
 def verdict(stats: EnsembleStats, report: CriteriaReport, slack: float) -> str:
     """Compare ensemble medians against the report's one-sided bounds.
 
     Extinct reports require the median log slope at most
     -rate*(1-slack) + slack; persistent reports require the median tail
     average at least bound*(1-slack).  Indeterminate reports admit no
-    comparison.
+    comparison.  ``slack`` must be positive and finite.
     """
-    check_slack(slack)
+    if not (np.isfinite(slack) and slack > 0):
+        raise ValueError(f"slack must be positive and finite, got {slack!r}")
     if report.classification == INDETERMINATE:
         return "inapplicable"
     if report.classification == EXTINCT:

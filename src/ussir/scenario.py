@@ -52,10 +52,10 @@ _KEYS = {
     "model": ("id", "cap", "domain", "brownian_dim"),
     "measure": ("support", "density"),
     "initial": ("state",),
-    "sim": ("dt", "horizon", "seed", "paths", "record_stride", "positivity_floor", "y_extinct", "out"),
+    "sim": ("dt", "horizon", "seed", "paths", "record_stride", "y_extinct", "out"),
 }
 # the [sim] numerals a SimConfig checks; it keeps their defaults
-_SIM_NUMBERS = ("horizon", "dt", "seed", "positivity_floor", "record_stride")
+_SIM_NUMBERS = ("horizon", "dt", "seed", "record_stride")
 
 
 class ScenarioError(ValueError):
@@ -90,7 +90,6 @@ class ScenarioConfig:
     seed: int
     paths: int
     record_stride: int
-    positivity_floor: float
     cap: Optional[float] = None
     domain: Optional[str] = None
     brownian_dim: Optional[int] = None
@@ -239,7 +238,6 @@ def load_scenario(path) -> ScenarioConfig:
         seed=run.seed,
         paths=paths,
         record_stride=run.record_stride,
-        positivity_floor=run.positivity_floor,
         cap=cap,
         domain=model_sec.get("domain"),
         brownian_dim=brownian_dim,
@@ -312,7 +310,6 @@ def sim_config(
         horizon=horizon if horizon is not None else cfg.horizon,
         dt=dt if dt is not None else cfg.dt,
         seed=seed if seed is not None else cfg.seed,
-        positivity_floor=cfg.positivity_floor,
         record_stride=cfg.record_stride,
     )
 

@@ -11,12 +11,12 @@ from ussir.criteria import (
     ex34a_persistence,
     ex34b_extinction,
     generic_alpha_estimate,
-    octant_grid,
     report_for_model,
     simplex_grid,
     xc_report,
 )
 from ussir.expr import BoundsPair, bounds
+from ussir.levy import SMALL, LevyMeasure
 from ussir.models import OCTANT, build_custom
 
 
@@ -192,8 +192,7 @@ class TestGenericEstimates:
         model = build_custom(
             domain=OCTANT, drift=("0", "0-0.7*y", "0"), diffusion=(("0", "0", "0"),)
         )
-        grid = octant_grid(hi=5.0, n_per_axis=7)
-        est = generic_alpha_estimate(model, [0.0, 1.0, 2.0], grid, quad_nodes=31)
+        est = generic_alpha_estimate(model, [0.0, 1.0, 2.0], simplex_grid(20, 20))
         assert est == pytest.approx(-0.7, abs=1e-12)
 
     def test_jump_only_constant_ratio(self):
@@ -204,17 +203,16 @@ class TestGenericEstimates:
             small_jump=("0", "0.5*y", "0"),
             large_jump=("0", "0.25*y", "0"),
         )
-        grid = octant_grid(hi=3.0, n_per_axis=5)
-        est = generic_alpha_estimate(model, [0.0], grid, quad_nodes=501)
+        est = generic_alpha_estimate(model, [0.0], simplex_grid(20, 20))
         expected = 2.0 * (math.log(1.5) - 0.5) + 2.0 * math.log(1.25)
         assert est == pytest.approx(expected, abs=1e-9)
 
     def test_ex1_grid_estimate_sharper_than_closed_form(self, scenario):
         _, model = scenario("table1")
         closed = report_for_model(model)
-        grid = simplex_grid(200, 200, y_min=1e-3)
+        grid = simplex_grid(200, 200)
         t_grid = np.linspace(0.0, 2.0 * math.pi, 13)
-        est = generic_alpha_estimate(model, t_grid, grid, quad_nodes=101)
+        est = generic_alpha_estimate(model, t_grid, grid)
         # the full functional keeps the diffusion gain and exact log terms the
         # closed form drops, so the grid estimate lands well below -rate
         assert est <= -closed.extinction_rate_lb + 1e-9
@@ -224,11 +222,31 @@ class TestGenericEstimates:
         model = build_custom(
             domain=OCTANT, drift=("0", "0-0.3*y", "0"), diffusion=(("0", "0", "0"),)
         )
-        grid = octant_grid(hi=2.0, n_per_axis=6)
+        grid = simplex_grid(20, 20)
         shuffled = grid[np.random.default_rng(0).permutation(len(grid))]
-        a = generic_alpha_estimate(model, [0.0, 0.5], grid, quad_nodes=31)
-        b = generic_alpha_estimate(model, [0.5, 0.0], shuffled, quad_nodes=31)
+        a = generic_alpha_estimate(model, [0.0, 0.5], grid)
+        b = generic_alpha_estimate(model, [0.5, 0.0], shuffled)
         assert a == b
+
+    def test_mark_dependent_jump_integrated_by_quadrature(self):
+        # the small-region term is the integral of ln(1 + u/2) - u/2 over (-1, 1)
+        model = build_custom(
+            domain=OCTANT, drift=("0", "0", "0"), diffusion=(("0", "0", "0"),), small_jump=("0", "0.5*u*y", "0")
+        )
+        assert model.mark_rules[SMALL][0].size == 1001
+        est = generic_alpha_estimate(model, [0.0], simplex_grid(20, 20))
+        assert est == pytest.approx(3.0 * math.log(1.5) + math.log(2.0) - 2.0, abs=1e-6)
+
+    def test_mark_free_model_needs_no_quadrature(self, monkeypatch):
+        calls = []
+        quadrature = LevyMeasure.quadrature
+        monkeypatch.setattr(LevyMeasure, "quadrature", lambda *args: calls.append(args) or quadrature(*args))
+        model = build_custom(
+            domain=OCTANT, drift=("0", "0", "0"), diffusion=(("0", "0", "0"),),
+            small_jump=("0", "0.5*y", "0"), large_jump=("0", "0.25*y", "0"),
+        )
+        generic_alpha_estimate(model, [0.0, 1.0], simplex_grid(20, 20))
+        assert calls == []
 
     def test_requires_positive_grid(self, scenario):
         _, model = scenario("table1")

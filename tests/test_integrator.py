@@ -6,6 +6,7 @@ import pytest
 
 from ussir.integrator import (
     CHUNK_STEPS,
+    POSITIVITY_FLOOR,
     SimConfig,
     Trajectory,
     _path_key,
@@ -29,7 +30,7 @@ class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig(horizon=10.0)
         assert cfg.dt == 0.001
-        assert cfg.positivity_floor == 1e-12
+        assert POSITIVITY_FLOOR == 1e-12
         assert cfg.n_steps == 10_000
 
     def test_validation(self):

@@ -56,14 +56,21 @@ class TestRegionMass:
         with pytest.raises(ValueError, match="measure density -1.0 is negative"):
             LevyMeasure(0.0, 1.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "field,value", [("lo", -np.inf), ("lo", np.nan), ("hi", np.inf), ("density", np.nan), ("density", np.inf)]
+    )
+    def test_non_finite_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"measure {field} must be finite, got {value}"):
+            LevyMeasure(**{field: value})
+
 
 class TestQuadrature:
     def test_constant_exact(self, paper_measure):
-        nodes, weights = paper_measure.quadrature(SMALL, nodes_per_piece=11)
+        nodes, weights = paper_measure.quadrature(SMALL)
         assert weights.sum() == pytest.approx(2.0, abs=1e-14)
 
     def test_quadratic_integrand(self, paper_measure):
-        nodes, weights = paper_measure.quadrature(LARGE, nodes_per_piece=2001)
+        nodes, weights = paper_measure.quadrature(LARGE)
         # integral of u^2 over [-2,-1] u [1,2] is 2 * 7/3
         assert (weights * nodes**2).sum() == pytest.approx(14.0 / 3.0, abs=1e-5)
 

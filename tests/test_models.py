@@ -357,6 +357,12 @@ class TestStateHelpers:
             check_admissible((0.3, 0.3, 0.3), SIMPLEX)
         check_admissible((5.0, 2.0, 1.0), OCTANT)
 
+    @pytest.mark.parametrize("state", [(np.inf, 0.5, 0.5), (0.5, np.nan, 0.5), (0.5, 0.5, np.inf)])
+    @pytest.mark.parametrize("domain", [OCTANT, SIMPLEX])
+    def test_check_admissible_refuses_non_finite(self, state, domain):
+        with pytest.raises(ValueError, match=r"state components must be finite, got \["):
+            check_admissible(state, domain)
+
 
 class TestSuppress:
     def test_noise_free_copy_has_zero_noise(self, scenario):
@@ -371,7 +377,7 @@ class TestSuppress:
 
     def test_drift_free_copy_keeps_noise(self, scenario):
         _, model = scenario("table1")
-        pure_noise = suppress(model, drift=True, diffusion=False, small_jumps=False, large_jumps=False)
+        pure_noise = suppress(model, drift=True, diffusion=False, jumps=False)
         pv, S = _at(model, 0.0, (0.8, 0.19, 0.01))
         assert np.all(pure_noise.drift_fn(pv, S) == 0.0)
         assert np.array_equal(pure_noise.diffusion_fn(pv, S), model.diffusion_fn(pv, S))
@@ -384,12 +390,8 @@ class TestSuppress:
             # (brownian_dim, has_diffusion, has_small_jumps, has_large_jumps)
             "deterministic": (suppress(model), (0, False, False, False)),
             "diffusion_only": (suppress(model, drift=True, diffusion=False), (n, True, False, False)),
-            "jumps_only": (
-                suppress(model, drift=True, small_jumps=False, large_jumps=False), (0, False, small, large)
-            ),
-            "unchanged": (
-                suppress(model, diffusion=False, small_jumps=False, large_jumps=False), (n, True, small, large)
-            ),
+            "jumps_only": (suppress(model, drift=True, jumps=False), (0, False, small, large)),
+            "unchanged": (suppress(model, diffusion=False, jumps=False), (n, True, small, large)),
         }
         for label, (copy, flags) in panels.items():
             assert (copy.brownian_dim, copy.has_diffusion, copy.has_small_jumps, copy.has_large_jumps) == flags, label
@@ -413,14 +415,14 @@ class TestSuppress:
             assert getattr(again, program).__code__ is getattr(model, program).__code__, program
         # a suppressed copy recompiles none of the groups it keeps
         assert suppress(model, drift=True, diffusion=False).diffusion_fn.__code__ is model.diffusion_fn.__code__
-        jumps_only = suppress(model, drift=True, small_jumps=False, large_jumps=False)
+        jumps_only = suppress(model, drift=True, jumps=False)
         assert jumps_only.small_jump_fn.__code__ is model.small_jump_fn.__code__
         assert jumps_only.large_jump_fn.__code__ is model.large_jump_fn.__code__
         assert suppress(model).drift_fn.__code__ is model.drift_fn.__code__
 
     def test_checks_run_on_suppressed_simplex_copy(self, scenario):
         _, model = scenario("table1")
-        for copy in (suppress(model), suppress(model, drift=True, small_jumps=False, large_jumps=False)):
+        for copy in (suppress(model), suppress(model, drift=True, jumps=False)):
             conservation = check_conservation(copy, samples=200, rng=np.random.default_rng(8))
             assert conservation.passed
             assert conservation.breakdown["diffusion"] == 0.0

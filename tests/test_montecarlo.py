@@ -27,7 +27,6 @@ def _stats(lyapunov=(), tail=()):
     tail = np.asarray(tail, dtype=float) if len(tail) else np.zeros_like(lyap)
     n = max(len(lyap), len(tail))
     return EnsembleStats(
-        master_seed=0,
         path_seeds=tuple(f"{i:032x}" for i in range(n)),
         lyapunov=lyap if len(lyap) else np.zeros(n),
         mean_infected=np.zeros(n),

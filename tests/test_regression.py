@@ -42,7 +42,7 @@ def test_final_state_pinned(scenario, name):
 PANELS = {
     "deterministic": {},
     "diffusion_only": {"drift": True, "diffusion": False},
-    "jumps_only": {"drift": True, "small_jumps": False, "large_jumps": False},
+    "jumps_only": {"drift": True, "jumps": False},
 }
 
 # (scenario, panel): final state; a panel is absent where the model lacks its noise

@@ -262,11 +262,10 @@ class TestLoad:
     @pytest.mark.parametrize(
         "old,new,message",
         [
-            ("seed = 3", "seed = 3\npositivity_floor = 0", "positivity_floor must be positive"),
             ("seed = 3", "seed = 1e19", "seed must fit in a signed 64-bit integer"),
             ("horizon = 1", "horizon = 1\nrecord_stride = 0", "record_stride must be a positive integer"),
         ],
-        ids=["positivity_floor=0", "seed=1e19", "record_stride=0"],
+        ids=["seed=1e19", "record_stride=0"],
     )
     def test_sim_section_checked_at_load(self, tmp_path, capsys, old, new, message):
         target = _write(tmp_path, MINIMAL_XC.replace(old, new))
@@ -452,8 +451,10 @@ paths = 2
 
     @pytest.mark.parametrize("slack", ["nan", "inf", "-0.1", "0"])
     def test_bad_slack_rejected_before_simulating(self, tmp_path, capsys, slack):
-        assert main(["ensemble", "--config", "table1", "--out", str(tmp_path), f"--slack={slack}"]) == 1
-        assert "slack must be positive and finite" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["ensemble", "--config", "table1", "--out", str(tmp_path), f"--slack={slack}"])
+        assert exc.value.code == 2
+        assert f"argument --slack: {slack!r} is not" in capsys.readouterr().err
         assert not list(tmp_path.glob("*_ensemble.csv"))
 
     def test_non_finite_flag_is_error(self, tmp_path, capsys):
