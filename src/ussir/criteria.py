@@ -16,9 +16,9 @@ arguments by name: a jump constant, the truncation ``cap``, or the bounds
 of that time coefficient, so a report bounds only what its criterion
 reads.  :func:`generic_alpha_estimate` evaluates the underlying
 drift-diffusion-jump decay functional on explicit (t, state) grids,
-integrating in the mark variable by the model's mark rule of each region
-(:attr:`ussir.models.ModelSpec.mark_rules`); it gives a grid lower bound of
-the true supremum, not a certified value.
+integrating in the mark variable by the model's mark rule of each drawn
+region (:attr:`ussir.models.ModelSpec.mark_rules`); it gives a grid lower
+bound of the true supremum, not a certified value.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .expr import BoundsPair, bounds
 from .levy import LARGE, SMALL
-from .models import ModelSpec
+from .models import _NO_RULE, ModelSpec
 
 __all__ = [
     "CRITERIA_CSV_HEADER",
@@ -311,7 +311,7 @@ def _jump_integral(model: ModelSpec, pv, states, region: str, transform) -> floa
     against the intensity measure, by the region's mark rule in chunks of
     64 nodes."""
     u_chunk = 64
-    nodes, weights = model.mark_rules[region]
+    nodes, weights = model.mark_rules.get(region, _NO_RULE)
     jump_fn = model.small_jump_fn if region == SMALL else model.large_jump_fn
     total = 0.0
     for start in range(0, nodes.size, u_chunk):

@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "BoundsPair",
     "EvalDomainError",
-    "ExpressionError",
     "ParseError",
     "bounds",
     "compile_program",
@@ -46,11 +45,7 @@ __all__ = [
 _FUNCTIONS = ("sin", "cos", "ln", "abs", "min")
 
 
-class ExpressionError(ValueError):
-    """Base class for expression parsing/evaluation failures."""
-
-
-class ParseError(ExpressionError):
+class ParseError(ValueError):
     """Raised on malformed input; carries the 0-based offending position."""
 
     def __init__(self, message: str, position: int):
@@ -58,7 +53,7 @@ class ParseError(ExpressionError):
         self.position = position
 
 
-class EvalDomainError(ExpressionError):
+class EvalDomainError(ValueError):
     """Raised when evaluation leaves the real domain (ln of non-positive
     argument, division by zero, negative base with a non-integer exponent,
     zero base with a negative exponent)."""

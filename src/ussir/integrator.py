@@ -9,12 +9,15 @@ Randomness is organized per path: each path owns a Philox counter-based
 generator keyed by a hash of (master seed, path index), so paths are
 independent, reproducible, and independent of how many run together.  The
 per-path stream is consumed in fixed blocks of ``CHUNK_STEPS`` steps,
-each written in place into one array per stream with a row per path:
-Brownian increments for the block, then small-jump counts, then large-jump
-counts, then the block's marks as one run of uniforms, split step by step
-(small before large), scaled by the region's mass and mapped by inverse
-CDF.  With ``chunk=1`` the per-step order is therefore Brownian
-increments, small-jump count, large-jump count, small marks, large marks.
+each written in place with a row per path: Brownian increments for the
+block, then small-jump counts, then large-jump counts, then the block's
+marks as one run of uniforms, split step by step (small before large),
+scaled by the region's mass and mapped by inverse CDF.  With ``chunk=1``
+the per-step order is therefore Brownian increments, small-jump count,
+large-jump count, small marks, large marks.  Only the regions in the
+model's ``mark_rules`` are drawn.  Their counts fill one ``(paths, block,
+regions)`` array, whose C order is each path's draw order of marks, so
+the block's marks form one table grouped by (step, region).
 
 The safeguard raises components at or below zero to ``POSITIVITY_FLOOR``
 and counts every such clamp; positive values below the floor are legitimate
@@ -38,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .levy import LARGE, SMALL
+from .levy import SMALL
 from .models import OCTANT, SIMPLEX, ModelSpec, build_custom, check_admissible
 
 __all__ = [
@@ -124,40 +127,37 @@ def path_generator(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_path_key(seed, index)))
 
 
-def _block_marks(measure, gens, regions, block: int) -> dict:
-    """Draw one block's marks for ``regions``, (region, (paths, block) counts)
-    pairs: per path one run of uniforms, split step by step with small before
-    large.  Per region, the marked path-steps in step order: the step bounds
-    into them, their paths and the offsets of their marks, then each mark's
-    path and value, a path's marks in draw order."""
-    events = []  # (path, step, count) per region, step-major
-    for _, counts in regions:
-        i, j = np.nonzero(counts)
-        by_step = np.argsort(j, kind="stable")
-        events.append((i[by_step], j[by_step], counts[i[by_step], j[by_step]]))
-    # each event's place in its path's run: order by (path, step, region)
-    key = np.concatenate([(i * block + j) * 2 + r for r, (i, j, _) in enumerate(events)])
-    n = np.concatenate([c for _, _, c in events])
-    order = np.argsort(key, kind="stable")  # keys are distinct; "stable" pages in no second sort
-    start = np.empty_like(n)
-    start[order] = np.cumsum(n[order]) - n[order]
-    per_path = sum(c.sum(axis=1) for _, c in regions).tolist()
+def _block_marks(measure, gens, regions, counts: np.ndarray) -> tuple:
+    """Draw the marks of one block's ``(paths, block, regions)`` counts, per
+    path one run of uniforms in the counts' C order (by step, small before
+    large).  The table groups the marked cells by ``step * regions +
+    region``: group bounds, each cell's path and mark offset, then each
+    mark's path and value, a path's marks in draw order."""
+    flat = counts.reshape(-1)  # a view: run_paths keeps each block's counts contiguous
+    hits = np.flatnonzero(flat)
+    n = flat[hits]
+    start = np.cumsum(n) - n  # C order is the concatenated runs' order
+    per_path = counts.sum(axis=(1, 2)).tolist()
     uniforms = np.concatenate([np.empty(0)] + [g.random(m) for g, m in zip(gens, per_path) if m])
-    out, lo, steps = {}, 0, np.arange(block + 1)
-    for (region, _), (i, j, c) in zip(regions, events):
-        offsets = np.concatenate(([0], np.cumsum(c)))
-        at = np.repeat(start[lo : lo + len(c)] - offsets[:-1], c) + np.arange(offsets[-1])
-        lo += len(c)
-        marks = measure.inverse_cdf(region, measure.mass(region) * uniforms[at])
-        out[region] = (np.searchsorted(j, steps).tolist(), i, offsets, np.repeat(i, c), marks)
-    return out
+    groups = counts.shape[1] * len(regions)
+    path, cell = np.divmod(hits, groups)  # cell = step * regions + region
+    order = np.argsort(cell, kind="stable")
+    path, cell, n = path[order], cell[order], n[order]
+    offsets = np.concatenate(([0], np.cumsum(n)))
+    marks = uniforms[np.repeat(start[order] - offsets[:-1], n) + np.arange(offsets[-1])]
+    of_region = np.repeat(cell % len(regions), n)
+    for r, name in enumerate(regions):
+        at = of_region == r
+        marks[at] = measure.inverse_cdf(name, measure.mass(name) * marks[at])
+    bounds = np.searchsorted(cell, np.arange(groups + 1)).tolist()
+    return bounds, path, offsets, np.repeat(path, n), marks
 
 
-def _add_jumps(jump_fn, pv, states, incr, marks, j: int) -> None:
-    """Add step ``j``'s jumps of one region to ``incr``: every mark in one
+def _add_jumps(jump_fn, pv, states, incr, table, group: int) -> None:
+    """Add one (step, region) group's jumps to ``incr``: every mark in one
     call of ``jump_fn``, each path's marks summed in draw order."""
-    bounds, paths, offsets, mark_paths, values = marks
-    a, b = bounds[j], bounds[j + 1]
+    bounds, paths, offsets, mark_paths, values = table
+    a, b = bounds[group], bounds[group + 1]
     if a < b:
         lo, hi = offsets[a], offsets[b]
         jumps = jump_fn(pv, states[mark_paths[lo:hi]], values[lo:hi])
@@ -188,9 +188,10 @@ def run_paths(
     n_records = -(-K // stride) + 1  # steps 0, stride, 2*stride, ... and the last step K
 
     gens = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
-    present = ((SMALL, model.has_small_jumps), (LARGE, model.has_large_jumps))
-    drawn = [(region, model.measure.mass(region)) for region, has in present if has]
-    drawn = [(region, mass) for region, mass in drawn if mass > 0.0]
+    regions = list(model.mark_rules)
+    # (group offset, program, compensated) per drawn region, small before large
+    jump_steps = [(r, model.small_jump_fn, True) if region == SMALL else (r, model.large_jump_fn, False)
+                  for r, region in enumerate(regions)]
 
     states = np.tile(s0_arr, (n_paths, 1))
     recorded = np.empty((n_paths, n_records, 3))
@@ -199,7 +200,7 @@ def run_paths(
     drift_max = np.zeros(n_paths) if simplex else None
     width = min(chunk, K)  # each block's draws are written in place, one row per path
     normal_buf = np.empty((n_paths, width, n_brownian))
-    count_bufs = [(region, mass, np.empty((n_paths, width), dtype=np.int64)) for region, mass in drawn]
+    count_buf = np.empty(n_paths * width * len(regions), dtype=np.int64)
 
     for k0 in range(0, K, chunk):
         block = min(chunk, K - k0)
@@ -209,11 +210,12 @@ def run_paths(
             for g, row in zip(gens, normals):
                 g.standard_normal(out=row)
             normals *= sqrt_dt
-        for _, mass, buf in count_bufs:
-            for g, row in zip(gens, buf):
-                row[:block] = g.poisson(mass * dt, block)
-        counts = [(region, buf[:, :block]) for region, _, buf in count_bufs]
-        marks = _block_marks(model.measure, gens, counts, block) if counts else {}
+        counts = count_buf[: n_paths * block * len(regions)].reshape(n_paths, block, len(regions))
+        for r, region in enumerate(regions):
+            rate = model.measure.mass(region) * dt
+            for g, row in zip(gens, counts[:, :, r]):
+                row[:] = g.poisson(rate, block)
+        table = _block_marks(model.measure, gens, regions, counts) if regions else None
         for j in range(block):
             k = k0 + j
             pv = {name: arr[j] for name, arr in pv_block.items()}
@@ -223,12 +225,10 @@ def run_paths(
                 # sum_c sig[..., c] * dW_c, left to right as numpy sums a short last axis
                 cols = [sig[..., c] * normals[:, j, c, None] for c in range(n_brownian)]
                 incr += sum(cols[1:], cols[0])
-            if model.has_small_jumps:
-                if SMALL in marks:
-                    _add_jumps(model.small_jump_fn, pv, states, incr, marks[SMALL], j)
-                incr -= model.compensator_pv(pv, states) * dt
-            if LARGE in marks:
-                _add_jumps(model.large_jump_fn, pv, states, incr, marks[LARGE], j)
+            for r, jump_fn, compensated in jump_steps:
+                _add_jumps(jump_fn, pv, states, incr, table, j * len(regions) + r)
+                if compensated:
+                    incr -= model.compensator_pv(pv, states) * dt
             states = states + incr
             below = states <= 0.0
             if below.any():

@@ -28,8 +28,8 @@ must pass the conservation and positivity gates.  Everything else is
 derived from the trees: constructing a model compiles each group, and each
 time coefficient, once with :func:`ussir.expr.compile_program`, jump
 constants and cap folded in, sets the flags saying which noise it carries
-and fixes the mark rule of each jump region, which the compensator and
-:func:`ussir.criteria.generic_alpha_estimate` integrate with;
+and fixes the mark rule of each jump region a run draws, which the
+compensator and :func:`ussir.criteria.generic_alpha_estimate` integrate with;
 :func:`suppress` rebuilds a model from a reduced table.  Programs take a
 dict of already-evaluated time-coefficient values (see
 :meth:`ModelSpec.param_values`) so that integrators evaluate each time
@@ -87,6 +87,7 @@ def check_admissible(state, domain: str) -> np.ndarray:
 
 
 _ZERO = Num(0.0)
+_NO_RULE = np.empty(0), np.empty(0)  # the rule of a region no run draws
 
 
 @dataclass(frozen=True)
@@ -108,12 +109,13 @@ class ModelSpec:
     programs also broadcast the mark, and an absent jump group computes
     zeros.  The flags ``brownian_dim``,
     ``has_diffusion``, ``has_small_jumps`` and ``has_large_jumps`` say which
-    groups are present.  ``small_jump_uses_u`` is False when no small-jump
-    tree mentions the mark.  ``mark_rules`` maps each jump region to the
-    ``(nodes, weights)`` that integrate against the measure there: empty
-    for a region of zero mass, one node carrying the region's mass when no
+    groups are present.  ``mark_rules`` holds exactly the jump regions a
+    run draws, small before large: those whose group is present and whose
+    mass is positive.  Each maps to the ``(nodes, weights)`` that integrate
+    against the measure there: one node carrying the region's mass when no
     tree of that region's group reads ``u``, the measure's midpoint
-    :meth:`~ussir.levy.LevyMeasure.quadrature` otherwise.
+    :meth:`~ussir.levy.LevyMeasure.quadrature` otherwise.  An integral over
+    a region without a rule is zero.
     Immutable; shareable across threads.
     """
 
@@ -149,14 +151,12 @@ class ModelSpec:
         derive("has_small_jumps", small is not None)
         derive("has_large_jumps", large is not None)
         derive("_param_fns", {name: compile_program([tree]) for name, tree in self.params.items()})
-        uses_u = [any("u" in free_names(tree) for tree in group or ()) for group in (small, large)]
-        derive("small_jump_uses_u", uses_u[0])
         rules = {}
-        for region, reads_u in zip((SMALL, LARGE), uses_u):
+        for region, group in ((SMALL, small), (LARGE, large)):
             mass = self.measure.mass(region)
-            if mass == 0.0:
-                rules[region] = np.empty(0), np.empty(0)
-            elif reads_u:
+            if group is None or mass == 0.0:
+                continue
+            if any("u" in free_names(tree) for tree in group):
                 rules[region] = self.measure.quadrature(region)
             else:
                 rules[region] = np.zeros(1), np.array([mass])
@@ -174,7 +174,7 @@ class ModelSpec:
     def compensator_pv(self, pv: Mapping, S: np.ndarray) -> np.ndarray:
         """Small-region integral of the jump coefficient vector against the
         intensity measure, by the small region's mark rule."""
-        nodes, weights = self.mark_rules[SMALL]
+        nodes, weights = self.mark_rules.get(SMALL, _NO_RULE)
         if nodes.size == 1:  # one program call times one weight
             return weights[0] * self.small_jump_fn(pv, S, nodes[0])
         u = nodes.reshape((-1,) + (1,) * (S.ndim - 1))

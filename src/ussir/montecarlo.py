@@ -114,6 +114,8 @@ def run_ensemble(
         raise ValueError("paths must be positive")
     if y_extinct is None:
         y_extinct = Y_EXTINCT_SIMPLEX if model.domain == SIMPLEX else Y_EXTINCT_OCTANT
+    elif not 0.0 < y_extinct < np.inf:  # also refuses nan
+        raise ValueError(f"y_extinct must be positive and finite, got {y_extinct}")
     keys = [_path_key(cfg.seed, i) for i in range(paths)]
     traj = run_paths(model, s0, cfg, keys)
     return EnsembleStats(

@@ -15,7 +15,7 @@ from ussir.integrator import (
     run_paths,
     simulate,
 )
-from ussir.levy import LARGE, SMALL, LevyMeasure
+from ussir.levy import LARGE, QUAD_NODES, SMALL, LevyMeasure
 from ussir.models import OCTANT, SIMPLEX, ModelSpec, build_custom, suppress
 
 ZEROS = ("0", "0", "0")
@@ -251,8 +251,8 @@ def _replayed_counts(model, cfg, keys, chunk):
     replaying its stream in the engine's block order: Brownian increments,
     small-jump counts, large-jump counts, then all the block's marks as one
     run of uniforms."""
-    masses = {region: model.measure.mass(region) for region in (SMALL, LARGE)}
-    drawn = [r for r, flag in ((SMALL, model.has_small_jumps), (LARGE, model.has_large_jumps)) if flag and masses[r] > 0]
+    drawn = list(model.mark_rules)
+    masses = {region: model.measure.mass(region) for region in drawn}
     rows = {region: [] for region in drawn}
     for key in keys:
         g = np.random.Generator(np.random.Philox(key=key))
@@ -276,32 +276,41 @@ class TestBatchedJumps:
     region and some paths take several marks of one region in one step.
     The bundled jump coefficients do not read the mark, so ``marked`` (a
     custom model whose jumps do, differently per region) checks the mark
-    values and their order in the stream as well."""
+    values and their order in the stream as well.  ``small_only`` and
+    ``large_only`` run it under a measure with one region of zero mass."""
 
     CFG = SimConfig(horizon=1.0, dt=0.02, seed=4, record_stride=1)
     KEYS = [_path_key(4, i) for i in range(120)]
-    CASES = ["table1", "table6", "marked"]
+    # case: (the custom model's measure, None for a bundled scenario; the regions a run draws)
+    CASES = {
+        "table1": (None, [SMALL, LARGE]),
+        "table6": (None, [SMALL, LARGE]),
+        "marked": (LevyMeasure(), [SMALL, LARGE]),
+        "small_only": (LevyMeasure(-0.5, 0.5), [SMALL]),
+        "large_only": (LevyMeasure(1.5, 3.0, 2.0), [LARGE]),
+    }
 
     def _model(self, scenario, name):
-        if name != "marked":
+        measure = self.CASES[name][0]
+        if measure is None:
             cfg, model = scenario(name)
             return model, cfg.initial_state
         model = build_custom(
             domain=OCTANT, drift=("-0.1*x", "0", "0"), diffusion=(("0.2*x", "0", "0"),),
-            small_jump=("0.1*u*x", "u", "0"), large_jump=("0.05*u*x", "0", "u"),
+            small_jump=("0.1*u*x", "u", "0"), large_jump=("0.05*u*x", "0", "u"), measure=measure,
         )
         return model, (1.0, 5.0, 5.0)
 
-    def _assert_crowded(self, model, chunk):
+    def _assert_crowded(self, model, name, chunk):
         counts = _replayed_counts(model, self.CFG, self.KEYS, chunk)
-        assert set(counts) == {SMALL, LARGE}
+        assert list(counts) == self.CASES[name][1]
         assert max((c > 0).sum(axis=0).max() for c in counts.values()) >= 2  # paths jumping in one step
         assert max(c.max() for c in counts.values()) >= 2  # marks of one path in one step
 
     def test_compensator_quadrature_built_with_the_model(self, scenario, monkeypatch):
         # the compensator's nodes and weights are fixed per model, so no step rebuilds them
         model, s0 = self._model(scenario, "marked")
-        assert model.small_jump_uses_u
+        assert model.mark_rules[SMALL][0].size == QUAD_NODES
         calls = []
         quadrature = LevyMeasure.quadrature
         monkeypatch.setattr(LevyMeasure, "quadrature", lambda *args: calls.append(args) or quadrature(*args))
@@ -311,7 +320,7 @@ class TestBatchedJumps:
     @pytest.mark.parametrize("name", CASES)
     def test_batch_matches_one_key_runs(self, scenario, name):
         model, s0 = self._model(scenario, name)
-        self._assert_crowded(model, CHUNK_STEPS)
+        self._assert_crowded(model, name, CHUNK_STEPS)
         batch = run_paths(model, s0, self.CFG, self.KEYS)
         for p, key in enumerate(self.KEYS):
             solo = run_paths(model, s0, self.CFG, [key])
@@ -321,7 +330,7 @@ class TestBatchedJumps:
     @pytest.mark.parametrize("name", CASES)
     def test_chunk_of_one_matches_reference_loops(self, scenario, name):
         model, s0 = self._model(scenario, name)
-        self._assert_crowded(model, 1)
+        self._assert_crowded(model, name, 1)
         batch = run_paths(model, s0, self.CFG, self.KEYS, chunk=1)
         for p, key in enumerate(self.KEYS):
             gen = np.random.Generator(np.random.Philox(key=key))
@@ -439,7 +448,7 @@ class TestJumpOracle:
             domain=OCTANT, drift=(f"{self.A!r}*x", "0", "0"), diffusion=((f"{self.B!r}*x", "1", "0"),),
             small_jump=jump, large_jump=jump,
         )
-        assert model.small_jump_uses_u
+        assert model.mark_rules[SMALL][0].size == QUAD_NODES
         cfg = SimConfig(horizon=1.0, dt=dt, record_stride=math.ceil(1.0 / dt))
         keys = [_path_key(seed, level * paths + i) for i in range(paths)]
         bundle = run_paths(model, (self.S0, self.R0, self.R0), cfg, keys)

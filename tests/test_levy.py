@@ -3,7 +3,7 @@ import pytest
 
 from ussir.expr import BinOp, Num, Var
 from ussir.integrator import path_generator
-from ussir.levy import LARGE, SMALL, LevyMeasure
+from ussir.levy import LARGE, QUAD_NODES, SMALL, LevyMeasure
 from ussir.models import OCTANT, build_custom
 
 
@@ -160,7 +160,7 @@ class TestCompensator:
         _, model = scenario("table1")
         zero_u = BinOp("*", Num(0.0), Var("u"))
         generic = dataclasses.replace(model, small_jump=[BinOp("+", tree, zero_u) for tree in model.small_jump])
-        assert generic.small_jump_uses_u
+        assert generic.mark_rules[SMALL][0].size == QUAD_NODES
         state = (0.7, 0.2, 0.1)
         assert np.allclose(
             _compensator(generic, 0.3, state),
@@ -176,7 +176,7 @@ class TestCompensator:
             small_jump=("0.01*x*y", "0-0.02*y", "0.003*z*sin(t)"),
             measure=LevyMeasure(-2.0, 2.0, density=0.75),
         )
-        assert not model.small_jump_uses_u
+        assert model.mark_rules[SMALL][0].size == 1
         pv, S = model.param_values(0.4), np.array([2.0, 0.5, 1.5])
         expected = model.measure.mass(SMALL) * model.small_jump_fn(pv, S, 0.0)
         assert np.array_equal(model.compensator_pv(pv, S), expected)
@@ -188,7 +188,7 @@ class TestCompensator:
             diffusion=(("0", "0", "0"),),
             small_jump=("0", "0.1*u*u*y", "0"),
         )
-        assert model.small_jump_uses_u
+        assert model.mark_rules[SMALL][0].size == QUAD_NODES
         comp = _compensator(model, 0.0, (1.0, 0.6, 1.0))
         # integral of u^2 over (-1, 1) is 2/3
         assert comp[1] == pytest.approx(0.1 * 0.6 * 2.0 / 3.0, rel=1e-5)

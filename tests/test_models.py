@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ussir.expr import BinOp, Num, _compile_source, evaluate, parse
+from ussir.levy import LARGE, SMALL
 from ussir.models import (
     FAMILIES,
     OCTANT,
@@ -213,6 +214,11 @@ class TestTruncationProperties:
         assert _truncate(123.456, 1e12) == 123.456
 
 
+def _rule_sizes(model):
+    """The node count of each drawn region's mark rule."""
+    return {region: nodes.size for region, (nodes, _) in model.mark_rules.items()}
+
+
 class TestNamedTables:
     def test_flags_follow_from_the_tables(self, scenario):
         for name in ("table1", "table2", "table3", "table6", "table7"):
@@ -222,7 +228,7 @@ class TestNamedTables:
             assert model.brownian_dim == len(family.diffusion)
             assert model.has_small_jumps == (family.small_jump is not None)
             assert model.has_large_jumps == (family.large_jump is not None)
-            assert not model.small_jump_uses_u
+            assert _rule_sizes(model) == ({SMALL: 1, LARGE: 1} if model.has_small_jumps else {})  # no jump reads u
             assert family.uses_cap == (cfg.cap is not None)
         assert [k for k, f in FAMILIES.items() if f.uses_cap] == ["ex34a", "ex34b"]
 
@@ -395,7 +401,8 @@ class TestSuppress:
         }
         for label, (copy, flags) in panels.items():
             assert (copy.brownian_dim, copy.has_diffusion, copy.has_small_jumps, copy.has_large_jumps) == flags, label
-            assert copy.small_jump_uses_u == (copy.has_small_jumps and model.small_jump_uses_u), label
+            kept = copy.has_small_jumps or copy.has_large_jumps
+            assert _rule_sizes(copy) == (_rule_sizes(model) if kept else {}), label
             assert copy.params == model.params and copy.constants == model.constants, label
         silent_drift = panels["jumps_only"][0]
         S = np.array([[2.0, 0.8, 1.0], [0.3, 0.3, 0.4]])

@@ -3,7 +3,7 @@ import pytest
 
 from ussir.criteria import CriteriaReport
 from ussir.integrator import SimConfig, Trajectory, _path_key, run_paths, simulate
-from ussir.models import suppress
+from ussir.models import OCTANT, build_custom, suppress
 from ussir.montecarlo import (
     EnsembleStats,
     lyapunov_estimate,
@@ -125,6 +125,16 @@ class TestRunEnsemble:
         cfg, model = scenario("table1")
         with pytest.raises(ValueError):
             run_ensemble(model, cfg.initial_state, SimConfig(horizon=1.0), paths=0)
+
+    @pytest.mark.parametrize("y_extinct", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_bad_threshold_refused_before_simulating(self, monkeypatch, y_extinct):
+        # nan and -1 used to count no path extinct, and inf every path
+        model = build_custom(domain=OCTANT, drift=("0", "-y", "0"), diffusion=(("0", "0.1*y", "0"),))
+        runs = []
+        monkeypatch.setattr("ussir.montecarlo.run_paths", lambda *args: runs.append(args))
+        with pytest.raises(ValueError, match=rf"^y_extinct must be positive and finite, got {y_extinct}$"):
+            run_ensemble(model, (1.0, 0.5, 0.5), SimConfig(horizon=0.1, dt=0.01), paths=2, y_extinct=y_extinct)
+        assert runs == []
 
 
 class TestVerdict:
