@@ -1,15 +1,15 @@
 """One stochastic path next to its noise-decomposed companions.
 
-The same seed drives four runs of the extinction scenario: the full
-dynamics, the noise-free drift, and the two drift-free noise panels.
+The same seed drives four panels of the extinction scenario: the full
+dynamics, the noise-free drift, and the two drift-free noise panels, each
+a row of one run that says which coefficient groups act on it.
 Writes CSVs to ./demo_out and prints where each run ends up.  If
 matplotlib is importable, also saves a quick picture.
 """
 
 from pathlib import Path
 
-from ussir import SimConfig, simulate
-from ussir.models import suppress
+from ussir import SimConfig, Trajectory, simulate
 from ussir.scenario import build_model, bundled_scenario_path, load_scenario
 
 OUT = Path("demo_out")
@@ -20,21 +20,22 @@ def main():
     model = build_model(cfg)
     sim = SimConfig(horizon=30.0, dt=cfg.dt, seed=cfg.seed, record_stride=20)
 
+    # which of (drift, diffusion, jumps) act on each panel; the panels are
+    # the rows of one run, each on the stream a one-path run of the seed uses
     panels = {
-        "full dynamics": model,
-        "drift only": suppress(model),
-        "diffusion only": suppress(model, drift=True, diffusion=False),
-        "jumps only": suppress(model, drift=True, jumps=False),
+        "full dynamics": (True, True, True),
+        "drift only": (True, False, False),
+        "diffusion only": (False, True, False),
+        "jumps only": (False, False, True),
     }
+    traj = simulate(model, cfg.initial_state, sim, groups=list(panels.values()))
 
     OUT.mkdir(exist_ok=True)
-    trajectories = {}
-    for label, variant in panels.items():
-        traj = simulate(variant, cfg.initial_state, sim)
-        trajectories[label] = traj
+    for i, label in enumerate(panels):
         stem = label.replace(" ", "_")
-        traj.write_csv(OUT / f"{stem}.csv")
-        x, y, z = traj.states[0, -1]
+        row = Trajectory(traj.times, traj.states[i : i + 1], traj.floor_hits[i : i + 1], None)
+        row.write_csv(OUT / f"{stem}.csv")
+        x, y, z = traj.states[i, -1]
         print(f"{label:16s} final (X, Y, Z) = ({x:.4f}, {y:.3e}, {z:.4f})")
 
     print(f"\nCSV files in {OUT.resolve()}")
@@ -49,9 +50,9 @@ def main():
         return
 
     fig, axes = plt.subplots(len(panels), 1, figsize=(8, 10), sharex=True)
-    for ax, (label, traj) in zip(axes, trajectories.items()):
+    for ax, label, states in zip(axes, panels, traj.states):
         for c, name in enumerate(("susceptible", "infected", "recovered")):
-            ax.plot(traj.times, traj.states[0, :, c], label=name)
+            ax.plot(traj.times, states[:, c], label=name)
         ax.set_ylabel(label, fontsize=8)
     axes[0].legend(loc="upper right", fontsize=8)
     axes[-1].set_xlabel("t")

@@ -18,7 +18,8 @@ usage error (from argparse) or theory-versus-simulation verdict
 
 ``simulate`` writes the stochastic trajectory plus panel companions: the
 deterministic run (all noise zeroed) and, where the model carries that kind
-of noise, drift-free diffusion-only and jumps-only runs.  All outputs are
+of noise, drift-free diffusion-only and jumps-only runs.  The panels are the
+rows of one run on the seed's stream 0.  All outputs are
 plain CSV with fixed formatting, so rerunning a scenario with the same seed
 reproduces every file byte for byte.
 """
@@ -33,9 +34,9 @@ from pathlib import Path
 
 from . import __version__
 from .criteria import CRITERIA_CSV_HEADER, NoCriterionError, report_for_model
-from .models import SIMPLEX, ModelSpec, suppress, check_conservation, check_positivity_ratios
+from .models import SIMPLEX, ModelSpec, check_conservation, check_positivity_ratios
 from .montecarlo import run_ensemble, verdict, write_ensemble_csv
-from .integrator import simulate
+from .integrator import Trajectory, simulate
 from .scenario import (
     ScenarioConfig,
     ScenarioError,
@@ -97,19 +98,17 @@ def cmd_simulate(args) -> int:
     cfg, model = _load(args)
     sim = sim_config(cfg, seed=args.seed, dt=args.dt, horizon=args.horizon)
     out = _out_dir(args, cfg)
-    panels = [
-        ("stochastic", model),
-        ("deterministic", suppress(model)),
-    ]
+    # each panel is a row of one run: which of drift, diffusion, jumps act on it
+    panels = {"stochastic": (True, True, True), "deterministic": (True, False, False)}
     if model.has_diffusion:
-        panels.append(("diffusion_only", suppress(model, drift=True, diffusion=False)))
+        panels["diffusion_only"] = (False, True, False)
     if model.has_small_jumps or model.has_large_jumps:
-        panels.append(("jumps_only", suppress(model, drift=True, jumps=False)))
-    for label, variant in panels:
-        traj = simulate(variant, cfg.initial_state, sim)
+        panels["jumps_only"] = (False, False, True)
+    traj = simulate(model, cfg.initial_state, sim, groups=list(panels.values()))
+    for i, label in enumerate(panels):
         target = out / f"{cfg.stem}_{label}.csv"
-        traj.write_csv(target)
-        print(f"wrote {target} (floor_hits={int(traj.floor_hits[0])})")
+        Trajectory(traj.times, traj.states[i : i + 1], traj.floor_hits[i : i + 1], None).write_csv(target)
+        print(f"wrote {target} (floor_hits={int(traj.floor_hits[i])})")
     return 0
 
 

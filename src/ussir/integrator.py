@@ -26,8 +26,12 @@ when the unit-sum deviation exceeds 1e-9 (the coefficient rows cancel
 algebraically, so only accumulated rounding ever needs correction).
 
 Every run returns one :class:`Trajectory`: the shared record times, a
-(paths, records, 3) state block and the safeguard counts of each path;
-:func:`simulate` is the one-path run.
+(paths, records, 3) state block and the safeguard counts of each path.
+A run's ``groups`` may switch drift, diffusion or jumps off per path (row).
+A row without diffusion draws no normals, one without jumps no counts and
+so no marks, so a row consumes its stream as the :func:`~ussir.models.suppress`
+copy without those groups does and matches it bit for bit; :func:`simulate`
+runs several such rows (the CLI's noise panels) on one stream.
 """
 
 from __future__ import annotations
@@ -170,17 +174,26 @@ def run_paths(
     cfg: SimConfig,
     keys: Sequence[np.ndarray],
     chunk: int = CHUNK_STEPS,
+    groups=None,
 ) -> Trajectory:
     """Advance every keyed path over the full grid, vectorized across paths.
 
     The paths are mathematically independent (private generators); batching
     them only amortizes interpreter overhead.  Time coefficients are
     evaluated per block of ``chunk`` steps, so memory does not grow with
-    the horizon beyond the recorded states.
+    the horizon beyond the recorded states.  ``groups``, (paths, 3)
+    booleans, says whether drift, diffusion and jumps act on each path
+    (None: all); a drift or compensator switched off steps by 0 and a noise
+    switched off draws nothing (see above).
     """
     s0_arr = check_admissible(s0, model.domain)
     n_paths = len(keys)
+    on = np.ones((n_paths, 3), dtype=bool) if groups is None else np.asarray(groups, dtype=bool)
+    if on.shape != (n_paths, 3):
+        raise ValueError(f"groups must have shape {(n_paths, 3)}, got {on.shape}")
     dt = cfg.dt
+    # a group on in every row steps by the scalar dt, as a run without groups does
+    drift_dt, comp_dt = (dt if col.all() else np.where(col, dt, 0.0)[:, None] for col in (on[:, 0], on[:, 2]))
     sqrt_dt = math.sqrt(dt)
     K, stride = cfg.n_steps, cfg.record_stride
     n_brownian = model.brownian_dim
@@ -199,7 +212,7 @@ def run_paths(
     floor_hits = np.zeros(n_paths, dtype=np.int64)
     drift_max = np.zeros(n_paths) if simplex else None
     width = min(chunk, K)  # each block's draws are written in place, one row per path
-    normal_buf = np.empty((n_paths, width, n_brownian))
+    normal_buf = np.zeros((n_paths, width, n_brownian))  # a row without diffusion stays zero
     count_buf = np.empty(n_paths * width * len(regions), dtype=np.int64)
 
     for k0 in range(0, K, chunk):
@@ -207,19 +220,19 @@ def run_paths(
         pv_block = model.param_values(np.arange(k0, k0 + block, dtype=float) * dt)
         if model.has_diffusion:
             normals = normal_buf[:, :block]
-            for g, row in zip(gens, normals):
-                g.standard_normal(out=row)
+            for p in np.flatnonzero(on[:, 1]):
+                gens[p].standard_normal(out=normals[p])
             normals *= sqrt_dt
         counts = count_buf[: n_paths * block * len(regions)].reshape(n_paths, block, len(regions))
         for r, region in enumerate(regions):
             rate = model.measure.mass(region) * dt
-            for g, row in zip(gens, counts[:, :, r]):
-                row[:] = g.poisson(rate, block)
+            for g, row, draw in zip(gens, counts[:, :, r], on[:, 2]):
+                row[:] = g.poisson(rate, block) if draw else 0
         table = _block_marks(model.measure, gens, regions, counts) if regions else None
         for j in range(block):
             k = k0 + j
             pv = {name: arr[j] for name, arr in pv_block.items()}
-            incr = model.drift_fn(pv, states) * dt
+            incr = model.drift_fn(pv, states) * drift_dt
             if model.has_diffusion:
                 sig = model.diffusion_fn(pv, states)
                 # sum_c sig[..., c] * dW_c, left to right as numpy sums a short last axis
@@ -228,7 +241,7 @@ def run_paths(
             for r, jump_fn, compensated in jump_steps:
                 _add_jumps(jump_fn, pv, states, incr, table, j * len(regions) + r)
                 if compensated:
-                    incr -= model.compensator_pv(pv, states) * dt
+                    incr -= model.compensator_pv(pv, states) * comp_dt
             states = states + incr
             below = states <= 0.0
             if below.any():
@@ -252,9 +265,12 @@ def run_paths(
     )
 
 
-def simulate(model: ModelSpec, s0, cfg: SimConfig) -> Trajectory:
-    """Single path under ``cfg.seed`` (stream index 0 of that seed)."""
-    return run_paths(model, s0, cfg, [_path_key(cfg.seed, 0)])
+def simulate(model: ModelSpec, s0, cfg: SimConfig, groups=None) -> Trajectory:
+    """The path of stream index 0 under ``cfg.seed``: one row per entry of
+    ``groups`` (see :func:`run_paths`), each on that stream, or one row
+    with every group when ``groups`` is None."""
+    rows = 1 if groups is None else len(groups)
+    return run_paths(model, s0, cfg, [_path_key(cfg.seed, 0)] * rows, groups=groups)
 
 
 @dataclass(frozen=True)

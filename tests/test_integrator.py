@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -340,6 +341,94 @@ class TestBatchedJumps:
                 s = _reference_step(model, k * self.CFG.dt, s, self.CFG.dt, gen)
                 manual.append(s)
             assert np.array_equal(batch.states[p], manual)
+
+
+# the rows of one noise-panel run: (which of drift, diffusion, jumps act; the suppress copy it equals)
+PANEL_ROWS = {
+    "stochastic": ((True, True, True), {"diffusion": False, "jumps": False}),
+    "deterministic": ((True, False, False), {}),
+    "diffusion_only": ((False, True, False), {"drift": True, "diffusion": False}),
+    "jumps_only": ((False, False, True), {"drift": True, "jumps": False}),
+}
+
+
+class TestGroupRows:
+    """Rows of one run, each with its own coefficient groups, against the
+    ``suppress`` copies run alone on the same key.  Every row shares one
+    key, so each must take exactly the draws of its copy's stream."""
+
+    CFG = SimConfig(horizon=1.0, dt=0.02, seed=6, record_stride=1)
+    MEASURES = {
+        "default": LevyMeasure(),
+        "lopsided": LevyMeasure(-2.0, 4.0, 0.75),
+        "small_only": LevyMeasure(-0.5, 0.5),
+        "large_only": LevyMeasure(1.5, 3.0, 2.0),
+    }
+
+    def _check_rows(self, model, s0, chunk):
+        labels = [label for label in PANEL_ROWS if label != "jumps_only" or model.mark_rules]
+        if not model.has_diffusion:
+            labels.remove("diffusion_only")
+        key = _path_key(self.CFG.seed, 0)
+        groups = [PANEL_ROWS[label][0] for label in labels]
+        rows = run_paths(model, s0, self.CFG, [key] * len(labels), chunk, groups=groups)
+        for i, label in enumerate(labels):
+            alone = run_paths(suppress(model, **PANEL_ROWS[label][1]), s0, self.CFG, [key], chunk)
+            assert np.array_equal(rows.states[i], alone.states[0]), label
+            assert rows.floor_hits[i] == alone.floor_hits[0], label
+            if alone.simplex_drift is None:
+                assert rows.simplex_drift is None
+            else:
+                assert rows.simplex_drift[i] == alone.simplex_drift[0], label
+        return labels, rows
+
+    @pytest.mark.parametrize("chunk", [CHUNK_STEPS, 7, 1])
+    @pytest.mark.parametrize("name", [f"table{i}" for i in range(1, 8)])
+    def test_bundled_rows_match_suppressed_copies(self, scenario, name, chunk):
+        cfg, model = scenario(name)
+        labels, rows = self._check_rows(model, cfg.initial_state, chunk)
+        assert len(labels) == (3 if model.model_id == "xc" else 4)
+        assert len({rows.states[i].tobytes() for i in range(len(labels))}) == len(labels)  # every row moved its own way
+
+    @pytest.mark.parametrize("chunk", [CHUNK_STEPS, 7, 1])
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_marked_rows_match_suppressed_copies(self, measure, chunk):
+        # the small jumps read u, so a row without jumps also switches off the
+        # 1001-node compensator; from y = z = 0.2 the measures with a negative
+        # region clamp some rows at the floor
+        model = build_custom(
+            domain=OCTANT, drift=("-0.1*x", "0", "0"), diffusion=(("0.2*x", "0", "0"),),
+            small_jump=("0.1*u*x", "u", "0"), large_jump=("0.05*u*x", "0", "u"), measure=self.MEASURES[measure],
+        )
+        labels, rows = self._check_rows(model, (1.0, 0.2, 0.2), chunk)
+        assert labels == list(PANEL_ROWS)
+        assert rows.floor_hits.any() == (self.MEASURES[measure].lo < -1.0)
+
+    def test_all_groups_on_is_the_run_without_groups(self, scenario):
+        cfg, model = scenario("table6")
+        keys = [_path_key(3, i) for i in range(5)]
+        plain = run_paths(model, cfg.initial_state, self.CFG, keys)
+        rows = run_paths(model, cfg.initial_state, self.CFG, keys, groups=np.ones((5, 3), dtype=bool))
+        assert plain.states.tobytes() == rows.states.tobytes()
+        assert np.array_equal(plain.floor_hits, rows.floor_hits)
+
+    def test_simulate_rows_share_stream_zero(self, scenario):
+        cfg, model = scenario("table1")
+        groups = [PANEL_ROWS[label][0] for label in PANEL_ROWS]
+        rows = simulate(model, cfg.initial_state, self.CFG, groups=groups)
+        assert np.array_equal(rows.states[0], simulate(model, cfg.initial_state, self.CFG).states[0])
+        assert rows.states.shape[0] == len(groups)
+
+    @pytest.mark.parametrize(
+        "groups, shape",
+        [([(True, True, True)] * 3, (3, 3)), ([(True, False)] * 2, (2, 2)), ([True, True, True], (3,))],
+        ids=["three_rows", "two_columns", "one_dimensional"],
+    )
+    def test_malformed_groups_refused_before_any_draw(self, zero_model, monkeypatch, groups, shape):
+        monkeypatch.setattr(np.random, "Philox", lambda **_: pytest.fail("a generator was built"))
+        keys = [_path_key(0, i) for i in range(2)]
+        with pytest.raises(ValueError, match=rf"groups must have shape \(2, 3\), got {re.escape(str(shape))}"):
+            run_paths(zero_model, (1.0, 0.5, 0.25), self.CFG, keys, groups=groups)
 
 
 def test_time_coefficients_evaluated_per_chunk(scenario, monkeypatch):

@@ -4,6 +4,8 @@ import warnings
 import pytest
 
 from ussir.cli import main
+from ussir.integrator import simulate
+from ussir.models import suppress
 from ussir.scenario import (
     ScenarioError,
     build_model,
@@ -339,6 +341,25 @@ class TestCliCommands:
         assert (tmp_path / "table3_diffusion_only.csv").is_file()
         assert not (tmp_path / "table3_jumps_only.csv").exists()
 
+    @pytest.mark.parametrize("name", ["table1", "table3"])
+    def test_panels_match_suppressed_copies(self, scenario, tmp_path, name):
+        # the panels are rows of one run; each file is the one-path run of its suppress copy
+        panels = {
+            "stochastic": {"diffusion": False, "jumps": False},
+            "deterministic": {},
+            "diffusion_only": {"drift": True, "diffusion": False},
+            "jumps_only": {"drift": True, "jumps": False},
+        }
+        assert main(["simulate", "--config", name, "--out", str(tmp_path / "cli"), "--horizon", "0.5"]) == 0
+        cfg, model = scenario(name)
+        sim = sim_config(cfg, horizon=0.5)
+        written = sorted(p.name for p in (tmp_path / "cli").iterdir())
+        expected = [label for label in panels if label != "jumps_only" or model.has_small_jumps]
+        assert written == sorted(f"{name}_{label}.csv" for label in expected)
+        for label in expected:
+            simulate(suppress(model, **panels[label]), cfg.initial_state, sim).write_csv(tmp_path / "alone.csv")
+            assert (tmp_path / "cli" / f"{name}_{label}.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         for sub in ("one", "two"):
             code = main(
@@ -408,6 +429,7 @@ class TestCliCommands:
         assert main(argv + (["--paths", "2"] if command == "ensemble" else [])) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {target}: ln of non-positive argument in 'ln(x-3.0)'"]
+        assert not list(tmp_path.glob("*.csv"))  # simulate writes all of its panels or none
 
     def test_inconsistent_verdict_exits_two(self, tmp_path, capsys):
         # theory says persistent with average at least 1; a short horizon from a
