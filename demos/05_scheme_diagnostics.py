@@ -32,7 +32,8 @@ def compensation():
     model = build_model(cfg)
     state = np.asarray(cfg.initial_state)
     pv = model.param_values(0.0)
-    comp = model.compensator_pv(pv, state)
+    nodes, weights = model.mark_rules[SMALL]  # the small region's integral of the jump vector, by its mark rule
+    comp = (model.small_jump_fn(pv, state, nodes) * weights[:, None]).sum(axis=0)
     small_mass = model.measure.mass(SMALL)
     rng = path_generator(99)
     dt, steps = 0.001, 20_000

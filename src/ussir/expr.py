@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -260,26 +260,22 @@ def parse(text: str, variables: tuple[str, ...] = ("t",)) -> Node:
 
 # --- compilation -------------------------------------------------------------
 
-def _any(mask) -> bool:
-    """``np.any`` without its dispatch cost (arrays and scalars)."""
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
+# each check counts its mask's hits: np.count_nonzero dispatches faster than .any()
 def _divide(a, b, where: str):
-    if _any(b == 0):
+    if np.count_nonzero(b == 0):
         raise EvalDomainError(f"division by zero in {where!r}")
     return a / b
 
 
 def _power(a, b, where: str):
-    if _any(a <= 0) and _any((a < 0) & (np.floor(b) != b) | (a == 0) & (b < 0)):
+    if np.count_nonzero(a <= 0) and np.count_nonzero((a < 0) & (np.floor(b) != b) | (a == 0) & (b < 0)):
         raise EvalDomainError(f"power outside the reals in {where!r}")
     # a Python float base goes through numpy: Python's ** raises on overflow
     return a**b if isinstance(a, (np.ndarray, np.generic)) else np.power(a, b)
 
 
 def _log(a, where: str):
-    if _any(a <= 0):
+    if np.count_nonzero(a <= 0):
         raise EvalDomainError(f"ln of non-positive argument in {where!r}")
     return np.log(a)
 
@@ -296,6 +292,7 @@ def compile_program(
     shape: Optional[tuple[int, ...]] = None,
     constants: Optional[Mapping[str, float]] = None,
     mark: bool = False,
+    step: Optional[tuple] = None,
 ) -> Callable:
     """Compile a group of trees into one straight-line numpy function.
 
@@ -307,21 +304,32 @@ def compile_program(
     order into a new array of shape ``batch + shape``, ``batch`` being the
     broadcast of the state batch axes, the mark and every entry.
 
+    With ``step = (n, rule)`` the trees are the drift ``d_i``, the
+    diffusion ``sigma_ic`` by rows and, unless the small region's ``rule``
+    is None, the small jumps ``h``: ``program(env, S, dW, drift_dt,
+    comp_dt)`` returns ``incr[:, i] = d_i * drift_dt + ((sigma_i0 * dW_0 +
+    sigma_i1 * dW_1) + ...)``, less entries folded to 0, and the rule's
+    integral of ``h`` times ``comp_dt`` (None without a rule).
     Equal subtrees are equal (frozen, hashable) nodes, so a dict keyed by
-    node computes each once.  A subtree whose names are all in
-    ``constants`` is evaluated while compiling, by the operations the
-    program would run, and enters the program as a value; a value that is
-    not finite raises :class:`EvalDomainError` naming the subtree.
+    node computes each once, across the group.  A subtree whose names are
+    all in ``constants`` is evaluated while compiling, by the operations
+    the program would run, and enters the program as a 0-d array; a value
+    that is not finite raises :class:`EvalDomainError` naming the subtree.
     """
     constants = constants or {}
     namespace: dict = {"_np": np}
     folded: dict = {}  # name -> value of each folded constant
     names: dict = {}  # node -> name holding its value
     lines: list[tuple[str, list[str]]] = []  # (code, operands) of v0, v1, ...
+    block = shape is not None or step is not None
+    if step is not None:
+        n, rule = step
+        mark = rule is not None and rule[0].size > 1  # quadrature nodes run along a leading axis
+        namespace["u"] = rule[0].reshape(-1, 1) if mark else None
 
     def bind(value, fold: bool = False) -> str:
         name = f"_k{len(namespace)}"
-        namespace[name] = value
+        namespace[name] = np.array(value, dtype=float) if fold else value  # numpy reads a 0-d array fastest
         if fold:
             folded[name] = value
         return name
@@ -342,7 +350,7 @@ def compile_program(
             name = fold(node, node.value)
         elif isinstance(node, Var) and node.name in constants:
             name = fold(node, float(constants[node.name]))
-        elif isinstance(node, Var) and shape is not None and node.name in ("x", "y", "z"):
+        elif isinstance(node, Var) and block and node.name in ("x", "y", "z"):
             name = line(f"S[..., {'xyz'.index(node.name)}]")
         elif isinstance(node, Var):
             name = "u" if mark and node.name == "u" else line(f"env[{node.name!r}]")
@@ -363,7 +371,21 @@ def compile_program(
 
     with np.errstate(over="ignore", invalid="ignore"):  # fold refuses a non-finite constant
         results = [emit(tree) for tree in trees]
-    if shape is None:
+    if step is not None:
+        head, tail = "def _program(env, S, dW, drift_dt, comp_dt):", ["    incr = _np.empty(S.shape)"]
+        for i, d in enumerate(results[:3]):  # sum_c sigma_ic * dW_c left to right; a folded 0 adds +-0
+            terms = [f"{s} * dW[:, {c}]" for c, s in enumerate(results[3 + i * n : 3 + i * n + n])
+                     if folded.get(s) != 0]
+            noise = [reduce("({} + {})".format, terms)] if terms else []
+            tail.append(f"    incr[..., {i}] = {' + '.join([f'{d} * drift_dt', *noise])}")
+        comp = "None"
+        if rule is not None:  # one node: its weight times the vector; else numpy's sum over the nodes
+            tail.append(f"    c = _np.empty({'u.shape[:1] + ' if mark else ''}S.shape)")
+            tail += [f"    c[..., {i}] = {h}" for i, h in enumerate(results[3 + 3 * n :])]
+            w = bind(rule[1].reshape(-1, 1, 1) if mark else rule[1][0, ...])
+            comp = (f"(c * {w}).sum(axis=0)" if mark else f"{w} * c") + " * comp_dt"
+        tail.append(f"    return incr, {comp}")
+    elif shape is None:
         (result,) = results
         if result in folded:  # a constant needs no code
             return lambda env, value=folded[result]: value

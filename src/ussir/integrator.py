@@ -3,7 +3,10 @@
 One step advances the state by drift * dt, the Brownian increment through
 the diffusion matrix, the compensated small-jump contribution (sampled
 marks minus compensator * dt) and the uncompensated large-jump marks, all
-at the step's start state, then applies the positivity safeguard.
+at the step's start state, then applies the positivity safeguard.  One
+call of the model's step program computes drift, diffusion and compensator
+from the step's time coefficients, 0-d views into the block's arrays; the
+step adds its small marks, subtracts the compensator, adds its large marks.
 
 Randomness is organized per path: each path owns a Philox counter-based
 generator keyed by a hash of (master seed, path index), so paths are
@@ -29,9 +32,9 @@ Every run returns one :class:`Trajectory`: the shared record times, a
 (paths, records, 3) state block and the safeguard counts of each path.
 A run's ``groups`` may switch drift, diffusion or jumps off per path (row).
 A row without diffusion draws no normals, one without jumps no counts and
-so no marks, so a row consumes its stream as the :func:`~ussir.models.suppress`
-copy without those groups does and matches it bit for bit; :func:`simulate`
-runs several such rows (the CLI's noise panels) on one stream.
+so no marks, so a row consumes its stream as the model rebuilt without
+those groups does and matches it bit for bit; :func:`simulate` runs
+several such rows (the CLI's noise panels) on one stream.
 """
 
 from __future__ import annotations
@@ -192,8 +195,10 @@ def run_paths(
     if on.shape != (n_paths, 3):
         raise ValueError(f"groups must have shape {(n_paths, 3)}, got {on.shape}")
     dt = cfg.dt
-    # a group on in every row steps by the scalar dt, as a run without groups does
-    drift_dt, comp_dt = (dt if col.all() else np.where(col, dt, 0.0)[:, None] for col in (on[:, 0], on[:, 2]))
+    # a group on in every row steps by dt (0-d: numpy reads it fastest) as a run without groups
+    # does; per row, the drift's dt meets a (paths,) row, the compensator's the (paths, 3) integral
+    drift_dt = np.array(dt) if on[:, 0].all() else np.where(on[:, 0], dt, 0.0)
+    comp_dt = np.array(dt) if on[:, 2].all() else np.where(on[:, 2], dt, 0.0)[:, None]
     sqrt_dt = math.sqrt(dt)
     K, stride = cfg.n_steps, cfg.record_stride
     n_brownian = model.brownian_dim
@@ -205,6 +210,7 @@ def run_paths(
     # (group offset, program, compensated) per drawn region, small before large
     jump_steps = [(r, model.small_jump_fn, True) if region == SMALL else (r, model.large_jump_fn, False)
                   for r, region in enumerate(regions)]
+    step = model.step_fn
 
     states = np.tile(s0_arr, (n_paths, 1))
     recorded = np.empty((n_paths, n_records, 3))
@@ -218,8 +224,8 @@ def run_paths(
     for k0 in range(0, K, chunk):
         block = min(chunk, K - k0)
         pv_block = model.param_values(np.arange(k0, k0 + block, dtype=float) * dt)
+        normals = normal_buf[:, :block]
         if model.has_diffusion:
-            normals = normal_buf[:, :block]
             for p in np.flatnonzero(on[:, 1]):
                 gens[p].standard_normal(out=normals[p])
             normals *= sqrt_dt
@@ -231,20 +237,15 @@ def run_paths(
         table = _block_marks(model.measure, gens, regions, counts) if regions else None
         for j in range(block):
             k = k0 + j
-            pv = {name: arr[j] for name, arr in pv_block.items()}
-            incr = model.drift_fn(pv, states) * drift_dt
-            if model.has_diffusion:
-                sig = model.diffusion_fn(pv, states)
-                # sum_c sig[..., c] * dW_c, left to right as numpy sums a short last axis
-                cols = [sig[..., c] * normals[:, j, c, None] for c in range(n_brownian)]
-                incr += sum(cols[1:], cols[0])
+            pv = {name: arr[j, ...] for name, arr in pv_block.items()}  # 0-d views
+            incr, comp = step(pv, states, normals[:, j], drift_dt, comp_dt)
             for r, jump_fn, compensated in jump_steps:
                 _add_jumps(jump_fn, pv, states, incr, table, j * len(regions) + r)
                 if compensated:
-                    incr -= model.compensator_pv(pv, states) * comp_dt
+                    incr -= comp
             states = states + incr
             below = states <= 0.0
-            if below.any():
+            if np.count_nonzero(below):
                 floor_hits += below.sum(axis=1)
                 states = np.where(below, POSITIVITY_FLOOR, states)
             if simplex:
@@ -252,7 +253,7 @@ def run_paths(
                 dev = np.abs(sums - 1.0)
                 np.maximum(drift_max, dev, out=drift_max)
                 fix = dev > RENORM_TOL
-                if fix.any():
+                if np.count_nonzero(fix):
                     states[fix] /= sums[fix, None]
             if (k + 1) % stride == 0 or k + 1 == K:
                 recorded[:, -(-(k + 1) // stride), :] = states

@@ -67,7 +67,7 @@ class LevyMeasure:
             us.append(0.5 * (edges[:-1] + edges[1:]))
             ws.append(np.full(QUAD_NODES, (hi - lo) / QUAD_NODES * self.density))
         if not us:
-            return np.empty(0), np.empty(0)
+            raise ValueError(f"the measure has no support in the {region} region")
         return np.concatenate(us), np.concatenate(ws)
 
     def inverse_cdf(self, region: str, levels: np.ndarray) -> np.ndarray:

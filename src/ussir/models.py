@@ -30,17 +30,16 @@ time coefficient, once with :func:`ussir.expr.compile_program`, jump
 constants and cap folded in, sets the flags saying which noise it carries
 and fixes the mark rule of each jump region a run draws, which the
 compensator and :func:`ussir.criteria.generic_alpha_estimate` integrate with;
-:func:`suppress` rebuilds a model from a reduced table.  Programs take a
-dict of already-evaluated time-coefficient values (see
-:meth:`ModelSpec.param_values`) so that integrators evaluate each time
-coefficient once per step (or once per block of steps) instead of once per
-coefficient use.
+the engine's step program, drift, diffusion and small-jump compensator in
+one, is compiled on first use.  Programs take a dict of already-evaluated
+time-coefficient values (see :meth:`ModelSpec.param_values`) so that
+integrators evaluate each time coefficient once per block of steps.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -61,7 +60,6 @@ __all__ = [
     "check_admissible",
     "check_conservation",
     "check_positivity_ratios",
-    "suppress",
 ]
 
 SIMPLEX = "simplex"
@@ -104,10 +102,11 @@ class ModelSpec:
 
     Everything else is derived once, at construction.  Each group is
     compiled into a program: ``drift_fn``, ``diffusion_fn``,
-    ``small_jump_fn`` and ``large_jump_fn``.  The programs are vectorized
-    over the leading batch axes of the state block ``S`` (..., 3); the jump
-    programs also broadcast the mark, and an absent jump group computes
-    zeros.  The flags ``brownian_dim``,
+    ``small_jump_fn`` and ``large_jump_fn`` (``step_fn``, the engine's
+    step over the whole table, is compiled on first use).  The programs
+    are vectorized over the leading batch axes of the state block ``S``
+    (..., 3); the jump programs also broadcast the mark, and an absent
+    jump group computes zeros.  The flags ``brownian_dim``,
     ``has_diffusion``, ``has_small_jumps`` and ``has_large_jumps`` say which
     groups are present.  ``mark_rules`` holds exactly the jump regions a
     run draws, small before large: those whose group is present and whose
@@ -171,38 +170,14 @@ class ModelSpec:
             pv[name] = shaped(fn(pv), shape)
         return pv
 
-    def compensator_pv(self, pv: Mapping, S: np.ndarray) -> np.ndarray:
-        """Small-region integral of the jump coefficient vector against the
-        intensity measure, by the small region's mark rule."""
-        nodes, weights = self.mark_rules.get(SMALL, _NO_RULE)
-        if nodes.size == 1:  # one program call times one weight
-            return weights[0] * self.small_jump_fn(pv, S, nodes[0])
-        u = nodes.reshape((-1,) + (1,) * (S.ndim - 1))
-        vals = self.small_jump_fn(pv, S, u)
-        w = weights.reshape((-1,) + (1,) * (vals.ndim - 1))
-        return (vals * w).sum(axis=0)
-
-
-def suppress(
-    model: ModelSpec,
-    drift: bool = False,
-    diffusion: bool = True,
-    jumps: bool = True,
-) -> ModelSpec:
-    """Copy of ``model`` rebuilt without the selected coefficient groups.
-
-    A suppressed drift is three zeros; suppressed noise is absent, so the
-    copy draws none of it (``jumps`` covers both jump regions).
-    ``suppress(m)`` is the deterministic companion (noise-free); drift-only
-    suppression yields the pure-noise panels.
-    """
-    return replace(
-        model,
-        drift=(_ZERO,) * 3 if drift else model.drift,
-        diffusion=() if diffusion else model.diffusion,
-        small_jump=None if jumps else model.small_jump,
-        large_jump=None if jumps else model.large_jump,
-    )
+    @cached_property
+    def step_fn(self):
+        """Drift, diffusion and the small region's compensator as one step
+        program (:func:`~ussir.expr.compile_program`'s ``step``)."""
+        rule = self.mark_rules.get(SMALL)
+        entries = [column[i] for i in range(3) for column in self.diffusion]
+        trees = [*self.drift, *entries, *(self.small_jump if rule is not None else ())]
+        return compile_program(trees, constants=self.constants, step=(self.brownian_dim, rule))
 
 
 # --- named families ------------------------------------------------------------

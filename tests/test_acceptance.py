@@ -248,7 +248,7 @@ def test_c13_compensation_property(scenario):
     state = np.array([0.8, 0.19, 0.01])
     dt, steps = 0.001, 100_000
     pv = model.param_values(0.0)
-    comp = model.compensator_pv(pv, state)
+    _, (comp,) = model.step_fn(pv, state[None], np.zeros((1, model.brownian_dim)), 0.0, 1.0)  # comp_dt 1
     small_mass = model.measure.mass(SMALL)
     rng = np.random.Generator(np.random.Philox(key=[2024, 13]))
     acc = np.zeros(3)

@@ -17,7 +17,7 @@ from ussir.integrator import (
     simulate,
 )
 from ussir.levy import LARGE, QUAD_NODES, SMALL, LevyMeasure
-from ussir.models import OCTANT, SIMPLEX, ModelSpec, build_custom, suppress
+from ussir.models import OCTANT, SIMPLEX, ModelSpec, build_custom
 
 ZEROS = ("0", "0", "0")
 
@@ -123,7 +123,9 @@ def _reference_step(model, t, state, dt, rng, floor=1e-12, counts=None):
         if n_small:
             marks = model.measure.inverse_cdf(SMALL, small_mass * rng.random(n_small))
             incr = incr + model.small_jump_fn(pv, s, marks).sum(axis=0)
-        incr = incr - model.compensator_pv(pv, s) * dt
+        if SMALL in model.mark_rules:  # the small region's integral of the jump vector, by its mark rule
+            nodes, weights = model.mark_rules[SMALL]
+            incr = incr - (model.small_jump_fn(pv, s, nodes) * weights[:, None]).sum(axis=0) * dt
     if n_large:
         marks = model.measure.inverse_cdf(LARGE, large_mass * rng.random(n_large))
         incr = incr + model.large_jump_fn(pv, s, marks).sum(axis=0)
@@ -135,9 +137,9 @@ def _one_step(model, state, dt, seed):
 
 
 class TestStep:
-    def test_deterministic_drift_step(self, scenario):
+    def test_deterministic_drift_step(self, scenario, reduced):
         _, model = scenario("table3")
-        silent = suppress(model)
+        silent = reduced(model)
         out = _one_step(silent, (2.0, 0.8, 1.0), 0.001, 0)
         assert out[0] == pytest.approx(2.000144, abs=1e-12)
 
@@ -343,7 +345,7 @@ class TestBatchedJumps:
             assert np.array_equal(batch.states[p], manual)
 
 
-# the rows of one noise-panel run: (which of drift, diffusion, jumps act; the suppress copy it equals)
+# the rows of one noise-panel run: (which of drift, diffusion, jumps act; the reduced copy it equals)
 PANEL_ROWS = {
     "stochastic": ((True, True, True), {"diffusion": False, "jumps": False}),
     "deterministic": ((True, False, False), {}),
@@ -353,9 +355,10 @@ PANEL_ROWS = {
 
 
 class TestGroupRows:
-    """Rows of one run, each with its own coefficient groups, against the
-    ``suppress`` copies run alone on the same key.  Every row shares one
-    key, so each must take exactly the draws of its copy's stream."""
+    """Rows of one run, each with its own coefficient groups, against
+    copies rebuilt from a reduced table and run alone on the same key.
+    Every row shares one key, so each must take exactly the draws of its
+    copy's stream."""
 
     CFG = SimConfig(horizon=1.0, dt=0.02, seed=6, record_stride=1)
     MEASURES = {
@@ -365,7 +368,7 @@ class TestGroupRows:
         "large_only": LevyMeasure(1.5, 3.0, 2.0),
     }
 
-    def _check_rows(self, model, s0, chunk):
+    def _check_rows(self, model, s0, chunk, reduced):
         labels = [label for label in PANEL_ROWS if label != "jumps_only" or model.mark_rules]
         if not model.has_diffusion:
             labels.remove("diffusion_only")
@@ -373,7 +376,7 @@ class TestGroupRows:
         groups = [PANEL_ROWS[label][0] for label in labels]
         rows = run_paths(model, s0, self.CFG, [key] * len(labels), chunk, groups=groups)
         for i, label in enumerate(labels):
-            alone = run_paths(suppress(model, **PANEL_ROWS[label][1]), s0, self.CFG, [key], chunk)
+            alone = run_paths(reduced(model, **PANEL_ROWS[label][1]), s0, self.CFG, [key], chunk)
             assert np.array_equal(rows.states[i], alone.states[0]), label
             assert rows.floor_hits[i] == alone.floor_hits[0], label
             if alone.simplex_drift is None:
@@ -384,15 +387,15 @@ class TestGroupRows:
 
     @pytest.mark.parametrize("chunk", [CHUNK_STEPS, 7, 1])
     @pytest.mark.parametrize("name", [f"table{i}" for i in range(1, 8)])
-    def test_bundled_rows_match_suppressed_copies(self, scenario, name, chunk):
+    def test_bundled_rows_match_suppressed_copies(self, scenario, reduced, name, chunk):
         cfg, model = scenario(name)
-        labels, rows = self._check_rows(model, cfg.initial_state, chunk)
+        labels, rows = self._check_rows(model, cfg.initial_state, chunk, reduced)
         assert len(labels) == (3 if model.model_id == "xc" else 4)
         assert len({rows.states[i].tobytes() for i in range(len(labels))}) == len(labels)  # every row moved its own way
 
     @pytest.mark.parametrize("chunk", [CHUNK_STEPS, 7, 1])
     @pytest.mark.parametrize("measure", MEASURES)
-    def test_marked_rows_match_suppressed_copies(self, measure, chunk):
+    def test_marked_rows_match_suppressed_copies(self, reduced, measure, chunk):
         # the small jumps read u, so a row without jumps also switches off the
         # 1001-node compensator; from y = z = 0.2 the measures with a negative
         # region clamp some rows at the floor
@@ -400,7 +403,7 @@ class TestGroupRows:
             domain=OCTANT, drift=("-0.1*x", "0", "0"), diffusion=(("0.2*x", "0", "0"),),
             small_jump=("0.1*u*x", "u", "0"), large_jump=("0.05*u*x", "0", "u"), measure=self.MEASURES[measure],
         )
-        labels, rows = self._check_rows(model, (1.0, 0.2, 0.2), chunk)
+        labels, rows = self._check_rows(model, (1.0, 0.2, 0.2), chunk, reduced)
         assert labels == list(PANEL_ROWS)
         assert rows.floor_hits.any() == (self.MEASURES[measure].lo < -1.0)
 
@@ -429,6 +432,55 @@ class TestGroupRows:
         keys = [_path_key(0, i) for i in range(2)]
         with pytest.raises(ValueError, match=rf"groups must have shape \(2, 3\), got {re.escape(str(shape))}"):
             run_paths(zero_model, (1.0, 0.5, 0.25), self.CFG, keys, groups=groups)
+
+
+class TestStepProgram:
+    """The step program against the group programs, bit for bit: the
+    increment before jumps against drift * dt plus each diffusion column
+    times its Brownian increment, and the compensator against the small
+    region's mark-rule integral of the small-jump program, at random
+    admissible states, with the scalar dt and with per-row dt vectors."""
+
+    DT = 0.001
+
+    def _check(self, model, seed, paths=40):
+        rng = np.random.default_rng(seed)
+        if model.domain == SIMPLEX:
+            S = rng.dirichlet((1.0, 1.0, 1.0), size=paths)
+        else:  # around the cap, so that both sides of every truncation are reached
+            S = rng.uniform(1e-3, 2.0 * model.constants.get("cap", 5.0), size=(paths, 3))
+        pv = {name: arr[0, ...] for name, arr in model.param_values(rng.uniform(0.0, 50.0, 1)).items()}
+        dW = rng.standard_normal((paths, model.brownian_dim)) * math.sqrt(self.DT)
+        rows = np.arange(paths) % 3 > 0
+        for drift_dt, comp_dt in [(np.array(self.DT), np.array(self.DT)),
+                                  (np.where(rows, self.DT, 0.0), np.where(~rows, self.DT, 0.0)[:, None])]:
+            incr, comp = model.step_fn(pv, S, dW, drift_dt, comp_dt)
+            sig = model.diffusion_fn(pv, S)
+            noise = sum(sig[..., c] * dW[:, c, None] for c in range(model.brownian_dim))
+            assert np.array_equal(incr, model.drift_fn(pv, S) * np.reshape(drift_dt, (-1, 1)) + noise)
+            if SMALL not in model.mark_rules:
+                assert comp is None
+                continue
+            nodes, weights = model.mark_rules[SMALL]
+            integral = (model.small_jump_fn(pv, S, nodes[:, None]) * weights[:, None, None]).sum(axis=0)
+            assert np.array_equal(comp, integral * comp_dt)
+
+    @pytest.mark.parametrize("name", ["table1", "table2", "table3", "table6", "table7"])
+    def test_families(self, scenario, name):
+        _, model = scenario(name)
+        for seed in range(5):
+            self._check(model, seed)
+
+    @pytest.mark.parametrize("measure", TestGroupRows.MEASURES)
+    def test_marked_model(self, measure):
+        model = build_custom(
+            domain=OCTANT, drift=("-0.1*x", "0", "0"), diffusion=(("0.2*x", "0", "0"),),
+            small_jump=("0.1*u*x", "u", "0"), large_jump=("0.05*u*x", "0", "u"),
+            measure=TestGroupRows.MEASURES[measure],
+        )
+        assert all(nodes.size >= QUAD_NODES for nodes, _ in model.mark_rules.values())  # both regions read u
+        for seed in range(5):
+            self._check(model, seed)
 
 
 def test_time_coefficients_evaluated_per_chunk(scenario, monkeypatch):

@@ -20,7 +20,11 @@ def _step_marks(measure, region, dt, rng):
 
 
 def _compensator(model, t, state):
-    return model.compensator_pv(model.param_values(t), np.asarray(state, dtype=float))
+    """The compensator of the model's step program at one state with comp_dt 1
+    (None when a run draws no small region)."""
+    S = np.asarray(state, dtype=float)[None]
+    _, comp = model.step_fn(model.param_values(t), S, np.zeros((1, model.brownian_dim)), 0.0, 1.0)
+    return None if comp is None else comp[0]
 
 
 class TestRegionMass:
@@ -73,6 +77,10 @@ class TestQuadrature:
         nodes, weights = paper_measure.quadrature(LARGE)
         # integral of u^2 over [-2,-1] u [1,2] is 2 * 7/3
         assert (weights * nodes**2).sum() == pytest.approx(14.0 / 3.0, abs=1e-5)
+
+    def test_region_without_support_refused(self):
+        with pytest.raises(ValueError, match="the measure has no support in the large region"):
+            LevyMeasure(-0.5, 0.5).quadrature(LARGE)
 
 
 class TestSampling:
@@ -143,7 +151,7 @@ class TestCompensator:
 
     def test_zero_jumps(self, scenario):
         _, model = scenario("table3")
-        assert np.array_equal(_compensator(model, 1.0, (2.0, 0.8, 1.0)), [0.0, 0.0, 0.0])
+        assert _compensator(model, 1.0, (2.0, 0.8, 1.0)) is None  # no small region, no compensator
 
     def test_ex1b_components_sum_to_zero(self, scenario):
         _, model = scenario("table2")
@@ -179,7 +187,7 @@ class TestCompensator:
         assert model.mark_rules[SMALL][0].size == 1
         pv, S = model.param_values(0.4), np.array([2.0, 0.5, 1.5])
         expected = model.measure.mass(SMALL) * model.small_jump_fn(pv, S, 0.0)
-        assert np.array_equal(model.compensator_pv(pv, S), expected)
+        assert np.array_equal(_compensator(model, 0.4, S), expected)
 
     def test_u_dependent_custom_model_uses_quadrature(self):
         model = build_custom(
@@ -202,7 +210,7 @@ class TestCompensationProperty:
         state = np.array([0.8, 0.19, 0.01])
         dt, steps = 0.001, 30_000
         pv = model.param_values(0.0)
-        comp = model.compensator_pv(pv, state)
+        comp = _compensator(model, 0.0, state)
         rng = path_generator(2024)
         acc = np.zeros(3)
         acc_sq = np.zeros(3)

@@ -17,7 +17,6 @@ from ussir.models import (
     check_admissible,
     check_conservation,
     check_positivity_ratios,
-    suppress,
 )
 from ussir.scenario import build_model
 
@@ -371,33 +370,18 @@ class TestStateHelpers:
 
 
 class TestSuppress:
-    def test_noise_free_copy_has_zero_noise(self, scenario):
-        _, model = scenario("table1")
-        silent = suppress(model)
-        pv, S = _at(model, 0.0, (0.8, 0.19, 0.01))
-        assert np.all(silent.diffusion_fn(pv, S) == 0.0)
-        assert np.all(silent.small_jump_fn(pv, S, 0.5) == 0.0)
-        assert np.all(silent.large_jump_fn(pv, S, 1.5) == 0.0)
-        assert np.array_equal(silent.drift_fn(pv, S), model.drift_fn(pv, S))
-        assert not silent.has_diffusion
-
-    def test_drift_free_copy_keeps_noise(self, scenario):
-        _, model = scenario("table1")
-        pure_noise = suppress(model, drift=True, diffusion=False, jumps=False)
-        pv, S = _at(model, 0.0, (0.8, 0.19, 0.01))
-        assert np.all(pure_noise.drift_fn(pv, S) == 0.0)
-        assert np.array_equal(pure_noise.diffusion_fn(pv, S), model.diffusion_fn(pv, S))
+    """Models rebuilt from a reduced table, as the noise panels' copies are."""
 
     @pytest.mark.parametrize("name", ["table1", "table3", "table6"])
-    def test_suppressed_copies_derive_their_flags(self, scenario, name):
+    def test_suppressed_copies_derive_their_flags(self, scenario, reduced, name):
         _, model = scenario(name)
         n, small, large = model.brownian_dim, model.has_small_jumps, model.has_large_jumps
         panels = {
             # (brownian_dim, has_diffusion, has_small_jumps, has_large_jumps)
-            "deterministic": (suppress(model), (0, False, False, False)),
-            "diffusion_only": (suppress(model, drift=True, diffusion=False), (n, True, False, False)),
-            "jumps_only": (suppress(model, drift=True, jumps=False), (0, False, small, large)),
-            "unchanged": (suppress(model, diffusion=False, jumps=False), (n, True, small, large)),
+            "deterministic": (reduced(model), (0, False, False, False)),
+            "diffusion_only": (reduced(model, drift=True, diffusion=False), (n, True, False, False)),
+            "jumps_only": (reduced(model, drift=True, jumps=False), (0, False, small, large)),
+            "unchanged": (reduced(model, diffusion=False, jumps=False), (n, True, small, large)),
         }
         for label, (copy, flags) in panels.items():
             assert (copy.brownian_dim, copy.has_diffusion, copy.has_small_jumps, copy.has_large_jumps) == flags, label
@@ -411,29 +395,30 @@ class TestSuppress:
         assert silent_drift.diffusion_fn(pv, S).shape == (2, 3, 0)
 
     @pytest.mark.parametrize("name", ["table1", "table6"])
-    def test_rebuilds_reuse_compiled_code(self, scenario, name):
+    def test_rebuilds_reuse_compiled_code(self, scenario, reduced, name):
         cfg, _ = scenario(name)
-        programs = ("drift_fn", "diffusion_fn", "small_jump_fn", "large_jump_fn")
+        programs = ("drift_fn", "diffusion_fn", "small_jump_fn", "large_jump_fn", "step_fn")
         model = build_model(cfg)
+        model.step_fn  # compiled on first use
         misses = _compile_source.cache_info().misses
         again = build_model(cfg)
-        assert _compile_source.cache_info().misses == misses
         for program in programs:
             assert getattr(again, program).__code__ is getattr(model, program).__code__, program
-        # a suppressed copy recompiles none of the groups it keeps
-        assert suppress(model, drift=True, diffusion=False).diffusion_fn.__code__ is model.diffusion_fn.__code__
-        jumps_only = suppress(model, drift=True, jumps=False)
+        assert _compile_source.cache_info().misses == misses
+        # a model built from some of the same trees recompiles none of the groups it shares
+        assert reduced(model, drift=True, diffusion=False).diffusion_fn.__code__ is model.diffusion_fn.__code__
+        jumps_only = reduced(model, drift=True, jumps=False)
         assert jumps_only.small_jump_fn.__code__ is model.small_jump_fn.__code__
         assert jumps_only.large_jump_fn.__code__ is model.large_jump_fn.__code__
-        assert suppress(model).drift_fn.__code__ is model.drift_fn.__code__
+        assert reduced(model).drift_fn.__code__ is model.drift_fn.__code__
 
-    def test_checks_run_on_suppressed_simplex_copy(self, scenario):
+    def test_checks_run_on_suppressed_simplex_copy(self, scenario, reduced):
         _, model = scenario("table1")
-        for copy in (suppress(model), suppress(model, drift=True, jumps=False)):
+        for copy in (reduced(model), reduced(model, drift=True, jumps=False)):
             conservation = check_conservation(copy, samples=200, rng=np.random.default_rng(8))
             assert conservation.passed
             assert conservation.breakdown["diffusion"] == 0.0
             assert check_positivity_ratios(copy, samples=200, rng=np.random.default_rng(9)).passed
-        silent = suppress(model)
+        silent = reduced(model)
         report = check_positivity_ratios(silent, samples=200, rng=np.random.default_rng(9))
         assert report.min_ratio == 1.0

@@ -3,7 +3,7 @@ import pytest
 
 from ussir.criteria import CriteriaReport
 from ussir.integrator import SimConfig, Trajectory, _path_key, run_paths, simulate
-from ussir.models import OCTANT, build_custom, suppress
+from ussir.models import OCTANT, build_custom
 from ussir.montecarlo import (
     EnsembleStats,
     lyapunov_estimate,
@@ -88,9 +88,9 @@ class TestRunEnsemble:
         assert np.array_equal(s1.y_final, s2.y_final)
         assert s1.path_seeds == s2.path_seeds
 
-    def test_noise_free_reduction_reproduces_deterministic_path(self, scenario):
+    def test_noise_free_reduction_reproduces_deterministic_path(self, scenario, reduced):
         cfg, model = scenario("table1")
-        silent = suppress(model)
+        silent = reduced(model)
         sim = SimConfig(horizon=1.0, dt=0.001, seed=3, record_stride=100)
         stats = run_ensemble(silent, cfg.initial_state, sim, paths=5)
         solo = simulate(silent, cfg.initial_state, sim)

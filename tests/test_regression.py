@@ -6,7 +6,7 @@ change to a named model's arithmetic, draw order or safeguard shows up here
 even when reruns of one version stay byte-identical.  The noise panels
 ``ussir simulate`` writes next to the stochastic path (the deterministic
 companion and, where the model has that noise, the diffusion-only and
-jumps-only runs built by ``suppress``) are pinned the same way.  The closed-form
+jumps-only runs of copies rebuilt from a reduced table) are pinned the same way.  The closed-form
 reports are pinned the same way: classification and gate verdicts exactly,
 numbers to rtol 1e-12.  One custom model whose jumps read the mark pins
 the mark values, which the bundled coefficients never read.
@@ -17,7 +17,7 @@ import pytest
 
 from ussir.criteria import report_for_model
 from ussir.integrator import SimConfig, _path_key, run_paths, simulate
-from ussir.models import OCTANT, build_custom, suppress
+from ussir.models import OCTANT, build_custom
 from ussir.montecarlo import run_ensemble
 from ussir.scenario import sim_config
 
@@ -69,9 +69,9 @@ PANEL_FINAL_STATES = {
 
 
 @pytest.mark.parametrize("name,panel", sorted(PANEL_FINAL_STATES))
-def test_panel_final_state_pinned(scenario, name, panel):
+def test_panel_final_state_pinned(scenario, reduced, name, panel):
     cfg, model = scenario(name)
-    traj = simulate(suppress(model, **PANELS[panel]), cfg.initial_state, sim_config(cfg, horizon=1.0))
+    traj = simulate(reduced(model, **PANELS[panel]), cfg.initial_state, sim_config(cfg, horizon=1.0))
     np.testing.assert_allclose(traj.states[0, -1], PANEL_FINAL_STATES[name, panel], rtol=1e-12, atol=0.0)
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from ussir.cli import main
 from ussir.integrator import simulate
-from ussir.models import suppress
 from ussir.scenario import (
     ScenarioError,
     build_model,
@@ -342,8 +341,8 @@ class TestCliCommands:
         assert not (tmp_path / "table3_jumps_only.csv").exists()
 
     @pytest.mark.parametrize("name", ["table1", "table3"])
-    def test_panels_match_suppressed_copies(self, scenario, tmp_path, name):
-        # the panels are rows of one run; each file is the one-path run of its suppress copy
+    def test_panels_match_suppressed_copies(self, scenario, reduced, tmp_path, name):
+        # the panels are rows of one run; each file is the one-path run of its reduced copy
         panels = {
             "stochastic": {"diffusion": False, "jumps": False},
             "deterministic": {},
@@ -357,7 +356,7 @@ class TestCliCommands:
         expected = [label for label in panels if label != "jumps_only" or model.has_small_jumps]
         assert written == sorted(f"{name}_{label}.csv" for label in expected)
         for label in expected:
-            simulate(suppress(model, **panels[label]), cfg.initial_state, sim).write_csv(tmp_path / "alone.csv")
+            simulate(reduced(model, **panels[label]), cfg.initial_state, sim).write_csv(tmp_path / "alone.csv")
             assert (tmp_path / "cli" / f"{name}_{label}.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
     def test_reruns_are_byte_identical(self, tmp_path):
