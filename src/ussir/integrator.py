@@ -18,9 +18,12 @@ marks as one run of uniforms, split step by step (small before large),
 scaled by the region's mass and mapped by inverse CDF.  With ``chunk=1``
 the per-step order is therefore Brownian increments, small-jump count,
 large-jump count, small marks, large marks.  Only the regions in the
-model's ``mark_rules`` are drawn.  Their counts fill one ``(paths, block,
-regions)`` array, whose C order is each path's draw order of marks, so
-the block's marks form one table grouped by (step, region).
+model's ``mark_rules`` are drawn, and a block keeps only its marked cells,
+(path, step * regions + region, count); in (path, step, region) order they
+are each path's draw order of marks, so the block's marks form one table
+grouped by (step, region).  A run in which no row draws marks draws normals
+alone, filled in sequence, so it steps in blocks of ``MARK_FREE_STEPS`` on
+the same stream.
 
 The safeguard raises components at or below zero to ``POSITIVITY_FLOOR``
 and counts every such clamp; positive values below the floor are legitimate
@@ -62,6 +65,7 @@ __all__ = [
 ]
 
 CHUNK_STEPS = 8192
+MARK_FREE_STEPS = 1024  # the block of a run that draws no marks
 
 POSITIVITY_FLOOR = 1e-12
 RENORM_TOL = 1e-9
@@ -134,24 +138,25 @@ def path_generator(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_path_key(seed, index)))
 
 
-def _block_marks(measure, gens, regions, counts: np.ndarray) -> tuple:
-    """Draw the marks of one block's ``(paths, block, regions)`` counts, per
-    path one run of uniforms in the counts' C order (by step, small before
-    large).  The table groups the marked cells by ``step * regions +
-    region``: group bounds, each cell's path and mark offset, then each
-    mark's path and value, a path's marks in draw order."""
-    flat = counts.reshape(-1)  # a view: run_paths keeps each block's counts contiguous
-    hits = np.flatnonzero(flat)
-    n = flat[hits]
-    start = np.cumsum(n) - n  # C order is the concatenated runs' order
-    per_path = counts.sum(axis=(1, 2)).tolist()
-    uniforms = np.concatenate([np.empty(0)] + [g.random(m) for g, m in zip(gens, per_path) if m])
-    groups = counts.shape[1] * len(regions)
+def _block_marks(measure, gens, regions, block: int, cells) -> tuple:
+    """Draw the marks of one block from its marked cells, ``(path, step *
+    regions + region, count)`` arrays per path and region: per path one run
+    of uniforms by step, small before large.  The table groups the cells by
+    ``step * regions + region``: group bounds, each cell's path and mark
+    offset, then each mark's path and value, a path's marks in draw order."""
+    groups = block * len(regions)
+    none = [np.empty(0, dtype=np.int64)]
+    flat = np.concatenate(none + [p * groups + cell for p, cell, _ in cells])
+    order = np.argsort(flat, kind="stable")  # (path, step, region): the runs' order
+    hits, n = flat[order], np.concatenate(none + [k for _, _, k in cells])[order]
+    first = np.concatenate(([0], np.cumsum(n)))  # each cell's first uniform, then their count
     path, cell = np.divmod(hits, groups)  # cell = step * regions + region
+    per_path = np.diff(first[np.searchsorted(path, np.arange(len(gens) + 1))]).tolist()
+    uniforms = np.concatenate([np.empty(0)] + [g.random(m) for g, m in zip(gens, per_path) if m])
     order = np.argsort(cell, kind="stable")
     path, cell, n = path[order], cell[order], n[order]
     offsets = np.concatenate(([0], np.cumsum(n)))
-    marks = uniforms[np.repeat(start[order] - offsets[:-1], n) + np.arange(offsets[-1])]
+    marks = uniforms[np.repeat(first[order] - offsets[:-1], n) + np.arange(offsets[-1])]
     of_region = np.repeat(cell % len(regions), n)
     for r, name in enumerate(regions):
         at = of_region == r
@@ -183,11 +188,12 @@ def run_paths(
 
     The paths are mathematically independent (private generators); batching
     them only amortizes interpreter overhead.  Time coefficients are
-    evaluated per block of ``chunk`` steps, so memory does not grow with
-    the horizon beyond the recorded states.  ``groups``, (paths, 3)
-    booleans, says whether drift, diffusion and jumps act on each path
-    (None: all); a drift or compensator switched off steps by 0 and a noise
-    switched off draws nothing (see above).
+    evaluated per block of ``chunk`` steps (at most ``MARK_FREE_STEPS`` in
+    a run that draws no marks), so memory does not grow with the horizon
+    beyond the recorded states.  ``groups``, (paths, 3) booleans, says
+    whether drift, diffusion and jumps act on each path (None: all); a
+    drift or compensator switched off steps by 0 and a noise switched off
+    draws nothing (see above).
     """
     s0_arr = check_admissible(s0, model.domain)
     n_paths = len(keys)
@@ -217,9 +223,10 @@ def run_paths(
     recorded[:, 0, :] = states
     floor_hits = np.zeros(n_paths, dtype=np.int64)
     drift_max = np.zeros(n_paths) if simplex else None
-    width = min(chunk, K)  # each block's draws are written in place, one row per path
-    normal_buf = np.zeros((n_paths, width, n_brownian))  # a row without diffusion stays zero
-    count_buf = np.empty(n_paths * width * len(regions), dtype=np.int64)
+    chunk = chunk if regions and on[:, 2].any() else min(chunk, MARK_FREE_STEPS)
+    width = min(chunk, K)  # each block's normals are written in place, one row per path
+    # one spare step per row: a power-of-two row stride crowds a step's column into few cache sets
+    normal_buf = np.zeros((n_paths, width + 1, n_brownian))  # a row without diffusion stays zero
 
     for k0 in range(0, K, chunk):
         block = min(chunk, K - k0)
@@ -229,12 +236,15 @@ def run_paths(
             for p in np.flatnonzero(on[:, 1]):
                 gens[p].standard_normal(out=normals[p])
             normals *= sqrt_dt
-        counts = count_buf[: n_paths * block * len(regions)].reshape(n_paths, block, len(regions))
+        cells = []
         for r, region in enumerate(regions):
             rate = model.measure.mass(region) * dt
-            for g, row, draw in zip(gens, counts[:, :, r], on[:, 2]):
-                row[:] = g.poisson(rate, block) if draw else 0
-        table = _block_marks(model.measure, gens, regions, counts) if regions else None
+            for p in np.flatnonzero(on[:, 2]):
+                c = gens[p].poisson(rate, block)
+                hit = c.nonzero()[0]
+                if hit.size:
+                    cells.append((p, hit * len(regions) + r, c[hit]))
+        table = _block_marks(model.measure, gens, regions, block, cells) if regions else None
         for j in range(block):
             k = k0 + j
             pv = {name: arr[j, ...] for name, arr in pv_block.items()}  # 0-d views

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ussir.integrator import (
     CHUNK_STEPS,
+    MARK_FREE_STEPS,
     POSITIVITY_FLOOR,
     SimConfig,
     Trajectory,
@@ -498,6 +500,53 @@ def test_time_coefficients_evaluated_per_chunk(scenario, monkeypatch):
     run_paths(model, cfg.initial_state, sim, [_path_key(1, 0)], chunk=7)
     assert max(t.size for t in seen) == 7
     assert np.array_equal(np.concatenate(seen), np.arange(sim.n_steps) * sim.dt)  # the grid's own floats
+
+
+class TestBlockMemory:
+    """What one block of a run holds: a run that draws no marks steps in
+    short blocks on the same stream, and a run that does keeps only the
+    marked cells of its counts."""
+
+    @pytest.mark.parametrize(
+        "name, groups",
+        [("table3", None), ("table6", [(True, True, False), (False, True, False), (True, False, False)])],
+        ids=["xc", "jumps_off_in_every_row"],
+    )
+    def test_mark_free_runs_do_not_depend_on_block_length(self, scenario, monkeypatch, name, groups):
+        # 2500 steps are several short blocks; a mark-free stream is normals alone
+        cfg, model = scenario(name)
+        assert bool(model.mark_rules) == (groups is not None)
+        sim = SimConfig(horizon=2.5, dt=0.001, seed=8)
+        keys = [_path_key(8, i) for i in range(3)]
+        blocks = []
+        evaluate = ModelSpec.param_values
+        monkeypatch.setattr(ModelSpec, "param_values", lambda self, t: blocks.append(t.size) or evaluate(self, t))
+        runs = [run_paths(model, cfg.initial_state, sim, keys, chunk, groups=groups)
+                for chunk in (CHUNK_STEPS, MARK_FREE_STEPS, 7, 1)]
+        assert blocks[:3] == [MARK_FREE_STEPS, MARK_FREE_STEPS, sim.n_steps - 2 * MARK_FREE_STEPS]
+        for run in runs[1:]:
+            assert run.states.tobytes() == runs[0].states.tobytes()
+            assert run.floor_hits.tobytes() == runs[0].floor_hits.tobytes()
+            assert (run.simplex_drift is None) == (runs[0].simplex_drift is None)
+            if run.simplex_drift is not None:
+                assert run.simplex_drift.tobytes() == runs[0].simplex_drift.tobytes()
+
+    def test_block_holds_no_dense_counts(self, scenario):
+        # numpy reports its buffers to tracemalloc; dense counts would add
+        # an int64 per path, step and region to the block's normals
+        cfg, model = scenario("table6")
+        steps, paths = CHUNK_STEPS + 100, 50
+        sim = SimConfig(horizon=steps * cfg.dt, dt=cfg.dt, seed=2, record_stride=steps)
+        assert sim.n_steps == steps
+        keys = [_path_key(2, i) for i in range(paths)]
+        normals = paths * CHUNK_STEPS * model.brownian_dim * 8
+        tracemalloc.start()
+        try:
+            run_paths(model, cfg.initial_state, sim, keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < normals + paths * CHUNK_STEPS * 8
 
 
 class TestFloorSemantics:
