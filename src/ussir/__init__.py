@@ -18,13 +18,7 @@ from .models import (
 )
 from .integrator import SimConfig, Trajectory, convergence_probe, simulate
 from .criteria import CriteriaReport, generic_alpha_estimate, report_for_model
-from .montecarlo import (
-    EnsembleStats,
-    lyapunov_estimate,
-    run_ensemble,
-    time_average_infected,
-    verdict,
-)
+from .montecarlo import EnsembleStats, run_ensemble, verdict
 from .scenario import ScenarioConfig, ScenarioError, build_model, load_scenario
 
 __version__ = "0.1.0"
@@ -48,12 +42,10 @@ __all__ = [
     "convergence_probe",
     "generic_alpha_estimate",
     "load_scenario",
-    "lyapunov_estimate",
     "parse",
     "report_for_model",
     "run_ensemble",
     "serialize",
     "simulate",
-    "time_average_infected",
     "verdict",
 ]

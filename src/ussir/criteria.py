@@ -32,7 +32,7 @@ import numpy as np
 
 from .expr import BoundsPair, bounds
 from .levy import LARGE, SMALL
-from .models import _NO_RULE, ModelSpec
+from .models import ModelSpec
 
 __all__ = [
     "CRITERIA_CSV_HEADER",
@@ -290,7 +290,7 @@ def report_for_model(model: ModelSpec) -> CriteriaReport:
 
 # --- grid estimator ---------------------------------------------------------------
 
-def simplex_grid(nx: int = 200, ny: int = 200) -> np.ndarray:
+def simplex_grid(nx: int, ny: int) -> np.ndarray:
     """Interior grid of the proportions simplex with a margin of 1e-3 to
     every face, so the infected component stays away from zero.  Returns an
     (N, 3) state block."""
@@ -300,18 +300,17 @@ def simplex_grid(nx: int = 200, ny: int = 200) -> np.ndarray:
     x = np.repeat(xs, ny)
     span = 1.0 - x - margin - margin
     y = margin + np.tile(fractions, nx) * span
-    z = 1.0 - x - y
-    grid = np.stack([x, y, z], axis=-1)
-    keep = (grid > 0.0).all(axis=1) & (grid[:, 1] >= margin)
-    return grid[keep]
+    return np.stack([x, y, 1.0 - x - y], axis=-1)
 
 
 def _jump_integral(model: ModelSpec, pv, states, region: str, transform) -> float:
     """integral over the region of sup over states of transform(ratio),
     against the intensity measure, by the region's mark rule in chunks of
     64 nodes."""
+    if region not in model.mark_rules:  # no run draws its marks
+        return 0.0
     u_chunk = 64
-    nodes, weights = model.mark_rules.get(region, _NO_RULE)
+    nodes, weights = model.mark_rules[region]
     jump_fn = model.small_jump_fn if region == SMALL else model.large_jump_fn
     total = 0.0
     for start in range(0, nodes.size, u_chunk):

@@ -85,7 +85,6 @@ def check_admissible(state, domain: str) -> np.ndarray:
 
 
 _ZERO = Num(0.0)
-_NO_RULE = np.empty(0), np.empty(0)  # the rule of a region no run draws
 
 
 @dataclass(frozen=True)
@@ -401,7 +400,6 @@ class ConservationReport:
 
     max_abs_deviation: float
     breakdown: Mapping[str, float]
-    samples: int
     tolerance: float
     passed: bool
 
@@ -409,25 +407,22 @@ class ConservationReport:
 @dataclass(frozen=True)
 class PositivityReport:
     """Minimum of the six jump positivity ratios 1 + coeff_i / state_i at
-    sampled admissible points."""
+    sampled admissible points and marks."""
 
     min_ratio: float
-    samples: int
     passed: bool
 
 
-def _sample_points(model: ModelSpec, count: int, rng: Optional[np.random.Generator]):
-    """Time-coefficient values at t in [0, 100), admissible states and marks
-    at ``count`` random points, drawn in that order (``rng`` None is seed 0)."""
-    rng = rng if rng is not None else np.random.default_rng(0)
+def _sample_points(model: ModelSpec, count: int, rng: np.random.Generator):
+    """Time-coefficient values at t in [0, 100) and admissible states at
+    ``count`` random points, drawn in that order."""
     ts = rng.uniform(0.0, 100.0, size=count)
     if model.domain == SIMPLEX:
         states = rng.dirichlet((1.0, 1.0, 1.0), size=count)
     else:
         cap = model.constants.get("cap")
         states = rng.uniform(1e-3, 10.0 if cap is None else max(10.0, 2.0 * cap), size=(count, 3))
-    m = model.measure
-    return model.param_values(ts), states, m.lo + rng.uniform(0.0, m.hi - m.lo, size=count)
+    return model.param_values(ts), states
 
 
 def check_conservation(
@@ -435,14 +430,18 @@ def check_conservation(
     samples: int = 1000,
     rng: Optional[np.random.Generator] = None,
 ) -> ConservationReport:
-    """Verify the simplex row-sum identities at random (t, state, u) points.
+    """Verify the simplex row-sum identities at random (t, state, u) points,
+    the marks uniform over the whole support (``rng`` None is seed 0).
 
     The four sums cancel algebraically for well-formed simplex models, so
     anything beyond rounding noise (:data:`CONSERVATION_TOL`) is a failure.
     """
     if model.domain != SIMPLEX:
         raise ValueError("conservation check applies to simplex models only")
-    pv, states, us = _sample_points(model, samples, rng)
+    rng = rng if rng is not None else np.random.default_rng(0)
+    pv, states = _sample_points(model, samples, rng)
+    m = model.measure
+    us = m.lo + rng.uniform(0.0, m.hi - m.lo, size=samples)
     breakdown = {
         "drift": float(np.abs(model.drift_fn(pv, states).sum(axis=-1)).max()),
         # a model without Brownian drivers has a (samples, 3, 0) diffusion block
@@ -454,7 +453,6 @@ def check_conservation(
     return ConservationReport(
         max_abs_deviation=worst,
         breakdown=breakdown,
-        samples=samples,
         tolerance=CONSERVATION_TOL,
         passed=worst <= CONSERVATION_TOL,
     )
@@ -466,15 +464,22 @@ def check_positivity_ratios(
     rng: Optional[np.random.Generator] = None,
 ) -> PositivityReport:
     """Verify 1 + coeff_i/state_i > 0 for both jump vectors at sampled
-    admissible points; reports the minimum ratio found.
+    admissible points; reports the minimum ratio found (``rng`` None is
+    seed 0).
 
-    The ratios are those of one mark.  A step applies all of its marks at
-    its start state, so a step with several marks can still take a
-    component to zero or below; the safeguard then clamps it, and the run
-    counts each clamp in ``floor_hits``."""
-    pv, states, us = _sample_points(model, samples, rng)
-    small = model.small_jump_fn(pv, states, us)
-    large = model.large_jump_fn(pv, states, us)
-    ratios = np.concatenate([1.0 + small / states, 1.0 + large / states], axis=0)
-    min_ratio = float(ratios.min())
-    return PositivityReport(min_ratio=min_ratio, samples=samples, passed=min_ratio > 0.0)
+    Each vector is checked at marks of its own region, drawn as the engine
+    draws them, and only for the regions a run draws
+    (:attr:`ModelSpec.mark_rules`); with none, the ratio is 1.  The ratios
+    are those of one mark.  A step applies all of its marks at its start
+    state, so a step with several marks can still take a component to zero
+    or below; the safeguard then clamps it, and the run counts each clamp
+    in ``floor_hits``."""
+    rng = rng if rng is not None else np.random.default_rng(0)
+    pv, states = _sample_points(model, samples, rng)
+    m, mins = model.measure, []
+    for region in model.mark_rules:
+        jump_fn = model.small_jump_fn if region == SMALL else model.large_jump_fn
+        us = m.inverse_cdf(region, m.mass(region) * rng.random(samples))
+        mins.append(float((1.0 + jump_fn(pv, states, us) / states).min()))
+    min_ratio = min(mins, default=1.0)
+    return PositivityReport(min_ratio=min_ratio, passed=min_ratio > 0.0)

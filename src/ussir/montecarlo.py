@@ -1,9 +1,10 @@
 """Seeded path ensembles and theory-versus-simulation comparison.
 
-Per path the empirical counterpart of the exponential rate is the finite
-horizon log slope (ln Y_T - ln Y_0) / T; the persistence counterpart is the
-trapezoidal time average of the infected component, over the full window or
-its tail half.  The closed-form criteria bound asymptotic quantities, so a
+:func:`run_ensemble` owns the per-path statistics.  The empirical
+counterpart of the exponential rate is the finite horizon log slope
+(ln Y_T - ln Y_0) / T; the persistence counterpart is the trapezoidal time
+average of the infected component, over the full window and its tail half.
+The closed-form criteria bound asymptotic quantities, so a
 finite-horizon comparison always carries slack; the comparator makes that
 slack explicit instead of pretending the constants are sharp.
 """
@@ -21,44 +22,29 @@ from .models import SIMPLEX, ModelSpec
 
 __all__ = [
     "EnsembleStats",
-    "lyapunov_estimate",
     "run_ensemble",
-    "time_average_infected",
     "verdict",
     "write_ensemble_csv",
 ]
-
-FULL = "full"
-TAIL_HALF = "tail_half"
 
 # below roughly one individual at the scales the bundled scenarios use
 Y_EXTINCT_SIMPLEX = 1e-6
 Y_EXTINCT_OCTANT = 1e-3
 
 
-def lyapunov_estimate(traj: Trajectory) -> np.ndarray:
-    """Finite-horizon log slope (ln Y_T - ln Y_0) / T of the infected
-    component, one per path; the floor keeps the logs defined."""
-    horizon = traj.times[-1] - traj.times[0]
-    if horizon <= 0:
-        raise ValueError("trajectory must span a positive horizon")
-    y = traj.states[:, :, 1]
-    return (np.log(y[:, -1]) - np.log(y[:, 0])) / horizon
-
-
-def time_average_infected(traj: Trajectory, window: str = FULL) -> np.ndarray:
-    """Trapezoidal time average of the infected component over the full
-    recorded window or its tail half, one per path."""
-    if window not in (FULL, TAIL_HALF):
-        raise ValueError(f"window must be {FULL!r} or {TAIL_HALF!r}")
-    times, values = traj.times, traj.states[:, :, 1]
-    if window == TAIL_HALF:
-        cut = times[0] + 0.5 * (times[-1] - times[0])
-        start = int(np.searchsorted(times, cut))  # the first record at or after the cut
-        times, values = times[start:], values[:, start:]
-    if len(times) < 2:
-        return values[:, -1].copy()
-    return np.trapezoid(values, times) / (times[-1] - times[0])
+def _path_statistics(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per path: the log slope (ln Y_T - ln Y_0) / T of the infected
+    component, and its trapezoidal time averages over the full recorded
+    window and over its tail half (the records at or after the midpoint)."""
+    times, y = traj.times, traj.states[:, :, 1]
+    horizon = times[-1] - times[0]
+    lyapunov = (np.log(y[:, -1]) - np.log(y[:, 0])) / horizon
+    full = np.trapezoid(y, times) / horizon
+    start = int(np.searchsorted(times, times[0] + 0.5 * horizon))
+    tail_times, tail = times[start:], y[:, start:]
+    if len(tail_times) < 2:  # a stride at least the step count leaves one tail record
+        return lyapunov, full, tail[:, -1].copy()
+    return lyapunov, full, np.trapezoid(tail, tail_times) / (tail_times[-1] - tail_times[0])
 
 
 @dataclass(frozen=True)
@@ -118,11 +104,12 @@ def run_ensemble(
         raise ValueError(f"y_extinct must be positive and finite, got {y_extinct}")
     keys = [_path_key(cfg.seed, i) for i in range(paths)]
     traj = run_paths(model, s0, cfg, keys)
+    lyapunov, mean_infected, tail_mean_infected = _path_statistics(traj)
     return EnsembleStats(
         path_seeds=tuple("".join(f"{w:016x}" for w in key) for key in keys),
-        lyapunov=lyapunov_estimate(traj),
-        mean_infected=time_average_infected(traj, FULL),
-        tail_mean_infected=time_average_infected(traj, TAIL_HALF),
+        lyapunov=lyapunov,
+        mean_infected=mean_infected,
+        tail_mean_infected=tail_mean_infected,
         y_final=traj.states[:, -1, 1].copy(),
         y_extinct=float(y_extinct),
     )

@@ -95,7 +95,7 @@ class TestParseEval:
     def test_a_parsed_coefficient_is_its_tree(self):
         sin4t = Call("sin", BinOp("*", Num(4.0), Var("t")))
         assert parse("0.3+0.1*sin(4*t)") == BinOp("+", Num(0.3), BinOp("*", Num(0.1), sin4t))
-        assert len(ussir.__all__) == 26
+        assert len(ussir.__all__) == 24
 
     def test_min(self):
         f = parse("min(t, 1)")
@@ -298,6 +298,37 @@ class TestBounds:
         assert b.method == "grid"
         assert b.inf == 1.0
         assert b.sup == pytest.approx(1.0 + math.log(2.0), abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("0.3+0.1*sin(-(4*t))", (0.19999999999999998, 0.4)),
+            ("0.3+0.1*sin(-t)", (0.19999999999999998, 0.4)),
+            ("0.3+0.1*cos(t*7)", (0.19999999999999998, 0.4)),
+            ("0.3+sin(t)*0.1", (0.19999999999999998, 0.4)),
+            ("0.3+(0.2*sin(t))/2", (0.19999999999999998, 0.4)),
+            ("2+cos(0*t)", (3.0, 3.0)),
+            ("2+0.5*sin(0*t)", (2.0, 2.0)),
+            ("0.3+0.1*sin(t)*cos(t)", "grid"),
+            ("0.5+0.1*sin(t*t)", "grid"),
+            ("1+sin(t)/0", EvalDomainError),
+        ],
+    )
+    def test_sinusoid_matcher_branches(self, text, expected):
+        # negated and reversed frequencies, a constant on either side of a
+        # product, a constant divisor, zero frequencies, and what falls through
+        tree = parse(text)
+        if expected is EvalDomainError:
+            with pytest.raises(EvalDomainError, match=re.escape("division by zero in 'sin(t)/0.0'")):
+                bounds(tree)
+            return
+        b = bounds(tree)
+        if expected == "grid":
+            assert b.method == "grid"
+            return
+        assert (b.inf, b.sup, b.method) == (*expected, "analytic")
+        vals = evaluate(tree, t=np.linspace(0.0, 20.0, 2001))
+        assert np.all((b.inf <= vals) & (vals <= b.sup))
 
     def test_mixed_frequencies_fall_back_to_grid(self):
         assert bounds(parse("sin(2*t)+cos(3*t)")).method == "grid"

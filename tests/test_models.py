@@ -296,6 +296,20 @@ class TestPositivity:
         report = check_positivity_ratios(broken, samples=1000, rng=np.random.default_rng(6))
         assert not report.passed
 
+    def test_each_vector_checked_at_marks_of_its_own_region(self):
+        # the engine applies the small-jump vector only at |u| < 1, where
+        # 1 - 0.9*u*y and 1 + 0.9*u*x stay above 0.1; marks drawn over the
+        # whole support [-2, 2] refused this model (min ratio -0.401)
+        def build(scale):
+            small = (f"-{scale}*u*x*y", f"{scale}*u*x*y", "0")
+            return build_custom(SIMPLEX, drift=("0", "0", "0"), diffusion=(("0", "0", "0"),), small_jump=small)
+
+        report = check_positivity_ratios(build(0.9), samples=1000, rng=np.random.default_rng(10))
+        assert report.passed
+        assert report.min_ratio >= 1.0 - 0.9
+        with pytest.raises(ValueError, match="violates jump positivity"):
+            build(1.5)
+
     def test_no_jumps_means_unit_ratios(self, scenario):
         _, model = scenario("table3")
         report = check_positivity_ratios(model, samples=200, rng=np.random.default_rng(7))

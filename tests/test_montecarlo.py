@@ -4,14 +4,7 @@ import pytest
 from ussir.criteria import CriteriaReport
 from ussir.integrator import SimConfig, Trajectory, _path_key, run_paths, simulate
 from ussir.models import OCTANT, build_custom
-from ussir.montecarlo import (
-    EnsembleStats,
-    lyapunov_estimate,
-    run_ensemble,
-    time_average_infected,
-    verdict,
-    write_ensemble_csv,
-)
+from ussir.montecarlo import EnsembleStats, _path_statistics, run_ensemble, verdict, write_ensemble_csv
 
 
 def _traj(times, ys):
@@ -38,33 +31,33 @@ def _stats(lyapunov=(), tail=()):
 
 class TestLyapunov:
     def test_constant_is_zero(self):
-        assert lyapunov_estimate(_traj([0, 1, 2], [0.3, 0.3, 0.3])) == 0.0
+        lyapunov, _, _ = _path_statistics(_traj([0, 1, 2], [0.3, 0.3, 0.3]))
+        assert lyapunov == 0.0
 
     def test_exact_exponential(self):
         times = np.linspace(0.0, 10.0, 101)
-        traj = _traj(times, np.exp(-0.2 * times))
-        assert lyapunov_estimate(traj) == pytest.approx(-0.2, abs=1e-12)
-
-    def test_needs_positive_horizon(self):
-        with pytest.raises(ValueError):
-            lyapunov_estimate(_traj([1.0], [0.5]))
+        lyapunov, _, _ = _path_statistics(_traj(times, np.exp(-0.2 * times)))
+        assert lyapunov == pytest.approx(-0.2, abs=1e-12)
 
 
 class TestTimeAverage:
     def test_constant(self):
-        assert time_average_infected(_traj([0, 1, 2], [0.4, 0.4, 0.4])) == pytest.approx(0.4)
+        _, full, _ = _path_statistics(_traj([0, 1, 2], [0.4, 0.4, 0.4]))
+        assert full == pytest.approx(0.4)
+
+    @staticmethod
+    def _linear():
+        times = np.linspace(0.0, 1.0, 11)
+        with np.errstate(divide="ignore"):  # the log slope of a path from Y_0 = 0
+            return _path_statistics(_traj(times, times))
 
     def test_linear_exact(self):
-        times = np.linspace(0.0, 1.0, 11)
-        assert time_average_infected(_traj(times, times)) == pytest.approx(0.5, abs=1e-15)
+        _, full, _ = self._linear()
+        assert full == pytest.approx(0.5, abs=1e-15)
 
     def test_tail_half_of_linear(self):
-        times = np.linspace(0.0, 1.0, 11)
-        assert time_average_infected(_traj(times, times), "tail_half") == pytest.approx(0.75, abs=1e-15)
-
-    def test_unknown_window(self):
-        with pytest.raises(ValueError):
-            time_average_infected(_traj([0, 1], [1, 1]), "quarter")
+        _, _, tail = self._linear()
+        assert tail == pytest.approx(0.75, abs=1e-15)
 
 
 class TestRunEnsemble:
@@ -94,7 +87,7 @@ class TestRunEnsemble:
         sim = SimConfig(horizon=1.0, dt=0.001, seed=3, record_stride=100)
         stats = run_ensemble(silent, cfg.initial_state, sim, paths=5)
         solo = simulate(silent, cfg.initial_state, sim)
-        expected = lyapunov_estimate(solo)
+        expected, _, _ = _path_statistics(solo)
         assert np.all(stats.lyapunov == expected)
         assert np.all(stats.y_final == solo.states[0, -1, 1])
 
@@ -105,15 +98,14 @@ class TestRunEnsemble:
         keys = [_path_key(4, i) for i in range(6)]
         bundle = run_paths(model, cfg.initial_state, sim, keys)
         rows = [run_paths(model, cfg.initial_state, sim, [key]) for key in keys]
-        lyapunov = lyapunov_estimate(bundle)
-        assert np.array_equal(lyapunov, np.concatenate([lyapunov_estimate(tr) for tr in rows]))
-        averages = {w: time_average_infected(bundle, w) for w in ("full", "tail_half")}
-        for window, values in averages.items():
-            assert np.array_equal(values, np.concatenate([time_average_infected(tr, window) for tr in rows])), window
+        statistics = _path_statistics(bundle)
+        per_path = [_path_statistics(tr) for tr in rows]
+        names = ("lyapunov", "mean_infected", "tail_mean_infected")
+        for k, (name, values) in enumerate(zip(names, statistics)):
+            assert np.array_equal(values, np.concatenate([row[k] for row in per_path])), name
         stats = run_ensemble(model, cfg.initial_state, sim, paths=6)
-        assert np.array_equal(stats.lyapunov, lyapunov)
-        assert np.array_equal(stats.mean_infected, averages["full"])
-        assert np.array_equal(stats.tail_mean_infected, averages["tail_half"])
+        for name, values in zip(names, statistics):
+            assert np.array_equal(getattr(stats, name), values), name
         assert np.array_equal(stats.y_final, [tr.states[0, -1, 1] for tr in rows])
         assert stats.path_seeds[1] == "".join(f"{w:016x}" for w in _path_key(4, 1))
 
