@@ -15,9 +15,10 @@ non-positive value, a non-real power) raises :class:`EvalDomainError`.
 
 Besides evaluation, this module extracts infimum/supremum of a time
 coefficient, a tree in ``t``, over [0, oo).  Expressions that are affine in
-sinusoids of a single frequency (``a + b*sin(w*t)``, ``a + b*cos(w*t)``,
-``a + b*(sin(t)+cos(t))``) get exact analytic bounds; everything else is
-scanned on a dense grid over a finite horizon and flagged as such.
+sinusoids of one frequency whose argument is a constant multiple of ``t``
+(``a + b*sin(w*t)``, ``a + b*cos(t/w)``, ``a + b*(sin(t)+cos(t))``) get
+exact analytic bounds; everything else is scanned, in slices, on a dense
+grid over a finite horizon and flagged as such.
 """
 
 from __future__ import annotations
@@ -509,29 +510,17 @@ def free_names(node: Node) -> frozenset[str]:
     return free_names(node.arg)
 
 
-def _frequency_of(node: Node):
-    """Angular frequency w if ``node`` is w*t / t*w / t / -(...), else None."""
-    if isinstance(node, Var) and node.name == "t":
-        return 1.0
-    if isinstance(node, Neg):
-        w = _frequency_of(node.operand)
-        return None if w is None else -w
-    if isinstance(node, BinOp) and node.op == "*":
-        if not free_names(node.left) and node.right == Var("t"):
-            return evaluate(node.left)
-        if not free_names(node.right) and node.left == Var("t"):
-            return evaluate(node.right)
-    return None
-
-
 def _sinusoid_terms(node: Node):
-    """Decompose into [(coeff, None | (func, w))] or None if not affine in
-    sinusoids of the time ``t``."""
+    """Decompose into [(coeff, None | "t" | (func, w))], a constant, ``t`` or
+    a sinusoid of frequency w, or None if not affine in ``t`` and in
+    sinusoids of a constant multiple of ``t``."""
     if not free_names(node):
-        return [(evaluate(node), None)]
+        return [(node.value if isinstance(node, Num) else evaluate(node), None)]
+    if node == Var("t"):
+        return [(1.0, "t")]
     if isinstance(node, Neg):
         inner = _sinusoid_terms(node.operand)
-        return None if inner is None else [(-c, osc) for c, osc in inner]
+        return None if inner is None else [(-c, basis) for c, basis in inner]
     if isinstance(node, BinOp):
         if node.op in ("+", "-"):
             left = _sinusoid_terms(node.left)
@@ -539,30 +528,23 @@ def _sinusoid_terms(node: Node):
             if left is None or right is None:
                 return None
             if node.op == "-":
-                right = [(-c, osc) for c, osc in right]
+                right = [(-c, basis) for c, basis in right]
             return left + right
-        if node.op == "*":
-            if not free_names(node.left):
-                inner = _sinusoid_terms(node.right)
-                scale = evaluate(node.left)
-            elif not free_names(node.right):
-                inner = _sinusoid_terms(node.left)
-                scale = evaluate(node.right)
-            else:
-                return None
-            return None if inner is None else [(scale * c, osc) for c, osc in inner]
+        if node.op == "*" and not (free_names(node.left) and free_names(node.right)):
+            side, other = (node.left, node.right) if not free_names(node.left) else (node.right, node.left)
+            inner = _sinusoid_terms(other)
+            [(scale, _)] = _sinusoid_terms(side)
+            return None if inner is None else [(scale * c, basis) for c, basis in inner]
         if node.op == "/" and not free_names(node.right):
-            denom = evaluate(node.right)
-            if denom == 0:
-                return None
-            inner = _sinusoid_terms(node.left)
-            return None if inner is None else [(c / denom, osc) for c, osc in inner]
+            [(denom, _)] = _sinusoid_terms(node.right)
+            inner = None if denom == 0 else _sinusoid_terms(node.left)
+            return None if inner is None else [(c / denom, basis) for c, basis in inner]
         return None
     if isinstance(node, Call) and node.func in ("sin", "cos"):
-        w = _frequency_of(node.arg)
-        if w is None:
+        arg = _sinusoid_terms(node.arg)
+        if arg is None or len(arg) != 1 or arg[0][1] != "t":
             return None
-        return [(1.0, (node.func, w))]
+        return [(1.0, (node.func, arg[0][0]))]
     return None
 
 
@@ -573,11 +555,13 @@ def _analytic_bounds(tree: Node) -> Optional[tuple[float, float]]:
     offset = 0.0
     sin_c: dict[float, float] = {}
     cos_c: dict[float, float] = {}
-    for coeff, osc in terms:
-        if osc is None:
+    for coeff, basis in terms:
+        if basis == "t":  # an unbounded linear part
+            return None
+        if basis is None:
             offset += coeff
             continue
-        func, w = osc
+        func, w = basis
         if w == 0.0:
             offset += coeff if func == "cos" else 0.0
             continue
@@ -600,9 +584,11 @@ def _analytic_bounds(tree: Node) -> Optional[tuple[float, float]]:
 
 def bounds(tree: Node) -> BoundsPair:
     """Bounds of the time coefficient ``tree`` over [0, oo): analytic when
-    it matches a recognized sinusoid pattern, otherwise a scan of
-    :data:`SCAN_POINTS` equally spaced times in [0, :data:`SCAN_HORIZON`].
-    Bounds that are not finite raise :class:`EvalDomainError`.
+    it is affine in sinusoids of one frequency, each argument a constant
+    multiple of ``t``; otherwise a scan of :data:`SCAN_POINTS` equally
+    spaced times in [0, :data:`SCAN_HORIZON`], evaluated in slices of 2**17
+    points so that each temporary stays at 1 MiB.  Bounds that are not
+    finite raise :class:`EvalDomainError`.
 
     Grid bounds on monotone saturating terms report the value at the scan
     horizon, which approaches the limit from inside (one-sided tolerance
@@ -610,9 +596,11 @@ def bounds(tree: Node) -> BoundsPair:
     """
     pair, method = _analytic_bounds(tree), "analytic"
     if pair is None:
+        ts, pair, method = np.linspace(0.0, SCAN_HORIZON, SCAN_POINTS), (np.inf, -np.inf), "grid"
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite scan is refused below
-            vals = np.asarray(evaluate(tree, t=np.linspace(0.0, SCAN_HORIZON, SCAN_POINTS)), dtype=float)
-        pair, method = (vals.min(), vals.max()), "grid"
+            for i in range(0, SCAN_POINTS, 2**17):  # np.minimum and np.maximum keep a NaN
+                vals = evaluate(tree, t=ts[i : i + 2**17])
+                pair = np.minimum(pair[0], vals.min()), np.maximum(pair[1], vals.max())
     lo, hi = map(float, pair)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise EvalDomainError(f"{serialize(tree)!r} has non-finite bounds ({lo}, {hi}) over [0, oo)")

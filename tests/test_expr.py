@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 import ussir
 from ussir.expr import (
     MAX_DEPTH,
+    SCAN_HORIZON,
+    SCAN_POINTS,
     BinOp,
     BoundsPair,
     Call,
@@ -309,14 +312,23 @@ class TestBounds:
             ("0.3+(0.2*sin(t))/2", (0.19999999999999998, 0.4)),
             ("2+cos(0*t)", (3.0, 3.0)),
             ("2+0.5*sin(0*t)", (2.0, 2.0)),
+            ("0.3+0.1*sin(t/2)", (0.19999999999999998, 0.4)),
+            ("0.3+0.1*sin(2*(3*t))", (0.19999999999999998, 0.4)),
+            ("0.3+0.1*cos(t*2*3)", (0.19999999999999998, 0.4)),
+            ("0.3+0.1*sin(-(t/4))", (0.19999999999999998, 0.4)),
             ("0.3+0.1*sin(t)*cos(t)", "grid"),
             ("0.5+0.1*sin(t*t)", "grid"),
+            ("0.3+0.1*sin(2+t)", "grid"),
+            ("1+t", "grid"),
+            ("t*0+1", "grid"),
             ("1+sin(t)/0", EvalDomainError),
         ],
     )
     def test_sinusoid_matcher_branches(self, text, expected):
         # negated and reversed frequencies, a constant on either side of a
-        # product, a constant divisor, zero frequencies, and what falls through
+        # product, a constant divisor, zero frequencies, constant factors and
+        # divisors inside the argument, and what falls through: a phase, a
+        # product of t, and t outside a sinusoid, however it is scaled
         tree = parse(text)
         if expected is EvalDomainError:
             with pytest.raises(EvalDomainError, match=re.escape("division by zero in 'sin(t)/0.0'")):
@@ -329,6 +341,45 @@ class TestBounds:
         assert (b.inf, b.sup, b.method) == (*expected, "analytic")
         vals = evaluate(tree, t=np.linspace(0.0, 20.0, 2001))
         assert np.all((b.inf <= vals) & (vals <= b.sup))
+
+    def test_bundled_sinusoids_compile_nothing(self, scenario, monkeypatch):
+        # the walk reads each constant from its leaf instead of compiling it
+        trees = {tree for name in ussir.scenario.bundled_scenarios() for tree in scenario(name)[1].params.values()}
+        calls = []
+        monkeypatch.setattr(ussir.expr, "compile_program", lambda *a, **k: calls.append(a) or compile_program(*a, **k))
+        analytic = set()
+        for tree in trees:
+            before = len(calls)
+            if bounds(tree).method == "analytic":
+                assert len(calls) == before, serialize(tree)
+                analytic.add(tree)
+        assert (len(trees), len(analytic)) == (38, 36)
+
+    @pytest.mark.parametrize("text", ["1+t/(1+t)", "1+ln(1+abs(sin(t)))", "sin(t)^2", "abs(sin(t))"])
+    def test_sliced_scan_equals_whole_grid(self, text):
+        tree = parse(text)
+        vals = evaluate(tree, t=np.linspace(0.0, SCAN_HORIZON, SCAN_POINTS))
+        assert bounds(tree) == BoundsPair(vals.min(), vals.max(), "grid")
+
+    def test_sliced_scan_keeps_nan(self):
+        # the values turn to NaN after t ~ 1800, in a later slice than the first
+        with pytest.raises(EvalDomainError, match=re.escape("non-finite bounds (nan, nan)")):
+            bounds(parse("(t*1e301)*1e4-(t*1e301)*1e4"))
+
+    def test_sliced_scan_reaches_the_last_point(self):
+        with pytest.raises(EvalDomainError, match=re.escape("ln of non-positive argument in 'ln(2.0-t/5000.0)'")):
+            bounds(parse("1+ln(2-t/5000)"))
+
+    def test_sliced_scan_memory(self):
+        # the grid itself (8,000,008 bytes) plus a few 1 MiB temporaries
+        tree = parse("1+t/(1+t)")
+        tracemalloc.start()
+        try:
+            bounds(tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_008 + 4 * 2**20
 
     def test_mixed_frequencies_fall_back_to_grid(self):
         assert bounds(parse("sin(2*t)+cos(3*t)")).method == "grid"
