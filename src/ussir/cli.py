@@ -3,18 +3,19 @@
 Subcommands::
 
     ussir simulate --config table1.scn [--out DIR] [--seed N] [--dt X] [--horizon T]
-    ussir ensemble --config table2.scn [--paths P] [--slack S] [...]
-    ussir criteria --config table3.scn [...]
-    ussir validate --config table1.scn [...]
+    ussir ensemble --config table2.scn [--paths P] [--slack S] [--out DIR] [--seed N] [...]
+    ussir criteria --config table3.scn [--out DIR]
+    ussir validate --config table1.scn [--out DIR]
 
 ``--config`` takes a filesystem path or the name of a bundled scenario
-(``table1`` .. ``table7``).  Flag overrides beat file values.  A flag value
-out of range (``--slack`` included) is a usage error, refused before any
-file is read.  Any other
-error is one ``error:`` line, which names the scenario file once it has
-loaded.  Exit status: 0 success, 1 error (including failed validation), 2
-usage error (from argparse) or theory-versus-simulation verdict
-"inconsistent".
+(``table1`` .. ``table7``), which :func:`main` loads and builds once.  ``--out``
+defaults to ``ussir_out``; ``validate`` writes nothing.  Flag overrides beat
+file values.  A flag the command does not read, or a value out of range
+(``--slack`` included), is a usage error, refused before any file is read.
+Any other error is one ``error:`` line, which names the scenario file once
+it has loaded.  Exit status: 0 success, 1 error (including failed
+validation), 2 usage error (from argparse) or theory-versus-simulation
+verdict "inconsistent".
 
 ``simulate`` writes the stochastic trajectory plus panel companions: the
 deterministic run (all noise zeroed) and, where the model carries that kind
@@ -71,33 +72,19 @@ _POSITIVE_INT = _flag_type(int, lambda v: v > 0, "a positive integer")
 _SEED = _flag_type(int, lambda v: -(2**63) <= v < 2**63, "a signed 64-bit integer")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_flags(parser: argparse.ArgumentParser, run: bool) -> None:
+    """``--config`` and ``--out``; with ``run``, also the flags a run reads."""
     parser.add_argument("--config", required=True, help="scenario file or bundled scenario name")
-    parser.add_argument("--seed", type=_SEED, default=None, help="override the scenario seed")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--dt", type=_FINITE_POSITIVE, default=None, help="override the time step")
-    parser.add_argument("--horizon", type=_FINITE_POSITIVE, default=None, help="override the horizon")
+    parser.add_argument("--out", type=Path, default="ussir_out", help="output directory (default ussir_out)")
+    if run:
+        parser.add_argument("--seed", type=_SEED, default=None, help="override the scenario seed")
+        parser.add_argument("--dt", type=_FINITE_POSITIVE, default=None, help="override the time step")
+        parser.add_argument("--horizon", type=_FINITE_POSITIVE, default=None, help="override the horizon")
 
 
-def _out_dir(args, cfg: ScenarioConfig) -> Path:
-    out = args.out or cfg.out_dir or "ussir_out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _load(args) -> tuple[ScenarioConfig, ModelSpec]:
-    """``--config`` is a file path or the name of a bundled scenario."""
-    path = Path(args.config)
-    cfg = load_scenario(path if path.is_file() else bundled_scenario_path(args.config))
-    args.source = cfg.source  # where main locates the errors raised from here on
-    return cfg, build_model(cfg)
-
-
-def cmd_simulate(args) -> int:
-    cfg, model = _load(args)
+def cmd_simulate(args, cfg: ScenarioConfig, model: ModelSpec) -> int:
     sim = sim_config(cfg, seed=args.seed, dt=args.dt, horizon=args.horizon)
-    out = _out_dir(args, cfg)
+    args.out.mkdir(parents=True, exist_ok=True)
     # each panel is a row of one run: which of drift, diffusion, jumps act on it
     panels = {"stochastic": (True, True, True), "deterministic": (True, False, False)}
     if model.has_diffusion:
@@ -106,19 +93,18 @@ def cmd_simulate(args) -> int:
         panels["jumps_only"] = (False, False, True)
     traj = simulate(model, cfg.initial_state, sim, groups=list(panels.values()))
     for i, label in enumerate(panels):
-        target = out / f"{cfg.stem}_{label}.csv"
+        target = args.out / f"{cfg.stem}_{label}.csv"
         Trajectory(traj.times, traj.states[i : i + 1], traj.floor_hits[i : i + 1], None).write_csv(target)
         print(f"wrote {target} (floor_hits={int(traj.floor_hits[i])})")
     return 0
 
 
-def cmd_ensemble(args) -> int:
-    cfg, model = _load(args)
+def cmd_ensemble(args, cfg: ScenarioConfig, model: ModelSpec) -> int:
     sim = sim_config(cfg, seed=args.seed, dt=args.dt, horizon=args.horizon)
     paths = args.paths if args.paths is not None else cfg.paths
-    out = _out_dir(args, cfg)
+    args.out.mkdir(parents=True, exist_ok=True)
     stats = run_ensemble(model, cfg.initial_state, sim, paths, y_extinct=cfg.y_extinct)
-    target = out / f"{cfg.stem}_ensemble.csv"
+    target = args.out / f"{cfg.stem}_ensemble.csv"
     write_ensemble_csv(stats, target)
     print(f"wrote {target}")
     try:
@@ -135,13 +121,12 @@ def cmd_ensemble(args) -> int:
     return 2 if outcome == "inconsistent" else 0
 
 
-def cmd_criteria(args) -> int:
-    cfg, model = _load(args)
+def cmd_criteria(args, cfg: ScenarioConfig, model: ModelSpec) -> int:
     report = report_for_model(model)
-    out = _out_dir(args, cfg)
-    text_target = out / f"{cfg.stem}_criteria.txt"
+    args.out.mkdir(parents=True, exist_ok=True)
+    text_target = args.out / f"{cfg.stem}_criteria.txt"
     text_target.write_text(report.to_text())
-    csv_target = out / f"{cfg.stem}_criteria.csv"
+    csv_target = args.out / f"{cfg.stem}_criteria.csv"
     with open(csv_target, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CRITERIA_CSV_HEADER)
@@ -152,8 +137,7 @@ def cmd_criteria(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    cfg, model = _load(args)
+def cmd_validate(args, cfg: ScenarioConfig, model: ModelSpec) -> int:
     ok = True
     if model.domain == SIMPLEX:
         report = check_conservation(model)
@@ -182,32 +166,36 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="one stochastic path plus noise-panel companions")
-    _add_common(p_sim)
+    _add_flags(p_sim, run=True)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ens = sub.add_parser("ensemble", help="seeded path ensemble, statistics, and verdict")
-    _add_common(p_ens)
+    _add_flags(p_ens, run=True)
     p_ens.add_argument("--paths", type=_POSITIVE_INT, default=None, help="override the path count")
     p_ens.add_argument("--slack", type=_FINITE_POSITIVE, default=0.5, help="comparator slack (default 0.5)")
     p_ens.set_defaults(func=cmd_ensemble)
 
     p_cri = sub.add_parser("criteria", help="closed-form extinction/persistence report")
-    _add_common(p_cri)
+    _add_flags(p_cri, run=False)
     p_cri.set_defaults(func=cmd_criteria)
 
     p_val = sub.add_parser("validate", help="conservation and jump-positivity checks")
-    _add_common(p_val)
+    _add_flags(p_val, run=False)
     p_val.set_defaults(func=cmd_validate)
 
-    sub.add_parser("scenarios", help="list bundled scenarios").set_defaults(
-        func=lambda args: (print("\n".join(bundled_scenarios())), 0)[1]
-    )
+    sub.add_parser("scenarios", help="list bundled scenarios")
 
     args = parser.parse_args(argv)
+    source = None  # the scenario file, once loaded; later errors are located there
     try:
-        return args.func(args)
+        if args.command == "scenarios":
+            print("\n".join(bundled_scenarios()))
+            return 0
+        path = Path(args.config)
+        cfg = load_scenario(path if path.is_file() else bundled_scenario_path(args.config))
+        source = cfg.source
+        return args.func(args, cfg, build_model(cfg))
     except (ValueError, OSError) as exc:  # a ScenarioError names its file itself
-        source = getattr(args, "source", None)
         located = source is not None and isinstance(exc, ValueError) and not isinstance(exc, ScenarioError)
         print(f"error: {source}: {exc}" if located else f"error: {exc}", file=sys.stderr)
         return 1

@@ -337,18 +337,24 @@ def generic_alpha_estimate(
     from zero because the functional divides by it.
     """
     states = np.asarray(state_grid, dtype=float)
-    if states.ndim != 2 or states.shape[1] != 3:
-        raise ValueError("state_grid must have shape (N, 3)")
+    times = np.asarray(t_grid, dtype=float)
+    if times.ndim != 1 or not times.size or not np.isfinite(times).all():
+        raise ValueError("t_grid must be a one-dimensional, non-empty grid of finite times")
+    if states.ndim != 2 or states.shape[1] != 3 or not len(states):
+        raise ValueError("state_grid must have shape (N, 3) with N > 0")
     if np.any(states <= 0.0):
         raise ValueError("state_grid must be strictly positive")
     Y = states[:, 1]
     best = -math.inf
-    for t in np.asarray(t_grid, dtype=float):
+    for t in times:
         pv = model.param_values(float(t))
         drift_pc = model.drift_fn(pv, states)[:, 1] / Y
         diff_sq = ((model.diffusion_fn(pv, states)[:, 1, :] / Y[:, None]) ** 2).sum(axis=-1)
         top = float((drift_pc - 0.5 * diff_sq).max())
         small = _jump_integral(model, pv, states, SMALL, lambda r: np.log1p(r) - r)
         large = _jump_integral(model, pv, states, LARGE, np.log1p)
-        best = max(best, top + small + large)
+        value = top + small + large
+        if not math.isfinite(value):
+            raise ValueError(f"the decay functional is {value} at t = {float(t)!r}")
+        best = max(best, value)
     return best

@@ -52,7 +52,7 @@ _KEYS = {
     "model": ("id", "cap", "domain", "brownian_dim"),
     "measure": ("support", "density"),
     "initial": ("state",),
-    "sim": ("dt", "horizon", "seed", "paths", "record_stride", "y_extinct", "out"),
+    "sim": ("dt", "horizon", "seed", "paths", "record_stride", "y_extinct"),
 }
 # the [sim] numerals a SimConfig checks; it keeps their defaults
 _SIM_NUMBERS = ("horizon", "dt", "seed", "record_stride")
@@ -94,7 +94,6 @@ class ScenarioConfig:
     domain: Optional[str] = None
     brownian_dim: Optional[int] = None
     y_extinct: Optional[float] = None
-    out_dir: Optional[str] = None
     source: Optional[str] = None
 
     @property
@@ -121,7 +120,7 @@ def _parse_value(raw: str, where: str):
             value = float(raw)
         except ValueError:
             if raw and all(c.isalnum() or c in "_./-" for c in raw):
-                return raw  # bare identifier (model id, domain, output path)
+                return raw  # bare identifier (model id, domain)
             raise ScenarioError(
                 f"{where}: expected a numeral, tuple, quoted expression, or bare identifier, got {raw!r}"
             ) from None
@@ -222,9 +221,6 @@ def load_scenario(path) -> ScenarioConfig:
     y_extinct = sim.get("y_extinct")
     if y_extinct is not None and not _want_float(y_extinct, f"{where}: [sim] y_extinct") > 0:
         raise ScenarioError(f"{where}: y_extinct must be positive, got {y_extinct}")
-    out_dir = sim.get("out")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ScenarioError(f"{where}: [sim] out must be a quoted path")
 
     return ScenarioConfig(
         model_id=model_id,
@@ -242,7 +238,6 @@ def load_scenario(path) -> ScenarioConfig:
         domain=model_sec.get("domain"),
         brownian_dim=brownian_dim,
         y_extinct=y_extinct,
-        out_dir=out_dir,
         source=str(path),
     )
 

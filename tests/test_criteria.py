@@ -248,6 +248,29 @@ class TestGenericEstimates:
         generic_alpha_estimate(model, [0.0, 1.0], simplex_grid(20, 20))
         assert calls == []
 
+    BAD_T_GRID = "t_grid must be a one-dimensional, non-empty grid of finite times"
+
+    @pytest.mark.parametrize(
+        "drift_y,t_grid,states,message",
+        [
+            (None, [], None, BAD_T_GRID),
+            (None, [0.0, math.nan], None, BAD_T_GRID),
+            (None, [math.inf], None, BAD_T_GRID),
+            (None, 0.0, None, BAD_T_GRID),
+            (None, [0.0], np.empty((0, 3)), r"state_grid must have shape \(N, 3\) with N > 0"),
+            ("y*t^400-y*t^400", [0.0, 10.0], None, r"the decay functional is nan at t = 10\.0"),
+        ],
+        ids=["empty-t", "nan-t", "inf-t", "scalar-t", "empty-states", "nan-functional"],
+    )
+    def test_refuses_grids_it_cannot_estimate_on(self, scenario, drift_y, t_grid, states, message):
+        # no time or value may be dropped, so none can leave -inf or a partial maximum behind
+        if drift_y is None:
+            _, model = scenario("table1")
+        else:
+            model = build_custom(domain=OCTANT, drift=("0", drift_y, "0"), diffusion=(("0", "0", "0"),))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+            generic_alpha_estimate(model, t_grid, simplex_grid(8, 8) if states is None else states)
+
     def test_requires_positive_grid(self, scenario):
         _, model = scenario("table1")
         with pytest.raises(ValueError, match="positive"):

@@ -94,9 +94,10 @@ class TestLoad:
             build_model(load_scenario(_write(tmp_path, bad)))
 
     def test_unknown_key_rejected(self, tmp_path):
-        bad = MINIMAL_XC.replace("seed = 3", "seed = 3\nwibble = 4")
-        with pytest.raises(ScenarioError, match="wibble"):
-            load_scenario(_write(tmp_path, bad))
+        for line, key in (("wibble = 4", "wibble"), ('out = "results"', "out")):
+            bad = MINIMAL_XC.replace("seed = 3", f"seed = 3\n{line}")
+            with pytest.raises(ScenarioError, match=rf"unknown key '{key}' in \[sim\]"):
+                load_scenario(_write(tmp_path, bad))
 
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ScenarioError, match="unknown section"):
@@ -168,8 +169,8 @@ class TestLoad:
         with pytest.raises(ScenarioError, match=r"division by zero in '1\.0/\(t-5\.0\)'"):
             build_model(load_scenario(target))  # no criterion reads phi1
         for command in ("simulate", "criteria"):
-            argv = [command, "--config", str(target), "--out", str(tmp_path), "--horizon", "0.01"]
-            assert main(argv) == 1
+            argv = [command, "--config", str(target), "--out", str(tmp_path)]
+            assert main(argv + (["--horizon", "0.01"] if command == "simulate" else [])) == 1
             assert "division by zero" in capsys.readouterr().err
 
     def test_custom_partial_jump_group_rejected(self, tmp_path, capsys):
@@ -316,6 +317,12 @@ class TestCliCommands:
         csv_text = (tmp_path / "table1_criteria.csv").read_text()
         assert csv_text.startswith("model,classification")
 
+    def test_default_output_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["criteria", "--config", "table1"]) == 0
+        assert (tmp_path / "ussir_out" / "table1_criteria.csv").is_file()
+        assert "wrote ussir_out/table1_criteria.csv" in capsys.readouterr().out
+
     def test_validate_table2(self, tmp_path, capsys):
         code = main(["validate", "--config", "table2", "--out", str(tmp_path)])
         assert code == 0
@@ -424,7 +431,8 @@ class TestCliCommands:
         text = MINIMAL_CUSTOM.replace("(1.0, 0.5, 0.25)", "(2.0, 0.5, 0.25)") + 'h1 = "0.01*ln(x-3)"\nh2 = "0"\nh3 = "0"\n'
         target = _write(tmp_path, text)
         build_model(load_scenario(target))
-        argv = [command, "--config", str(target), "--out", str(tmp_path), "--horizon", "0.01"]
+        argv = [command, "--config", str(target), "--out", str(tmp_path)]
+        argv += [] if command == "validate" else ["--horizon", "0.01"]
         assert main(argv + (["--paths", "2"] if command == "ensemble" else [])) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {target}: ln of non-positive argument in 'ln(x-3.0)'"]
@@ -463,12 +471,25 @@ paths = 2
         assert code == 2
         assert "verdict: inconsistent" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["simulate", "criteria", "validate"])
-    def test_paths_only_on_ensemble(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            *[(command, "--paths", "7") for command in ("simulate", "criteria", "validate")],
+            *[
+                (command, flag, value)
+                for command in ("criteria", "validate")
+                for flag, value in (("--seed", "5"), ("--dt", "0.01"), ("--horizon", "1"))
+            ],
+        ],
+    )
+    def test_flag_only_on_commands_that_read_it(self, tmp_path, capsys, monkeypatch, command, flag, value):
+        # only simulate and ensemble run paths, so only they take the run flags
+        monkeypatch.setattr("ussir.cli.load_scenario", lambda path: pytest.fail(f"loaded {path}"))
         with pytest.raises(SystemExit) as exc:
-            main([command, "--config", "table1", "--out", str(tmp_path), "--paths", "7"])
+            main([command, "--config", "table1", "--out", str(tmp_path), flag, value])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --paths 7" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("slack", ["nan", "inf", "-0.1", "0"])
     def test_bad_slack_rejected_before_simulating(self, tmp_path, capsys, slack):
