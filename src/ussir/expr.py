@@ -283,7 +283,7 @@ def _log(a, where: str):
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power, "min": np.minimum}
 _CALLS = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "ln": _log}
-_CHECKED = (_divide, _power, _log)  # these also take the text of their node
+_PLAIN = {_divide: np.divide, _power: np.power, _log: np.log}  # each checked one also takes its node's text
 # every value a program reads is a _k name of its namespace, so models of one structure share a code object
 _compile_source = lru_cache(maxsize=1024)(lambda source: compile(source, "<expression program>", "exec"))
 
@@ -294,6 +294,7 @@ def compile_program(
     constants: Optional[Mapping[str, float]] = None,
     mark: bool = False,
     step: Optional[tuple] = None,
+    checked: bool = True,
 ) -> Callable:
     """Compile a group of trees into one straight-line numpy function.
 
@@ -310,23 +311,27 @@ def compile_program(
     is None, the small jumps ``h``: ``program(env, S, dW, drift_dt,
     comp_dt)`` returns ``incr[:, i] = d_i * drift_dt + ((sigma_i0 * dW_0 +
     sigma_i1 * dW_1) + ...)``, less entries folded to 0, and the rule's
-    integral of ``h`` times ``comp_dt`` (None without a rule).
+    integral of ``h`` times ``comp_dt`` (None without a rule); it reads a
+    maximal subtree of time alone from ``env`` by its :func:`serialize`
+    text, and ``program.reads`` maps each key it reads there to its tree.
     Equal subtrees are equal (frozen, hashable) nodes, so a dict keyed by
     node computes each once, across the group.  A subtree whose names are
     all in ``constants`` is evaluated while compiling, by the operations
     the program would run, and enters the program as a 0-d array; a value
-    that is not finite raises :class:`EvalDomainError` naming the subtree.
+    that is not finite raises :class:`EvalDomainError` naming the subtree;
+    ``checked`` False leaves ``/``, ``^`` and ``ln`` unchecked outside folds.
     """
     constants = constants or {}
     namespace: dict = {"_np": np}
     folded: dict = {}  # name -> value of each folded constant
-    names: dict = {}  # node -> name holding its value
     lines: list[tuple[str, list[str]]] = []  # (code, operands) of v0, v1, ...
+    reads: dict = {}  # env key -> tree of each value the program reads
     block = shape is not None or step is not None
     if step is not None:
         n, rule = step
         mark = rule is not None and rule[0].size > 1  # quadrature nodes run along a leading axis
         namespace["u"] = rule[0].reshape(-1, 1) if mark else None
+    names: dict = {Var("u"): "u"} if mark else {}  # node -> name holding its value
 
     def bind(value, fold: bool = False) -> str:
         name = f"_k{len(namespace)}"
@@ -353,8 +358,10 @@ def compile_program(
             name = fold(node, float(constants[node.name]))
         elif isinstance(node, Var) and block and node.name in ("x", "y", "z"):
             name = line(f"S[..., {'xyz'.index(node.name)}]")
-        elif isinstance(node, Var):
-            name = "u" if mark and node.name == "u" else line(f"env[{node.name!r}]")
+        elif isinstance(node, Var) or (step is not None and (free := free_names(node)).isdisjoint("xyzu")
+                                       and free - constants.keys()):
+            reads[serialize(node)] = node  # a named value, or a subtree of time alone that is not folded
+            name = line(f"env[{serialize(node)!r}]")
         else:
             if isinstance(node, Neg):
                 fn, args = operator.neg, [emit(node.operand)]
@@ -362,10 +369,11 @@ def compile_program(
                 fn, args = _BINARY[node.op], [emit(node.left), emit(node.right)]
             else:
                 fn, args = _CALLS[node.func], [emit(node.arg)]
-            where = (serialize(node),) if fn in _CHECKED else ()
-            if all(arg in folded for arg in args):
+            where = (serialize(node),) if fn in _PLAIN else ()
+            if all(arg in folded for arg in args):  # folded by the checked operation
                 name = fold(node, fn(*(folded[arg] for arg in args), *where))
-            else:
+            else:  # an unchecked program runs numpy's own operation, which takes no text
+                fn, where = (fn, where) if checked else (_PLAIN.get(fn, fn), ())
                 name = line(f"{bind(fn)}({', '.join(args + [bind(w) for w in where])})", args)
         names[node] = name
         return name
@@ -373,10 +381,10 @@ def compile_program(
     with np.errstate(over="ignore", invalid="ignore"):  # fold refuses a non-finite constant
         results = [emit(tree) for tree in trees]
     if step is not None:
-        head, tail = "def _program(env, S, dW, drift_dt, comp_dt):", ["    incr = _np.empty(S.shape)"]
+        head = "def _program(env, S, dW, drift_dt, comp_dt):"
+        tail = ["    incr = _np.empty(S.shape)", *(f"    dW{c} = dW[:, {c}]" for c in range(n))]  # each column once
         for i, d in enumerate(results[:3]):  # sum_c sigma_ic * dW_c left to right; a folded 0 adds +-0
-            terms = [f"{s} * dW[:, {c}]" for c, s in enumerate(results[3 + i * n : 3 + i * n + n])
-                     if folded.get(s) != 0]
+            terms = [f"{s} * dW{c}" for c, s in enumerate(results[3 + i * n : 3 + i * n + n]) if folded.get(s) != 0]
             noise = [reduce("({} + {})".format, terms)] if terms else []
             tail.append(f"    incr[..., {i}] = {' + '.join([f'{d} * drift_dt', *noise])}")
         comp = "None"
@@ -409,6 +417,7 @@ def compile_program(
     for i, (code, _) in enumerate(lines):
         body += [f"    v{i} = {code}"] + ([f"    del {', '.join(dead[i])}"] if i in dead else [])
     exec(_compile_source("\n".join([head, *body, *tail])), namespace)
+    namespace["_program"].reads = reads
     return namespace["_program"]
 
 

@@ -5,8 +5,10 @@ the diffusion matrix, the compensated small-jump contribution (sampled
 marks minus compensator * dt) and the uncompensated large-jump marks, all
 at the step's start state, then applies the positivity safeguard.  One
 call of the model's step program computes drift, diffusion and compensator
-from the step's time coefficients, 0-d views into the block's arrays; the
-step adds its small marks, subtracts the compensator, adds its large marks.
+from 0-d views of the block's time coefficients and time-only subtrees;
+the step adds its small marks, subtracts the compensator, adds its large
+marks.  A step raising numpy's divide, invalid or overflow flag reruns, as
+does the rest of the run, with the checked program at the caller's errstate.
 
 Randomness is organized per path: each path owns a Philox counter-based
 generator keyed by a hash of (master seed, path index), so paths are
@@ -216,7 +218,7 @@ def run_paths(
     # (group offset, program, compensated) per drawn region, small before large
     jump_steps = [(r, model.small_jump_fn, True) if region == SMALL else (r, model.large_jump_fn, False)
                   for r, region in enumerate(regions)]
-    step = model.step_fn
+    step, caller = model.step_fn, np.geterr()
 
     states = np.tile(s0_arr, (n_paths, 1))
     recorded = np.empty((n_paths, n_records, 3))
@@ -228,9 +230,37 @@ def run_paths(
     # one spare step per row: a power-of-two row stride crowds a step's column into few cache sets
     normal_buf = np.zeros((n_paths, width + 1, n_brownian))  # a row without diffusion stays zero
 
+    def advance(program, S, j):  # step j of the block from S; run state changes once nothing can raise
+        incr, comp = program({name: arr[j, ...] for name, arr in read}, S, normals[:, j], drift_dt, comp_dt)
+        pv = {name: arr[j, ...] for name, arr in pv_block.items()} if marked[j] else None  # 0-d views
+        for r, jump_fn, compensated in jump_steps:
+            if pv is not None:  # the jump programs run on steps with marks, and read every coefficient
+                _add_jumps(jump_fn, pv, S, incr, table, j * len(regions) + r)
+            if compensated:
+                incr -= comp
+        S = S + incr
+        below = S <= 0.0
+        if clamped := np.count_nonzero(below):
+            S = np.where(below, POSITIVITY_FLOOR, S)
+        if simplex:
+            sums = S[:, 0] + S[:, 1] + S[:, 2]
+            dev = np.abs(sums - 1.0)
+            fix = dev > RENORM_TOL
+            if np.count_nonzero(fix):
+                S[fix] /= sums[fix, None]
+            np.maximum(drift_max, dev, out=drift_max)
+        if clamped:
+            np.add(floor_hits, below.sum(axis=1), out=floor_hits)
+        if (k0 + j + 1) % stride == 0 or k0 + j + 1 == K:
+            recorded[:, -(-(k0 + j + 1) // stride), :] = S
+        return S
+
     for k0 in range(0, K, chunk):
         block = min(chunk, K - k0)
         pv_block = model.param_values(np.arange(k0, k0 + block, dtype=float) * dt)
+        read = [(name, pv_block[name]) for name in step.reads]
+        # an operation need not flag a fault of an inf operand: a non-finite value runs the checked program
+        step = step if all(np.isfinite(arr).all() for _, arr in read) else model.checked_step_fn
         normals = normal_buf[:, :block]
         if model.has_diffusion:
             for p in np.flatnonzero(on[:, 1]):
@@ -245,28 +275,14 @@ def run_paths(
                 if hit.size:
                     cells.append((p, hit * len(regions) + r, c[hit]))
         table = _block_marks(model.measure, gens, regions, block, cells) if regions else None
-        for j in range(block):
-            k = k0 + j
-            pv = {name: arr[j, ...] for name, arr in pv_block.items()}  # 0-d views
-            incr, comp = step(pv, states, normals[:, j], drift_dt, comp_dt)
-            for r, jump_fn, compensated in jump_steps:
-                _add_jumps(jump_fn, pv, states, incr, table, j * len(regions) + r)
-                if compensated:
-                    incr -= comp
-            states = states + incr
-            below = states <= 0.0
-            if np.count_nonzero(below):
-                floor_hits += below.sum(axis=1)
-                states = np.where(below, POSITIVITY_FLOOR, states)
-            if simplex:
-                sums = states.sum(axis=1)
-                dev = np.abs(sums - 1.0)
-                np.maximum(drift_max, dev, out=drift_max)
-                fix = dev > RENORM_TOL
-                if np.count_nonzero(fix):
-                    states[fix] /= sums[fix, None]
-            if (k + 1) % stride == 0 or k + 1 == K:
-                recorded[:, -(-(k + 1) // stride), :] = states
+        marked = np.diff(table[0]).reshape(block, -1).any(axis=1).tolist() if regions else [False] * block
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            for j in range(block):
+                try:
+                    states = advance(step, states, j)
+                except FloatingPointError:  # keep the checked program: the fault may leave a non-finite state
+                    with np.errstate(**caller):
+                        states = advance(step := model.checked_step_fn, states, j)
 
     return Trajectory(
         times=np.minimum(np.arange(n_records) * stride, K) * dt,

@@ -31,9 +31,9 @@ constants and cap folded in, sets the flags saying which noise it carries
 and fixes the mark rule of each jump region a run draws, which the
 compensator and :func:`ussir.criteria.generic_alpha_estimate` integrate with;
 the engine's step program, drift, diffusion and small-jump compensator in
-one, is compiled on first use.  Programs take a dict of already-evaluated
-time-coefficient values (see :meth:`ModelSpec.param_values`) so that
-integrators evaluate each time coefficient once per block of steps.
+one, and its checked twin are compiled on first use.  Programs take a dict
+of time coefficients and time-only subtrees, so that integrators evaluate
+each once per block of steps (see :meth:`ModelSpec.param_values`).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .expr import Node, Num, bounds, compile_program, free_names, parse, shaped
+from .expr import Node, Num, Var, bounds, compile_program, free_names, parse, shaped
 from .levy import LARGE, SMALL, LevyMeasure
 
 __all__ = [
@@ -102,9 +102,9 @@ class ModelSpec:
     Everything else is derived once, at construction.  Each group is
     compiled into a program: ``drift_fn``, ``diffusion_fn``,
     ``small_jump_fn`` and ``large_jump_fn`` (``step_fn``, the engine's
-    step over the whole table, is compiled on first use).  The programs
-    are vectorized over the leading batch axes of the state block ``S``
-    (..., 3); the jump programs also broadcast the mark, and an absent
+    step over the whole table, and ``checked_step_fn`` on first use).  The
+    programs are vectorized over the leading batch axes of the state block
+    ``S`` (..., 3); the jump programs also broadcast the mark, and an absent
     jump group computes zeros.  The flags ``brownian_dim``,
     ``has_diffusion``, ``has_small_jumps`` and ``has_large_jumps`` say which
     groups are present.  ``mark_rules`` holds exactly the jump regions a
@@ -148,7 +148,6 @@ class ModelSpec:
         derive("has_diffusion", n > 0)
         derive("has_small_jumps", small is not None)
         derive("has_large_jumps", large is not None)
-        derive("_param_fns", {name: compile_program([tree]) for name, tree in self.params.items()})
         rules = {}
         for region, group in ((SMALL, small), (LARGE, large)):
             mass = self.measure.mass(region)
@@ -159,24 +158,31 @@ class ModelSpec:
             else:
                 rules[region] = np.zeros(1), np.array([mass])
         derive("mark_rules", MappingProxyType(rules))
+        derive("_step", ([*self.drift, *entries, *(small if SMALL in rules else ())], (n, rules.get(SMALL))))
 
     def param_values(self, t) -> dict:
-        """Evaluate every time-dependent coefficient at ``t`` (scalar or
-        array), as :func:`ussir.expr.evaluate` would; the returned dict also
-        carries ``t`` itself."""
+        """Evaluate every time coefficient, then each time-only subtree :attr:`step_fn`
+        reads (by its text), at ``t`` (scalar or array) as :func:`ussir.expr.evaluate` would; ``t`` too."""
         pv, shape = {"t": t}, np.shape(t)
         for name, fn in self._param_fns.items():
             pv[name] = shaped(fn(pv), shape)
         return pv
 
     @cached_property
+    def _param_fns(self) -> dict:
+        trees = {**self.params, **{key: tree for key, tree in self.step_fn.reads.items() if not isinstance(tree, Var)}}
+        return {key: compile_program([tree], constants=self.constants) for key, tree in trees.items()}
+
+    @cached_property
     def step_fn(self):
         """Drift, diffusion and the small region's compensator as one step
-        program (:func:`~ussir.expr.compile_program`'s ``step``)."""
-        rule = self.mark_rules.get(SMALL)
-        entries = [column[i] for i in range(3) for column in self.diffusion]
-        trees = [*self.drift, *entries, *(self.small_jump if rule is not None else ())]
-        return compile_program(trees, constants=self.constants, step=(self.brownian_dim, rule))
+        program (:func:`~ussir.expr.compile_program`'s ``step``), unchecked."""
+        return compile_program(self._step[0], constants=self.constants, step=self._step[1], checked=False)
+
+    @cached_property
+    def checked_step_fn(self):
+        """:attr:`step_fn` checked: leaving the reals raises an error naming the subtree."""
+        return compile_program(self._step[0], constants=self.constants, step=self._step[1])
 
 
 # --- named families ------------------------------------------------------------

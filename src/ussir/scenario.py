@@ -1,11 +1,12 @@
 """Scenario files: a line-based ``key = value`` format with sections.
 
 Sections are ``[model]``, ``[params]``, ``[jumps]``, ``[measure]``,
-``[initial]``, ``[sim]``.  Values are numerals, tuples ``(a, b, c)``, or
-double-quoted coefficient expressions; ``#`` starts a comment.  Unknown
-sections or keys are rejected so a typo cannot silently fall back to a
-default.  The format is diff-friendly and bit-exact: loading the same file
-twice builds the same model and the same simulation config.
+``[initial]``, ``[sim]``.  Values are numerals, tuples ``(a, b, c)``, words
+of letters, digits and ``_``, or quoted expressions (all ``[params]``
+takes); ``#`` starts a comment.  Unknown sections or keys are rejected so a
+typo cannot silently fall back to a default.  The format is diff-friendly
+and bit-exact: loading the same file twice builds the same model and the
+same simulation config.
 
 Each fault is refused once, by the code that owns its rule.  Loading
 checks what the format alone knows: sections, keys, value kinds, finite
@@ -110,7 +111,7 @@ def _parse_value(raw: str, where: str):
     if raw.startswith("("):
         if not raw.endswith(")"):
             raise ScenarioError(f"{where}: unterminated tuple {raw!r}")
-        parts = [p.strip() for p in raw[1:-1].split(",") if p.strip()]
+        parts = [p.strip() for p in raw[1:-1].split(",")]  # an empty entry is no numeral
         try:
             value = numbers = tuple(float(p) for p in parts)
         except ValueError:
@@ -119,7 +120,7 @@ def _parse_value(raw: str, where: str):
         try:
             value = float(raw)
         except ValueError:
-            if raw and all(c.isalnum() or c in "_./-" for c in raw):
+            if raw.isascii() and raw.replace("_", "a").isalnum():
                 return raw  # bare identifier (model id, domain)
             raise ScenarioError(
                 f"{where}: expected a numeral, tuple, quoted expression, or bare identifier, got {raw!r}"
@@ -176,6 +177,8 @@ def load_scenario(path) -> ScenarioConfig:
             raise ScenarioError(f"{where}: unknown key {key!r} in [{current}]")
         if key in sections[current]:
             raise ScenarioError(f"{where}: duplicate key {key!r} in [{current}]")
+        if current == "params" and not raw_value.strip().startswith('"'):
+            raise ScenarioError(f"{where}: [params] {key} must be a quoted expression, got {raw_value.strip()!r}")
         sections[current][key] = _parse_value(raw_value, where)
 
     where = str(path)
@@ -195,10 +198,6 @@ def load_scenario(path) -> ScenarioConfig:
     if brownian_dim is not None:
         brownian_dim = _want_int(brownian_dim, f"{where}: [model] brownian_dim")
 
-    params = sections["params"]
-    for key, value in params.items():
-        if not isinstance(value, str):
-            raise ScenarioError(f"{where}: [params] {key} must be a quoted expression")
     jumps = {key: _want_float(value, f"{where}: [jumps] {key}") for key, value in sections["jumps"].items()}
 
     support = sections["measure"].get("support", (-2.0, 2.0))
@@ -224,7 +223,7 @@ def load_scenario(path) -> ScenarioConfig:
 
     return ScenarioConfig(
         model_id=model_id,
-        params=params,
+        params=sections["params"],
         jumps=jumps,
         measure_support=support,
         measure_density=density,

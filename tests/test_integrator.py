@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ussir.expr import EvalDomainError
 from ussir.integrator import (
     CHUNK_STEPS,
     MARK_FREE_STEPS,
@@ -563,6 +564,68 @@ class TestFloorSemantics:
         traj = simulate(model, (1.0, 0.5, 1.0), cfg)
         assert traj.floor_hits > 0
         assert traj.states[0, -1, 1] >= 1e-12
+
+
+class TestFloatingPointFaults:
+    """The engine steps with plain numpy operations and reruns a step that
+    sets a floating-point flag with the checked step program, at the
+    caller's error settings: a run raises the checked program's error or
+    gives its values, and the caller's settings come back unchanged."""
+
+    @pytest.mark.parametrize(
+        "expr, s0, message",
+        [("1/(y-0.5)", (1.0, 0.5, 0.25), "division by zero in '1.0/(y-0.5)'"),
+         ("(x-3)^0.5", (2.0, 0.5, 0.25), "power outside the reals in '(x-3.0)^0.5'"),
+         ("ln(x-3)", (2.0, 0.5, 0.25), "ln of non-positive argument in 'ln(x-3.0)'")],
+        ids=["divide", "power", "ln"],
+    )
+    @pytest.mark.parametrize("group", ["drift", "small_jump"])
+    @pytest.mark.parametrize("settings", [{}, {"all": "ignore"}, {"all": "raise"}], ids=["default", "ignore", "raise"])
+    def test_leaving_the_reals_at_the_start_names_the_subtree(self, expr, s0, message, group, settings):
+        rows = {"drift": (expr, "0", "0"), "diffusion": (("0", "0.05*y", "0"),)}
+        if group == "small_jump":
+            rows = {**rows, "drift": ZEROS, "small_jump": (f"0.01*({expr})", "0", "0")}
+        model = build_custom(domain=OCTANT, **rows)
+        cfg = SimConfig(horizon=0.01, dt=0.001, seed=3)
+        before = np.geterr()
+        with np.errstate(**settings):
+            inside = np.geterr()
+            with pytest.raises(EvalDomainError, match=f"^{re.escape(message)}$"):
+                run_paths(model, s0, cfg, [_path_key(3, i) for i in range(4)])
+            assert np.geterr() == inside
+        assert np.geterr() == before
+
+    def test_non_finite_time_only_value_runs_the_checked_program(self):
+        # 10^(1e6 t) overflows to inf on the second step, where y reaches 0.5: inf/0 sets no flag
+        model = build_custom(domain=OCTANT, drift=("10^(1000000*t)*x/(y-0.5)", "-500", "0"), diffusion=(ZEROS,))
+        message = re.escape("division by zero in '10.0^(1000000.0*t)*x/(y-0.5)'")
+        with np.errstate(over="ignore"), pytest.raises(EvalDomainError, match=f"^{message}$"):
+            run_paths(model, (1.0, 1.0, 1.0), SimConfig(horizon=0.01, dt=0.001, seed=1), [_path_key(1, 0)])
+
+    @pytest.mark.parametrize("chunk", [CHUNK_STEPS, 7, 1])
+    def test_overflow_to_nan_keeps_the_checked_values(self, chunk):
+        # x overflows to inf, then x - x*y is NaN while z is clamped at every
+        # step: the reference loop, at the floor -1 to count the clamps
+        model = build_custom(domain=OCTANT, drift=("1e3*x*x", "x-x*y", "-2e3*z"), diffusion=(("0.5*x", "0", "0"),))
+        cfg = SimConfig(horizon=0.03, dt=0.001, seed=4)
+        keys = [_path_key(4, i) for i in range(3)]
+        before = np.geterr()
+        with pytest.warns(RuntimeWarning) as warned:  # the checked program warns at the caller's settings
+            traj = run_paths(model, (1.0, 0.5, 1.0), cfg, keys, chunk)
+        assert np.geterr() == before
+        assert {"overflow", "invalid"} <= {str(w.message).split()[0] for w in warned}
+        for p, key in enumerate(keys):
+            gen = np.random.Generator(np.random.Philox(key=key))
+            s, manual, hits = np.array([1.0, 0.5, 1.0]), [np.array([1.0, 0.5, 1.0])], 0
+            with np.errstate(all="ignore"):
+                for k in range(cfg.n_steps):
+                    s = _reference_step(model, k * cfg.dt, s, cfg.dt, gen, floor=-1.0)
+                    hits += np.count_nonzero(s == -1.0)
+                    s = np.where(s == -1.0, POSITIVITY_FLOOR, s)
+                    manual.append(s)
+            assert np.array_equal(traj.states[p], manual, equal_nan=True)
+            assert traj.floor_hits[p] == hits
+        assert np.isnan(traj.states[:, -1, :2]).all() and (traj.states[:, -1, 2] == POSITIVITY_FLOOR).all()
 
 
 class TestTrajectoryCsv:

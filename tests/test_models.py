@@ -250,6 +250,21 @@ class TestNamedTables:
         w = 0.6 * 0.3 * 0.1
         assert np.array_equal(vec, [-0.019 * w, (0.019 - 0.018) * w, 0.018 * w])
 
+    @pytest.mark.parametrize(
+        "name, keys",
+        [("table1", []), ("table2", ["-beta"]), ("table3", ["mu+gamma+epsilon"]),
+         ("table6", ["gamma2-mu", "mu+gamma1"]), ("table7", ["mu+gamma2", "mu+gamma1"])],
+    )
+    def test_time_only_subtrees_evaluated_with_the_coefficients(self, scenario, name, keys):
+        # the step program reads each from param_values by its text, as it reads a named coefficient
+        _, model = scenario(name)
+        ts = np.linspace(0.0, 50.0, 101)
+        pv = model.param_values(ts)
+        assert list(pv) == ["t", *model.params, *keys]
+        assert set(model.step_fn.reads) <= set(pv) and set(keys) <= set(model.step_fn.reads)
+        for key in keys:
+            assert np.array_equal(pv[key], evaluate(parse(key, tuple(model.params)), **pv))
+
 
 class TestConservation:
     def test_ex1_conserves(self, scenario):

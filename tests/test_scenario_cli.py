@@ -1,4 +1,5 @@
 import filecmp
+import re
 import warnings
 
 import pytest
@@ -7,6 +8,7 @@ from ussir.cli import main
 from ussir.integrator import simulate
 from ussir.scenario import (
     ScenarioError,
+    _parse_value,
     build_model,
     bundled_scenario_path,
     bundled_scenarios,
@@ -112,6 +114,24 @@ class TestLoad:
         bad = MINIMAL_XC.replace('beta = "0.13"', "beta = 0.13")
         with pytest.raises(ScenarioError, match="quoted expression"):
             load_scenario(_write(tmp_path, bad))
+
+    @pytest.mark.parametrize("value", ["t/100", "x", "0.07"])
+    def test_unquoted_param_refused_at_its_line(self, tmp_path, value):
+        # neither an expression nor a name nor a numeral loads unquoted
+        line = MINIMAL_XC.splitlines().index('mu = "0.07"') + 1
+        target = _write(tmp_path, MINIMAL_XC.replace('mu = "0.07"', f"mu = {value}"))
+        with pytest.raises(ScenarioError, match=rf"case\.scn:{line}: \[params\] mu must be a quoted expression"):
+            load_scenario(target)
+
+    @pytest.mark.parametrize("state", ["(2.0, 0.8, 1.0,)", "(2.0,, 0.8, 1.0)", "()"])
+    def test_empty_tuple_entry_refused_at_its_line(self, tmp_path, state):
+        line = MINIMAL_XC.splitlines().index("state = (2.0, 0.8, 1.0)") + 1
+        target = _write(tmp_path, MINIMAL_XC.replace("state = (2.0, 0.8, 1.0)", f"state = {state}"))
+        message = rf"case\.scn:{line}: tuple entries must be numerals in '{re.escape(state)}'"
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(target)
+        with pytest.raises(ScenarioError, match=r"^where: tuple entries must be numerals in '\(1,,2\)'$"):
+            _parse_value("(1,,2)", "where")
 
     def test_key_outside_section(self, tmp_path):
         with pytest.raises(ScenarioError, match="outside"):
