@@ -107,6 +107,7 @@ def cmd_ensemble(args, cfg: ScenarioConfig, model: ModelSpec) -> int:
     target = args.out / f"{cfg.stem}_ensemble.csv"
     write_ensemble_csv(stats, target)
     print(f"wrote {target}")
+    print(f"floor_hits: {stats.floor_hits.sum()} ({(stats.floor_hits > 0).sum()} of {stats.paths} paths)")
     try:
         report = report_for_model(model)
     except NoCriterionError:

@@ -12,7 +12,9 @@ does the rest of the run, with the checked program at the caller's errstate.
 
 Randomness is organized per path: each path owns a Philox counter-based
 generator keyed by a hash of (master seed, path index), so paths are
-independent, reproducible, and independent of how many run together.  The
+independent, reproducible, and independent of how many run together: a run
+of ``MIN_SPLIT_PATHS`` paths per CPU steps in forked workers, a slice of
+rows each, with the serial run's bytes, errors and warnings.  The
 per-path stream is consumed in fixed blocks of ``CHUNK_STEPS`` steps,
 each written in place with a row per path: Brownian increments for the
 block, then small-jump counts, then large-jump counts, then the block's
@@ -44,10 +46,14 @@ several such rows (the CLI's noise panels) on one stream.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import math
+import os
 import struct
+import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -68,6 +74,7 @@ __all__ = [
 
 CHUNK_STEPS = 8192
 MARK_FREE_STEPS = 1024  # the block of a run that draws no marks
+MIN_SPLIT_PATHS = 500  # the fewest paths per worker a run splits across CPUs
 
 POSITIVITY_FLOOR = 1e-12
 RENORM_TOL = 1e-9
@@ -189,19 +196,91 @@ def run_paths(
     """Advance every keyed path over the full grid, vectorized across paths.
 
     The paths are mathematically independent (private generators); batching
-    them only amortizes interpreter overhead.  Time coefficients are
-    evaluated per block of ``chunk`` steps (at most ``MARK_FREE_STEPS`` in
-    a run that draws no marks), so memory does not grow with the horizon
-    beyond the recorded states.  ``groups``, (paths, 3) booleans, says
-    whether drift, diffusion and jumps act on each path (None: all); a
-    drift or compensator switched off steps by 0 and a noise switched off
-    draws nothing (see above).
+    amortizes interpreter overhead, and a wide run splits across CPUs (see
+    above).  Time coefficients are evaluated per block of ``chunk`` steps
+    (at most ``MARK_FREE_STEPS`` in a run that draws no marks), so memory
+    does not grow with the horizon beyond the recorded states.  ``groups``,
+    (paths, 3) booleans, says whether drift, diffusion and jumps act on each
+    path (None: all); a drift or compensator switched off steps by 0 and a
+    noise switched off draws nothing (see above).
     """
     s0_arr = check_admissible(s0, model.domain)
     n_paths = len(keys)
     on = np.ones((n_paths, 3), dtype=bool) if groups is None else np.asarray(groups, dtype=bool)
     if on.shape != (n_paths, 3):
         raise ValueError(f"groups must have shape {(n_paths, 3)}, got {on.shape}")
+    K, stride = cfg.n_steps, cfg.record_stride
+    shape = (n_paths, -(-K // stride) + 1, 3)  # steps 0, stride, 2*stride, ... and the last step K
+    simplex = model.domain == SIMPLEX
+    workers = min(len(os.sched_getaffinity(0)), n_paths // MIN_SPLIT_PATHS) if sys.platform == "linux" else 1
+    out = _split_rows(model, s0_arr, cfg, keys, chunk, on, workers, shape, simplex) if workers > 1 else None
+    if out is None:
+        out = np.empty(shape), np.zeros(n_paths, dtype=np.int64), np.zeros(n_paths) if simplex else None
+        _step_rows(model, s0_arr, cfg, keys, chunk, on, *out)
+    return Trajectory(np.minimum(np.arange(shape[1]) * stride, K) * cfg.dt, *out)
+
+
+def _split_rows(model, s0_arr, cfg, keys, chunk, on, workers, shape, simplex):
+    """Step ``workers`` contiguous row slices at once, slice 0 here and one
+    in each forked child, into the outputs of :func:`_step_rows` in one
+    shared map.  Every flag the caller does not ignore raises in a slice,
+    so none warns and none steps on a non-finite value; None discards the
+    attempt after such a flag, any other exception or a failed child.
+    """
+    import mmap
+    import signal
+
+    n = len(keys)
+
+    def run(w):
+        rows = slice(n * w // workers, n * (w + 1) // workers)
+        with np.errstate(all="raise", under="ignore" if np.geterr()["under"] == "ignore" else "raise"):
+            _step_rows(model, s0_arr, cfg, keys[rows], chunk, on[rows], *(a if a is None else a[rows] for a in out))
+
+    if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:  # the kernel would reap the workers unseen
+        return None
+    children = []
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * n + math.prod(shape))))  # zero-filled
+        out = shared[2 * n:].reshape(shape), shared[:n].view(np.int64), shared[n:2 * n] if simplex else None
+        # a child runs on a CPU of the mask other than this thread's (field 39 of its stat):
+        # in a cpuset without load balancing, the kernel keeps it on its parent's CPU
+        with open("/proc/thread-self/stat") as fh:
+            cpus = sorted(os.sched_getaffinity(0) - {int(fh.read().rsplit(")", 1)[1].split()[36])})
+        for w in range(1, workers):
+            with warnings.catch_warnings():  # Python 3.12 warns of fork() beside OpenBLAS's threads
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                try:
+                    with contextlib.suppress(OSError):  # a CPU the mask names but the machine lacks
+                        os.sched_setaffinity(0, {cpus[w - 1]})
+                    run(w)
+                    os._exit(0)
+                finally:  # the child never returns into the caller's stack
+                    os._exit(1)
+            children.append(pid)
+        run(0)
+        while children:
+            status = os.waitpid(children[-1], 0)[1]
+            children.pop()
+            if status:
+                return None
+    except Exception:  # the serial rerun raises or warns as a run always has
+        return None
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return out
+
+
+def _step_rows(model, s0_arr, cfg, keys, chunk, on, recorded, floor_hits, drift_max) -> None:
+    """The block and step loop of :func:`run_paths`: the rows of ``keys`` and ``on`` into
+    ``recorded``, ``floor_hits`` and ``drift_max`` (None on the octant)."""
+    n_paths = len(keys)
     dt = cfg.dt
     # a group on in every row steps by dt (0-d: numpy reads it fastest) as a run without groups
     # does; per row, the drift's dt meets a (paths,) row, the compensator's the (paths, 3) integral
@@ -210,8 +289,7 @@ def run_paths(
     sqrt_dt = math.sqrt(dt)
     K, stride = cfg.n_steps, cfg.record_stride
     n_brownian = model.brownian_dim
-    simplex = model.domain == SIMPLEX
-    n_records = -(-K // stride) + 1  # steps 0, stride, 2*stride, ... and the last step K
+    simplex = drift_max is not None
 
     gens = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
     regions = list(model.mark_rules)
@@ -221,10 +299,7 @@ def run_paths(
     step, caller = model.step_fn, np.geterr()
 
     states = np.tile(s0_arr, (n_paths, 1))
-    recorded = np.empty((n_paths, n_records, 3))
     recorded[:, 0, :] = states
-    floor_hits = np.zeros(n_paths, dtype=np.int64)
-    drift_max = np.zeros(n_paths) if simplex else None
     chunk = chunk if regions and on[:, 2].any() else min(chunk, MARK_FREE_STEPS)
     width = min(chunk, K)  # each block's normals are written in place, one row per path
     # one spare step per row: a power-of-two row stride crowds a step's column into few cache sets
@@ -283,13 +358,6 @@ def run_paths(
                 except FloatingPointError:  # keep the checked program: the fault may leave a non-finite state
                     with np.errstate(**caller):
                         states = advance(step := model.checked_step_fn, states, j)
-
-    return Trajectory(
-        times=np.minimum(np.arange(n_records) * stride, K) * dt,
-        states=recorded,
-        floor_hits=floor_hits,
-        simplex_drift=drift_max,
-    )
 
 
 def simulate(model: ModelSpec, s0, cfg: SimConfig, groups=None) -> Trajectory:

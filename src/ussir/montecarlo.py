@@ -49,13 +49,14 @@ def _path_statistics(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Per-path statistics of one seeded ensemble plus its thresholds."""
+    """Per-path statistics (clamps included) of one seeded ensemble plus its thresholds."""
 
     path_seeds: tuple[str, ...]
     lyapunov: np.ndarray
     mean_infected: np.ndarray
     tail_mean_infected: np.ndarray
     y_final: np.ndarray
+    floor_hits: np.ndarray
     y_extinct: float
 
     @property
@@ -111,6 +112,7 @@ def run_ensemble(
         mean_infected=mean_infected,
         tail_mean_infected=tail_mean_infected,
         y_final=traj.states[:, -1, 1].copy(),
+        floor_hits=traj.floor_hits.copy(),
         y_extinct=float(y_extinct),
     )
 

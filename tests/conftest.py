@@ -1,7 +1,10 @@
 import dataclasses
+import os
 
+import numpy as np
 import pytest
 
+from ussir import integrator
 from ussir.expr import Num
 from ussir.scenario import build_model, bundled_scenario_path, load_scenario
 
@@ -39,3 +42,31 @@ def reduced():
         )
 
     return rebuild
+
+
+@pytest.fixture
+def split_runs(monkeypatch):
+    """Factory making every ``run_paths`` call split its rows into
+    ``workers`` slices, however few they are; it returns the list of the
+    row counts of the ``_step_rows`` calls made in this process (slice 0,
+    then all rows if the serial run steps again).  On teardown no worker is
+    left and numpy's error settings are unchanged."""
+    before = np.geterr()
+
+    def force(workers):
+        monkeypatch.setattr(integrator, "MIN_SPLIT_PATHS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        calls, step_rows, parent = [], integrator._step_rows, os.getpid()
+
+        def record(model, s0, cfg, keys, *args):
+            if os.getpid() == parent:
+                calls.append(len(keys))
+            return step_rows(model, s0, cfg, keys, *args)
+
+        monkeypatch.setattr(integrator, "_step_rows", record)
+        return calls
+
+    yield force
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert np.geterr() == before

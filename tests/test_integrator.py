@@ -1,11 +1,16 @@
 import dataclasses
 import math
+import os
 import re
+import signal
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from test_custom_parity import custom_text
+from ussir import integrator
 from ussir.expr import EvalDomainError
 from ussir.integrator import (
     CHUNK_STEPS,
@@ -21,6 +26,7 @@ from ussir.integrator import (
 )
 from ussir.levy import LARGE, QUAD_NODES, SMALL, LevyMeasure
 from ussir.models import OCTANT, SIMPLEX, ModelSpec, build_custom
+from ussir.scenario import build_model, load_scenario
 
 ZEROS = ("0", "0", "0")
 
@@ -436,6 +442,157 @@ class TestGroupRows:
         with pytest.raises(ValueError, match=rf"groups must have shape \(2, 3\), got {re.escape(str(shape))}"):
             run_paths(zero_model, (1.0, 0.5, 0.25), self.CFG, keys, groups=groups)
 
+
+
+class TestSplitRows:
+    """A run split across forked workers, each stepping a contiguous slice
+    of rows, against the same run in one process: the same bytes, clamps
+    and simplex drift.  Three workers take 3, 3 and 4 of ten rows.  A
+    fault in any worker's rows discards the attempt, and the serial rerun
+    raises or warns as the serial run does."""
+
+    CFG = SimConfig(horizon=1.0, dt=0.02, seed=8, record_stride=1)
+    KEYS = [_path_key(8, i) for i in range(10)]
+    # the first slice (rows 0-2) draws no marks, so it steps in blocks of at most MARK_FREE_STEPS
+    ROWS = [PANEL_ROWS[label][0] for label in (
+        "deterministic", "diffusion_only", "deterministic", "stochastic", "jumps_only",
+        "diffusion_only", "stochastic", "jumps_only", "deterministic", "stochastic")]
+
+    @pytest.fixture(scope="class")
+    def models(self, scenario, tmp_path_factory):
+        cfg, _ = scenario("table2")
+        path = tmp_path_factory.mktemp("split") / "table2_custom.scn"
+        path.write_text(custom_text(cfg))
+        custom = load_scenario(path)
+        built = {"custom_table2": (build_model(custom), custom.initial_state)}
+        built["marked"] = (build_custom(
+            domain=OCTANT, drift=("-0.1*x", "0", "0"), diffusion=(("0.2*x", "0", "0"),),
+            small_jump=("0.1*u*x", "u", "0"), large_jump=("0.05*u*x", "0", "u"), measure=LevyMeasure(),
+        ), (1.0, 0.2, 0.2))
+        for name in (f"table{i}" for i in range(1, 8)):
+            cfg, model = scenario(name)
+            built[name] = (model, cfg.initial_state)
+        return built
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["all_groups", "panel_rows"])
+    @pytest.mark.parametrize("chunk", [CHUNK_STEPS, 7, 1])
+    @pytest.mark.parametrize("name", [*(f"table{i}" for i in range(1, 8)), "custom_table2", "marked"])
+    def test_split_matches_serial(self, models, split_runs, name, chunk, grouped):
+        model, s0 = models[name]
+        groups = self.ROWS if grouped else None
+        serial = run_paths(model, s0, self.CFG, self.KEYS, chunk, groups)
+        calls = split_runs(3)
+        split = run_paths(model, s0, self.CFG, self.KEYS, chunk, groups)
+        assert calls == [3]  # slice 0 here, the others in children, and no serial rerun
+        assert split.states.tobytes() == serial.states.tobytes()
+        assert np.array_equal(split.floor_hits, serial.floor_hits)
+        if serial.simplex_drift is None:
+            assert split.simplex_drift is None
+        else:
+            assert split.simplex_drift.tobytes() == serial.simplex_drift.tobytes()
+
+    def test_fault_in_a_child_slice_raises_the_serial_error(self, split_runs):
+        # the first five rows have no diffusion and keep x above 0.5; the noisy last five,
+        # a child's slice, cross it, where (x-0.5)^0.5 leaves the reals
+        model = build_custom(domain=OCTANT, drift=("(x-0.5)^0.5", "0", "0"), diffusion=(("2*x", "0", "0"),))
+        cfg = SimConfig(horizon=0.05, dt=0.001, seed=2)
+        groups = [(True, False, True)] * 5 + [(True, True, True)] * 5
+        with pytest.raises(EvalDomainError) as serial:
+            run_paths(model, (0.6, 0.5, 0.25), cfg, self.KEYS, groups=groups)
+        calls = split_runs(2)
+        with pytest.raises(EvalDomainError) as split:
+            run_paths(model, (0.6, 0.5, 0.25), cfg, self.KEYS, groups=groups)
+        assert str(split.value) == str(serial.value) == "power outside the reals in '(x-0.5)^0.5'"
+        assert calls == [5, 10]
+
+    @pytest.mark.parametrize(
+        "drift, s0, settings, flags",
+        [(("1e3*x*x", "x-x*y", "-2e3*z"), (1.0, 0.5, 1.0), {}, {"overflow", "invalid"}),
+         (("x*x", "0", "0"), (1e-200, 0.5, 0.5), {"under": "warn"}, {"underflow"}),
+         (("x*x", "0", "0"), (1e-200, 0.5, 0.5), {}, set())],
+        ids=["overflow_to_nan", "underflow_warned", "underflow_ignored"],
+    )
+    def test_warnings_are_the_serial_runs(self, split_runs, drift, s0, settings, flags):
+        # the first: test_overflow_to_nan_keeps_the_checked_values' model; the others underflow
+        # at every step, which only a caller that asks for it hears of, and which otherwise
+        # keeps the split
+        model = build_custom(domain=OCTANT, drift=drift, diffusion=(("0.5*x", "0", "0"),))
+        cfg = SimConfig(horizon=0.03, dt=0.001, seed=4)
+        keys = [_path_key(4, i) for i in range(3)]
+        runs = []
+        for workers in (None, 3):
+            calls = split_runs(workers) if workers else []
+            with warnings.catch_warnings(record=True) as warned, np.errstate(**settings):
+                warnings.simplefilter("always")
+                traj = run_paths(model, s0, cfg, keys)
+            runs.append((traj, [(w.category, str(w.message)) for w in warned]))
+        (serial, serial_warned), (split, split_warned) = runs
+        assert calls == ([1, 3] if flags else [1])
+        assert split_warned == serial_warned and {m.split()[0] for _, m in serial_warned} == flags
+        assert np.array_equal(split.states, serial.states, equal_nan=True)
+        assert np.array_equal(split.floor_hits, serial.floor_hits)
+
+    def test_flag_of_a_time_only_value_warns_of_nothing(self, split_runs):
+        # 10^(1e6 t) overflows on the second step, where y reaches 0.5: the caller ignores the
+        # overflow, and the serial run raises the checked program's division by zero
+        model = build_custom(domain=OCTANT, drift=("10^(1000000*t)*x/(y-0.5)", "-500", "0"), diffusion=(ZEROS,))
+        cfg = SimConfig(horizon=0.01, dt=0.001, seed=1)
+        errors = []
+        for workers in (None, 2):
+            calls = split_runs(workers) if workers else []
+            with warnings.catch_warnings(record=True) as warned, np.errstate(over="ignore"):
+                warnings.simplefilter("always")
+                with pytest.raises(EvalDomainError) as error:
+                    run_paths(model, (1.0, 1.0, 1.0), cfg, self.KEYS[:4])
+            assert warned == []
+            errors.append(str(error.value))
+        assert errors == ["division by zero in '10.0^(1000000.0*t)*x/(y-0.5)'"] * 2
+        assert calls == [2, 4]
+
+    def test_a_child_that_dies_reruns_serially(self, scenario, split_runs, monkeypatch):
+        cfg, model = scenario("table6")
+        serial = run_paths(model, cfg.initial_state, self.CFG, self.KEYS)
+        calls, parent = split_runs(3), os.getpid()
+        step_rows = integrator._step_rows
+
+        def die_in_child(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return step_rows(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "_step_rows", die_in_child)
+        split = run_paths(model, cfg.initial_state, self.CFG, self.KEYS)
+        assert calls == [3, 10]
+        assert split.states.tobytes() == serial.states.tobytes()
+
+    def test_ignored_sigchld_runs_serially(self, scenario, split_runs):
+        # the kernel reaps the children of a process that ignores SIGCHLD, exit status and all
+        cfg, model = scenario("table6")
+        serial = run_paths(model, cfg.initial_state, self.CFG, self.KEYS)
+        calls = split_runs(3)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            split = run_paths(model, cfg.initial_state, self.CFG, self.KEYS)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert calls == [10]
+        assert split.states.tobytes() == serial.states.tobytes()
+
+    def test_an_interrupt_reaps_every_child(self, scenario, split_runs, monkeypatch):
+        cfg, model = scenario("table6")
+        split_runs(3)
+        parent, step_rows, here = os.getpid(), integrator._step_rows, []
+
+        def interrupt_here(*args):
+            if os.getpid() == parent:
+                here.append(len(args[3]))
+                raise KeyboardInterrupt
+            return step_rows(*args)
+
+        monkeypatch.setattr(integrator, "_step_rows", interrupt_here)
+        with pytest.raises(KeyboardInterrupt):
+            run_paths(model, cfg.initial_state, self.CFG, self.KEYS)
+        assert here == [3]  # raised in slice 0, while the children stepped theirs
 
 class TestStepProgram:
     """The step program against the group programs, bit for bit: the

@@ -25,6 +25,7 @@ def _stats(lyapunov=(), tail=()):
         mean_infected=np.zeros(n),
         tail_mean_infected=tail,
         y_final=np.full(n, 0.1),
+        floor_hits=np.zeros(n, dtype=np.int64),
         y_extinct=1e-6,
     )
 
@@ -117,6 +118,18 @@ class TestRunEnsemble:
         cfg, model = scenario("table1")
         with pytest.raises(ValueError):
             run_ensemble(model, cfg.initial_state, SimConfig(horizon=1.0), paths=0)
+
+    def test_clamps_counted_alike_split_and_serial(self, split_runs):
+        # y is driven through zero and clamped at every later step
+        model = build_custom(domain=OCTANT, drift=("0", "-2", "0"), diffusion=(("0", "0.1*y", "0"),))
+        sim = SimConfig(horizon=0.5, dt=0.01, seed=9)
+        serial = run_ensemble(model, (1.0, 0.5, 0.5), sim, paths=6)
+        calls = split_runs(2)
+        split = run_ensemble(model, (1.0, 0.5, 0.5), sim, paths=6)
+        assert calls == [3]
+        assert serial.floor_hits.sum() > 0 and np.array_equal(split.floor_hits, serial.floor_hits)
+        assert split.y_final.tobytes() == serial.y_final.tobytes()
+        assert split.lyapunov.tobytes() == serial.lyapunov.tobytes()
 
     @pytest.mark.parametrize("y_extinct", [float("nan"), -1.0, 0.0, float("inf")])
     def test_bad_threshold_refused_before_simulating(self, monkeypatch, y_extinct):

@@ -429,6 +429,16 @@ class TestCliCommands:
         assert "verdict:" in out
         assert (tmp_path / "table1_ensemble.csv").is_file()
 
+    @pytest.mark.parametrize("b2, line", [("0.2*x*y-0.1*y", r"floor_hits: 0 \(0 of 3 paths\)"),
+                                          ("-5", r"floor_hits: [89]\d\d \(3 of 3 paths\)")], ids=["none", "every_path"])
+    def test_ensemble_reports_its_clamps(self, tmp_path, capsys, b2, line):
+        # with b2 = -5, y = 0.5 reaches zero near step 100 of 400 and is clamped at about every later one
+        target = _write(tmp_path, MINIMAL_CUSTOM.replace('b2 = "0.2*x*y-0.1*y"', f'b2 = "{b2}"'))
+        argv = ["ensemble", "--config", str(target), "--out", str(tmp_path), "--horizon", "0.4", "--paths", "3"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("wrote ") and re.fullmatch(line, out[1])
+
     def test_ensemble_without_criterion_is_inapplicable(self, tmp_path, capsys):
         target = _write(tmp_path, MINIMAL_CUSTOM)
         assert main(["ensemble", "--config", str(target), "--out", str(tmp_path), "--paths", "2"]) == 0
