@@ -18,7 +18,8 @@ coefficient, a tree in ``t``, over [0, oo).  Expressions that are affine in
 sinusoids of one frequency whose argument is a constant multiple of ``t``
 (``a + b*sin(w*t)``, ``a + b*cos(t/w)``, ``a + b*(sin(t)+cos(t))``) get
 exact analytic bounds; everything else is scanned, in slices, on a dense
-grid over a finite horizon and flagged as such.
+grid over a finite horizon and flagged as such; a model build skips a scan
+that an outward-rounded interval enclosure proves would accept.
 """
 
 from __future__ import annotations
@@ -591,6 +592,43 @@ def _analytic_bounds(tree: Node) -> Optional[tuple[float, float]]:
     return offset - amp, offset + amp
 
 
+def _enclosure(node: Node) -> Optional[tuple[float, float]]:
+    """Bounds on the time coefficient ``node`` over t in [0, SCAN_HORIZON] by
+    outward-rounded interval arithmetic (Moore, 1966), holding its real values
+    and those of the scan grid; exact operations keep exact ends.  None, as for
+    ``^``, unless each ``ln`` argument is above 0, each divisor excludes 0 and
+    each bound is finite: then the scan cannot raise."""
+    if isinstance(node, (Num, Var)):  # t is a time coefficient's one variable
+        return (node.value, node.value) if isinstance(node, Num) else (0.0, SCAN_HORIZON)
+    if isinstance(node, BinOp):
+        if (node.op == "^" or (a := _enclosure(node.left)) is None or (b := _enclosure(node.right)) is None
+                or node.op == "/" and b[0] <= 0.0 <= b[1]):
+            return None
+        from fractions import Fraction  # only a coefficient the scan would bound pays the import
+        fn, lo, hi = {"/": operator.truediv, "min": min}.get(node.op, _BINARY[node.op]), math.inf, -math.inf
+        for x in a:  # over the box each operation, a divisor of one sign, is extreme at a corner
+            for y in b:
+                if not math.isfinite(v := fn(x, y)):
+                    return None
+                exact = fn(Fraction(x), Fraction(y))  # v is it rounded to nearest: an ulp off at most
+                lo = min(lo, v if Fraction(v) <= exact else math.nextafter(v, -math.inf))
+                hi = max(hi, v if Fraction(v) >= exact else math.nextafter(v, math.inf))
+        return lo, hi
+    inner = _enclosure(node.operand if isinstance(node, Neg) else node.arg)
+    if inner is None or isinstance(node, Call) and node.func == "ln" and inner[0] <= 0.0:
+        return None
+    lo, hi = inner
+    if isinstance(node, Neg):
+        return -hi, -lo
+    if node.func == "abs":
+        return max(lo, -hi, 0.0), max(-lo, hi)
+    if node.func in ("sin", "cos"):
+        return -1.0, 1.0
+    # ln(1) is 0; numpy's vectorised ln is not correctly rounded, so the other ends widen by four ulps
+    return tuple(0.0 if x == 1.0 else reduce(lambda y, _: math.nextafter(y, to), range(4), math.log(x))
+                 for x, to in ((lo, -math.inf), (hi, math.inf)))
+
+
 def bounds(tree: Node) -> BoundsPair:
     """Bounds of the time coefficient ``tree`` over [0, oo): analytic when
     it is affine in sinusoids of one frequency, each argument a constant
@@ -605,10 +643,13 @@ def bounds(tree: Node) -> BoundsPair:
     """
     pair, method = _analytic_bounds(tree), "analytic"
     if pair is None:
-        ts, pair, method = np.linspace(0.0, SCAN_HORIZON, SCAN_POINTS), (np.inf, -np.inf), "grid"
+        pair, method = (np.inf, -np.inf), "grid"
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite scan is refused below
             for i in range(0, SCAN_POINTS, 2**17):  # np.minimum and np.maximum keep a NaN
-                vals = evaluate(tree, t=ts[i : i + 2**17])
+                # np.linspace's slices, byte for byte, without its 8 MB grid; its last point is exact
+                ts = np.arange(i, min(i + 2**17, SCAN_POINTS)) * (SCAN_HORIZON / (SCAN_POINTS - 1))
+                ts[SCAN_POINTS - 1 - i :] = SCAN_HORIZON  # empty but in the last slice
+                vals = evaluate(tree, t=ts)
                 pair = np.minimum(pair[0], vals.min()), np.maximum(pair[1], vals.max())
     lo, hi = map(float, pair)
     if not (math.isfinite(lo) and math.isfinite(hi)):

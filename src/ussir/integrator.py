@@ -142,9 +142,24 @@ def _path_key(seed: int, index: int) -> np.ndarray:
     return np.frombuffer(digest, dtype=np.uint64).copy()
 
 
+def _generators(keys) -> list[np.random.Generator]:
+    """The generator of each path key, in the state of ``Philox(key=key)``
+    without the SeedSequence that Philox would first draw from OS entropy.
+    The seed class is made here: numpy.random loads on first use, not with ussir."""
+
+    class PathKey(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.key  # Philox asks for its key: 2 words of np.uint64
+
+    return [np.random.Generator(np.random.Philox(PathKey(key))) for key in keys]
+
+
 def path_generator(seed: int, index: int = 0) -> np.random.Generator:
     """The generator a given path owns under master ``seed``."""
-    return np.random.Generator(np.random.Philox(key=_path_key(seed, index)))
+    return _generators([_path_key(seed, index)])[0]
 
 
 def _block_marks(measure, gens, regions, block: int, cells) -> tuple:
@@ -290,8 +305,9 @@ def _step_rows(model, s0_arr, cfg, keys, chunk, on, recorded, floor_hits, drift_
     K, stride = cfg.n_steps, cfg.record_stride
     n_brownian = model.brownian_dim
     simplex = drift_max is not None
+    zero, one, tol, floor = map(np.array, (0.0, 1.0, RENORM_TOL, POSITIVITY_FLOOR))  # 0-d, as for dt
 
-    gens = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
+    gens = _generators(keys)
     regions = list(model.mark_rules)
     # (group offset, program, compensated) per drawn region, small before large
     jump_steps = [(r, model.small_jump_fn, True) if region == SMALL else (r, model.large_jump_fn, False)
@@ -314,13 +330,13 @@ def _step_rows(model, s0_arr, cfg, keys, chunk, on, recorded, floor_hits, drift_
             if compensated:
                 incr -= comp
         S = S + incr
-        below = S <= 0.0
+        below = S <= zero
         if clamped := np.count_nonzero(below):
-            S = np.where(below, POSITIVITY_FLOOR, S)
+            S = np.where(below, floor, S)
         if simplex:
             sums = S[:, 0] + S[:, 1] + S[:, 2]
-            dev = np.abs(sums - 1.0)
-            fix = dev > RENORM_TOL
+            dev = np.abs(sums - one)
+            fix = dev > tol
             if np.count_nonzero(fix):
                 S[fix] /= sums[fix, None]
             np.maximum(drift_max, dev, out=drift_max)

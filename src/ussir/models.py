@@ -46,7 +46,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .expr import Node, Num, Var, bounds, compile_program, free_names, parse, shaped
+from .expr import Node, Num, Var, _analytic_bounds, _enclosure, bounds, compile_program, free_names, parse, shaped
 from .levy import LARGE, SMALL, LevyMeasure
 
 __all__ = [
@@ -312,7 +312,8 @@ def build_named(
     positive, is required exactly when the family's expressions use it.
     Every time coefficient is bounded over [0, oo) once, here: a
     coefficient that leaves the reals on the scan grid is rejected, and the
-    family's ``infima`` run on those bounds.
+    family's ``infima`` run on those bounds.  The scan does not run where a
+    coefficient's enclosure proves it would accept.
     """
     family = FAMILIES.get(model_id)
     if family is None:
@@ -333,14 +334,15 @@ def build_named(
     for name in family.params:
         try:
             p[name] = parse(str(params[name]))
-            pairs[name] = bounds(p[name])  # also rejects a coefficient leaving the reals
+            box = None if _analytic_bounds(p[name]) is not None else _enclosure(p[name])
+            if box is None or not all(_RELATIONS[r][0](box[0], bound) for n, r, bound, _ in family.infima if n == name):
+                pairs[name] = bounds(p[name])  # also rejects a coefficient leaving the reals
         except ValueError as exc:
             raise ValueError(f"{model_id}: coefficient {name}: {exc}") from exc
     for name, relation, bound, meaning in family.infima:
         holds, words = _RELATIONS[relation]
-        inf = pairs[name].inf
-        if not holds(inf, bound):
-            raise ValueError(f"{model_id}: {meaning} infimum {inf} is {words} {bound:g}")
+        if name in pairs and not holds(pairs[name].inf, bound):  # one not in pairs met it on its enclosure
+            raise ValueError(f"{model_id}: {meaning} infimum {pairs[name].inf} is {words} {bound:g}")
     if family.uses_cap:
         if cap is None:
             raise ValueError(f"{model_id}: requires a truncation cap")

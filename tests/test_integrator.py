@@ -213,6 +213,14 @@ class TestSimulate:
         assert counts["large"] >= 1 and counts["small"] >= 1
         assert np.array_equal(engine, manual)
 
+    @pytest.mark.parametrize("seed, index", [(0, 0), (7, 3), (-5, 2**40)])
+    def test_path_generator_is_philox_keyed(self, seed, index):
+        # the engine seeds Philox with the key itself instead of a SeedSequence drawn from OS entropy
+        gen, keyed = path_generator(seed, index), np.random.Generator(np.random.Philox(key=_path_key(seed, index)))
+        assert repr(gen.bit_generator.state) == repr(keyed.bit_generator.state)  # key, counter and buffer
+        for draw in (lambda g: g.standard_normal((7, 3)), lambda g: g.poisson(0.8, 50), lambda g: g.random(9)):
+            assert draw(gen).tobytes() == draw(keyed).tobytes()
+
     def test_batch_matches_solo_runs(self, scenario):
         _, model = scenario("table2")
         cfg = SimConfig(horizon=0.5, dt=0.001, seed=0, record_stride=50)
@@ -437,7 +445,7 @@ class TestGroupRows:
         ids=["three_rows", "two_columns", "one_dimensional"],
     )
     def test_malformed_groups_refused_before_any_draw(self, zero_model, monkeypatch, groups, shape):
-        monkeypatch.setattr(np.random, "Philox", lambda **_: pytest.fail("a generator was built"))
+        monkeypatch.setattr(np.random, "Philox", lambda *_, **__: pytest.fail("a generator was built"))
         keys = [_path_key(0, i) for i in range(2)]
         with pytest.raises(ValueError, match=rf"groups must have shape \(2, 3\), got {re.escape(str(shape))}"):
             run_paths(zero_model, (1.0, 0.5, 0.25), self.CFG, keys, groups=groups)

@@ -3,10 +3,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ussir.expr import BinOp, Num, _compile_source, evaluate, parse
+import ussir
+from ussir.expr import (
+    SCAN_HORIZON,
+    SCAN_POINTS,
+    BinOp,
+    Num,
+    _analytic_bounds,
+    _compile_source,
+    _enclosure,
+    bounds,
+    evaluate,
+    parse,
+    serialize,
+)
 from ussir.levy import LARGE, SMALL
 from ussir.models import (
     FAMILIES,
@@ -18,7 +31,7 @@ from ussir.models import (
     check_conservation,
     check_positivity_ratios,
 )
-from ussir.scenario import build_model
+from ussir.scenario import build_model, bundled_scenario_path, load_scenario
 
 TABLE1_PARAMS = {
     "beta": "0.3+0.1*sin(4*t)",
@@ -218,7 +231,65 @@ def _rule_sizes(model):
     return {region: nodes.size for region, (nodes, _) in model.mark_rules.items()}
 
 
+def _time_coefficients():
+    """Coefficient texts in ``t`` of every operation, each with a form that
+    encloses conclusively (a divisor or ln argument at least 1) and one that
+    need not, some lifted to ``1+abs(...)`` to meet the exponent infimum."""
+    leaves = st.one_of(st.sampled_from(["t", "0", "1", "0.5", "0.9", "2"]),
+                       st.floats(min_value=0.001, max_value=9.0).map(lambda v: f"{v:.4f}"))
+
+    def combine(children):
+        return st.one_of(
+            st.tuples(children, st.sampled_from("+-*/"), children).map(lambda c: f"({c[0]}{c[1]}{c[2]})"),
+            st.tuples(children, children).map(lambda c: f"({c[0]}/(1+abs({c[1]})))"),
+            st.tuples(st.sampled_from(["sin", "cos", "abs", "ln"]), children).map(lambda c: f"{c[0]}({c[1]})"),
+            children.map(lambda c: f"ln(1+abs({c}))"),
+            children.map(lambda c: f"-{c}"),
+            st.tuples(children, children).map(lambda c: f"min({c[0]},{c[1]})"),
+            children.map(lambda c: f"{c}^2"),
+        )
+
+    texts = st.recursive(leaves, combine, max_leaves=8)
+    return st.one_of(texts, texts.map(lambda c: f"1+abs({c})"))
+
+
 class TestNamedTables:
+    @pytest.mark.parametrize("name", [f"table{i}" for i in range(1, 8)])
+    def test_bundled_tables_build_without_a_scan(self, monkeypatch, name):
+        # table1's xi 1+t/(1+t) and table6's 1+ln(1+abs(sin(t))) are proven by their enclosures
+        def unscanned(tree):
+            if _analytic_bounds(tree) is None:  # bounds() would scan its grid
+                pytest.fail(f"scanned {serialize(tree)}")
+            return bounds(tree)
+
+        monkeypatch.setattr(ussir.models, "bounds", unscanned)
+        build_model(load_scenario(bundled_scenario_path(name)))
+
+    @given(xi=_time_coefficients())
+    @example(xi="1+t/(1+t)")
+    @example(xi="0.9+t/(1+t)")
+    @example(xi="1+ln(1+abs(sin(t)))")
+    @example(xi="1+ln(2-t/5000)")
+    @settings(max_examples=60, deadline=None)
+    def test_enclosure_settles_only_what_the_scan_accepts(self, xi):
+        # a conclusive enclosure holds the whole scan grid, and a build gives
+        # the verdict and message it gives with the enclosure switched off
+        box = _enclosure(parse(xi))
+        if box is not None:  # the grid evaluates in the reals, without overflow
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                vals = evaluate(parse(xi), t=np.linspace(0.0, SCAN_HORIZON, SCAN_POINTS))
+            assert box[0] <= vals.min() and vals.max() <= box[1]
+        verdicts = []
+        for enclosure in (_enclosure, lambda tree: None):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ussir.models, "_enclosure", enclosure)
+                try:
+                    build_named("ex1", dict(TABLE1_PARAMS, xi=xi), TABLE1_JUMPS)
+                    verdicts.append("built")
+                except ValueError as exc:
+                    verdicts.append(str(exc))
+        assert verdicts[0] == verdicts[1]
+
     def test_flags_follow_from_the_tables(self, scenario):
         for name in ("table1", "table2", "table3", "table6", "table7"):
             cfg, model = scenario(name)

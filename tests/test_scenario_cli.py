@@ -221,6 +221,8 @@ class TestLoad:
         "name,old,new",
         [
             ("table1", 'xi = "1+t/(1+t)"', 'xi = "0.5"'),
+            # the enclosure misses the infimum, so the scan runs and names its own infimum
+            ("table1", 'xi = "1+t/(1+t)"', 'xi = "0.9+t/(1+t)"'),
             ("table3", 'mu = "0.07+0.004*cos(t)"', 'mu = "0"'),
             ("table3", TABLE3_BETA, 'beta = "0.13+q"'),
             ("table3", "support = (-2, 2)", "support = (2, -2)"),
@@ -243,7 +245,7 @@ class TestLoad:
             ("table3", TABLE3_BETA, 'beta = "0.13+10^400"'),
             ("table3", TABLE3_BETA, 'beta = "0.13+1e-300*(1e300*t^40)"'),
         ],
-        ids=["xi=0.5", "mu=0", "unknown-name", "support", "density", "state", "parentheses", "unary-minus",
+        ids=["xi=0.5", "xi-scan-infimum", "mu=0", "unknown-name", "support", "density", "state", "parentheses", "unary-minus",
              "1e400", "1e300*1e300", "sin(1e400)", "extra-param", "cap=0", "infinite-bound",
              "report-Lambda=0", "report-sigma=1e200", "report-gamma2=0", "report-gamma3=-1",
              "folded-overflow", "scan-overflow"],
@@ -261,6 +263,8 @@ class TestLoad:
         assert "np.float64" not in err[0]
         if old == self.TABLE3_BETA:  # a position into the coefficient's text comes with its name
             assert err[0].startswith(f"error: {target}: xc: coefficient beta: ")
+        if new == 'xi = "0.9+t/(1+t)"':
+            assert err[0].endswith("ex1: exponent infimum 0.9 is below 1")
 
     @pytest.mark.parametrize(
         "old,new",
