@@ -311,9 +311,10 @@ def compile_program(
     diffusion ``sigma_ic`` by rows and, unless the small region's ``rule``
     is None, the small jumps ``h``: ``program(env, S, dW, drift_dt,
     comp_dt)`` returns ``incr[:, i] = d_i * drift_dt + ((sigma_i0 * dW_0 +
-    sigma_i1 * dW_1) + ...)``, less entries folded to 0, and the rule's
-    integral of ``h`` times ``comp_dt`` (None without a rule); it reads a
-    maximal subtree of time alone from ``env`` by its :func:`serialize`
+    sigma_i1 * dW_1) + ...)``, less entries folded to 0, in the memory
+    layout of ``S``, and the rule's integral of ``h`` times ``comp_dt``
+    (None without a rule; laid out as ``S`` for a one-node rule); it reads
+    a maximal subtree of time alone from ``env`` by its :func:`serialize`
     text, and ``program.reads`` maps each key it reads there to its tree.
     Equal subtrees are equal (frozen, hashable) nodes, so a dict keyed by
     node computes each once, across the group.  A subtree whose names are
@@ -383,14 +384,14 @@ def compile_program(
         results = [emit(tree) for tree in trees]
     if step is not None:
         head = "def _program(env, S, dW, drift_dt, comp_dt):"
-        tail = ["    incr = _np.empty(S.shape)", *(f"    dW{c} = dW[:, {c}]" for c in range(n))]  # each column once
+        tail = ["    incr = _np.empty_like(S)", *(f"    dW{c} = dW[:, {c}]" for c in range(n))]  # each column once
         for i, d in enumerate(results[:3]):  # sum_c sigma_ic * dW_c left to right; a folded 0 adds +-0
             terms = [f"{s} * dW{c}" for c, s in enumerate(results[3 + i * n : 3 + i * n + n]) if folded.get(s) != 0]
             noise = [reduce("({} + {})".format, terms)] if terms else []
             tail.append(f"    incr[..., {i}] = {' + '.join([f'{d} * drift_dt', *noise])}")
         comp = "None"
         if rule is not None:  # one node: its weight times the vector; else numpy's sum over the nodes
-            tail.append(f"    c = _np.empty({'u.shape[:1] + ' if mark else ''}S.shape)")
+            tail.append(f"    c = {'_np.empty(u.shape[:1] + S.shape)' if mark else '_np.empty_like(S)'}")
             tail += [f"    c[..., {i}] = {h}" for i, h in enumerate(results[3 + 3 * n :])]
             w = bind(rule[1].reshape(-1, 1, 1) if mark else rule[1][0, ...])
             comp = (f"(c * {w}).sum(axis=0)" if mark else f"{w} * c") + " * comp_dt"

@@ -27,7 +27,10 @@ model's ``mark_rules`` are drawn, and a block keeps only its marked cells,
 are each path's draw order of marks, so the block's marks form one table
 grouped by (step, region).  A run in which no row draws marks draws normals
 alone, filled in sequence, so it steps in blocks of ``MARK_FREE_STEPS`` on
-the same stream.
+the same stream.  A run steps on path-contiguous arrays: its state is a
+(paths, 3) view of a (3, paths) array, and every ``TILE_STEPS`` steps the
+block's next normals, times sqrt(dt), are copied into a (steps, drivers,
+paths) tile, from which each step reads its Brownian increments.
 
 The safeguard raises components at or below zero to ``POSITIVITY_FLOOR``
 and counts every such clamp; positive values below the floor are legitimate
@@ -74,6 +77,7 @@ __all__ = [
 
 CHUNK_STEPS = 8192
 MARK_FREE_STEPS = 1024  # the block of a run that draws no marks
+TILE_STEPS = 16  # the steps of scaled normals a run copies at once, each step's paths contiguous
 MIN_SPLIT_PATHS = 500  # the fewest paths per worker a run splits across CPUs
 
 POSITIVITY_FLOOR = 1e-12
@@ -314,18 +318,19 @@ def _step_rows(model, s0_arr, cfg, keys, chunk, on, recorded, floor_hits, drift_
                   for r, region in enumerate(regions)]
     step, caller = model.step_fn, np.geterr()
 
-    states = np.tile(s0_arr, (n_paths, 1))
+    states = np.tile(s0_arr[:, None], n_paths).T  # (paths, 3) over (3, paths): each component's paths contiguous
     recorded[:, 0, :] = states
     chunk = chunk if regions and on[:, 2].any() else min(chunk, MARK_FREE_STEPS)
     width = min(chunk, K)  # each block's normals are written in place, one row per path
     # one spare step per row: a power-of-two row stride crowds a step's column into few cache sets
     normal_buf = np.zeros((n_paths, width + 1, n_brownian))  # a row without diffusion stays zero
+    tile = np.empty((min(TILE_STEPS, width), n_brownian, n_paths))
 
     def advance(program, S, j):  # step j of the block from S; run state changes once nothing can raise
-        incr, comp = program({name: arr[j, ...] for name, arr in read}, S, normals[:, j], drift_dt, comp_dt)
-        pv = {name: arr[j, ...] for name, arr in pv_block.items()} if marked[j] else None  # 0-d views
+        incr, comp = program({name: arr[j, ...] for name, arr in read}, S, tile[j % len(tile)].T, drift_dt, comp_dt)
         for r, jump_fn, compensated in jump_steps:
-            if pv is not None:  # the jump programs run on steps with marks, and read every coefficient
+            if marked[j]:  # the jump programs run on steps with marks, each with 0-d views of what it reads
+                pv = {name: pv_block[name][j, ...] for name in jump_fn.reads}
                 _add_jumps(jump_fn, pv, S, incr, table, j * len(regions) + r)
             if compensated:
                 incr -= comp
@@ -356,7 +361,6 @@ def _step_rows(model, s0_arr, cfg, keys, chunk, on, recorded, floor_hits, drift_
         if model.has_diffusion:
             for p in np.flatnonzero(on[:, 1]):
                 gens[p].standard_normal(out=normals[p])
-            normals *= sqrt_dt
         cells = []
         for r, region in enumerate(regions):
             rate = model.measure.mass(region) * dt
@@ -369,6 +373,8 @@ def _step_rows(model, s0_arr, cfg, keys, chunk, on, recorded, floor_hits, drift_
         marked = np.diff(table[0]).reshape(block, -1).any(axis=1).tolist() if regions else [False] * block
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             for j in range(block):
+                if j % len(tile) == 0:  # the next tile of increments, scaled as they are copied
+                    np.multiply(normals[:, j:j + len(tile)].transpose(1, 2, 0), sqrt_dt, out=tile[:block - j])
                 try:
                     states = advance(step, states, j)
                 except FloatingPointError:  # keep the checked program: the fault may leave a non-finite state

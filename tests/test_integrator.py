@@ -11,11 +11,12 @@ import pytest
 
 from test_custom_parity import custom_text
 from ussir import integrator
-from ussir.expr import EvalDomainError
+from ussir.expr import BinOp, EvalDomainError, Var
 from ussir.integrator import (
     CHUNK_STEPS,
     MARK_FREE_STEPS,
     POSITIVITY_FLOOR,
+    TILE_STEPS,
     SimConfig,
     Trajectory,
     _path_key,
@@ -679,7 +680,8 @@ class TestBlockMemory:
         ids=["xc", "jumps_off_in_every_row"],
     )
     def test_mark_free_runs_do_not_depend_on_block_length(self, scenario, monkeypatch, name, groups):
-        # 2500 steps are several short blocks; a mark-free stream is normals alone
+        # 2500 steps are several short blocks; a mark-free stream is normals alone,
+        # and blocks of a tile's steps +-1 end in partial tiles
         cfg, model = scenario(name)
         assert bool(model.mark_rules) == (groups is not None)
         sim = SimConfig(horizon=2.5, dt=0.001, seed=8)
@@ -688,7 +690,7 @@ class TestBlockMemory:
         evaluate = ModelSpec.param_values
         monkeypatch.setattr(ModelSpec, "param_values", lambda self, t: blocks.append(t.size) or evaluate(self, t))
         runs = [run_paths(model, cfg.initial_state, sim, keys, chunk, groups=groups)
-                for chunk in (CHUNK_STEPS, MARK_FREE_STEPS, 7, 1)]
+                for chunk in (CHUNK_STEPS, MARK_FREE_STEPS, 7, 1, TILE_STEPS - 1, TILE_STEPS, TILE_STEPS + 1)]
         assert blocks[:3] == [MARK_FREE_STEPS, MARK_FREE_STEPS, sim.n_steps - 2 * MARK_FREE_STEPS]
         for run in runs[1:]:
             assert run.states.tobytes() == runs[0].states.tobytes()
@@ -696,6 +698,52 @@ class TestBlockMemory:
             assert (run.simplex_drift is None) == (runs[0].simplex_drift is None)
             if run.simplex_drift is not None:
                 assert run.simplex_drift.tobytes() == runs[0].simplex_drift.tobytes()
+
+    @pytest.mark.parametrize("name", ["table6", "renormalised"])
+    def test_steps_read_path_contiguous_columns(self, scenario, name):
+        # the state is a (paths, 3) view of a (3, paths) array and a step's
+        # increments a (drivers, paths) slice of the tile, through clamps,
+        # renormalisation, jumps and a partial last tile
+        if name == "renormalised":  # a non-conserving drift on the simplex, clamped within two tiles
+            grow = build_custom(domain=OCTANT, drift=("0", "-2", "1"), diffusion=(ZEROS,))
+            model, s0 = dataclasses.replace(grow, domain=SIMPLEX), (0.5, 0.05, 0.45)
+        else:
+            cfg, model = scenario(name)
+            model, s0 = dataclasses.replace(model), cfg.initial_state
+        step, columns = model.step_fn, []
+
+        def spy(env, S, dW, *dts):
+            columns.extend([S[..., i] for i in range(3)] + [dW[:, c] for c in range(model.brownian_dim)])
+            return step(env, S, dW, *dts)
+
+        spy.reads = step.reads
+        object.__setattr__(model, "step_fn", spy)  # a cached property: the instance's own entry
+        sim = SimConfig(horizon=(2 * TILE_STEPS + 3) * 0.001, dt=0.001, seed=1)
+        traj = run_paths(model, s0, sim, [_path_key(1, i) for i in range(4)])
+        assert len(columns) == sim.n_steps * (3 + model.brownian_dim)
+        assert all(column.flags.c_contiguous for column in columns)
+        if name == "renormalised":
+            assert traj.floor_hits.all() and (traj.simplex_drift > 1e-9).all()
+
+    def test_jump_programs_get_what_they_read(self, scenario):
+        # the small jumps read a coefficient, the large ones t: each program's
+        # dict holds exactly its reads, on every step with marks
+        _, model = scenario("table1")
+        model = dataclasses.replace(model, small_jump=[BinOp("*", tree, Var("beta")) for tree in model.small_jump],
+                                    large_jump=[BinOp("*", tree, Var("t")) for tree in model.large_jump])
+        keys = {}
+        for group in ("small_jump_fn", "large_jump_fn"):
+            program = getattr(model, group)
+
+            def spy(pv, states, marks, program=program, seen=keys.setdefault(group, [])):
+                seen.append(set(pv))
+                return program(pv, states, marks)
+
+            spy.reads = program.reads
+            object.__setattr__(model, group, spy)
+        run_paths(model, (0.5, 0.3, 0.2), SimConfig(horizon=0.05, dt=0.001, seed=3), [_path_key(3, i) for i in range(50)])
+        assert keys["small_jump_fn"] and all(seen == {"beta"} for seen in keys["small_jump_fn"])
+        assert keys["large_jump_fn"] and all(seen == {"t"} for seen in keys["large_jump_fn"])
 
     def test_block_holds_no_dense_counts(self, scenario):
         # numpy reports its buffers to tracemalloc; dense counts would add
