@@ -7,8 +7,9 @@ at the step's start state, then applies the positivity safeguard.  One
 call of the model's step program computes drift, diffusion and compensator
 from 0-d views of the block's time coefficients and time-only subtrees;
 the step adds its small marks, subtracts the compensator, adds its large
-marks.  A step raising numpy's divide, invalid or overflow flag reruns, as
-does the rest of the run, with the checked program at the caller's errstate.
+marks.  A run steps first with the step program, every flag the caller
+does not ignore raising; a run that flags steps again, whole, with the
+checked program at the caller's error settings.
 
 Randomness is organized per path: each path owns a Philox counter-based
 generator keyed by a hash of (master seed, path index), so paths are
@@ -19,8 +20,8 @@ per-path stream is consumed in fixed blocks of ``CHUNK_STEPS`` steps,
 each written in place with a row per path: Brownian increments for the
 block, then small-jump counts, then large-jump counts, then the block's
 marks as one run of uniforms, split step by step (small before large),
-scaled by the region's mass and mapped by inverse CDF.  With ``chunk=1``
-the per-step order is therefore Brownian increments, small-jump count,
+scaled by the region's mass and mapped by inverse CDF.  With ``CHUNK_STEPS``
+= 1 the per-step order is therefore Brownian increments, small-jump count,
 large-jump count, small marks, large marks.  Only the regions in the
 model's ``mark_rules`` are drawn, and a block keeps only its marked cells,
 (path, step * regions + region, count); in (path, step, region) order they
@@ -209,19 +210,18 @@ def run_paths(
     s0,
     cfg: SimConfig,
     keys: Sequence[np.ndarray],
-    chunk: int = CHUNK_STEPS,
     groups=None,
 ) -> Trajectory:
     """Advance every keyed path over the full grid, vectorized across paths.
 
     The paths are mathematically independent (private generators); batching
     amortizes interpreter overhead, and a wide run splits across CPUs (see
-    above).  Time coefficients are evaluated per block of ``chunk`` steps
-    (at most ``MARK_FREE_STEPS`` in a run that draws no marks), so memory
-    does not grow with the horizon beyond the recorded states.  ``groups``,
-    (paths, 3) booleans, says whether drift, diffusion and jumps act on each
-    path (None: all); a drift or compensator switched off steps by 0 and a
-    noise switched off draws nothing (see above).
+    above).  Time coefficients are evaluated per block of ``CHUNK_STEPS``
+    steps (at most ``MARK_FREE_STEPS`` in a run that draws no marks), so
+    memory does not grow with the horizon beyond the recorded states.
+    ``groups``, (paths, 3) booleans, says whether drift, diffusion and jumps
+    act on each path (None: all); a drift or compensator switched off steps
+    by 0 and a noise switched off draws nothing (see above).
     """
     s0_arr = check_admissible(s0, model.domain)
     n_paths = len(keys)
@@ -230,22 +230,33 @@ def run_paths(
         raise ValueError(f"groups must have shape {(n_paths, 3)}, got {on.shape}")
     K, stride = cfg.n_steps, cfg.record_stride
     shape = (n_paths, -(-K // stride) + 1, 3)  # steps 0, stride, 2*stride, ... and the last step K
-    simplex = model.domain == SIMPLEX
     workers = min(len(os.sched_getaffinity(0)), n_paths // MIN_SPLIT_PATHS) if sys.platform == "linux" else 1
-    out = _split_rows(model, s0_arr, cfg, keys, chunk, on, workers, shape, simplex) if workers > 1 else None
-    if out is None:
-        out = np.empty(shape), np.zeros(n_paths, dtype=np.int64), np.zeros(n_paths) if simplex else None
-        _step_rows(model, s0_arr, cfg, keys, chunk, on, *out)
+    if workers > 1:
+        import signal
+
+        if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:  # the kernel would reap the workers unseen
+            workers = 1
+
+    def serial(step):
+        out = np.empty(shape), np.zeros(n_paths, dtype=np.int64), np.zeros(n_paths) if model.domain == SIMPLEX else None
+        _step_rows(model, s0_arr, cfg, keys, on, step, *out)
+        return out
+
+    out = None
+    with contextlib.suppress(FloatingPointError):
+        with np.errstate(all="raise", under="ignore" if np.geterr()["under"] == "ignore" else "raise"):
+            out = _split_rows(model, s0_arr, cfg, keys, on, workers, shape) if workers > 1 else serial(model.step_fn)
+    if out is None:  # the checked program raises its error, or gives its values and warnings
+        out = serial(model.checked_step_fn)
     return Trajectory(np.minimum(np.arange(shape[1]) * stride, K) * cfg.dt, *out)
 
 
-def _split_rows(model, s0_arr, cfg, keys, chunk, on, workers, shape, simplex):
-    """Step ``workers`` contiguous row slices at once, slice 0 here and one
-    in each forked child, into the outputs of :func:`_step_rows` in one
-    shared map.  Every flag the caller does not ignore raises in a slice,
-    so none warns and none steps on a non-finite value; None discards the
-    attempt after such a flag, any other exception or a failed child.
-    """
+def _split_rows(model, s0_arr, cfg, keys, on, workers, shape):
+    """Step ``workers`` contiguous row slices at once with the step program,
+    slice 0 here and one in each forked child under the first attempt's
+    error settings, into the outputs of :func:`_step_rows` in one shared
+    map.  None discards the attempt after a flag, any other exception or a
+    failed child, and the whole run steps again with the checked program."""
     import mmap
     import signal
 
@@ -253,17 +264,15 @@ def _split_rows(model, s0_arr, cfg, keys, chunk, on, workers, shape, simplex):
 
     def run(w):
         rows = slice(n * w // workers, n * (w + 1) // workers)
-        with np.errstate(all="raise", under="ignore" if np.geterr()["under"] == "ignore" else "raise"):
-            _step_rows(model, s0_arr, cfg, keys[rows], chunk, on[rows], *(a if a is None else a[rows] for a in out))
+        _step_rows(model, s0_arr, cfg, keys[rows], on[rows], model.step_fn, *(a if a is None else a[rows] for a in out))
 
-    if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:  # the kernel would reap the workers unseen
-        return None
     children = []
     try:
         sys.stdout.flush()
         sys.stderr.flush()
         shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * n + math.prod(shape))))  # zero-filled
-        out = shared[2 * n:].reshape(shape), shared[:n].view(np.int64), shared[n:2 * n] if simplex else None
+        out = (shared[2 * n:].reshape(shape), shared[:n].view(np.int64),
+               shared[n:2 * n] if model.domain == SIMPLEX else None)
         # a child runs on a CPU of the mask other than this thread's (field 39 of its stat):
         # in a cpuset without load balancing, the kernel keeps it on its parent's CPU
         with open("/proc/thread-self/stat") as fh:
@@ -287,7 +296,7 @@ def _split_rows(model, s0_arr, cfg, keys, chunk, on, workers, shape, simplex):
             children.pop()
             if status:
                 return None
-    except Exception:  # the serial rerun raises or warns as a run always has
+    except Exception:  # the checked rerun raises or warns as a run always has
         return None
     finally:
         for pid in children:
@@ -296,9 +305,9 @@ def _split_rows(model, s0_arr, cfg, keys, chunk, on, workers, shape, simplex):
     return out
 
 
-def _step_rows(model, s0_arr, cfg, keys, chunk, on, recorded, floor_hits, drift_max) -> None:
-    """The block and step loop of :func:`run_paths`: the rows of ``keys`` and ``on`` into
-    ``recorded``, ``floor_hits`` and ``drift_max`` (None on the octant)."""
+def _step_rows(model, s0_arr, cfg, keys, on, step, recorded, floor_hits, drift_max) -> None:
+    """The block and step loop of :func:`run_paths`, by ``step`` at the caller's error settings, with no rerun of its
+    own: the rows of ``keys`` and ``on`` into ``recorded``, ``floor_hits`` and ``drift_max`` (None on the octant)."""
     n_paths = len(keys)
     dt = cfg.dt
     # a group on in every row steps by dt (0-d: numpy reads it fastest) as a run without groups
@@ -308,7 +317,6 @@ def _step_rows(model, s0_arr, cfg, keys, chunk, on, recorded, floor_hits, drift_
     sqrt_dt = math.sqrt(dt)
     K, stride = cfg.n_steps, cfg.record_stride
     n_brownian = model.brownian_dim
-    simplex = drift_max is not None
     zero, one, tol, floor = map(np.array, (0.0, 1.0, RENORM_TOL, POSITIVITY_FLOOR))  # 0-d, as for dt
 
     gens = _generators(keys)
@@ -316,47 +324,19 @@ def _step_rows(model, s0_arr, cfg, keys, chunk, on, recorded, floor_hits, drift_
     # (group offset, program, compensated) per drawn region, small before large
     jump_steps = [(r, model.small_jump_fn, True) if region == SMALL else (r, model.large_jump_fn, False)
                   for r, region in enumerate(regions)]
-    step, caller = model.step_fn, np.geterr()
 
-    states = np.tile(s0_arr[:, None], n_paths).T  # (paths, 3) over (3, paths): each component's paths contiguous
-    recorded[:, 0, :] = states
-    chunk = chunk if regions and on[:, 2].any() else min(chunk, MARK_FREE_STEPS)
+    S = np.tile(s0_arr[:, None], n_paths).T  # (paths, 3) over (3, paths): each component's paths contiguous
+    recorded[:, 0, :] = S
+    chunk = CHUNK_STEPS if regions and on[:, 2].any() else min(CHUNK_STEPS, MARK_FREE_STEPS)
     width = min(chunk, K)  # each block's normals are written in place, one row per path
     # one spare step per row: a power-of-two row stride crowds a step's column into few cache sets
     normal_buf = np.zeros((n_paths, width + 1, n_brownian))  # a row without diffusion stays zero
     tile = np.empty((min(TILE_STEPS, width), n_brownian, n_paths))
 
-    def advance(program, S, j):  # step j of the block from S; run state changes once nothing can raise
-        incr, comp = program({name: arr[j, ...] for name, arr in read}, S, tile[j % len(tile)].T, drift_dt, comp_dt)
-        for r, jump_fn, compensated in jump_steps:
-            if marked[j]:  # the jump programs run on steps with marks, each with 0-d views of what it reads
-                pv = {name: pv_block[name][j, ...] for name in jump_fn.reads}
-                _add_jumps(jump_fn, pv, S, incr, table, j * len(regions) + r)
-            if compensated:
-                incr -= comp
-        S = S + incr
-        below = S <= zero
-        if clamped := np.count_nonzero(below):
-            S = np.where(below, floor, S)
-        if simplex:
-            sums = S[:, 0] + S[:, 1] + S[:, 2]
-            dev = np.abs(sums - one)
-            fix = dev > tol
-            if np.count_nonzero(fix):
-                S[fix] /= sums[fix, None]
-            np.maximum(drift_max, dev, out=drift_max)
-        if clamped:
-            np.add(floor_hits, below.sum(axis=1), out=floor_hits)
-        if (k0 + j + 1) % stride == 0 or k0 + j + 1 == K:
-            recorded[:, -(-(k0 + j + 1) // stride), :] = S
-        return S
-
     for k0 in range(0, K, chunk):
         block = min(chunk, K - k0)
         pv_block = model.param_values(np.arange(k0, k0 + block, dtype=float) * dt)
         read = [(name, pv_block[name]) for name in step.reads]
-        # an operation need not flag a fault of an inf operand: a non-finite value runs the checked program
-        step = step if all(np.isfinite(arr).all() for _, arr in read) else model.checked_step_fn
         normals = normal_buf[:, :block]
         if model.has_diffusion:
             for p in np.flatnonzero(on[:, 1]):
@@ -371,15 +351,30 @@ def _step_rows(model, s0_arr, cfg, keys, chunk, on, recorded, floor_hits, drift_
                     cells.append((p, hit * len(regions) + r, c[hit]))
         table = _block_marks(model.measure, gens, regions, block, cells) if regions else None
         marked = np.diff(table[0]).reshape(block, -1).any(axis=1).tolist() if regions else [False] * block
-        with np.errstate(divide="raise", invalid="raise", over="raise"):
-            for j in range(block):
-                if j % len(tile) == 0:  # the next tile of increments, scaled as they are copied
-                    np.multiply(normals[:, j:j + len(tile)].transpose(1, 2, 0), sqrt_dt, out=tile[:block - j])
-                try:
-                    states = advance(step, states, j)
-                except FloatingPointError:  # keep the checked program: the fault may leave a non-finite state
-                    with np.errstate(**caller):
-                        states = advance(step := model.checked_step_fn, states, j)
+        for j in range(block):
+            if j % len(tile) == 0:  # the next tile of increments, scaled as they are copied
+                np.multiply(normals[:, j:j + len(tile)].transpose(1, 2, 0), sqrt_dt, out=tile[:block - j])
+            incr, comp = step({name: arr[j, ...] for name, arr in read}, S, tile[j % len(tile)].T, drift_dt, comp_dt)
+            for r, jump_fn, compensated in jump_steps:
+                if marked[j]:  # the jump programs run on steps with marks, each with 0-d views of what it reads
+                    pv = {name: pv_block[name][j, ...] for name in jump_fn.reads}
+                    _add_jumps(jump_fn, pv, S, incr, table, j * len(regions) + r)
+                if compensated:
+                    incr -= comp
+            S = S + incr
+            below = S <= zero
+            if np.count_nonzero(below):
+                S = np.where(below, floor, S)
+                np.add(floor_hits, below.sum(axis=1), out=floor_hits)
+            if drift_max is not None:
+                sums = S[:, 0] + S[:, 1] + S[:, 2]
+                dev = np.abs(sums - one)
+                fix = dev > tol
+                if np.count_nonzero(fix):
+                    S[fix] /= sums[fix, None]
+                np.maximum(drift_max, dev, out=drift_max)
+            if (k0 + j + 1) % stride == 0 or k0 + j + 1 == K:
+                recorded[:, -(-(k0 + j + 1) // stride), :] = S
 
 
 def simulate(model: ModelSpec, s0, cfg: SimConfig, groups=None) -> Trajectory:

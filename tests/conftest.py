@@ -49,8 +49,8 @@ def split_runs(monkeypatch):
     """Factory making every ``run_paths`` call split its rows into
     ``workers`` slices, however few they are; it returns the list of the
     row counts of the ``_step_rows`` calls made in this process (slice 0,
-    then all rows if the serial run steps again).  On teardown no worker is
-    left and numpy's error settings are unchanged."""
+    then all rows if the run steps again with the checked program).  On
+    teardown no worker is left and numpy's error settings are unchanged."""
     before = np.geterr()
 
     def force(workers):

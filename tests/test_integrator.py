@@ -187,11 +187,12 @@ class TestSimulate:
         assert np.array_equal(t1.times, t2.times)
 
     @staticmethod
-    def _engine_and_manual(model, s0, horizon, seed):
+    def _engine_and_manual(monkeypatch, model, s0, horizon, seed):
         """Chunk-of-one engine states, the reference loop's states, and the
         reference's mark counts."""
         cfg = SimConfig(horizon=horizon, dt=0.001, seed=seed, record_stride=1)
-        bundle = run_paths(model, s0, cfg, [_path_key(seed, 0)], chunk=1)
+        monkeypatch.setattr(integrator, "CHUNK_STEPS", 1)
+        bundle = run_paths(model, s0, cfg, [_path_key(seed, 0)])
         gen = path_generator(seed, 0)
         s = np.array(s0, dtype=float)
         manual = [s.copy()]
@@ -201,16 +202,16 @@ class TestSimulate:
             manual.append(s.copy())
         return bundle.states[0], np.array(manual), counts
 
-    def test_engine_matches_manual_step_loop(self, scenario):
+    def test_engine_matches_manual_step_loop(self, scenario, monkeypatch):
         # chunk-of-one engine consumes the stream exactly like the reference step
         _, model = scenario("table1")
-        engine, manual, _ = self._engine_and_manual(model, (0.8, 0.19, 0.01), 0.3, 7)
+        engine, manual, _ = self._engine_and_manual(monkeypatch, model, (0.8, 0.19, 0.01), 0.3, 7)
         assert np.array_equal(engine, manual)
 
-    def test_engine_matches_manual_step_loop_with_large_marks(self, scenario):
+    def test_engine_matches_manual_step_loop_with_large_marks(self, scenario, monkeypatch):
         # long enough that large marks are drawn, so the large-jump branch is compared too
         cfg, model = scenario("table7")
-        engine, manual, counts = self._engine_and_manual(model, cfg.initial_state, 2.0, 7)
+        engine, manual, counts = self._engine_and_manual(monkeypatch, model, cfg.initial_state, 2.0, 7)
         assert counts["large"] >= 1 and counts["small"] >= 1
         assert np.array_equal(engine, manual)
 
@@ -349,10 +350,11 @@ class TestBatchedJumps:
             assert batch.floor_hits[p] == solo.floor_hits[0]
 
     @pytest.mark.parametrize("name", CASES)
-    def test_chunk_of_one_matches_reference_loops(self, scenario, name):
+    def test_chunk_of_one_matches_reference_loops(self, scenario, monkeypatch, name):
         model, s0 = self._model(scenario, name)
         self._assert_crowded(model, name, 1)
-        batch = run_paths(model, s0, self.CFG, self.KEYS, chunk=1)
+        monkeypatch.setattr(integrator, "CHUNK_STEPS", 1)
+        batch = run_paths(model, s0, self.CFG, self.KEYS)
         for p, key in enumerate(self.KEYS):
             gen = np.random.Generator(np.random.Philox(key=key))
             s = np.array(s0, dtype=float)
@@ -386,15 +388,15 @@ class TestGroupRows:
         "large_only": LevyMeasure(1.5, 3.0, 2.0),
     }
 
-    def _check_rows(self, model, s0, chunk, reduced):
+    def _check_rows(self, model, s0, reduced):
         labels = [label for label in PANEL_ROWS if label != "jumps_only" or model.mark_rules]
         if not model.has_diffusion:
             labels.remove("diffusion_only")
         key = _path_key(self.CFG.seed, 0)
         groups = [PANEL_ROWS[label][0] for label in labels]
-        rows = run_paths(model, s0, self.CFG, [key] * len(labels), chunk, groups=groups)
+        rows = run_paths(model, s0, self.CFG, [key] * len(labels), groups=groups)
         for i, label in enumerate(labels):
-            alone = run_paths(reduced(model, **PANEL_ROWS[label][1]), s0, self.CFG, [key], chunk)
+            alone = run_paths(reduced(model, **PANEL_ROWS[label][1]), s0, self.CFG, [key])
             assert np.array_equal(rows.states[i], alone.states[0]), label
             assert rows.floor_hits[i] == alone.floor_hits[0], label
             if alone.simplex_drift is None:
@@ -405,15 +407,16 @@ class TestGroupRows:
 
     @pytest.mark.parametrize("chunk", [CHUNK_STEPS, 7, 1])
     @pytest.mark.parametrize("name", [f"table{i}" for i in range(1, 8)])
-    def test_bundled_rows_match_suppressed_copies(self, scenario, reduced, name, chunk):
+    def test_bundled_rows_match_suppressed_copies(self, scenario, reduced, monkeypatch, name, chunk):
         cfg, model = scenario(name)
-        labels, rows = self._check_rows(model, cfg.initial_state, chunk, reduced)
+        monkeypatch.setattr(integrator, "CHUNK_STEPS", chunk)
+        labels, rows = self._check_rows(model, cfg.initial_state, reduced)
         assert len(labels) == (3 if model.model_id == "xc" else 4)
         assert len({rows.states[i].tobytes() for i in range(len(labels))}) == len(labels)  # every row moved its own way
 
     @pytest.mark.parametrize("chunk", [CHUNK_STEPS, 7, 1])
     @pytest.mark.parametrize("measure", MEASURES)
-    def test_marked_rows_match_suppressed_copies(self, reduced, measure, chunk):
+    def test_marked_rows_match_suppressed_copies(self, reduced, monkeypatch, measure, chunk):
         # the small jumps read u, so a row without jumps also switches off the
         # 1001-node compensator; from y = z = 0.2 the measures with a negative
         # region clamp some rows at the floor
@@ -421,7 +424,8 @@ class TestGroupRows:
             domain=OCTANT, drift=("-0.1*x", "0", "0"), diffusion=(("0.2*x", "0", "0"),),
             small_jump=("0.1*u*x", "u", "0"), large_jump=("0.05*u*x", "0", "u"), measure=self.MEASURES[measure],
         )
-        labels, rows = self._check_rows(model, (1.0, 0.2, 0.2), chunk, reduced)
+        monkeypatch.setattr(integrator, "CHUNK_STEPS", chunk)
+        labels, rows = self._check_rows(model, (1.0, 0.2, 0.2), reduced)
         assert labels == list(PANEL_ROWS)
         assert rows.floor_hits.any() == (self.MEASURES[measure].lo < -1.0)
 
@@ -486,13 +490,15 @@ class TestSplitRows:
     @pytest.mark.parametrize("grouped", [False, True], ids=["all_groups", "panel_rows"])
     @pytest.mark.parametrize("chunk", [CHUNK_STEPS, 7, 1])
     @pytest.mark.parametrize("name", [*(f"table{i}" for i in range(1, 8)), "custom_table2", "marked"])
-    def test_split_matches_serial(self, models, split_runs, name, chunk, grouped):
+    def test_split_matches_serial(self, models, split_runs, monkeypatch, name, chunk, grouped):
+        # forked workers inherit the block length
         model, s0 = models[name]
         groups = self.ROWS if grouped else None
-        serial = run_paths(model, s0, self.CFG, self.KEYS, chunk, groups)
+        monkeypatch.setattr(integrator, "CHUNK_STEPS", chunk)
+        serial = run_paths(model, s0, self.CFG, self.KEYS, groups)
         calls = split_runs(3)
-        split = run_paths(model, s0, self.CFG, self.KEYS, chunk, groups)
-        assert calls == [3]  # slice 0 here, the others in children, and no serial rerun
+        split = run_paths(model, s0, self.CFG, self.KEYS, groups)
+        assert calls == [3]  # slice 0 here, the others in children, and no checked rerun
         assert split.states.tobytes() == serial.states.tobytes()
         assert np.array_equal(split.floor_hits, serial.floor_hits)
         if serial.simplex_drift is None:
@@ -664,7 +670,8 @@ def test_time_coefficients_evaluated_per_chunk(scenario, monkeypatch):
 
     monkeypatch.setattr(ModelSpec, "param_values", spy)
     sim = SimConfig(horizon=0.05, dt=0.001, seed=1)
-    run_paths(model, cfg.initial_state, sim, [_path_key(1, 0)], chunk=7)
+    monkeypatch.setattr(integrator, "CHUNK_STEPS", 7)
+    run_paths(model, cfg.initial_state, sim, [_path_key(1, 0)])
     assert max(t.size for t in seen) == 7
     assert np.array_equal(np.concatenate(seen), np.arange(sim.n_steps) * sim.dt)  # the grid's own floats
 
@@ -689,8 +696,10 @@ class TestBlockMemory:
         blocks = []
         evaluate = ModelSpec.param_values
         monkeypatch.setattr(ModelSpec, "param_values", lambda self, t: blocks.append(t.size) or evaluate(self, t))
-        runs = [run_paths(model, cfg.initial_state, sim, keys, chunk, groups=groups)
-                for chunk in (CHUNK_STEPS, MARK_FREE_STEPS, 7, 1, TILE_STEPS - 1, TILE_STEPS, TILE_STEPS + 1)]
+        runs = []
+        for chunk in (CHUNK_STEPS, MARK_FREE_STEPS, 7, 1, TILE_STEPS - 1, TILE_STEPS, TILE_STEPS + 1):
+            monkeypatch.setattr(integrator, "CHUNK_STEPS", chunk)
+            runs.append(run_paths(model, cfg.initial_state, sim, keys, groups=groups))
         assert blocks[:3] == [MARK_FREE_STEPS, MARK_FREE_STEPS, sim.n_steps - 2 * MARK_FREE_STEPS]
         for run in runs[1:]:
             assert run.states.tobytes() == runs[0].states.tobytes()
@@ -780,10 +789,11 @@ class TestFloorSemantics:
 
 
 class TestFloatingPointFaults:
-    """The engine steps with plain numpy operations and reruns a step that
-    sets a floating-point flag with the checked step program, at the
-    caller's error settings: a run raises the checked program's error or
-    gives its values, and the caller's settings come back unchanged."""
+    """The engine steps with plain numpy operations while every flag the
+    caller does not ignore raises; a run that flags steps again, whole, with
+    the checked step program at the caller's error settings: it raises the
+    checked program's error or gives its values, and the caller's settings
+    come back unchanged."""
 
     @pytest.mark.parametrize(
         "expr, s0, message",
@@ -816,15 +826,16 @@ class TestFloatingPointFaults:
             run_paths(model, (1.0, 1.0, 1.0), SimConfig(horizon=0.01, dt=0.001, seed=1), [_path_key(1, 0)])
 
     @pytest.mark.parametrize("chunk", [CHUNK_STEPS, 7, 1])
-    def test_overflow_to_nan_keeps_the_checked_values(self, chunk):
+    def test_overflow_to_nan_keeps_the_checked_values(self, monkeypatch, chunk):
         # x overflows to inf, then x - x*y is NaN while z is clamped at every
         # step: the reference loop, at the floor -1 to count the clamps
         model = build_custom(domain=OCTANT, drift=("1e3*x*x", "x-x*y", "-2e3*z"), diffusion=(("0.5*x", "0", "0"),))
         cfg = SimConfig(horizon=0.03, dt=0.001, seed=4)
         keys = [_path_key(4, i) for i in range(3)]
         before = np.geterr()
+        monkeypatch.setattr(integrator, "CHUNK_STEPS", chunk)
         with pytest.warns(RuntimeWarning) as warned:  # the checked program warns at the caller's settings
-            traj = run_paths(model, (1.0, 0.5, 1.0), cfg, keys, chunk)
+            traj = run_paths(model, (1.0, 0.5, 1.0), cfg, keys)
         assert np.geterr() == before
         assert {"overflow", "invalid"} <= {str(w.message).split()[0] for w in warned}
         for p, key in enumerate(keys):
@@ -839,6 +850,29 @@ class TestFloatingPointFaults:
             assert np.array_equal(traj.states[p], manual, equal_nan=True)
             assert traj.floor_hits[p] == hits
         assert np.isnan(traj.states[:, -1, :2]).all() and (traj.states[:, -1, 2] == POSITIVITY_FLOOR).all()
+
+    def test_a_flagged_run_steps_again_whole_with_the_checked_program(self, monkeypatch):
+        # test_overflow_to_nan_keeps_the_checked_values' model overflows on the 11th of 30 steps:
+        # the plain program steps up to it, then a second call of the step loop steps all 30 checked
+        model = build_custom(domain=OCTANT, drift=("1e3*x*x", "x-x*y", "-2e3*z"), diffusion=(("0.5*x", "0", "0"),))
+        steps = {}
+        for name in ("step_fn", "checked_step_fn"):
+            program = getattr(model, name)
+
+            def spy(*args, program=program, seen=steps.setdefault(name, [])):
+                seen.append(args)
+                return program(*args)
+
+            spy.reads = program.reads
+            object.__setattr__(model, name, spy)  # a cached property: the instance's own entry
+        calls, step_rows = [], integrator._step_rows
+        monkeypatch.setattr(integrator, "_step_rows", lambda *args: calls.append(args) or step_rows(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run_paths(model, (1.0, 0.5, 1.0), SimConfig(horizon=0.03, dt=0.001, seed=4), [_path_key(4, i) for i in range(3)])
+        assert len(steps["step_fn"]) == 11
+        assert len(steps["checked_step_fn"]) == 30
+        assert len(calls) == 2
 
 
 class TestTrajectoryCsv:
