@@ -285,6 +285,38 @@ def _log(a, where: str):
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power, "min": np.minimum}
 _CALLS = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "ln": _log}
 _PLAIN = {_divide: np.divide, _power: np.power, _log: np.log}  # each checked one also takes its node's text
+# a program writes these as infix operators, each running its ufunc, which can also write into a given row
+_INFIX = {operator.add: ("{} + {}", np.add), operator.sub: ("{} - {}", np.subtract),
+          operator.mul: ("{} * {}", np.multiply), operator.neg: ("-{}", np.negative)}
+# a block program: each step fills the rows of D, G and H, then the increment, the jumps, the state in place
+_BLOCK = """def _program(env, normals, marked, jumps, k0, run):
+    S3, tile, sqrt_dt, drift_dt, comp_dt, floor, tol, stride, K, recorded, floor_hits, drift_max = run
+    x, y, z = S3
+    D, G, H, T = _np.empty_like(S3), _np.empty(({n},) + S3.shape), _np.empty({nodes}S3.shape), len(tile)
+    {head}
+    for j in range(len(marked)):
+        {body}
+        incr = D * drift_dt
+        {noise}
+        comp = {comp}
+        if marked[j]:
+            jumps(j, incr, comp)
+        elif comp is not None:
+            incr -= comp
+        S3 += incr
+        below = S3 <= _zero
+        if _np.count_nonzero(below):
+            _np.copyto(S3, floor, where=below)
+            _np.add(floor_hits, below.sum(axis=0), out=floor_hits)
+        if drift_max is not None:
+            sums = x + y + z
+            dev = _np.abs(sums - _one)
+            fix = dev > tol
+            if _np.count_nonzero(fix):
+                S3[:, fix] /= sums[fix]
+            _np.maximum(drift_max, dev, out=drift_max)
+        if (k0 + j + 1) % stride == 0 or k0 + j + 1 == K:
+            recorded[:, -(-(k0 + j + 1) // stride)] = S3.T"""
 # every value a program reads is a _k name of its namespace, so models of one structure share a code object
 _compile_source = lru_cache(maxsize=1024)(lambda source: compile(source, "<expression program>", "exec"))
 
@@ -307,15 +339,16 @@ def compile_program(
     order into a new array of shape ``batch + shape``, ``batch`` being the
     broadcast of the state batch axes, the mark and every entry.
 
-    With ``step = (n, rule)`` the trees are the drift ``d_i``, the
-    diffusion ``sigma_ic`` by rows and, unless the small region's ``rule``
-    is None, the small jumps ``h``: ``program(env, S, dW, drift_dt,
-    comp_dt)`` returns ``incr[:, i] = d_i * drift_dt + ((sigma_i0 * dW_0 +
-    sigma_i1 * dW_1) + ...)``, less entries folded to 0, in the memory
-    layout of ``S``, and the rule's integral of ``h`` times ``comp_dt``
-    (None without a rule; laid out as ``S`` for a one-node rule); it reads
-    a maximal subtree of time alone from ``env`` by its :func:`serialize`
-    text, and ``program.reads`` maps each key it reads there to its tree.
+    With ``step = (n, rule)`` the trees are the drift, the diffusion by
+    rows and, unless the small region's ``rule`` is None, the small jumps:
+    ``program(env, normals, marked, jumps, k0, run)`` steps a block in place
+    on the (3, paths) state of ``run`` (see ``integrator._step_rows``).  A
+    step's increment is ``D * drift_dt + (G[0] * dW_0 + G[1] * dW_1 + ...)``
+    on the stacked (3, paths) drift and (n, 3, paths) diffusion rows, less
+    the rule's integral of the small jumps times ``comp_dt``, which
+    ``jumps(j, incr, comp)`` takes on a marked step; it reads 0-d views of
+    the block's arrays in ``env``, a maximal subtree of time alone by its
+    :func:`serialize` text (``program.reads`` maps each key to its tree).
     Equal subtrees are equal (frozen, hashable) nodes, so a dict keyed by
     node computes each once, across the group.  A subtree whose names are
     all in ``constants`` is evaluated while compiling, by the operations
@@ -326,14 +359,13 @@ def compile_program(
     constants = constants or {}
     namespace: dict = {"_np": np}
     folded: dict = {}  # name -> value of each folded constant
-    lines: list[tuple[str, list[str]]] = []  # (code, operands) of v0, v1, ...
+    lines: list[list] = []  # [code, operands, ufunc that may write its value into a row] of v0, v1, ...
     reads: dict = {}  # env key -> tree of each value the program reads
-    block = shape is not None or step is not None
     if step is not None:
         n, rule = step
         mark = rule is not None and rule[0].size > 1  # quadrature nodes run along a leading axis
-        namespace["u"] = rule[0].reshape(-1, 1) if mark else None
-    names: dict = {Var("u"): "u"} if mark else {}  # node -> name holding its value
+        namespace.update(u=rule[0].reshape(-1, 1) if mark else None, _zero=np.array(0.0), _one=np.array(1.0))
+    names: dict = {Var(c): c for c in ("u" if mark else "") + ("xyz" if step is not None else "")}  # node -> its name
 
     def bind(value, fold: bool = False) -> str:
         name = f"_k{len(namespace)}"
@@ -342,8 +374,8 @@ def compile_program(
             folded[name] = value
         return name
 
-    def line(code: str, operands: Sequence[str] = ()) -> str:
-        lines.append((code, list(operands)))
+    def line(code: str, operands: Sequence[str] = (), ufunc=None) -> str:
+        lines.append([code, list(operands), ufunc])
         return f"v{len(lines) - 1}"
 
     def fold(node: Node, value) -> str:
@@ -358,12 +390,12 @@ def compile_program(
             name = fold(node, node.value)
         elif isinstance(node, Var) and node.name in constants:
             name = fold(node, float(constants[node.name]))
-        elif isinstance(node, Var) and block and node.name in ("x", "y", "z"):
+        elif isinstance(node, Var) and shape is not None and node.name in ("x", "y", "z"):
             name = line(f"S[..., {'xyz'.index(node.name)}]")
         elif isinstance(node, Var) or (step is not None and (free := free_names(node)).isdisjoint("xyzu")
                                        and free - constants.keys()):
-            reads[serialize(node)] = node  # a named value, or a subtree of time alone that is not folded
-            name = line(f"env[{serialize(node)!r}]")
+            reads[key := serialize(node)] = node  # a named value, or a subtree of time alone that is not folded
+            name = line(f"e{list(reads).index(key)}[j, ...]" if step is not None else f"env[{key!r}]")
         else:
             if isinstance(node, Neg):
                 fn, args = operator.neg, [emit(node.operand)]
@@ -376,49 +408,55 @@ def compile_program(
                 name = fold(node, fn(*(folded[arg] for arg in args), *where))
             else:  # an unchecked program runs numpy's own operation, which takes no text
                 fn, where = (fn, where) if checked else (_PLAIN.get(fn, fn), ())
-                name = line(f"{bind(fn)}({', '.join(args + [bind(w) for w in where])})", args)
+                code, ufunc = _INFIX.get(fn) or (f"{bind(fn)}({', '.join(args + [bind(w) for w in where])})", fn)
+                name = line(code.format(*args), args, ufunc if isinstance(ufunc, np.ufunc) else None)
         names[node] = name
         return name
 
     with np.errstate(over="ignore", invalid="ignore"):  # fold refuses a non-finite constant
         results = [emit(tree) for tree in trees]
+    # a block program binds, once per block, each array it reads and each entry's row of D, G or H ((nodes,) 3, P),
+    # and fills a constant entry's row; an entry of the state (and of u in a quadrature H) is written by the out of
+    # its last operation, any other is copied after the step's lines
+    head, copies = [f"e{i} = env[{key!r}]" for i, key in enumerate(reads)], []
+    for k, (tree, r) in enumerate(zip(trees, results) if step is not None else ()):
+        slot = f"D[{k}]" if k < 3 else f"G[{(k - 3) % n}, {(k - 3) // n}]" if k < 3 + 3 * n else f"H[..., {k % 3}, :]"
+        head += [f"o{k} = {slot}"] + [f"o{k}[...] = {r}"] * (r in folded)
+        if (r[0] == "v" and (at := lines[int(r[1:])])[2] and not (free := free_names(tree)).isdisjoint("xyz")
+                and ("u" in free) == (mark and k >= 3 + 3 * n)):
+            at[0], at[2] = f"{bind(at[2])}({', '.join(at[1])}, out=o{k})", None
+        elif r not in folded:
+            copies.append(f"o{k}[...] = {r}")
+    # drop each intermediate after its last read, so that large arrays do not all stay alive
+    last = {arg: i for i, (_, args, _) in enumerate(lines) for arg in args if arg[0] == "v" and arg not in results}
+    body = []
+    for i, (code, args, _) in enumerate(lines):
+        dead = [arg for arg in dict.fromkeys(args) if last.get(arg) == i]
+        body += [f"v{i} = {code}"] + ([f"del {', '.join(dead)}"] if dead else [])
     if step is not None:
-        head = "def _program(env, S, dW, drift_dt, comp_dt):"
-        tail = ["    incr = _np.empty_like(S)", *(f"    dW{c} = dW[:, {c}]" for c in range(n))]  # each column once
-        for i, d in enumerate(results[:3]):  # sum_c sigma_ic * dW_c left to right; a folded 0 adds +-0
-            terms = [f"{s} * dW{c}" for c, s in enumerate(results[3 + i * n : 3 + i * n + n]) if folded.get(s) != 0]
-            noise = [reduce("({} + {})".format, terms)] if terms else []
-            tail.append(f"    incr[..., {i}] = {' + '.join([f'{d} * drift_dt', *noise])}")
-        comp = "None"
-        if rule is not None:  # one node: its weight times the vector; else numpy's sum over the nodes
-            tail.append(f"    c = {'_np.empty(u.shape[:1] + S.shape)' if mark else '_np.empty_like(S)'}")
-            tail += [f"    c[..., {i}] = {h}" for i, h in enumerate(results[3 + 3 * n :])]
-            w = bind(rule[1].reshape(-1, 1, 1) if mark else rule[1][0, ...])
-            comp = (f"(c * {w}).sum(axis=0)" if mark else f"{w} * c") + " * comp_dt"
-        tail.append(f"    return incr, {comp}")
+        # N sums G[c] * dW_c left to right; an entry folded to 0 adds +-0, which can flip only the sign of a zero
+        # increment, not the stepped state
+        noise = ["if j % T == 0:  # the next tile of increments, scaled as they are copied",
+                 "    _np.multiply(normals[:, j:j + T].transpose(1, 2, 0), sqrt_dt, out=tile[:len(marked) - j])",
+                 *(f"N {'+=' if c else '='} G[{c}] * tile[j % T, {c}]" for c in range(n)), "incr += N"] if n else []
+        # the compensator: one node's weight times the vector, or numpy's sum over the nodes
+        w = rule is not None and bind(rule[1].reshape(-1, 1, 1) if mark else rule[1][0, ...])
+        comp = (f"(H * {w}).sum(axis=0)" if mark else f"{w} * H") + " * comp_dt" if w else "None"
+        source = _BLOCK.format(n=n, nodes="u.shape[:1] + " if mark else "", head="\n    ".join(head), comp=comp,
+                               body="\n        ".join(body + copies), noise="\n        ".join(noise))
     elif shape is None:
         (result,) = results
         if result in folded:  # a constant needs no code
             return lambda env, value=folded[result]: value
-        head, tail = "def _program(env):", [f"    return {result}"]
+        source = "\n    ".join(["def _program(env):", *body, f"return {result}"])
     else:
         if len(results) != math.prod(shape):
             raise ValueError(f"{len(results)} expressions cannot fill shape {shape}")
         operands = ["S[..., 0]", *(["u"] if mark else []), *dict.fromkeys(r for r in results if r not in folded)]
-        head = f"def _program(env, S{', u' if mark else ''}):"
-        tail = [f"    out = _np.empty(_np.broadcast({', '.join(operands)}).shape + {shape!r})"]
-        tail += [f"    out[..., {', '.join(map(str, i))}] = {r}" for i, r in zip(np.ndindex(*shape), results)]
-        tail.append("    return out")
-    # drop each intermediate after its last read, so that large arrays do not all stay alive
-    last = {arg: i for i, (_, args) in enumerate(lines) for arg in args if arg.startswith("v")}
-    dead: dict = {}
-    for arg, i in last.items():
-        if arg not in results:
-            dead.setdefault(i, []).append(arg)
-    body = []
-    for i, (code, _) in enumerate(lines):
-        body += [f"    v{i} = {code}"] + ([f"    del {', '.join(dead[i])}"] if i in dead else [])
-    exec(_compile_source("\n".join([head, *body, *tail])), namespace)
+        fills = [f"out[..., {', '.join(map(str, i))}] = {r}" for i, r in zip(np.ndindex(*shape), results)]
+        source = "\n    ".join([f"def _program(env, S{', u' if mark else ''}):", *body, "out = _np.empty(_np.broadcast("
+                                 f"{', '.join(operands)}).shape + {shape!r})", *fills, "return out"])
+    exec(_compile_source(source), namespace)
     namespace["_program"].reads = reads
     return namespace["_program"]
 
@@ -559,6 +597,7 @@ def _sinusoid_terms(node: Node):
     return None
 
 
+@lru_cache(maxsize=256)  # a model build and its bounds() walk a coefficient's sinusoid terms once
 def _analytic_bounds(tree: Node) -> Optional[tuple[float, float]]:
     terms = _sinusoid_terms(tree)
     if terms is None:

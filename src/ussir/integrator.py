@@ -4,34 +4,29 @@ One step advances the state by drift * dt, the Brownian increment through
 the diffusion matrix, the compensated small-jump contribution (sampled
 marks minus compensator * dt) and the uncompensated large-jump marks, all
 at the step's start state, then applies the positivity safeguard.  One
-call of the model's step program computes drift, diffusion and compensator
-from 0-d views of the block's time coefficients and time-only subtrees;
-the step adds its small marks, subtracts the compensator, adds its large
-marks.  A run steps first with the step program, every flag the caller
-does not ignore raising; a run that flags steps again, whole, with the
-checked program at the caller's error settings.
+call of the model's block program steps a block in place on a (3, paths)
+state, each step writing drift, diffusion and compensator into stacked
+rows; a step with marks adds its small marks, subtracts the compensator,
+adds its large marks.  A run steps first with the block program, every
+flag the caller does not ignore raising; a run that flags steps again,
+whole, with the checked program at the caller's error settings.
 
-Randomness is organized per path: each path owns a Philox counter-based
-generator keyed by a hash of (master seed, path index), so paths are
-independent, reproducible, and independent of how many run together: a run
-of ``MIN_SPLIT_PATHS`` paths per CPU steps in forked workers, a slice of
-rows each, with the serial run's bytes, errors and warnings.  The
-per-path stream is consumed in fixed blocks of ``CHUNK_STEPS`` steps,
-each written in place with a row per path: Brownian increments for the
-block, then small-jump counts, then large-jump counts, then the block's
-marks as one run of uniforms, split step by step (small before large),
-scaled by the region's mass and mapped by inverse CDF.  With ``CHUNK_STEPS``
-= 1 the per-step order is therefore Brownian increments, small-jump count,
-large-jump count, small marks, large marks.  Only the regions in the
-model's ``mark_rules`` are drawn, and a block keeps only its marked cells,
-(path, step * regions + region, count); in (path, step, region) order they
-are each path's draw order of marks, so the block's marks form one table
-grouped by (step, region).  A run in which no row draws marks draws normals
-alone, filled in sequence, so it steps in blocks of ``MARK_FREE_STEPS`` on
-the same stream.  A run steps on path-contiguous arrays: its state is a
-(paths, 3) view of a (3, paths) array, and every ``TILE_STEPS`` steps the
+Randomness is organized per path: each path owns a Philox generator keyed
+by a hash of (master seed, path index), so paths are independent,
+reproducible, and independent of how many run together: a run of
+``MIN_SPLIT_PATHS`` paths per CPU steps in forked workers, a slice of rows
+each, with the serial run's bytes, errors and warnings.  A path's stream
+is consumed per block of ``CHUNK_STEPS`` steps: Brownian increments, then
+small-jump counts, then large-jump counts, then the block's marks as one
+run of uniforms, split step by step (small before large), scaled by the
+region's mass and mapped by inverse CDF (with ``CHUNK_STEPS`` = 1, each
+step's order).  Only the regions in the model's ``mark_rules`` are drawn,
+and a block keeps only its marked cells, (path, step * regions + region,
+count), whose marks form one table grouped by (step, region).  A run in
+which no row draws marks draws normals alone, in sequence, in blocks of
+``MARK_FREE_STEPS`` on the same stream.  Every ``TILE_STEPS`` steps the
 block's next normals, times sqrt(dt), are copied into a (steps, drivers,
-paths) tile, from which each step reads its Brownian increments.
+paths) tile: a step reads each driver's increments, paths contiguous.
 
 The safeguard raises components at or below zero to ``POSITIVITY_FLOOR``
 and counts every such clamp; positive values below the floor are legitimate
@@ -194,17 +189,6 @@ def _block_marks(measure, gens, regions, block: int, cells) -> tuple:
     return bounds, path, offsets, np.repeat(path, n), marks
 
 
-def _add_jumps(jump_fn, pv, states, incr, table, group: int) -> None:
-    """Add one (step, region) group's jumps to ``incr``: every mark in one
-    call of ``jump_fn``, each path's marks summed in draw order."""
-    bounds, paths, offsets, mark_paths, values = table
-    a, b = bounds[group], bounds[group + 1]
-    if a < b:
-        lo, hi = offsets[a], offsets[b]
-        jumps = jump_fn(pv, states[mark_paths[lo:hi]], values[lo:hi])
-        incr[paths[a:b]] += np.add.reduceat(jumps, offsets[a:b] - lo)
-
-
 def run_paths(
     model: ModelSpec,
     s0,
@@ -306,37 +290,37 @@ def _split_rows(model, s0_arr, cfg, keys, on, workers, shape):
 
 
 def _step_rows(model, s0_arr, cfg, keys, on, step, recorded, floor_hits, drift_max) -> None:
-    """The block and step loop of :func:`run_paths`, by ``step`` at the caller's error settings, with no rerun of its
-    own: the rows of ``keys`` and ``on`` into ``recorded``, ``floor_hits`` and ``drift_max`` (None on the octant)."""
-    n_paths = len(keys)
-    dt = cfg.dt
-    # a group on in every row steps by dt (0-d: numpy reads it fastest) as a run without groups
-    # does; per row, the drift's dt meets a (paths,) row, the compensator's the (paths, 3) integral
-    drift_dt = np.array(dt) if on[:, 0].all() else np.where(on[:, 0], dt, 0.0)
-    comp_dt = np.array(dt) if on[:, 2].all() else np.where(on[:, 2], dt, 0.0)[:, None]
-    sqrt_dt = math.sqrt(dt)
-    K, stride = cfg.n_steps, cfg.record_stride
-    n_brownian = model.brownian_dim
-    zero, one, tol, floor = map(np.array, (0.0, 1.0, RENORM_TOL, POSITIVITY_FLOOR))  # 0-d, as for dt
-
+    """The blocks of :func:`run_paths`, one call of the block program ``step`` each, at the caller's error settings:
+    the rows of ``keys`` and ``on`` into ``recorded``, ``floor_hits`` and ``drift_max`` (None on the octant)."""
+    n_paths, dt, K, stride = len(keys), cfg.dt, cfg.n_steps, cfg.record_stride
+    # a group on in every row steps by dt (0-d: numpy reads it fastest) as a run without groups does, else per row
+    drift_dt, comp_dt = (np.array(dt) if on[:, g].all() else np.where(on[:, g], dt, 0.0) for g in (0, 2))
     gens = _generators(keys)
     regions = list(model.mark_rules)
-    # (group offset, program, compensated) per drawn region, small before large
-    jump_steps = [(r, model.small_jump_fn, True) if region == SMALL else (r, model.large_jump_fn, False)
-                  for r, region in enumerate(regions)]
-
-    S = np.tile(s0_arr[:, None], n_paths).T  # (paths, 3) over (3, paths): each component's paths contiguous
-    recorded[:, 0, :] = S
+    S3 = np.tile(s0_arr[:, None], n_paths)  # (3, paths): each component's paths contiguous
+    recorded[:, 0, :] = S3.T
     chunk = CHUNK_STEPS if regions and on[:, 2].any() else min(CHUNK_STEPS, MARK_FREE_STEPS)
     width = min(chunk, K)  # each block's normals are written in place, one row per path
     # one spare step per row: a power-of-two row stride crowds a step's column into few cache sets
-    normal_buf = np.zeros((n_paths, width + 1, n_brownian))  # a row without diffusion stays zero
-    tile = np.empty((min(TILE_STEPS, width), n_brownian, n_paths))
+    normal_buf = np.zeros((n_paths, width + 1, model.brownian_dim))  # a row without diffusion stays zero
+    tile = np.empty((min(TILE_STEPS, width), model.brownian_dim, n_paths))
+    run = (S3, tile, math.sqrt(dt), drift_dt, comp_dt, *map(np.array, (POSITIVITY_FLOOR, RENORM_TOL)), stride, K,
+           recorded, floor_hits, drift_max)
+
+    def jumps(j, incr, comp):  # a step with marks, small before large, less the compensator after the small
+        bounds, paths, offsets, owners, values = table  # each (step, region) group's marks in one call
+        for r, region in enumerate(regions):
+            a, b = bounds[j * len(regions) + r], bounds[j * len(regions) + r + 1]
+            if a < b:  # the program gets 0-d views of what it reads; each path's marks sum in draw order
+                fn, lo, hi = model.small_jump_fn if region == SMALL else model.large_jump_fn, offsets[a], offsets[b]
+                marks = fn({name: pv_block[name][j, ...] for name in fn.reads}, S3.T[owners[lo:hi]], values[lo:hi])
+                incr.T[paths[a:b]] += np.add.reduceat(marks, offsets[a:b] - lo)
+            if region == SMALL:
+                incr -= comp
 
     for k0 in range(0, K, chunk):
         block = min(chunk, K - k0)
         pv_block = model.param_values(np.arange(k0, k0 + block, dtype=float) * dt)
-        read = [(name, pv_block[name]) for name in step.reads]
         normals = normal_buf[:, :block]
         if model.has_diffusion:
             for p in np.flatnonzero(on[:, 1]):
@@ -351,30 +335,7 @@ def _step_rows(model, s0_arr, cfg, keys, on, step, recorded, floor_hits, drift_m
                     cells.append((p, hit * len(regions) + r, c[hit]))
         table = _block_marks(model.measure, gens, regions, block, cells) if regions else None
         marked = np.diff(table[0]).reshape(block, -1).any(axis=1).tolist() if regions else [False] * block
-        for j in range(block):
-            if j % len(tile) == 0:  # the next tile of increments, scaled as they are copied
-                np.multiply(normals[:, j:j + len(tile)].transpose(1, 2, 0), sqrt_dt, out=tile[:block - j])
-            incr, comp = step({name: arr[j, ...] for name, arr in read}, S, tile[j % len(tile)].T, drift_dt, comp_dt)
-            for r, jump_fn, compensated in jump_steps:
-                if marked[j]:  # the jump programs run on steps with marks, each with 0-d views of what it reads
-                    pv = {name: pv_block[name][j, ...] for name in jump_fn.reads}
-                    _add_jumps(jump_fn, pv, S, incr, table, j * len(regions) + r)
-                if compensated:
-                    incr -= comp
-            S = S + incr
-            below = S <= zero
-            if np.count_nonzero(below):
-                S = np.where(below, floor, S)
-                np.add(floor_hits, below.sum(axis=1), out=floor_hits)
-            if drift_max is not None:
-                sums = S[:, 0] + S[:, 1] + S[:, 2]
-                dev = np.abs(sums - one)
-                fix = dev > tol
-                if np.count_nonzero(fix):
-                    S[fix] /= sums[fix, None]
-                np.maximum(drift_max, dev, out=drift_max)
-            if (k0 + j + 1) % stride == 0 or k0 + j + 1 == K:
-                recorded[:, -(-(k0 + j + 1) // stride), :] = S
+        step(pv_block, normals, marked, jumps, k0, run)
 
 
 def simulate(model: ModelSpec, s0, cfg: SimConfig, groups=None) -> Trajectory:

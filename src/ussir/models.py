@@ -30,10 +30,10 @@ time coefficient, once with :func:`ussir.expr.compile_program`, jump
 constants and cap folded in, sets the flags saying which noise it carries
 and fixes the mark rule of each jump region a run draws, which the
 compensator and :func:`ussir.criteria.generic_alpha_estimate` integrate with;
-the engine's step program, drift, diffusion and small-jump compensator in
-one, and its checked twin are compiled on first use.  Programs take a dict
-of time coefficients and time-only subtrees, so that integrators evaluate
-each once per block of steps (see :meth:`ModelSpec.param_values`).
+the engine's block program, which steps a block of drift, diffusion and
+small-jump compensator, and its checked twin are compiled on first use.
+Programs take a dict of time coefficients and time-only subtrees, so that
+they are evaluated once per block of steps (see :meth:`ModelSpec.param_values`).
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ class ModelSpec:
 
     Everything else is derived once, at construction.  Each group is
     compiled into a program: ``drift_fn``, ``diffusion_fn``,
-    ``small_jump_fn`` and ``large_jump_fn`` (``step_fn``, the engine's
-    step over the whole table, and ``checked_step_fn`` on first use).  The
+    ``small_jump_fn`` and ``large_jump_fn`` (on first use ``step_fn``, which
+    steps a block in place, and ``checked_step_fn``; see below).  The
     programs are vectorized over the leading batch axes of the state block
     ``S`` (..., 3); the jump programs also broadcast the mark, and an absent
     jump group computes zeros.  The flags ``brownian_dim``,
@@ -175,8 +175,8 @@ class ModelSpec:
 
     @cached_property
     def step_fn(self):
-        """Drift, diffusion and the small region's compensator as one step
-        program (:func:`~ussir.expr.compile_program`'s ``step``), unchecked."""
+        """The block program (:func:`~ussir.expr.compile_program`'s ``step``), unchecked: drift, diffusion
+        and the small region's compensator stacked on the (3, paths) state, its steps looped in the program."""
         return compile_program(self._step[0], constants=self.constants, step=self._step[1], checked=False)
 
     @cached_property

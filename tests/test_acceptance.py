@@ -12,6 +12,7 @@ import filecmp
 import numpy as np
 import pytest
 
+from test_integrator import _step_block
 from ussir.cli import main
 from ussir.integrator import SimConfig, _path_key, convergence_probe, run_paths
 from ussir.levy import SMALL
@@ -248,7 +249,8 @@ def test_c13_compensation_property(scenario):
     state = np.array([0.8, 0.19, 0.01])
     dt, steps = 0.001, 100_000
     pv = model.param_values(0.0)
-    _, (comp,) = model.step_fn(pv, state[None], np.zeros((1, model.brownian_dim)), 0.0, 1.0)  # comp_dt 1
+    one_step = model.param_values(np.zeros(1))
+    _, (comp,) = _step_block(model, one_step, state[None], np.zeros((1, model.brownian_dim)), 0.0, 1.0)  # comp_dt 1
     small_mass = model.measure.mass(SMALL)
     rng = np.random.Generator(np.random.Philox(key=[2024, 13]))
     acc = np.zeros(3)

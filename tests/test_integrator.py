@@ -16,6 +16,7 @@ from ussir.integrator import (
     CHUNK_STEPS,
     MARK_FREE_STEPS,
     POSITIVITY_FLOOR,
+    RENORM_TOL,
     TILE_STEPS,
     SimConfig,
     Trajectory,
@@ -609,11 +610,26 @@ class TestSplitRows:
             run_paths(model, cfg.initial_state, self.CFG, self.KEYS)
         assert here == [3]  # raised in slice 0, while the children stepped theirs
 
+def _step_block(model, pv, S, dW, drift_dt, comp_dt):
+    """One step of the model's block program from the (paths, 3) states ``S``
+    with the (paths, drivers) Brownian increments ``dW`` and the one-step
+    time values ``pv``, the step marked: the increment before jumps and the
+    compensator (None without a small-region rule) that it hands to the
+    step's jumps, each laid out as ``S``."""
+    S3, seen = np.array(S, dtype=float).T.copy(), []
+    run = (S3, np.empty((1, model.brownian_dim, len(S))), 1.0, drift_dt, comp_dt, POSITIVITY_FLOOR, RENORM_TOL,
+           1, 1, np.empty((len(S), 2, 3)), np.zeros(len(S), dtype=np.int64), None)
+    model.step_fn(pv, np.asarray(dW, dtype=float)[:, None], [True],  # sqrt_dt 1 copies dW into the tile
+                  lambda j, incr, comp: seen.append((incr.T.copy(), None if comp is None else comp.T.copy())), 0, run)
+    (step,) = seen
+    return step
+
+
 class TestStepProgram:
-    """The step program against the group programs, bit for bit: the
-    increment before jumps against drift * dt plus each diffusion column
-    times its Brownian increment, and the compensator against the small
-    region's mark-rule integral of the small-jump program, at random
+    """One step of the block program against the group programs, bit for
+    bit: the increment before jumps against drift * dt plus each diffusion
+    column times its Brownian increment, and the compensator against the
+    small region's mark-rule integral of the small-jump program, at random
     admissible states, with the scalar dt and with per-row dt vectors."""
 
     DT = 0.001
@@ -624,12 +640,13 @@ class TestStepProgram:
             S = rng.dirichlet((1.0, 1.0, 1.0), size=paths)
         else:  # around the cap, so that both sides of every truncation are reached
             S = rng.uniform(1e-3, 2.0 * model.constants.get("cap", 5.0), size=(paths, 3))
-        pv = {name: arr[0, ...] for name, arr in model.param_values(rng.uniform(0.0, 50.0, 1)).items()}
+        block = model.param_values(rng.uniform(0.0, 50.0, 1))
+        pv = {name: arr[0, ...] for name, arr in block.items()}
         dW = rng.standard_normal((paths, model.brownian_dim)) * math.sqrt(self.DT)
         rows = np.arange(paths) % 3 > 0
         for drift_dt, comp_dt in [(np.array(self.DT), np.array(self.DT)),
-                                  (np.where(rows, self.DT, 0.0), np.where(~rows, self.DT, 0.0)[:, None])]:
-            incr, comp = model.step_fn(pv, S, dW, drift_dt, comp_dt)
+                                  (np.where(rows, self.DT, 0.0), np.where(~rows, self.DT, 0.0))]:
+            incr, comp = _step_block(model, block, S, dW, drift_dt, comp_dt)
             sig = model.diffusion_fn(pv, S)
             noise = sum(sig[..., c] * dW[:, c, None] for c in range(model.brownian_dim))
             assert np.array_equal(incr, model.drift_fn(pv, S) * np.reshape(drift_dt, (-1, 1)) + noise)
@@ -638,7 +655,7 @@ class TestStepProgram:
                 continue
             nodes, weights = model.mark_rules[SMALL]
             integral = (model.small_jump_fn(pv, S, nodes[:, None]) * weights[:, None, None]).sum(axis=0)
-            assert np.array_equal(comp, integral * comp_dt)
+            assert np.array_equal(comp, integral * np.reshape(comp_dt, (-1, 1)))
 
     @pytest.mark.parametrize("name", ["table1", "table2", "table3", "table6", "table7"])
     def test_families(self, scenario, name):
@@ -656,6 +673,31 @@ class TestStepProgram:
         assert all(nodes.size >= QUAD_NODES for nodes, _ in model.mark_rules.values())  # both regions read u
         for seed in range(5):
             self._check(model, seed)
+
+    @pytest.mark.parametrize("name", ["table3", "table1_without_jumps"])
+    def test_a_block_is_one_program_call(self, scenario, reduced, monkeypatch, name):
+        # 50 steps in blocks of 7 are 8 calls of the block program; a run without marks draws normals
+        # alone, in sequence, so it matches the reference step loop bit for bit, on the octant and the simplex
+        cfg, model = scenario(name.split("_")[0])
+        model = dataclasses.replace(model) if name == "table3" else reduced(model, diffusion=False)
+        step, calls = model.step_fn, []
+
+        def spy(env, normals, marked, *args):
+            calls.append(len(marked))
+            return step(env, normals, marked, *args)
+
+        spy.reads = step.reads
+        object.__setattr__(model, "step_fn", spy)  # a cached property: the instance's own entry
+        monkeypatch.setattr(integrator, "CHUNK_STEPS", 7)
+        sim = SimConfig(horizon=0.05, dt=0.001, seed=6)
+        traj = run_paths(model, cfg.initial_state, sim, [_path_key(6, 0)])
+        assert calls == [7] * 7 + [1]
+        gen, s = path_generator(6, 0), np.array(cfg.initial_state, dtype=float)
+        manual = [s]
+        for k in range(sim.n_steps):
+            s = _reference_step(model, k * sim.dt, s, sim.dt, gen)
+            manual.append(s)
+        assert np.array_equal(traj.states[0], manual)
 
 
 def test_time_coefficients_evaluated_per_chunk(scenario, monkeypatch):
@@ -719,18 +761,19 @@ class TestBlockMemory:
         else:
             cfg, model = scenario(name)
             model, s0 = dataclasses.replace(model), cfg.initial_state
-        step, columns = model.step_fn, []
+        step, seen = model.step_fn, []
 
-        def spy(env, S, dW, *dts):
-            columns.extend([S[..., i] for i in range(3)] + [dW[:, c] for c in range(model.brownian_dim)])
-            return step(env, S, dW, *dts)
+        def spy(env, normals, marked, jumps, k0, run):
+            S3, tile = run[:2]
+            seen.append((S3.shape, S3.flags.c_contiguous, tile.shape, tile.flags.c_contiguous))
+            return step(env, normals, marked, jumps, k0, run)
 
         spy.reads = step.reads
         object.__setattr__(model, "step_fn", spy)  # a cached property: the instance's own entry
         sim = SimConfig(horizon=(2 * TILE_STEPS + 3) * 0.001, dt=0.001, seed=1)
         traj = run_paths(model, s0, sim, [_path_key(1, i) for i in range(4)])
-        assert len(columns) == sim.n_steps * (3 + model.brownian_dim)
-        assert all(column.flags.c_contiguous for column in columns)
+        # one block: every step reads a row of the state and a (drivers, paths) slice of the tile, each contiguous
+        assert seen == [((3, 4), True, (TILE_STEPS, model.brownian_dim, 4), True)]
         if name == "renormalised":
             assert traj.floor_hits.all() and (traj.simplex_drift > 1e-9).all()
 
@@ -859,9 +902,16 @@ class TestFloatingPointFaults:
         for name in ("step_fn", "checked_step_fn"):
             program = getattr(model, name)
 
-            def spy(*args, program=program, seen=steps.setdefault(name, [])):
-                seen.append(args)
-                return program(*args)
+            def spy(env, normals, marked, jumps, k0, run, program=program, seen=steps.setdefault(name, [])):
+                recorded, flagged = run[9], False  # at record stride 1 each step writes its row; no state is -1
+                recorded[:, k0 + 1:] = -1.0
+                try:
+                    program(env, normals, marked, jumps, k0, run)
+                except FloatingPointError:
+                    flagged = True
+                    raise
+                finally:  # the steps: the rows written, and the one that flagged
+                    seen.append(np.count_nonzero((recorded[0, k0 + 1:] != -1.0).any(axis=1)) + flagged)
 
             spy.reads = program.reads
             object.__setattr__(model, name, spy)  # a cached property: the instance's own entry
@@ -870,8 +920,8 @@ class TestFloatingPointFaults:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             run_paths(model, (1.0, 0.5, 1.0), SimConfig(horizon=0.03, dt=0.001, seed=4), [_path_key(4, i) for i in range(3)])
-        assert len(steps["step_fn"]) == 11
-        assert len(steps["checked_step_fn"]) == 30
+        assert steps["step_fn"] == [11]
+        assert steps["checked_step_fn"] == [30]
         assert len(calls) == 2
 
 

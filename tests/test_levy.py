@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from test_integrator import _step_block
 from ussir.expr import BinOp, Num, Var
 from ussir.integrator import path_generator
 from ussir.levy import LARGE, QUAD_NODES, SMALL, LevyMeasure
@@ -20,10 +21,10 @@ def _step_marks(measure, region, dt, rng):
 
 
 def _compensator(model, t, state):
-    """The compensator of the model's step program at one state with comp_dt 1
-    (None when a run draws no small region)."""
+    """The compensator of one step of the model's block program at one state
+    with comp_dt 1 (None when a run draws no small region)."""
     S = np.asarray(state, dtype=float)[None]
-    _, comp = model.step_fn(model.param_values(t), S, np.zeros((1, model.brownian_dim)), 0.0, 1.0)
+    _, comp = _step_block(model, model.param_values(np.full(1, t)), S, np.zeros((1, model.brownian_dim)), 0.0, 1.0)
     return None if comp is None else comp[0]
 
 
