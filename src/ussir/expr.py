@@ -288,19 +288,21 @@ _PLAIN = {_divide: np.divide, _power: np.power, _log: np.log}  # each checked on
 # a program writes these as infix operators, each running its ufunc, which can also write into a given row
 _INFIX = {operator.add: ("{} + {}", np.add), operator.sub: ("{} - {}", np.subtract),
           operator.mul: ("{} * {}", np.multiply), operator.neg: ("-{}", np.negative)}
-# a block program: each step fills the rows of D, G and H, then the increment, the jumps, the state in place
+# a block program: each step fills the rows of C and H, multiplies C by the tile's step, then the jumps, the state
 _BLOCK = """def _program(env, normals, marked, jumps, k0, run):
-    S3, tile, sqrt_dt, drift_dt, comp_dt, floor, tol, stride, K, recorded, floor_hits, drift_max = run
-    x, y, z = S3
-    D, G, H, T = _np.empty_like(S3), _np.empty(({n},) + S3.shape), _np.empty({nodes}S3.shape), len(tile)
+    S3, tile, sqrt_dt, floor, tol, stride, K, recorded, floor_hits, drift_max = run
+    (C, P), H, T = _np.empty((2,) + tile.shape[1:]), _np.empty({nodes}S3.shape), len(tile)
+    (x, y, z), c, p, R = S3, tuple(C), tuple(P), tuple(tile)  # rows bound once: a tuple indexes faster than numpy
     {head}
     for j in range(len(marked)):
         {body}
-        incr = D * drift_dt
-        {noise}
+        if j % T == 0:  # the next tile of increments, scaled as they are copied (none without drivers)
+            _np.multiply(normals[:, j:j + T].transpose(1, 2, 0)[:, :, None], sqrt_dt, out=tile[:len(marked) - j, 1:{d}])
+        _np.multiply(C, R[j % T], out=P)
+        incr = {incr}
         comp = {comp}
         if marked[j]:
-            jumps(j, incr, comp)
+            jumps(j, incr, comp, H)
         elif comp is not None:
             incr -= comp
         S3 += incr
@@ -343,18 +345,19 @@ def compile_program(
     rows and, unless the small region's ``rule`` is None, the small jumps:
     ``program(env, normals, marked, jumps, k0, run)`` steps a block in place
     on the (3, paths) state of ``run`` (see ``integrator._step_rows``).  A
-    step's increment is ``D * drift_dt + (G[0] * dW_0 + G[1] * dW_1 + ...)``
-    on the stacked (3, paths) drift and (n, 3, paths) diffusion rows, less
-    the rule's integral of the small jumps times ``comp_dt``, which
-    ``jumps(j, incr, comp)`` takes on a marked step; it reads 0-d views of
-    the block's arrays in ``env``, a maximal subtree of time alone by its
-    :func:`serialize` text (``program.reads`` maps each key to its tree).
-    Equal subtrees are equal (frozen, hashable) nodes, so a dict keyed by
-    node computes each once, across the group.  A subtree whose names are
-    all in ``constants`` is evaluated while compiling, by the operations
-    the program would run, and enters the program as a 0-d array; a value
-    that is not finite raises :class:`EvalDomainError` naming the subtree;
-    ``checked`` False leaves ``/``, ``^`` and ``ln`` unchecked outside folds.
+    step fills the rows ``C`` of the drift, each driver's diffusion and the
+    rule's integral of the small jumps ``H``, times its tile rows into
+    ``P``, and steps by ``P[0] + ((P[1] + P[2]) + ...)`` less ``comp =
+    P[-1]``, which ``jumps(j, incr, comp, H)`` takes on a marked step.  It
+    reads 0-d views of the block's arrays in ``env``, a maximal subtree of
+    time alone by its :func:`serialize` text (``program.reads`` maps each
+    key to its tree).  Equal subtrees are equal (frozen, hashable) nodes, so
+    a dict keyed by node computes each once, across the group.  A subtree
+    whose names are all in ``constants`` is evaluated while compiling, by
+    the operations the program would run, and enters the program as a 0-d
+    array; a value that is not finite raises :class:`EvalDomainError` naming
+    the subtree; ``checked`` False leaves ``/``, ``^`` and ``ln`` unchecked
+    outside folds.
     """
     constants = constants or {}
     namespace: dict = {"_np": np}
@@ -366,6 +369,16 @@ def compile_program(
         mark = rule is not None and rule[0].size > 1  # quadrature nodes run along a leading axis
         namespace.update(u=rule[0].reshape(-1, 1) if mark else None, _zero=np.array(0.0), _one=np.array(1.0))
     names: dict = {Var(c): c for c in ("u" if mark else "") + ("xyz" if step is not None else "")}  # node -> its name
+    # op(v, k) on each of x, y and z with one operand k of constants and time alone is one call on the state; with
+    # a row no tree uses, that call would compute it, and could raise a flag that the trees' rows do not
+    rows, stacks, todo = {}, [], list(trees) if step is not None else []  # (op, side, k) -> {v: node}; buffers
+    while todo:
+        node = todo.pop()
+        todo += [child for child in vars(node).values() if isinstance(child, (Neg, BinOp, Call))]
+        for side, v, k in ((0, node.left, node.right), (1, node.right, node.left)) if isinstance(node, BinOp) else ():
+            if v in (Var("x"), Var("y"), Var("z")) and free_names(k).isdisjoint("xyzu"):
+                rows.setdefault((node.op, side, k), {})[v.name] = node
+    trios = {node: trio for trio in rows.values() if len(trio) == 3 for node in trio.values()}
 
     def bind(value, fold: bool = False) -> str:
         name = f"_k{len(namespace)}"
@@ -409,18 +422,27 @@ def compile_program(
             else:  # an unchecked program runs numpy's own operation, which takes no text
                 fn, where = (fn, where) if checked else (_PLAIN.get(fn, fn), ())
                 code, ufunc = _INFIX.get(fn) or (f"{bind(fn)}({', '.join(args + [bind(w) for w in where])})", fn)
-                name = line(code.format(*args), args, ufunc if isinstance(ufunc, np.ufunc) else None)
+                if node in trios and isinstance(ufunc, np.ufunc):  # the three rows of one call on the state
+                    stacks.append(f"s{len(stacks)}")
+                    operands = ", ".join("S3" if arg in ("x", "y", "z") else arg for arg in args)
+                    line(f"{bind(ufunc)}({operands}, out={stacks[-1]})", args)
+                    names.update({sibling: stacks[-1] + v for v, sibling in trios[node].items()})
+                    name = names[node]
+                else:
+                    name = line(code.format(*args), args, ufunc if isinstance(ufunc, np.ufunc) else None)
         names[node] = name
         return name
 
     with np.errstate(over="ignore", invalid="ignore"):  # fold refuses a non-finite constant
         results = [emit(tree) for tree in trees]
-    # a block program binds, once per block, each array it reads and each entry's row of D, G or H ((nodes,) 3, P),
-    # and fills a constant entry's row; an entry of the state (and of u in a quadrature H) is written by the out of
-    # its last operation, any other is copied after the step's lines
+    # a block program binds, once per block, each array it reads, each stacked call's rows and each entry's row of
+    # C (drift, each driver's diffusion) or H ((nodes,) 3, P), and fills a constant entry's row; an entry of the
+    # state (and of u in a quadrature H) is written by the out of its last operation, any other copied after the step
     head, copies = [f"e{i} = env[{key!r}]" for i, key in enumerate(reads)], []
+    head += [f"{s}x, {s}y, {s}z = {s} = _np.empty_like(S3)" for s in stacks]
     for k, (tree, r) in enumerate(zip(trees, results) if step is not None else ()):
-        slot = f"D[{k}]" if k < 3 else f"G[{(k - 3) % n}, {(k - 3) // n}]" if k < 3 + 3 * n else f"H[..., {k % 3}, :]"
+        slot = (f"C[0, {k}]" if k < 3 else f"C[{1 + (k - 3) % n}, {(k - 3) // n}]" if k < 3 + 3 * n
+                else f"H[..., {k % 3}, :]")
         head += [f"o{k} = {slot}"] + [f"o{k}[...] = {r}"] * (r in folded)
         if (r[0] == "v" and (at := lines[int(r[1:])])[2] and not (free := free_names(tree)).isdisjoint("xyz")
                 and ("u" in free) == (mark and k >= 3 + 3 * n)):
@@ -434,16 +456,15 @@ def compile_program(
         dead = [arg for arg in dict.fromkeys(args) if last.get(arg) == i]
         body += [f"v{i} = {code}"] + ([f"del {', '.join(dead)}"] if dead else [])
     if step is not None:
-        # N sums G[c] * dW_c left to right; an entry folded to 0 adds +-0, which can flip only the sign of a zero
-        # increment, not the stepped state
-        noise = ["if j % T == 0:  # the next tile of increments, scaled as they are copied",
-                 "    _np.multiply(normals[:, j:j + T].transpose(1, 2, 0), sqrt_dt, out=tile[:len(marked) - j])",
-                 *(f"N {'+=' if c else '='} G[{c}] * tile[j % T, {c}]" for c in range(n)), "incr += N"] if n else []
-        # the compensator: one node's weight times the vector, or numpy's sum over the nodes
+        # C's compensator row: one node's weight times the vector, or numpy's sum over the nodes
         w = rule is not None and bind(rule[1].reshape(-1, 1, 1) if mark else rule[1][0, ...])
-        comp = (f"(H * {w}).sum(axis=0)" if mark else f"{w} * H") + " * comp_dt" if w else "None"
-        source = _BLOCK.format(n=n, nodes="u.shape[:1] + " if mark else "", head="\n    ".join(head), comp=comp,
-                               body="\n        ".join(body + copies), noise="\n        ".join(noise))
+        fill = [f"_np.sum(H * {w}, axis=0, out=c[-1])" if mark else f"_np.multiply({w}, H, out=c[-1])"] * bool(w)
+        # P is C times the step's tile rows (drift_dt, each driver's dW_c, comp_dt); the noise rows sum left to right;
+        # an entry folded to 0 adds +-0, which can flip only the sign of a zero increment, not the stepped state
+        noise = reduce(lambda a, b: f"({a} + {b})", [f"p[{c}]" for c in range(1, n + 1)]) if n else ""
+        source = _BLOCK.format(nodes="u.shape[:1] + " if mark else "", d=n + 1, head="\n    ".join(head),
+                               body="\n        ".join(body + copies + fill), incr=f"p[0] + {noise}" if n else "p[0]",
+                               comp="p[-1]" if w else "None")
     elif shape is None:
         (result,) = results
         if result in folded:  # a constant needs no code

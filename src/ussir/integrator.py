@@ -5,11 +5,12 @@ the diffusion matrix, the compensated small-jump contribution (sampled
 marks minus compensator * dt) and the uncompensated large-jump marks, all
 at the step's start state, then applies the positivity safeguard.  One
 call of the model's block program steps a block in place on a (3, paths)
-state, each step writing drift, diffusion and compensator into stacked
-rows; a step with marks adds its small marks, subtracts the compensator,
-adds its large marks.  A run steps first with the block program, every
-flag the caller does not ignore raising; a run that flags steps again,
-whole, with the checked program at the caller's error settings.
+state, each step multiplying stacked drift, diffusion and compensator
+rows by the tile's; a step with marks adds its small marks (u-free ones
+are rows of the program's small-jump vector), less the compensator, then
+its large marks.  A run steps first with the block program, every flag
+the caller does not ignore raising; a run that flags steps again, whole,
+with the checked program at the caller's error settings.
 
 Randomness is organized per path: each path owns a Philox generator keyed
 by a hash of (master seed, path index), so paths are independent,
@@ -25,8 +26,8 @@ and a block keeps only its marked cells, (path, step * regions + region,
 count), whose marks form one table grouped by (step, region).  A run in
 which no row draws marks draws normals alone, in sequence, in blocks of
 ``MARK_FREE_STEPS`` on the same stream.  Every ``TILE_STEPS`` steps the
-block's next normals, times sqrt(dt), are copied into a (steps, drivers,
-paths) tile: a step reads each driver's increments, paths contiguous.
+block's next normals, times sqrt(dt), fill a (steps, 1 + drivers (+ 1),
+3, paths) tile between its dt rows: a step's multipliers, paths contiguous.
 
 The safeguard raises components at or below zero to ``POSITIVITY_FLOOR``
 and counts every such clamp; positive values below the floor are legitimate
@@ -293,8 +294,6 @@ def _step_rows(model, s0_arr, cfg, keys, on, step, recorded, floor_hits, drift_m
     """The blocks of :func:`run_paths`, one call of the block program ``step`` each, at the caller's error settings:
     the rows of ``keys`` and ``on`` into ``recorded``, ``floor_hits`` and ``drift_max`` (None on the octant)."""
     n_paths, dt, K, stride = len(keys), cfg.dt, cfg.n_steps, cfg.record_stride
-    # a group on in every row steps by dt (0-d: numpy reads it fastest) as a run without groups does, else per row
-    drift_dt, comp_dt = (np.array(dt) if on[:, g].all() else np.where(on[:, g], dt, 0.0) for g in (0, 2))
     gens = _generators(keys)
     regions = list(model.mark_rules)
     S3 = np.tile(s0_arr[:, None], n_paths)  # (3, paths): each component's paths contiguous
@@ -303,17 +302,22 @@ def _step_rows(model, s0_arr, cfg, keys, on, step, recorded, floor_hits, drift_m
     width = min(chunk, K)  # each block's normals are written in place, one row per path
     # one spare step per row: a power-of-two row stride crowds a step's column into few cache sets
     normal_buf = np.zeros((n_paths, width + 1, model.brownian_dim))  # a row without diffusion stays zero
-    tile = np.empty((min(TILE_STEPS, width), model.brownian_dim, n_paths))
-    run = (S3, tile, math.sqrt(dt), drift_dt, comp_dt, *map(np.array, (POSITIVITY_FLOOR, RENORM_TOL)), stride, K,
-           recorded, floor_hits, drift_max)
+    # each step's multipliers of the program's rows, over the three components: drift_dt, each driver's scaled
+    # normals and, with a small rule, comp_dt; a drift or compensator off in a row steps it by 0
+    tile = np.empty((min(TILE_STEPS, width), 1 + model.brownian_dim + (SMALL in regions), 3, n_paths))
+    tile[:, 0], tile[:, 1 + model.brownian_dim:] = (np.where(on[:, g], dt, 0.0) for g in (0, 2))
+    run = (S3, tile, math.sqrt(dt), *map(np.array, (POSITIVITY_FLOOR, RENORM_TOL)), stride, K, recorded, floor_hits,
+           drift_max)
+    u_free = SMALL in regions and model.mark_rules[SMALL][0].size == 1  # H holds every path's small-jump vector
 
-    def jumps(j, incr, comp):  # a step with marks, small before large, less the compensator after the small
+    def jumps(j, incr, comp, H):  # a step with marks, small before large, less the compensator after the small
         bounds, paths, offsets, owners, values = table  # each (step, region) group's marks in one call
         for r, region in enumerate(regions):
             a, b = bounds[j * len(regions) + r], bounds[j * len(regions) + r + 1]
             if a < b:  # the program gets 0-d views of what it reads; each path's marks sum in draw order
                 fn, lo, hi = model.small_jump_fn if region == SMALL else model.large_jump_fn, offsets[a], offsets[b]
-                marks = fn({name: pv_block[name][j, ...] for name in fn.reads}, S3.T[owners[lo:hi]], values[lo:hi])
+                marks = H.T[owners[lo:hi]] if u_free and region == SMALL else fn(
+                    {name: pv_block[name][j, ...] for name in fn.reads}, S3.T[owners[lo:hi]], values[lo:hi])
                 incr.T[paths[a:b]] += np.add.reduceat(marks, offsets[a:b] - lo)
             if region == SMALL:
                 incr -= comp

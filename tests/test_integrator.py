@@ -111,7 +111,10 @@ def _reference_step(model, t, state, dt, rng, floor=1e-12, counts=None):
     """One Euler-Maruyama step written out plainly, drawing in the engine's
     block-of-one order: Brownian increments, small-jump count, large-jump
     count, small marks, large marks.  Inactive noise groups draw nothing.
-    ``counts`` (a dict), when given, accumulates the marks drawn per region."""
+    A region's marks sum as the engine sums each path's: numpy's reduceat,
+    which sums 8 or more rows pairwise.  ``counts`` (a dict), when given,
+    accumulates the marks drawn per region and keeps the most small marks
+    of one step."""
     s = np.asarray(state, dtype=float)
     pv = model.param_values(t)
     incr = model.drift_fn(pv, s) * dt
@@ -130,17 +133,29 @@ def _reference_step(model, t, state, dt, rng, floor=1e-12, counts=None):
     if counts is not None:
         counts["small"] = counts.get("small", 0) + n_small
         counts["large"] = counts.get("large", 0) + n_large
+        counts["most_small"] = max(counts.get("most_small", 0), n_small)
     if model.has_small_jumps:
         if n_small:
             marks = model.measure.inverse_cdf(SMALL, small_mass * rng.random(n_small))
-            incr = incr + model.small_jump_fn(pv, s, marks).sum(axis=0)
+            incr = incr + np.add.reduceat(model.small_jump_fn(pv, s, marks), [0])[0]
         if SMALL in model.mark_rules:  # the small region's integral of the jump vector, by its mark rule
             nodes, weights = model.mark_rules[SMALL]
             incr = incr - (model.small_jump_fn(pv, s, nodes) * weights[:, None]).sum(axis=0) * dt
     if n_large:
         marks = model.measure.inverse_cdf(LARGE, large_mass * rng.random(n_large))
-        incr = incr + model.large_jump_fn(pv, s, marks).sum(axis=0)
+        incr = incr + np.add.reduceat(model.large_jump_fn(pv, s, marks), [0])[0]
     return _safeguard(s + incr, model.domain, floor)
+
+
+def _dense_marks_model():
+    """An octant model whose u-free small jumps use /, ^, ln and min and
+    whose large jumps read u, at a measure density of 6 marks per step of
+    0.001 in each region on average."""
+    return build_custom(
+        domain=OCTANT, drift=("0.1-0.1*x", "0.05-0.1*y", "0.02-0.05*z"), diffusion=(("0.1*x", "0.05*y", "0"),),
+        small_jump=("0.02*min(x,1)/(1+y)", "-0.02*ln(1+y)^2+0.02*z^0.5", "0.02*min(z,1)/(x+z)"),
+        large_jump=("0.0001*u*x", "0", "0.0001*u"), measure=LevyMeasure(-2.0, 2.0, 3000.0),
+    )
 
 
 def _one_step(model, state, dt, seed):
@@ -215,6 +230,23 @@ class TestSimulate:
         engine, manual, counts = self._engine_and_manual(monkeypatch, model, cfg.initial_state, 2.0, 7)
         assert counts["large"] >= 1 and counts["small"] >= 1
         assert np.array_equal(engine, manual)
+
+    def test_u_free_small_marks_are_the_step_program_rows(self, monkeypatch):
+        # u-free small jumps through /, ^, ln and min, dense enough that a step holds 8 or more small marks:
+        # each small mark is its path's row of the step program's jump vector, summed as the jump programs'
+        # marks are (count * row moves bits), while the large marks, which read u, go through their program
+        model, s0 = _dense_marks_model(), (1.0, 0.5, 0.5)
+        assert model.mark_rules[SMALL][0].size == 1 and model.mark_rules[LARGE][0].size == 2 * QUAD_NODES
+        engine, manual, counts = self._engine_and_manual(monkeypatch, model, s0, 0.3, 7)
+        assert counts["most_small"] >= 8 and counts["large"] >= 1
+        assert np.array_equal(engine, manual)
+        # each path's marks read its own row, in blocks of several steps
+        monkeypatch.setattr(integrator, "CHUNK_STEPS", 16)
+        object.__setattr__(model, "small_jump_fn", None)  # a run never calls the small-jump program
+        cfg = SimConfig(horizon=0.1, dt=0.001, seed=7)
+        batch = run_paths(model, s0, cfg, [_path_key(7, i) for i in range(5)])
+        for i in range(5):
+            assert np.array_equal(batch.states[i], run_paths(model, s0, cfg, [_path_key(7, i)]).states[0])
 
     @pytest.mark.parametrize("seed, index", [(0, 0), (7, 3), (-5, 2**40)])
     def test_path_generator_is_philox_keyed(self, seed, index):
@@ -615,12 +647,19 @@ def _step_block(model, pv, S, dW, drift_dt, comp_dt):
     with the (paths, drivers) Brownian increments ``dW`` and the one-step
     time values ``pv``, the step marked: the increment before jumps and the
     compensator (None without a small-region rule) that it hands to the
-    step's jumps, each laid out as ``S``."""
-    S3, seen = np.array(S, dtype=float).T.copy(), []
-    run = (S3, np.empty((1, model.brownian_dim, len(S))), 1.0, drift_dt, comp_dt, POSITIVITY_FLOOR, RENORM_TOL,
-           1, 1, np.empty((len(S), 2, 3)), np.zeros(len(S), dtype=np.int64), None)
-    model.step_fn(pv, np.asarray(dW, dtype=float)[:, None], [True],  # sqrt_dt 1 copies dW into the tile
-                  lambda j, incr, comp: seen.append((incr.T.copy(), None if comp is None else comp.T.copy())), 0, run)
+    step's jumps, each laid out as ``S``.  The one-step multiplier tile
+    holds ``drift_dt``, the drivers' rows and ``comp_dt`` (with a small
+    rule), each over the three components."""
+    S3, seen, n = np.array(S, dtype=float).T.copy(), [], model.brownian_dim
+    tile = np.empty((1, 1 + n + (SMALL in model.mark_rules), 3, len(S)))
+    tile[:, 0], tile[:, 1 + n:] = drift_dt, comp_dt
+    run = (S3, tile, 1.0, POSITIVITY_FLOOR, RENORM_TOL, 1, 1, np.empty((len(S), 2, 3)),
+           np.zeros(len(S), dtype=np.int64), None)
+
+    def jumps(j, incr, comp, H):
+        seen.append((incr.T.copy(), None if comp is None else comp.T.copy()))
+
+    model.step_fn(pv, np.asarray(dW, dtype=float)[:, None], [True], jumps, 0, run)  # sqrt_dt 1 copies dW into the tile
     (step,) = seen
     return step
 
@@ -753,7 +792,7 @@ class TestBlockMemory:
     @pytest.mark.parametrize("name", ["table6", "renormalised"])
     def test_steps_read_path_contiguous_columns(self, scenario, name):
         # the state is a (paths, 3) view of a (3, paths) array and a step's
-        # increments a (drivers, paths) slice of the tile, through clamps,
+        # multipliers a (rows, 3, paths) slice of the tile, through clamps,
         # renormalisation, jumps and a partial last tile
         if name == "renormalised":  # a non-conserving drift on the simplex, clamped within two tiles
             grow = build_custom(domain=OCTANT, drift=("0", "-2", "1"), diffusion=(ZEROS,))
@@ -772,16 +811,21 @@ class TestBlockMemory:
         object.__setattr__(model, "step_fn", spy)  # a cached property: the instance's own entry
         sim = SimConfig(horizon=(2 * TILE_STEPS + 3) * 0.001, dt=0.001, seed=1)
         traj = run_paths(model, s0, sim, [_path_key(1, i) for i in range(4)])
-        # one block: every step reads a row of the state and a (drivers, paths) slice of the tile, each contiguous
-        assert seen == [((3, 4), True, (TILE_STEPS, model.brownian_dim, 4), True)]
+        # one block: every step reads a row of the state and a slice of the tile, each contiguous: drift_dt, each
+        # driver's increments and comp_dt (with a small rule), each over the three components
+        rows = 1 + model.brownian_dim + (SMALL in model.mark_rules)
+        assert rows == (4 if name == "table6" else 2)
+        assert seen == [((3, 4), True, (TILE_STEPS, rows, 3, 4), True)]
         if name == "renormalised":
             assert traj.floor_hits.all() and (traj.simplex_drift > 1e-9).all()
 
     def test_jump_programs_get_what_they_read(self, scenario):
-        # the small jumps read a coefficient, the large ones t: each program's
-        # dict holds exactly its reads, on every step with marks
+        # the small jumps read a coefficient and u (u-free ones are the step
+        # program's rows), the large ones t: each program's dict holds exactly
+        # its reads, on every step with marks
         _, model = scenario("table1")
-        model = dataclasses.replace(model, small_jump=[BinOp("*", tree, Var("beta")) for tree in model.small_jump],
+        beta_u = BinOp("*", Var("beta"), Var("u"))
+        model = dataclasses.replace(model, small_jump=[BinOp("*", tree, beta_u) for tree in model.small_jump],
                                     large_jump=[BinOp("*", tree, Var("t")) for tree in model.large_jump])
         keys = {}
         for group in ("small_jump_fn", "large_jump_fn"):
@@ -868,6 +912,19 @@ class TestFloatingPointFaults:
         with np.errstate(over="ignore"), pytest.raises(EvalDomainError, match=f"^{message}$"):
             run_paths(model, (1.0, 1.0, 1.0), SimConfig(horizon=0.01, dt=0.001, seed=1), [_path_key(1, 0)])
 
+    def test_shared_row_operations_leave_unused_rows_alone(self, monkeypatch):
+        # 1e200*x and 1e200*y but no 1e200*z: one call on the whole state would overflow at z = 1e200, and
+        # the flag would step the run again with the checked program, which warns
+        model = build_custom(domain=OCTANT, drift=("1e200*x-1e200*y", "1e200*y-1e200*x", "0"), diffusion=(ZEROS,))
+        calls, step_rows = [], integrator._step_rows
+        monkeypatch.setattr(integrator, "_step_rows", lambda *args: calls.append(args) or step_rows(*args))
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            traj = run_paths(model, (1.0, 1.0, 1e200), SimConfig(horizon=0.01, dt=0.001, seed=4), [_path_key(4, 0)])
+        assert not [w for w in warned if issubclass(w.category, RuntimeWarning)]
+        assert len(calls) == 1
+        assert (traj.states == [1.0, 1.0, 1e200]).all()
+
     @pytest.mark.parametrize("chunk", [CHUNK_STEPS, 7, 1])
     def test_overflow_to_nan_keeps_the_checked_values(self, monkeypatch, chunk):
         # x overflows to inf, then x - x*y is NaN while z is clamped at every
@@ -903,7 +960,7 @@ class TestFloatingPointFaults:
             program = getattr(model, name)
 
             def spy(env, normals, marked, jumps, k0, run, program=program, seen=steps.setdefault(name, [])):
-                recorded, flagged = run[9], False  # at record stride 1 each step writes its row; no state is -1
+                recorded, flagged = run[7], False  # at record stride 1 each step writes its row; no state is -1
                 recorded[:, k0 + 1:] = -1.0
                 try:
                     program(env, normals, marked, jumps, k0, run)
