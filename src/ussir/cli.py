@@ -70,6 +70,7 @@ def _flag_type(convert, ok, what: str):
 _FINITE_POSITIVE = _flag_type(float, lambda v: math.isfinite(v) and v > 0, "a finite positive number")
 _POSITIVE_INT = _flag_type(int, lambda v: v > 0, "a positive integer")
 _SEED = _flag_type(int, lambda v: -(2**63) <= v < 2**63, "a signed 64-bit integer")
+_SLACK = _flag_type(float, lambda v: 0 < v < 1, "a number in (0, 1)")  # at 1 or more a persistence verdict cannot fail
 
 
 def _add_flags(parser: argparse.ArgumentParser, run: bool) -> None:
@@ -173,7 +174,7 @@ def main(argv=None) -> int:
     p_ens = sub.add_parser("ensemble", help="seeded path ensemble, statistics, and verdict")
     _add_flags(p_ens, run=True)
     p_ens.add_argument("--paths", type=_POSITIVE_INT, default=None, help="override the path count")
-    p_ens.add_argument("--slack", type=_FINITE_POSITIVE, default=0.5, help="comparator slack (default 0.5)")
+    p_ens.add_argument("--slack", type=_SLACK, default=0.5, help="comparator slack (default 0.5)")
     p_ens.set_defaults(func=cmd_ensemble)
 
     p_cri = sub.add_parser("criteria", help="closed-form extinction/persistence report")

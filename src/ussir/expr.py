@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -92,6 +92,18 @@ class Call:
 
 
 Node = Union[Num, Var, Neg, BinOp, Call]
+
+
+def _per_node(fn: Callable) -> Callable:
+    """``fn(node)`` computed once per node and kept in its own dict: built from its children's, it is O(1)."""
+    def get(node, key=f"_{fn.__name__}"):
+        return node.__dict__[key] if key in node.__dict__ else node.__dict__.setdefault(key, fn(node))
+    return wraps(fn)(get)
+
+
+for _cls in (Num, Var, Neg, BinOp, Call):  # a dataclass's own hash hashes the whole subtree on every call
+    _cls.__hash__ = _per_node(_cls.__hash__)  # held only in this process: below, a pickle carries the fields alone
+    _cls.__reduce__ = lambda node: (type(node), tuple(getattr(node, f) for f in node.__dataclass_fields__))
 
 
 # --- tokenizer / parser ----------------------------------------------------
@@ -357,15 +369,25 @@ def compile_program(
     the operations the program would run, and enters the program as a 0-d
     array; a value that is not finite raises :class:`EvalDomainError` naming
     the subtree; ``checked`` False leaves ``/``, ``^`` and ``ln`` unchecked
-    outside folds.
+    outside folds.  A program is emitted once per process for its input
+    (the trees, ``shape``, ``mark``, ``checked``, each constant's name and
+    bits, ``n``, the rule's bytes): equal input shares one function, so
+    nothing may change it or its ``reads``.  A refusal raises on every call.
     """
-    constants = constants or {}
+    folds = tuple(sorted((name, float(value).hex()) for name, value in (constants or {}).items()))
+    rule = step and step[1] and tuple((a.dtype.str, a.shape, a.tobytes()) for a in step[1])
+    return _emit(tuple(trees), shape, folds, mark, step and (step[0], rule), checked)
+
+
+@lru_cache(maxsize=1024)  # a call that raises stores nothing
+def _emit(trees, shape, folds, mark, step, checked) -> Callable:
+    constants = {name: float.fromhex(value) for name, value in folds}
     namespace: dict = {"_np": np}
     folded: dict = {}  # name -> value of each folded constant
     lines: list[list] = []  # [code, operands, ufunc that may write its value into a row] of v0, v1, ...
     reads: dict = {}  # env key -> tree of each value the program reads
     if step is not None:
-        n, rule = step
+        n, rule = step[0], step[1] and tuple(np.frombuffer(b, d).reshape(s) for d, s, b in step[1])
         mark = rule is not None and rule[0].size > 1  # quadrature nodes run along a leading axis
         namespace.update(u=rule[0].reshape(-1, 1) if mark else None, _zero=np.array(0.0), _one=np.array(1.0))
     names: dict = {Var(c): c for c in ("u" if mark else "") + ("xyz" if step is not None else "")}  # node -> its name
@@ -567,6 +589,7 @@ class BoundsPair:
             raise ValueError(f"unknown bounds method {self.method!r}")
 
 
+@_per_node
 def free_names(node: Node) -> frozenset[str]:
     """The variable names an expression tree mentions."""
     if isinstance(node, Num):

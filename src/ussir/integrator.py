@@ -133,7 +133,7 @@ class Trajectory:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "X", "Y", "Z"])
-            for t, (x, y, z) in zip(self.times, self.states[0]):
+            for t, (x, y, z) in zip(self.times.tolist(), self.states[0].tolist()):  # Python floats format faster
                 writer.writerow([f"{v:.17g}" for v in (t, x, y, z)])
 
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +18,7 @@ from ussir.expr import (
     BoundsPair,
     Call,
     EvalDomainError,
+    Neg,
     Num,
     ParseError,
     Var,
@@ -24,6 +26,7 @@ from ussir.expr import (
     bounds,
     compile_program,
     evaluate,
+    free_names,
     parse,
     serialize,
 )
@@ -440,3 +443,68 @@ class TestEnclosure:
     def test_inconclusive(self, text):
         # an ln argument reaching 0, a divisor spanning 0, a power, an end that overflows
         assert _enclosure(parse(text)) is None
+
+
+class TestSharedTrees:
+    TEXT = "0.3*x*y/(1+sin(4*t))-min(x,cap)"
+    NAMES = ("t", "x", "y", "cap")
+
+    def test_equal_trees_parsed_apart_hash_and_compare_equal(self):
+        a, b = parse(self.TEXT, self.NAMES), parse(self.TEXT, self.NAMES)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1 and free_names(a) == free_names(b) == {"t", "x", "y", "cap"}
+        assert a != parse(self.TEXT.replace("0.3", "0.4"), self.NAMES)
+
+    def test_a_node_hashes_and_names_once(self):
+        class Counted(float):  # a leaf value that counts how often it is hashed
+            calls = 0
+
+            def __hash__(self):
+                Counted.calls += 1
+                return float.__hash__(self)
+
+        tree = BinOp("+", Num(Counted(0.5)), Neg(Call("sin", BinOp("*", Num(Counted(4.0)), Var("t")))))
+        first = hash(tree)
+        assert Counted.calls == 2
+        assert hash(tree) == first and {tree: 1}[tree] == 1 and hash(tree.right) == hash(tree.right)
+        assert Counted.calls == 2  # no node hashes its subtree again
+        assert free_names(tree) is free_names(tree) == {"t"}
+
+    def test_a_pickle_carries_only_the_fields(self):
+        tree = parse(self.TEXT, self.NAMES)
+        hash(tree), free_names(tree)
+        again = pickle.loads(pickle.dumps(tree))
+        assert set(vars(again)) == set(vars(again.right)) == {"op", "left", "right"}  # min(x,cap)
+        assert again == tree and hash(again) == hash(tree)
+
+
+class TestProgramMemo:
+    TREES = [parse("k*x-min(y,k)", ("x", "y", "k"))]
+
+    def test_equal_input_returns_one_program(self):
+        program = compile_program(self.TREES, (1,), {"k": 0.5})
+        assert compile_program([parse("k*x-min(y,k)", ("x", "y", "k"))], (1,), {"k": 0.5}) is program
+        assert compile_program(self.TREES, (1,), {"k": np.float64(0.5)}) is program
+
+    def test_every_input_keys_the_program(self):
+        S = np.array([[2.0, 3.0, 0.0]])
+        base = compile_program(self.TREES, (1,), {"k": 0.5})
+        others = {
+            "constant": compile_program(self.TREES, (1,), {"k": 0.25}),
+            "another constant": compile_program(self.TREES, (1,), {"k": 0.5, "j": 1.0}),
+            "signed zero": compile_program(self.TREES, (1,), {"k": -0.0}),
+            "shape": compile_program(self.TREES, (1, 1), {"k": 0.5}),
+            "mark": compile_program(self.TREES, (1,), {"k": 0.5}, mark=True),
+            "unchecked": compile_program(self.TREES, (1,), {"k": 0.5}, checked=False),
+        }
+        assert len({id(base), *map(id, others.values())}) == 7
+        assert base({}, S).tolist() == [[0.5]] and others["constant"]({}, S).tolist() == [[0.25]]
+        assert math.copysign(1.0, compile_program([parse("k", ("k",))], constants={"k": -0.0})({})) == -1.0
+
+    def test_refused_fold_raises_on_every_call(self):
+        tree, before = parse("t+k*1e300", ("t", "k")), ussir.expr._emit.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(EvalDomainError, match="non-finite constant inf"):
+                compile_program([tree], constants={"k": 1e10})
+        assert ussir.expr._emit.cache_info().currsize == before
+        assert compile_program([tree], constants={"k": 1.0})({"t": 1.0}) == 1.0 + 1e300

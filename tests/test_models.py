@@ -11,6 +11,7 @@ from ussir.expr import (
     SCAN_HORIZON,
     SCAN_POINTS,
     BinOp,
+    EvalDomainError,
     Num,
     _analytic_bounds,
     _compile_source,
@@ -20,11 +21,12 @@ from ussir.expr import (
     parse,
     serialize,
 )
-from ussir.levy import LARGE, SMALL
+from ussir.levy import LARGE, SMALL, LevyMeasure
 from ussir.models import (
     FAMILIES,
     OCTANT,
     SIMPLEX,
+    ModelSpec,
     build_custom,
     build_named,
     check_admissible,
@@ -522,3 +524,60 @@ class TestSuppress:
         silent = reduced(model)
         report = check_positivity_ratios(silent, samples=200, rng=np.random.default_rng(9))
         assert report.min_ratio == 1.0
+
+
+_PROGRAMS = ("drift_fn", "diffusion_fn", "small_jump_fn", "large_jump_fn", "step_fn", "checked_step_fn")
+
+
+class TestSharedPrograms:
+    """Each program is emitted once per process for its whole input and shared by every model that asks for it."""
+
+    @pytest.mark.parametrize("name", ["table1", "table3", "table6"])
+    def test_rebuilds_share_every_program(self, scenario, name):
+        cfg, _ = scenario(name)
+        model, again = build_model(cfg), build_model(cfg)
+        for program in _PROGRAMS:
+            assert getattr(again, program) is getattr(model, program), program
+        assert list(again._param_fns) == list(model._param_fns) and model._param_fns
+        for key, fn in model._param_fns.items():
+            assert again._param_fns[key] is fn, key
+
+    def test_custom_rebuild_shares_every_program(self):
+        def build():
+            return build_custom(OCTANT, ("0.1-0.1*x", "0.05*(1+sin(t))*x*y-0.1*y", "0.02-0.05*z"),
+                                (("0.1*x", "0.05*y", "0"),), small_jump=("0.01*u*x", "0.01*u^2*y", "0"))
+
+        model, again = build(), build()
+        assert again is not model and again.small_jump[0] is not model.small_jump[0]  # parsed anew
+        for program in _PROGRAMS:
+            assert getattr(again, program) is getattr(model, program), program
+        assert model._param_fns and all(again._param_fns[key] is fn for key, fn in model._param_fns.items())
+
+    def test_each_input_gets_its_own_program(self, scenario):
+        cfg, model = scenario("table6")
+        half_h1 = build_model(dataclasses.replace(cfg, jumps={**cfg.jumps, "h1": cfg.jumps["h1"] / 2}))
+        other_cap = build_model(dataclasses.replace(cfg, cap=3 * cfg.cap))
+        assert half_h1.small_jump_fn is not model.small_jump_fn and half_h1.step_fn is not model.step_fn
+        assert half_h1.drift_fn is not model.drift_fn  # the drift reads no jump constant, but the key holds them all
+        assert other_cap.drift_fn is not model.drift_fn and other_cap.step_fn is not model.step_fn
+        assert model.checked_step_fn is not model.step_fn
+        # each computes with its own constants: the small jump's susceptible row at x = y = z = 1/2
+        pv, S = _at(model, 0.0, (0.5, 0.5, 0.5))
+        for m in (model, half_h1):
+            assert m.small_jump_fn(pv, S, 0.0)[0] == -(m.constants["h1"] * 0.25 - m.constants["h3"] * 0.25)
+        # a u-dependent small rule: other weights at the same nodes, other nodes with the same weights
+        measures = [LevyMeasure(-2.0, 2.0), LevyMeasure(-2.0, 2.0, 2.0), LevyMeasure(-0.5, 2.0), LevyMeasure(-2.0, 0.5)]
+        models = [build_custom(OCTANT, ("0", "0", "0"), (("0.1*x", "0", "0"),), small_jump=("0.01*u*x", "0", "0"),
+                               measure=measure) for measure in measures]
+        (n0, w0), (n1, w1), (n2, w2), (n3, w3) = (m.mark_rules[SMALL] for m in models)
+        assert np.array_equal(n0, n1) and not np.array_equal(w0, w1)
+        assert not np.array_equal(n2, n3) and np.array_equal(w2, w3)
+        assert len({id(m.step_fn) for m in models}) == 4
+        assert len({id(m.drift_fn) for m in models}) == 1  # no group program reads the rule
+
+    def test_refused_fold_raises_on_every_build(self):
+        drift = tuple(parse(text, ("x", "k")) for text in ("k*1e300*x", "0", "0"))
+        for _ in range(2):
+            with pytest.raises(EvalDomainError, match=r"'k\*1e\+300' folds to the non-finite constant inf"):
+                ModelSpec("custom", OCTANT, None, drift, (), constants={"k": 1e300})
+        assert ModelSpec("custom", OCTANT, None, drift, (), constants={"k": 1.0}).drift_fn is not None

@@ -161,7 +161,7 @@ class TestVerdict:
 
     def test_slack_must_be_positive(self):
         report = CriteriaReport(model_id="x", classification="indeterminate")
-        for slack in (0.0, -0.1, float("nan"), float("inf")):
+        for slack in (0.0, -0.1, float("nan"), float("inf"), 1.0, 1.5):  # at 1 a persistence verdict cannot fail
             with pytest.raises(ValueError):
                 verdict(_stats(lyapunov=[0.0]), report, slack=slack)
 

@@ -525,7 +525,7 @@ paths = 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("slack", ["nan", "inf", "-0.1", "0"])
+    @pytest.mark.parametrize("slack", ["nan", "inf", "-0.1", "0", "1"])
     def test_bad_slack_rejected_before_simulating(self, tmp_path, capsys, slack):
         with pytest.raises(SystemExit) as exc:
             main(["ensemble", "--config", "table1", "--out", str(tmp_path), f"--slack={slack}"])
