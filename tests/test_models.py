@@ -228,6 +228,9 @@ class TestTruncationProperties:
         assert _truncate(123.456, 1e12) == 123.456
 
 
+_PROGRAMS = ("drift_fn", "diffusion_fn", "small_jump_fn", "large_jump_fn", "step_fn", "checked_step_fn")
+
+
 def _rule_sizes(model):
     """The node count of each drawn region's mark rule."""
     return {region: nodes.size for region, (nodes, _) in model.mark_rules.items()}
@@ -496,23 +499,26 @@ class TestSuppress:
         assert np.all(silent_drift.drift_fn(pv, S) == 0.0)
         assert silent_drift.diffusion_fn(pv, S).shape == (2, 3, 0)
 
-    @pytest.mark.parametrize("name", ["table1", "table6"])
+    @pytest.mark.parametrize("name", ["table1", "table3", "table6"])
     def test_rebuilds_reuse_compiled_code(self, scenario, reduced, name):
+        # each program is emitted once per process for its whole input and shared by every model that asks for it
         cfg, _ = scenario(name)
-        programs = ("drift_fn", "diffusion_fn", "small_jump_fn", "large_jump_fn", "step_fn")
         model = build_model(cfg)
-        model.step_fn  # compiled on first use
+        model.step_fn, model.checked_step_fn, model._param_fns  # compiled on first use
         misses = _compile_source.cache_info().misses
         again = build_model(cfg)
-        for program in programs:
-            assert getattr(again, program).__code__ is getattr(model, program).__code__, program
+        for program in _PROGRAMS:
+            assert getattr(again, program) is getattr(model, program), program
+        assert list(again._param_fns) == list(model._param_fns) and model._param_fns
+        for key, fn in model._param_fns.items():
+            assert again._param_fns[key] is fn, key
         assert _compile_source.cache_info().misses == misses
         # a model built from some of the same trees recompiles none of the groups it shares
-        assert reduced(model, drift=True, diffusion=False).diffusion_fn.__code__ is model.diffusion_fn.__code__
+        assert reduced(model, drift=True, diffusion=False).diffusion_fn is model.diffusion_fn
         jumps_only = reduced(model, drift=True, jumps=False)
-        assert jumps_only.small_jump_fn.__code__ is model.small_jump_fn.__code__
-        assert jumps_only.large_jump_fn.__code__ is model.large_jump_fn.__code__
-        assert reduced(model).drift_fn.__code__ is model.drift_fn.__code__
+        assert jumps_only.small_jump_fn is model.small_jump_fn
+        assert jumps_only.large_jump_fn is model.large_jump_fn
+        assert reduced(model).drift_fn is model.drift_fn
 
     def test_checks_run_on_suppressed_simplex_copy(self, scenario, reduced):
         _, model = scenario("table1")
@@ -526,21 +532,8 @@ class TestSuppress:
         assert report.min_ratio == 1.0
 
 
-_PROGRAMS = ("drift_fn", "diffusion_fn", "small_jump_fn", "large_jump_fn", "step_fn", "checked_step_fn")
-
-
 class TestSharedPrograms:
-    """Each program is emitted once per process for its whole input and shared by every model that asks for it."""
-
-    @pytest.mark.parametrize("name", ["table1", "table3", "table6"])
-    def test_rebuilds_share_every_program(self, scenario, name):
-        cfg, _ = scenario(name)
-        model, again = build_model(cfg), build_model(cfg)
-        for program in _PROGRAMS:
-            assert getattr(again, program) is getattr(model, program), program
-        assert list(again._param_fns) == list(model._param_fns) and model._param_fns
-        for key, fn in model._param_fns.items():
-            assert again._param_fns[key] is fn, key
+    """Programs shared between models of one structure, and kept apart by every other input."""
 
     def test_custom_rebuild_shares_every_program(self):
         def build():
