@@ -9,7 +9,7 @@ matplotlib is importable, also saves a quick picture.
 
 from pathlib import Path
 
-from ussir import SimConfig, Trajectory, simulate
+from ussir import SimConfig, simulate
 from ussir.scenario import build_model, bundled_scenario_path, load_scenario
 
 OUT = Path("demo_out")
@@ -33,8 +33,7 @@ def main():
     OUT.mkdir(exist_ok=True)
     for i, label in enumerate(panels):
         stem = label.replace(" ", "_")
-        row = Trajectory(traj.times, traj.states[i : i + 1], traj.floor_hits[i : i + 1], None)
-        row.write_csv(OUT / f"{stem}.csv")
+        traj[i : i + 1].write_csv(OUT / f"{stem}.csv")
         x, y, z = traj.states[i, -1]
         print(f"{label:16s} final (X, Y, Z) = ({x:.4f}, {y:.3e}, {z:.4f})")
 

@@ -37,7 +37,7 @@ from . import __version__
 from .criteria import CRITERIA_CSV_HEADER, NoCriterionError, report_for_model
 from .models import SIMPLEX, ModelSpec, check_conservation, check_positivity_ratios
 from .montecarlo import run_ensemble, verdict, write_ensemble_csv
-from .integrator import Trajectory, simulate
+from .integrator import simulate
 from .scenario import (
     ScenarioConfig,
     ScenarioError,
@@ -95,7 +95,7 @@ def cmd_simulate(args, cfg: ScenarioConfig, model: ModelSpec) -> int:
     traj = simulate(model, cfg.initial_state, sim, groups=list(panels.values()))
     for i, label in enumerate(panels):
         target = args.out / f"{cfg.stem}_{label}.csv"
-        Trajectory(traj.times, traj.states[i : i + 1], traj.floor_hits[i : i + 1], None).write_csv(target)
+        traj[i : i + 1].write_csv(target)
         print(f"wrote {target} (floor_hits={int(traj.floor_hits[i])})")
     return 0
 

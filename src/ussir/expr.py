@@ -67,6 +67,9 @@ class EvalDomainError(ValueError):
 class Num:
     value: float
 
+    def __eq__(self, other):  # -0.0 == 0.0, but each zero folds to a zero of its own sign: compare every bit
+        return type(other) is Num and float(self.value).hex() == float(other.value).hex()
+
 
 @dataclass(frozen=True)
 class Var:
@@ -302,7 +305,7 @@ _INFIX = {operator.add: ("{} + {}", np.add), operator.sub: ("{} - {}", np.subtra
           operator.mul: ("{} * {}", np.multiply), operator.neg: ("-{}", np.negative)}
 # a block program: each step fills the rows of C and H, multiplies C by the tile's step, then the jumps, the state
 _BLOCK = """def _program(env, normals, marked, jumps, k0, run):
-    S3, tile, sqrt_dt, floor, tol, stride, K, recorded, floor_hits, drift_max = run
+    S3, tile, sqrt_dt, floor, tol, stride, K, out = run  # out: the per-path outputs by name
     (C, P), H, T = _np.empty((2,) + tile.shape[1:]), _np.empty({nodes}S3.shape), len(tile)
     (x, y, z), c, p, R = S3, tuple(C), tuple(P), tuple(tile)  # rows bound once: a tuple indexes faster than numpy
     {head}
@@ -321,16 +324,16 @@ _BLOCK = """def _program(env, normals, marked, jumps, k0, run):
         below = S3 <= _zero
         if _np.count_nonzero(below):
             _np.copyto(S3, floor, where=below)
-            _np.add(floor_hits, below.sum(axis=0), out=floor_hits)
-        if drift_max is not None:
+            out["floor_hits"] += below.sum(axis=0)
+        if "simplex_drift" in out:
             sums = x + y + z
             dev = _np.abs(sums - _one)
             fix = dev > tol
             if _np.count_nonzero(fix):
                 S3[:, fix] /= sums[fix]
-            _np.maximum(drift_max, dev, out=drift_max)
+            _np.maximum(out["simplex_drift"], dev, out=out["simplex_drift"])
         if (k0 + j + 1) % stride == 0 or k0 + j + 1 == K:
-            recorded[:, -(-(k0 + j + 1) // stride)] = S3.T"""
+            out["states"][:, -(-(k0 + j + 1) // stride)] = S3.T"""
 # every value a program reads is a _k name of its namespace, so models of one structure share a code object
 _compile_source = lru_cache(maxsize=1024)(lambda source: compile(source, "<expression program>", "exec"))
 
@@ -356,15 +359,15 @@ def compile_program(
     With ``step = (n, rule)`` the trees are the drift, the diffusion by
     rows and, unless the small region's ``rule`` is None, the small jumps:
     ``program(env, normals, marked, jumps, k0, run)`` steps a block in place
-    on the (3, paths) state of ``run`` (see ``integrator._step_rows``).  A
-    step fills the rows ``C`` of the drift, each driver's diffusion and the
-    rule's integral of the small jumps ``H``, times its tile rows into
-    ``P``, and steps by ``P[0] + ((P[1] + P[2]) + ...)`` less ``comp =
-    P[-1]``, which ``jumps(j, incr, comp, H)`` takes on a marked step.  It
-    reads 0-d views of the block's arrays in ``env``, a maximal subtree of
-    time alone by its :func:`serialize` text (``program.reads`` maps each
-    key to its tree).  Equal subtrees are equal (frozen, hashable) nodes, so
-    a dict keyed by node computes each once, across the group.  A subtree
+    on the (3, paths) state of ``run`` into its outputs by name (see
+    ``integrator._step_rows``).  A step fills the rows ``C`` of the drift,
+    each driver's diffusion and the rule's integral of the small jumps
+    ``H``, times its tile rows into ``P``, and steps by ``P[0] + ((P[1] +
+    P[2]) + ...)`` less ``comp = P[-1]``, which ``jumps(j, incr, comp, H)``
+    takes on a marked step.  It reads 0-d views of the block's arrays in
+    ``env``, a maximal subtree of time alone by its :func:`serialize` text
+    (``program.reads`` maps each key to its tree).  Equal subtrees are equal
+    (frozen, hashable) nodes, computed once across the group.  A subtree
     whose names are all in ``constants`` is evaluated while compiling, by
     the operations the program would run, and enters the program as a 0-d
     array; a value that is not finite raises :class:`EvalDomainError` naming

@@ -8,15 +8,17 @@ call of the model's block program steps a block in place on a (3, paths)
 state, each step multiplying stacked drift, diffusion and compensator
 rows by the tile's; a step with marks adds its small marks (u-free ones
 are rows of the program's small-jump vector), less the compensator, then
-its large marks.  A run steps first with the block program, every flag
-the caller does not ignore raising; a run that flags steps again, whole,
-with the checked program at the caller's error settings.
+its large marks.  A run returns one :class:`Trajectory` of the per-path
+outputs declared in ``_OUTPUTS``, laid out in one zeroed buffer.  Its first
+attempt steps with the block program, every flag the caller does not
+ignore raising, here or in forked workers that share the buffer
+(``MIN_SPLIT_PATHS`` paths per CPU); any fault steps the run again, whole
+and here, with the checked program at the caller's error settings, so a
+split run has the serial run's bytes, errors and warnings.
 
 Randomness is organized per path: each path owns a Philox generator keyed
 by a hash of (master seed, path index), so paths are independent,
-reproducible, and independent of how many run together: a run of
-``MIN_SPLIT_PATHS`` paths per CPU steps in forked workers, a slice of rows
-each, with the serial run's bytes, errors and warnings.  A path's stream
+reproducible, and independent of how many run together.  A path's stream
 is consumed per block of ``CHUNK_STEPS`` steps: Brownian increments, then
 small-jump counts, then large-jump counts, then the block's marks as one
 run of uniforms, split step by step (small before large), scaled by the
@@ -35,8 +37,6 @@ decay and pass through untouched.  Simplex states are renormalized only
 when the unit-sum deviation exceeds 1e-9 (the coefficient rows cancel
 algebraically, so only accumulated rounding ever needs correction).
 
-Every run returns one :class:`Trajectory`: the shared record times, a
-(paths, records, 3) state block and the safeguard counts of each path.
 A run's ``groups`` may switch drift, diffusion or jumps off per path (row).
 A row without diffusion draws no normals, one without jumps no counts and
 so no marks, so a row consumes its stream as the model rebuilt without
@@ -50,11 +50,13 @@ import contextlib
 import csv
 import hashlib
 import math
+import mmap
 import os
+import signal
 import struct
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -109,21 +111,26 @@ class SimConfig:
         return max(1, int(math.ceil(self.horizon / self.dt - 1e-9)))
 
 
+# each per-path output of a run by its Trajectory field: a path's shape ("records": the run's), dtype, keeping domains
+_OUTPUTS = {"states": (("records", 3), np.float64, (OCTANT, SIMPLEX)), "floor_hits": ((), np.int64, (OCTANT, SIMPLEX)),
+            "simplex_drift": ((), np.float64, (SIMPLEX,))}
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded states of a batch of paths sharing one time grid, with
-    safeguard diagnostics per path.
-
-    ``states`` is (paths, records, 3) over ``times`` (records,);
-    ``floor_hits`` counts each path's component clamps; ``simplex_drift`` is
-    each path's largest unit-sum deviation on simplex models (None on the
-    octant).
+    """The outputs of ``_OUTPUTS`` for a batch of paths over their shared
+    ``times`` (records,): ``states`` (paths, records, 3), each path's
+    ``floor_hits`` (component clamps) and ``simplex_drift`` (largest unit-sum
+    deviation; None on the octant).  ``result[rows]``: the paths ``rows`` alone.
     """
 
     times: np.ndarray
     states: np.ndarray
     floor_hits: np.ndarray
-    simplex_drift: Optional[np.ndarray]
+    simplex_drift: Optional[np.ndarray] = None
+
+    def __getitem__(self, rows: slice) -> Trajectory:
+        return replace(self, **{name: a[rows] for name, a in vars(self).items() if name in _OUTPUTS and a is not None})
 
     def write_csv(self, path) -> None:
         """Write the ``t,X,Y,Z`` rows of a one-path result with 17
@@ -214,54 +221,47 @@ def run_paths(
     if on.shape != (n_paths, 3):
         raise ValueError(f"groups must have shape {(n_paths, 3)}, got {on.shape}")
     K, stride = cfg.n_steps, cfg.record_stride
-    shape = (n_paths, -(-K // stride) + 1, 3)  # steps 0, stride, 2*stride, ... and the last step K
-    workers = min(len(os.sched_getaffinity(0)), n_paths // MIN_SPLIT_PATHS) if sys.platform == "linux" else 1
-    if workers > 1:
-        import signal
-
-        if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:  # the kernel would reap the workers unseen
-            workers = 1
-
-    def serial(step):
-        out = np.empty(shape), np.zeros(n_paths, dtype=np.int64), np.zeros(n_paths) if model.domain == SIMPLEX else None
-        _step_rows(model, s0_arr, cfg, keys, on, step, *out)
-        return out
-
+    records = -(-K // stride) + 1  # steps 0, stride, 2*stride, ... and the last step K
+    # the kernel would reap the workers of a process that ignores SIGCHLD unseen
+    fork = sys.platform == "linux" and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN
+    workers = max(1, min(len(os.sched_getaffinity(0)), n_paths // MIN_SPLIT_PATHS)) if fork else 1
     out = None
-    with contextlib.suppress(FloatingPointError):
+    with contextlib.suppress(Exception):  # any fault discards the first attempt
         with np.errstate(all="raise", under="ignore" if np.geterr()["under"] == "ignore" else "raise"):
-            out = _split_rows(model, s0_arr, cfg, keys, on, workers, shape) if workers > 1 else serial(model.step_fn)
+            out = _split_rows(model, s0_arr, cfg, keys, on, workers, records, model.step_fn)
     if out is None:  # the checked program raises its error, or gives its values and warnings
-        out = serial(model.checked_step_fn)
-    return Trajectory(np.minimum(np.arange(shape[1]) * stride, K) * cfg.dt, *out)
+        out = _split_rows(model, s0_arr, cfg, keys, on, 1, records, model.checked_step_fn)
+    return Trajectory(np.minimum(np.arange(records) * stride, K) * cfg.dt, **out)
 
 
-def _split_rows(model, s0_arr, cfg, keys, on, workers, shape):
-    """Step ``workers`` contiguous row slices at once with the step program,
-    slice 0 here and one in each forked child under the first attempt's
-    error settings, into the outputs of :func:`_step_rows` in one shared
-    map.  None discards the attempt after a flag, any other exception or a
-    failed child, and the whole run steps again with the checked program."""
-    import mmap
-    import signal
+def _outputs(domain: str, n_paths: int, records: int, shared: bool) -> dict:
+    """The zeroed outputs that ``domain`` keeps, by name, one after another in one buffer, shared if ``shared``."""
+    kept = {name: ((n_paths, *(records if d == "records" else d for d in row)), dtype)
+            for name, (row, dtype, domains) in _OUTPUTS.items() if domain in domains}
+    ends = np.cumsum([0] + [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in kept.values()]).tolist()
+    buffer = mmap.mmap(-1, ends[-1]) if shared else np.zeros(ends[-1], np.uint8)
+    return {name: np.ndarray(shape, dtype, buffer, at) for (name, (shape, dtype)), at in zip(kept.items(), ends)}
 
+
+def _split_rows(model, s0_arr, cfg, keys, on, workers, records, step):
+    """One attempt at a run with the block program ``step``: ``workers`` row slices at once, slice 0 here and one
+    in each forked child, into one :func:`_outputs` (shared if it forks).  None after a failed child."""
     n = len(keys)
+    out = _outputs(model.domain, n, records, shared=workers > 1)
 
     def run(w):
         rows = slice(n * w // workers, n * (w + 1) // workers)
-        _step_rows(model, s0_arr, cfg, keys[rows], on[rows], model.step_fn, *(a if a is None else a[rows] for a in out))
+        _step_rows(model, s0_arr, cfg, keys[rows], on[rows], step, {name: a[rows] for name, a in out.items()})
 
     children = []
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-        shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * n + math.prod(shape))))  # zero-filled
-        out = (shared[2 * n:].reshape(shape), shared[:n].view(np.int64),
-               shared[n:2 * n] if model.domain == SIMPLEX else None)
-        # a child runs on a CPU of the mask other than this thread's (field 39 of its stat):
-        # in a cpuset without load balancing, the kernel keeps it on its parent's CPU
-        with open("/proc/thread-self/stat") as fh:
-            cpus = sorted(os.sched_getaffinity(0) - {int(fh.read().rsplit(")", 1)[1].split()[36])})
+        if workers > 1:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            # a child runs on a CPU of the mask other than this thread's (field 39 of its stat):
+            # in a cpuset without load balancing, the kernel keeps it on its parent's CPU
+            with open("/proc/thread-self/stat") as fh:
+                cpus = sorted(os.sched_getaffinity(0) - {int(fh.read().rsplit(")", 1)[1].split()[36])})
         for w in range(1, workers):
             with warnings.catch_warnings():  # Python 3.12 warns of fork() beside OpenBLAS's threads
                 warnings.simplefilter("ignore", DeprecationWarning)
@@ -281,8 +281,6 @@ def _split_rows(model, s0_arr, cfg, keys, on, workers, shape):
             children.pop()
             if status:
                 return None
-    except Exception:  # the checked rerun raises or warns as a run always has
-        return None
     finally:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
@@ -290,14 +288,14 @@ def _split_rows(model, s0_arr, cfg, keys, on, workers, shape):
     return out
 
 
-def _step_rows(model, s0_arr, cfg, keys, on, step, recorded, floor_hits, drift_max) -> None:
+def _step_rows(model, s0_arr, cfg, keys, on, step, out) -> None:
     """The blocks of :func:`run_paths`, one call of the block program ``step`` each, at the caller's error settings:
-    the rows of ``keys`` and ``on`` into ``recorded``, ``floor_hits`` and ``drift_max`` (None on the octant)."""
+    the rows of ``keys`` and ``on`` into ``out``, their outputs by name (see :func:`_outputs`)."""
     n_paths, dt, K, stride = len(keys), cfg.dt, cfg.n_steps, cfg.record_stride
     gens = _generators(keys)
     regions = list(model.mark_rules)
     S3 = np.tile(s0_arr[:, None], n_paths)  # (3, paths): each component's paths contiguous
-    recorded[:, 0, :] = S3.T
+    out["states"][:, 0, :] = S3.T
     chunk = CHUNK_STEPS if regions and on[:, 2].any() else min(CHUNK_STEPS, MARK_FREE_STEPS)
     width = min(chunk, K)  # each block's normals are written in place, one row per path
     # one spare step per row: a power-of-two row stride crowds a step's column into few cache sets
@@ -306,8 +304,7 @@ def _step_rows(model, s0_arr, cfg, keys, on, step, recorded, floor_hits, drift_m
     # normals and, with a small rule, comp_dt; a drift or compensator off in a row steps it by 0
     tile = np.empty((min(TILE_STEPS, width), 1 + model.brownian_dim + (SMALL in regions), 3, n_paths))
     tile[:, 0], tile[:, 1 + model.brownian_dim:] = (np.where(on[:, g], dt, 0.0) for g in (0, 2))
-    run = (S3, tile, math.sqrt(dt), *map(np.array, (POSITIVITY_FLOOR, RENORM_TOL)), stride, K, recorded, floor_hits,
-           drift_max)
+    run = (S3, tile, math.sqrt(dt), *map(np.array, (POSITIVITY_FLOOR, RENORM_TOL)), stride, K, out)
     u_free = SMALL in regions and model.mark_rules[SMALL][0].size == 1  # H holds every path's small-jump vector
 
     def jumps(j, incr, comp, H):  # a step with marks, small before large, less the compensator after the small

@@ -477,6 +477,12 @@ class TestSharedTrees:
         assert set(vars(again)) == set(vars(again.right)) == {"op", "left", "right"}  # min(x,cap)
         assert again == tree and hash(again) == hash(tree)
 
+    def test_signed_zeros_are_different_numerals(self):
+        # -0.0 == 0.0, but each folds to a zero of its own sign: the program memo keys a tree by its numerals
+        assert Num(-0.0) != Num(0.0) and Num(-0.0) == Num(-0.0) and hash(Num(-0.0)) == hash(Num(-0.0))
+        zeros = [compile_program([Num(value)])({}) for value in (0.0, -0.0)]
+        assert [math.copysign(1.0, zero) for zero in zeros] == [1.0, -1.0]
+
 
 class TestProgramMemo:
     TREES = [parse("k*x-min(y,k)", ("x", "y", "k"))]

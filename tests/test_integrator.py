@@ -653,8 +653,8 @@ def _step_block(model, pv, S, dW, drift_dt, comp_dt):
     S3, seen, n = np.array(S, dtype=float).T.copy(), [], model.brownian_dim
     tile = np.empty((1, 1 + n + (SMALL in model.mark_rules), 3, len(S)))
     tile[:, 0], tile[:, 1 + n:] = drift_dt, comp_dt
-    run = (S3, tile, 1.0, POSITIVITY_FLOOR, RENORM_TOL, 1, 1, np.empty((len(S), 2, 3)),
-           np.zeros(len(S), dtype=np.int64), None)
+    out = {"states": np.empty((len(S), 2, 3)), "floor_hits": np.zeros(len(S), dtype=np.int64)}
+    run = (S3, tile, 1.0, POSITIVITY_FLOOR, RENORM_TOL, 1, 1, out)
 
     def jumps(j, incr, comp, H):
         seen.append((incr.T.copy(), None if comp is None else comp.T.copy()))
@@ -960,7 +960,8 @@ class TestFloatingPointFaults:
             program = getattr(model, name)
 
             def spy(env, normals, marked, jumps, k0, run, program=program, seen=steps.setdefault(name, [])):
-                recorded, flagged = run[7], False  # at record stride 1 each step writes its row; no state is -1
+                # at record stride 1 each step writes its row; no state is -1
+                recorded, flagged = run[7]["states"], False
                 recorded[:, k0 + 1:] = -1.0
                 try:
                     program(env, normals, marked, jumps, k0, run)
@@ -980,6 +981,29 @@ class TestFloatingPointFaults:
         assert steps["step_fn"] == [11]
         assert steps["checked_step_fn"] == [30]
         assert len(calls) == 2
+
+    def test_any_fault_of_a_serial_attempt_steps_again_with_the_checked_program(self, scenario):
+        # an error that is no floating-point flag, raised by the unchecked program of a run in one process,
+        # discards that attempt as a split run's would: the checked program steps the whole run again
+        cfg, model = scenario("table1")
+        sim, keys = SimConfig(horizon=0.05, dt=0.001, seed=2), [_path_key(2, i) for i in range(3)]
+        clean = run_paths(model, cfg.initial_state, sim, keys)
+        model, calls = dataclasses.replace(model), []
+        for name in ("step_fn", "checked_step_fn"):
+            program = getattr(model, name)
+
+            def spy(*args, program=program, name=name):
+                calls.append(name)
+                if name == "step_fn":
+                    raise KeyError("not a flag")
+                return program(*args)
+
+            spy.reads = program.reads
+            object.__setattr__(model, name, spy)  # a cached property: the instance's own entry
+        again = run_paths(model, cfg.initial_state, sim, keys)
+        assert calls == ["step_fn", "checked_step_fn"]
+        for field in ("states", "floor_hits", "simplex_drift"):
+            assert getattr(again, field).tobytes() == getattr(clean, field).tobytes()
 
 
 class TestTrajectoryCsv:
@@ -1008,6 +1032,22 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match="one path, this result has 2"):
             pair.write_csv(tmp_path / "pair.csv")
         assert not (tmp_path / "pair.csv").exists()
+
+    @pytest.mark.parametrize("name", ["table1", "table6"])
+    def test_rows_of_a_result_are_a_result(self, scenario, tmp_path, name):
+        # every per-path output is sliced by rows, the times are shared, and a one-path slice writes its CSV
+        cfg, model = scenario(name)
+        keys = [_path_key(3, i) for i in range(3)]
+        traj = run_paths(model, cfg.initial_state, SimConfig(horizon=0.05, dt=0.01, seed=3), keys)
+        row = traj[1:2]
+        assert type(row) is Trajectory and row.times is traj.times
+        assert row.states.tobytes() == traj.states[1:2].tobytes()
+        assert row.floor_hits.tolist() == traj.floor_hits[1:2].tolist()
+        assert (row.simplex_drift is None) == (model.domain == OCTANT) == (traj.simplex_drift is None)
+        if traj.simplex_drift is not None:
+            assert row.simplex_drift.tolist() == traj.simplex_drift[1:2].tolist()
+        row.write_csv(tmp_path / "row.csv")
+        assert len((tmp_path / "row.csv").read_text().splitlines()) == len(traj.times) + 1
 
 
 class TestConvergenceProbe:

@@ -148,6 +148,12 @@ class TestVerdict:
         stats = _stats(lyapunov=[-0.2, -0.2, -0.2])
         assert verdict(stats, report, slack=0.5) == "consistent"
 
+    def test_extinct_inconsistent(self):
+        # rate 0.16 at slack 0.5: the threshold is -0.16 * 0.5 + 0.5 = +0.42, below the median slope +0.5
+        report = CriteriaReport(model_id="x", classification="extinct", extinction_rate_lb=0.16)
+        stats = _stats(lyapunov=[0.4, 0.5, 0.6])
+        assert verdict(stats, report, slack=0.5) == "inconsistent"
+
     def test_persistent_inconsistent(self):
         report = CriteriaReport(
             model_id="x", classification="persistent", lambda0=1.0, lam=0.14, mean_infected_lb=0.14
