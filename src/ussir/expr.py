@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce, wraps
+from functools import lru_cache, partial, reduce, wraps
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -115,24 +115,16 @@ def _tokenize(text: str, variables: tuple[str, ...]) -> list[tuple[str, object, 
     tokens: list[tuple[str, object, int]] = []
     i, n = 0, len(text)
     while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
+        c, j = text[i], i + 1
         if c in "+-*/^(),":
             tokens.append((c, c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
+        elif c.isdigit() or c == ".":
             while j < n and (text[j].isdigit() or text[j] == "."):
                 j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
+            if text[j : j + 1] in ("e", "E"):
+                k = j + 2 if text[j + 1 : j + 2] in ("+", "-") else j + 1  # the exponent's first digit
+                if text[k : k + 1].isdigit():
+                    j = k + 1
                     while j < n and text[j].isdigit():
                         j += 1
             lexeme = text[i:j]
@@ -143,26 +135,20 @@ def _tokenize(text: str, variables: tuple[str, ...]) -> list[tuple[str, object, 
             if not math.isfinite(value):
                 raise ParseError(f"numeral {lexeme!r} overflows", i)
             tokens.append(("num", value, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
+        elif c.isalpha() or c == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             name = text[i:j]
-            if name in _FUNCTIONS:
-                tokens.append(("func", name, i))
-            elif name in variables:
-                tokens.append(("var", name, i))
-            else:
+            if name not in _FUNCTIONS and name not in variables:
                 raise ParseError(
                     f"unknown name {name!r}; allowed: variables {variables}, "
                     f"functions {_FUNCTIONS}",
                     i,
                 )
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
+            tokens.append(("func" if name in _FUNCTIONS else "var", name, i))
+        elif not c.isspace():
+            raise ParseError(f"unexpected character {c!r}", i)
+        i = j
     tokens.append(("end", None, n))
     return tokens
 
@@ -173,23 +159,20 @@ MAX_DEPTH = 100
 
 
 class _Parser:
-    # each parse_* takes the height still allowed and returns (node, height)
+    # Each parse_* takes its room, the height its tree may still have, and returns
+    # (node, height).  Every recursion passes through parse_unary, which checks on the
+    # way down that one more level fits; a binary operator checks on the way up that
+    # its tree fits, and a refusal there names the operator's position.
     def __init__(self, tokens: list[tuple[str, object, int]]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> tuple[str, object, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, object, int]:
+    def take(self, kind: Optional[str] = None) -> tuple[str, object, int]:
+        """Consume the next token; given ``kind``, it must be of that kind."""
         tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, object, int]:
-        tok = self.advance()
-        if tok[0] != kind:
+        if kind is not None and tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        self.pos += 1
         return tok
 
     def fit(self, height: int, room: int, pos: int) -> int:
@@ -197,66 +180,49 @@ class _Parser:
             raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
         return height
 
-    def parse_expr(self, room: int) -> tuple[Node, int]:
-        node, height = self.parse_term(room)
-        while self.peek()[0] in ("+", "-"):
-            op, _, pos = self.advance()
-            right, rh = self.parse_term(room - 1)
-            node, height = BinOp(op, node, right), self.fit(1 + max(height, rh), room, pos)
-        return node, height
-
-    def parse_term(self, room: int) -> tuple[Node, int]:
-        node, height = self.parse_unary(room)
-        while self.peek()[0] in ("*", "/"):
-            op, _, pos = self.advance()
-            right, rh = self.parse_unary(room - 1)
+    def parse_expr(self, room: int, ops: str = "+-") -> tuple[Node, int]:
+        # left-associative: + - over terms, and a term is * / over unary operands
+        operand = partial(self.parse_expr, ops="*/") if ops == "+-" else self.parse_unary
+        node, height = operand(room)
+        while self.tokens[self.pos][0] in ops:
+            op, _, pos = self.take()
+            right, rh = operand(room - 1)
             node, height = BinOp(op, node, right), self.fit(1 + max(height, rh), room, pos)
         return node, height
 
     def parse_unary(self, room: int) -> tuple[Node, int]:
-        # every recursion passes through here, so the check runs on the way down
-        kind, _, pos = self.peek()
+        kind, _, pos = self.tokens[self.pos]
         self.fit(1, room, pos)
-        if kind == "-":
-            self.advance()
+        if kind in ("-", "+"):
+            self.take()
             node, height = self.parse_unary(room - 1)
-            return Neg(node), height + 1
-        if kind == "+":
-            self.advance()
-            return self.parse_unary(room - 1)
-        return self.parse_power(room)
-
-    def parse_power(self, room: int) -> tuple[Node, int]:
-        # the exponent is a unary operand, so ^ is right-associative
+            return (Neg(node), height + 1) if kind == "-" else (node, height)
         node, height = self.parse_atom(room)
-        if self.peek()[0] == "^":
-            _, _, pos = self.advance()
+        if self.tokens[self.pos][0] == "^":  # the exponent is a unary operand, so ^ is right-associative
+            _, _, pos = self.take()
             exponent, eh = self.parse_unary(room - 1)
             return BinOp("^", node, exponent), self.fit(1 + max(height, eh), room, pos)
         return node, height
 
     def parse_atom(self, room: int) -> tuple[Node, int]:
-        kind, value, pos = self.advance()
+        kind, value, pos = self.take()
         if kind == "num":
             return Num(float(value)), 1
         if kind == "var":
             return Var(str(value)), 1
         if kind == "func":
-            self.expect("(")
-            node, height = self.parse_expr(room - 1)
-            if value == "min":
-                self.expect(",")
-                right, rh = self.parse_expr(room - 1)
-                node, height = BinOp("min", node, right), max(height, rh)
-            else:
-                node = Call(str(value), node)
-            self.expect(")")
-            return node, height + 1
-        if kind == "(":
-            node, height = self.parse_expr(room - 1)
-            self.expect(")")
-            return node, height
-        raise ParseError(f"unexpected token {value!r}", pos)
+            self.take("(")
+        elif kind != "(":
+            raise ParseError(f"unexpected token {value!r}", pos)
+        node, height = self.parse_expr(room - 1)
+        if value == "min":
+            self.take(",")
+            right, rh = self.parse_expr(room - 1)
+            node, height = BinOp("min", node, right), max(height, rh)
+        elif kind == "func":
+            node = Call(str(value), node)
+        self.take(")")
+        return node, (height + 1 if kind == "func" else height)  # a call is a level, parentheses are not
 
 
 def parse(text: str, variables: tuple[str, ...] = ("t",)) -> Node:
@@ -269,9 +235,9 @@ def parse(text: str, variables: tuple[str, ...] = ("t",)) -> Node:
     """
     parser = _Parser(_tokenize(text, variables))
     node, _ = parser.parse_expr(MAX_DEPTH)
-    end = parser.advance()
-    if end[0] != "end":
-        raise ParseError(f"trailing input {end[1]!r}", end[2])
+    kind, value, pos = parser.take()
+    if kind != "end":
+        raise ParseError(f"trailing input {value!r}", pos)
     return node
 
 

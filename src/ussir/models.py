@@ -371,16 +371,24 @@ def build_custom(
     sequence of Brownian columns, each three expressions; jump coefficients
     are three expressions in (t, x, y, z, u) or None for no jumps.  On the
     simplex domain the conservation and positivity checks are mandatory
-    gates: a custom model that fails either is rejected.
+    gates: a custom model that fails either is rejected.  An expression
+    that does not parse is named by its group and its 1-based index.
     """
+    def trees(texts, names, where):
+        for index, text in enumerate(texts, 1):
+            try:
+                yield parse(text, names)
+            except ValueError as exc:
+                raise ValueError(f"custom model {where} entry {index}: {exc}") from exc
+
     state_vars = ("t", "x", "y", "z")
     jump_vars = ("t", "x", "y", "z", "u")
-    drift_trees = tuple(parse(s, state_vars) for s in drift)
-    diff_cols = tuple(tuple(parse(s, state_vars) for s in col) for col in diffusion)
+    drift_trees = tuple(trees(drift, state_vars, "drift"))
+    diff_cols = tuple(tuple(trees(col, state_vars, f"diffusion column {j},")) for j, col in enumerate(diffusion, 1))
     if not diff_cols:
         raise ValueError("at least one diffusion column is required (may be zeros)")
-    small_trees = tuple(parse(s, jump_vars) for s in small_jump) if small_jump else None
-    large_trees = tuple(parse(s, jump_vars) for s in large_jump) if large_jump else None
+    small_trees = tuple(trees(small_jump, jump_vars, "small-jump")) if small_jump else None
+    large_trees = tuple(trees(large_jump, jump_vars, "large-jump")) if large_jump else None
     model = ModelSpec("custom", domain, measure, drift_trees, diff_cols, small_trees, large_trees)
     if domain == SIMPLEX:
         rng = np.random.default_rng(0)  # one stream for both gates

@@ -105,6 +105,13 @@ class TestParseEval:
         assert parse("0.3+0.1*sin(4*t)") == BinOp("+", Num(0.3), BinOp("*", Num(0.1), sin4t))
         assert len(ussir.__all__) == 24
 
+    @pytest.mark.parametrize(
+        "text,tree", [("٣", Num(3.0)), ("2E-1", Num(0.2)), (".5", Num(0.5)), ("+t", Var("t"))],
+        ids=["arabic-indic-digit", "upper-exponent", "leading-point", "unary-plus"],
+    )
+    def test_numerals_and_signs(self, text, tree):
+        assert parse(text) == tree
+
     def test_min(self):
         f = parse("min(t, 1)")
         assert evaluate(f, t=0.25) == 0.25
@@ -142,6 +149,22 @@ class TestErrors:
             parse(text)
         assert err.value.position == position
 
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [
+            ("²", "bad numeral '²'", 0),  # a digit to str.isdigit, but not to float
+            ("1e", "unknown name 'e'", 1),  # an exponent without digits is not part of the numeral
+            ("1e+", "unknown name 'e'", 1),
+            ("1.2.3", "bad numeral '1.2.3'", 0),
+            (".", "bad numeral '.'", 0),
+            ("_t", "unknown name '_t'", 0),
+        ],
+    )
+    def test_numeral_and_name_errors(self, text, message, position):
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse(text)
+        assert err.value.position == position
+
     @pytest.mark.parametrize("text", ["(0-1)^0.5", "0^(0-1)", "(t-2)^0.5", "(t-1)^(0-2)"])
     def test_power_domain(self, text):
         with pytest.raises(EvalDomainError, match="power"):
@@ -174,8 +197,10 @@ class TestErrors:
             ("sin(" * 150 + "t" + ")" * 150, 4 * MAX_DEPTH),
             ("t" + "+t" * 200, 2 * MAX_DEPTH - 1),  # the operator that makes the sum too high
             ("t" + "^t" * 200, 2 * MAX_DEPTH),
+            ("min(" * MAX_DEPTH + "t" + ",1)" * MAX_DEPTH, 4 * MAX_DEPTH),  # the first refused depth
+            ("t" + "*-t" * (MAX_DEPTH - 1), 3 * MAX_DEPTH - 5),  # t*-t is 3 high, each *-t after it one more
         ],
-        ids=["parentheses", "unary-minus", "calls", "left-sum", "right-power"],
+        ids=["parentheses", "unary-minus", "calls", "left-sum", "right-power", "min", "product-of-negations"],
     )
     def test_nesting_deeper_than_max_depth_refused(self, text, position):
         with pytest.raises(ParseError, match=f"nests deeper than {MAX_DEPTH}") as err:
@@ -184,8 +209,14 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "text",
-        ["(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1), "-" * (MAX_DEPTH - 1) + "t", "t" + "+t" * (MAX_DEPTH - 1)],
-        ids=["parentheses", "unary-minus", "left-sum"],
+        [
+            "(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1),
+            "-" * (MAX_DEPTH - 1) + "t",
+            "t" + "+t" * (MAX_DEPTH - 1),
+            "min(" * (MAX_DEPTH - 1) + "t" + ",1)" * (MAX_DEPTH - 1),
+            "t" + "*-1" * (MAX_DEPTH - 2),  # as high as t*-t*...*-t, whose bounds would overflow
+        ],
+        ids=["parentheses", "unary-minus", "left-sum", "min", "product-of-negations"],
     )
     def test_deepest_accepted_trees_pass_every_recursive_pass(self, text):
         f = parse(text)

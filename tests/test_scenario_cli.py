@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from ussir.cli import main
+from ussir.expr import ParseError
 from ussir.integrator import simulate
 from ussir.scenario import (
     ScenarioError,
@@ -284,6 +285,23 @@ class TestLoad:
         target = _write(tmp_path, MINIMAL_CUSTOM + f'{key} = "0"\n')
         with pytest.raises(ScenarioError, match=rf"case\.scn: .*does not take parameters \['{key}'\]"):
             build_model(load_scenario(target))
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ('b2 = "0.2*x*y-0.1*y"', 'b2 = "0.2*x*y-*y"', "drift entry 2: unexpected token '*' (at position 8)"),
+            ('sigma21 = "0.05*y"', 'sigma21 = "0.05*+*y"', "diffusion column 1, entry 2: unexpected token '*' (at position 6)"),
+            ('b3 = "0.1*y"', 'b3 = "0.1*y"\ng1 = "0"\ng2 = "u*/x"\ng3 = "0"', "large-jump entry 2: unexpected token '/' (at position 2)"),
+        ],
+        ids=["drift", "diffusion", "jump"],
+    )
+    def test_custom_parse_error_names_the_entry(self, tmp_path, capsys, old, new, message):
+        target = _write(tmp_path, MINIMAL_CUSTOM.replace(old, new))
+        with pytest.raises(ScenarioError) as err:
+            build_model(load_scenario(target))
+        assert isinstance(err.value.__cause__.__cause__, ParseError)  # the position stays on the parse error
+        assert main(["criteria", "--config", str(target), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {target}: custom model {message}\n"
 
     @pytest.mark.parametrize(
         "old,new,message",

@@ -19,7 +19,7 @@ from ussir.scenario import bundled_scenario_path
 
 BASE = bundled_scenario_path("table3").read_text().splitlines()
 VALUE_LINES = [i for i, line in enumerate(BASE) if "=" in line and not line.startswith("#")]
-TOKENS = [*"0123456789e.+-*/^(),\"#", "t", "x", "q", "sin", "ln", "min"]
+TOKENS = [*"0123456789eE.+-*/^(),_\"#", "²", "٣", "t", "x", "q", "sin", "cos", "ln", "abs", "min"]
 TEXT = st.lists(st.sampled_from(TOKENS), max_size=12).map("".join)
 SHORT = st.lists(st.sampled_from(TOKENS), min_size=1, max_size=3).map("".join)
 # quoted text gets parsed as an expression; short text is more often a valid one
