@@ -34,10 +34,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .criteria import CRITERIA_CSV_HEADER, NoCriterionError, report_for_model
 from .models import SIMPLEX, ModelSpec, check_conservation, check_positivity_ratios
-from .montecarlo import run_ensemble, verdict, write_ensemble_csv
-from .integrator import simulate
 from .scenario import (
     ScenarioConfig,
     ScenarioError,
@@ -84,6 +81,7 @@ def _add_flags(parser: argparse.ArgumentParser, run: bool) -> None:
 
 
 def cmd_simulate(args, cfg: ScenarioConfig, model: ModelSpec) -> int:
+    from .integrator import simulate  # each command imports the layers it runs: validate loads no run layer
     sim = sim_config(cfg, seed=args.seed, dt=args.dt, horizon=args.horizon)
     args.out.mkdir(parents=True, exist_ok=True)
     # each panel is a row of one run: which of drift, diffusion, jumps act on it
@@ -101,6 +99,8 @@ def cmd_simulate(args, cfg: ScenarioConfig, model: ModelSpec) -> int:
 
 
 def cmd_ensemble(args, cfg: ScenarioConfig, model: ModelSpec) -> int:
+    from .criteria import NoCriterionError, report_for_model
+    from .montecarlo import run_ensemble, verdict, write_ensemble_csv
     sim = sim_config(cfg, seed=args.seed, dt=args.dt, horizon=args.horizon)
     paths = args.paths if args.paths is not None else cfg.paths
     args.out.mkdir(parents=True, exist_ok=True)
@@ -124,6 +124,7 @@ def cmd_ensemble(args, cfg: ScenarioConfig, model: ModelSpec) -> int:
 
 
 def cmd_criteria(args, cfg: ScenarioConfig, model: ModelSpec) -> int:
+    from .criteria import CRITERIA_CSV_HEADER, report_for_model
     report = report_for_model(model)
     args.out.mkdir(parents=True, exist_ok=True)
     text_target = args.out / f"{cfg.stem}_criteria.txt"

@@ -300,6 +300,64 @@ _BLOCK = """def _program(env, normals, marked, jumps, k0, run):
             _np.maximum(out["simplex_drift"], dev, out=out["simplex_drift"])
         if (k0 + j + 1) % stride == 0 or k0 + j + 1 == K:
             out["states"][:, -(-(k0 + j + 1) // stride)] = S3.T"""
+
+
+def _operation(node: Node) -> tuple[Callable, list, tuple]:
+    """The checked operation of a ``Neg``, ``BinOp`` or ``Call`` node, its operands, and its text if that takes it."""
+    if isinstance(node, Neg):
+        fn, args = operator.neg, [node.operand]
+    elif isinstance(node, BinOp):
+        fn, args = _BINARY[node.op], [node.left, node.right]
+    else:
+        fn, args = _CALLS[node.func], [node.arg]
+    return fn, args, (serialize(node),) if fn in _PLAIN else ()
+
+
+def _bits(constants: Optional[Mapping[str, float]]) -> tuple:
+    """Each constant's name and bits, sorted: how the constants enter a memo key."""
+    return tuple(sorted((name, float(value).hex()) for name, value in (constants or {}).items()))
+
+
+@lru_cache(maxsize=1024)  # a call that raises stores nothing
+def _folds(trees: tuple, folds: tuple) -> dict:
+    """The value of each subtree of ``trees`` whose names are all constants (``folds``: :func:`_bits`), which a program
+    folds by the checked operations; a value that is not finite raises :class:`EvalDomainError`.  Shared: keep as is."""
+    values: dict = {}  # node -> its value, or None where it reads a name outside constants
+    constants = {name: float.fromhex(value) for name, value in folds}
+
+    def fold(node: Node):
+        if node not in values:
+            if isinstance(node, (Num, Var)):
+                value = node.value if isinstance(node, Num) else constants.get(node.name)
+            else:
+                fn, args, where = _operation(node)
+                args = [fold(arg) for arg in args]
+                value = None if any(arg is None for arg in args) else fn(*args, *where)
+            if value is not None and not np.isfinite(value):
+                raise EvalDomainError(f"{serialize(node)!r} folds to the non-finite constant {value}")
+            values[node] = value
+        return values[node]
+
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite constant is refused above
+        for tree in trees:
+            fold(tree)
+    return {node: value for node, value in values.items() if value is not None}
+
+
+@lru_cache(maxsize=1024)
+def _time_reads(trees: tuple, folds: tuple) -> dict:
+    """Each maximal subtree of time alone (no ``x, y, z, u``) that does not fold, a name included, that a block program
+    of ``trees`` reads, by its :func:`serialize` text in the order it first reads it.  Shared, as :func:`_folds`."""
+    reads, todo, constants = {}, list(reversed(trees)), dict(folds)
+    while todo:
+        free = free_names(node := todo.pop())
+        if not free.isdisjoint("xyzu"):
+            todo += reversed([kid for kid in vars(node).values() if isinstance(kid, (Num, Var, Neg, BinOp, Call))])
+        elif not free.issubset(constants):
+            reads.setdefault(serialize(node), node)
+    return reads
+
+
 # every value a program reads is a _k name of its namespace, so models of one structure share a code object
 _compile_source = lru_cache(maxsize=1024)(lambda source: compile(source, "<expression program>", "exec"))
 
@@ -343,14 +401,14 @@ def compile_program(
     bits, ``n``, the rule's bytes): equal input shares one function, so
     nothing may change it or its ``reads``.  A refusal raises on every call.
     """
-    folds = tuple(sorted((name, float(value).hex()) for name, value in (constants or {}).items()))
     rule = step and step[1] and tuple((a.dtype.str, a.shape, a.tobytes()) for a in step[1])
-    return _emit(tuple(trees), shape, folds, mark, step and (step[0], rule), checked)
+    return _emit(tuple(trees), shape, _bits(constants), mark, step and (step[0], rule), checked)
 
 
 @lru_cache(maxsize=1024)  # a call that raises stores nothing
 def _emit(trees, shape, folds, mark, step, checked) -> Callable:
-    constants = {name: float.fromhex(value) for name, value in folds}
+    values = _folds(trees, folds)
+    time = set(_time_reads(trees, folds).values()) if step is not None else ()
     namespace: dict = {"_np": np}
     folded: dict = {}  # name -> value of each folded constant
     lines: list[list] = []  # [code, operands, ufunc that may write its value into a row] of v0, v1, ...
@@ -382,50 +440,33 @@ def _emit(trees, shape, folds, mark, step, checked) -> Callable:
         lines.append([code, list(operands), ufunc])
         return f"v{len(lines) - 1}"
 
-    def fold(node: Node, value) -> str:
-        if not np.isfinite(value):
-            raise EvalDomainError(f"{serialize(node)!r} folds to the non-finite constant {value}")
-        return bind(value, fold=True)
-
     def emit(node: Node) -> str:
         if node in names:
             return names[node]
-        if isinstance(node, Num):
-            name = fold(node, node.value)
-        elif isinstance(node, Var) and node.name in constants:
-            name = fold(node, float(constants[node.name]))
+        if node in values:
+            name = bind(values[node], fold=True)
         elif isinstance(node, Var) and shape is not None and node.name in ("x", "y", "z"):
             name = line(f"S[..., {'xyz'.index(node.name)}]")
-        elif isinstance(node, Var) or (step is not None and (free := free_names(node)).isdisjoint("xyzu")
-                                       and free - constants.keys()):
+        elif isinstance(node, Var) or node in time:
             reads[key := serialize(node)] = node  # a named value, or a subtree of time alone that is not folded
             name = line(f"e{list(reads).index(key)}[j, ...]" if step is not None else f"env[{key!r}]")
         else:
-            if isinstance(node, Neg):
-                fn, args = operator.neg, [emit(node.operand)]
-            elif isinstance(node, BinOp):
-                fn, args = _BINARY[node.op], [emit(node.left), emit(node.right)]
+            fn, args, where = _operation(node)
+            args = [emit(arg) for arg in args]  # an unchecked program runs numpy's own operation, which takes no text
+            fn, where = (fn, where) if checked else (_PLAIN.get(fn, fn), ())
+            code, ufunc = _INFIX.get(fn) or (f"{bind(fn)}({', '.join(args + [bind(w) for w in where])})", fn)
+            if node in trios and isinstance(ufunc, np.ufunc):  # the three rows of one call on the state
+                stacks.append(f"s{len(stacks)}")
+                operands = ", ".join("S3" if arg in ("x", "y", "z") else arg for arg in args)
+                line(f"{bind(ufunc)}({operands}, out={stacks[-1]})", args)
+                names.update({sibling: stacks[-1] + v for v, sibling in trios[node].items()})
+                name = names[node]
             else:
-                fn, args = _CALLS[node.func], [emit(node.arg)]
-            where = (serialize(node),) if fn in _PLAIN else ()
-            if all(arg in folded for arg in args):  # folded by the checked operation
-                name = fold(node, fn(*(folded[arg] for arg in args), *where))
-            else:  # an unchecked program runs numpy's own operation, which takes no text
-                fn, where = (fn, where) if checked else (_PLAIN.get(fn, fn), ())
-                code, ufunc = _INFIX.get(fn) or (f"{bind(fn)}({', '.join(args + [bind(w) for w in where])})", fn)
-                if node in trios and isinstance(ufunc, np.ufunc):  # the three rows of one call on the state
-                    stacks.append(f"s{len(stacks)}")
-                    operands = ", ".join("S3" if arg in ("x", "y", "z") else arg for arg in args)
-                    line(f"{bind(ufunc)}({operands}, out={stacks[-1]})", args)
-                    names.update({sibling: stacks[-1] + v for v, sibling in trios[node].items()})
-                    name = names[node]
-                else:
-                    name = line(code.format(*args), args, ufunc if isinstance(ufunc, np.ufunc) else None)
+                name = line(code.format(*args), args, ufunc if isinstance(ufunc, np.ufunc) else None)
         names[node] = name
         return name
 
-    with np.errstate(over="ignore", invalid="ignore"):  # fold refuses a non-finite constant
-        results = [emit(tree) for tree in trees]
+    results = [emit(tree) for tree in trees]
     # a block program binds, once per block, each array it reads, each stacked call's rows and each entry's row of
     # C (drift, each driver's diffusion) or H ((nodes,) 3, P), and fills a constant entry's row; an entry of the
     # state (and of u in a quadrature H) is written by the out of its last operation, any other copied after the step
@@ -645,6 +686,18 @@ def _analytic_bounds(tree: Node) -> Optional[tuple[float, float]]:
     return offset - amp, offset + amp
 
 
+def _outward(op: str, x: float, y: float) -> Optional[tuple[float, float]]:
+    """``x op y`` (``+ - * / min``) rounded down and up, or None where it is not finite.  The float v it computes is
+    the exact value rounded to nearest, an ulp off at most; the integer ratios of the three floats say on which side."""
+    if not math.isfinite(v := {"/": operator.truediv, "min": min}.get(op, _BINARY[op])(x, y)):
+        return None
+    (a, b), (c, d), (p, q) = x.as_integer_ratio(), y.as_integer_ratio(), v.as_integer_ratio()
+    n, m = {"+": (a * d + c * b, b * d), "-": (a * d - c * b, b * d), "*": (a * c, b * d), "/": (a * d, b * c),
+            "min": (p, q)}[op]
+    above = (p * m - n * q) * m  # the sign of v less the exact value n / m: q is positive, m may not be
+    return v if above <= 0 else math.nextafter(v, -math.inf), v if above >= 0 else math.nextafter(v, math.inf)
+
+
 def _enclosure(node: Node) -> Optional[tuple[float, float]]:
     """Bounds on the time coefficient ``node`` over t in [0, SCAN_HORIZON] by
     outward-rounded interval arithmetic (Moore, 1966), holding its real values
@@ -657,16 +710,8 @@ def _enclosure(node: Node) -> Optional[tuple[float, float]]:
         if (node.op == "^" or (a := _enclosure(node.left)) is None or (b := _enclosure(node.right)) is None
                 or node.op == "/" and b[0] <= 0.0 <= b[1]):
             return None
-        from fractions import Fraction  # only a coefficient the scan would bound pays the import
-        fn, lo, hi = {"/": operator.truediv, "min": min}.get(node.op, _BINARY[node.op]), math.inf, -math.inf
-        for x in a:  # over the box each operation, a divisor of one sign, is extreme at a corner
-            for y in b:
-                if not math.isfinite(v := fn(x, y)):
-                    return None
-                exact = fn(Fraction(x), Fraction(y))  # v is it rounded to nearest: an ulp off at most
-                lo = min(lo, v if Fraction(v) <= exact else math.nextafter(v, -math.inf))
-                hi = max(hi, v if Fraction(v) >= exact else math.nextafter(v, math.inf))
-        return lo, hi
+        ends = [_outward(node.op, x, y) for x in a for y in b]  # over the box each operation is extreme at a corner
+        return None if None in ends else (min(lo for lo, _ in ends), max(hi for _, hi in ends))
     inner = _enclosure(node.operand if isinstance(node, Neg) else node.arg)
     if inner is None or isinstance(node, Call) and node.func == "ln" and inner[0] <= 0.0:
         return None

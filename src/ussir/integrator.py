@@ -63,6 +63,7 @@ import numpy as np
 
 from .levy import SMALL
 from .models import OCTANT, SIMPLEX, ModelSpec, build_custom, check_admissible
+from .scenario import SimConfig  # defined with the loader, which checks [sim] as one
 
 __all__ = [
     "CHUNK_STEPS",
@@ -81,34 +82,6 @@ MIN_SPLIT_PATHS = 500  # the fewest paths per worker a run splits across CPUs
 
 POSITIVITY_FLOOR = 1e-12
 RENORM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Time grid, seed and record stride of one run."""
-
-    horizon: float
-    dt: float = 0.001
-    seed: int = 0
-    record_stride: int = 1
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.horizon, self.dt))):
-            raise ValueError("horizon and dt must be finite")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.horizon < self.dt:
-            raise ValueError("horizon must cover at least one step")
-        if self.record_stride < 1 or int(self.record_stride) != self.record_stride:
-            raise ValueError("record_stride must be a positive integer")
-        object.__setattr__(self, "record_stride", int(self.record_stride))
-        if not (-(2**63) <= self.seed < 2**63 and int(self.seed) == self.seed):
-            raise ValueError("seed must fit in a signed 64-bit integer")
-        object.__setattr__(self, "seed", int(self.seed))
-
-    @property
-    def n_steps(self) -> int:
-        return max(1, int(math.ceil(self.horizon / self.dt - 1e-9)))
 
 
 # each per-path output of a run by its Trajectory field: a path's shape ("records": the run's), dtype, keeping domains
@@ -225,6 +198,8 @@ def run_paths(
     # the kernel would reap the workers of a process that ignores SIGCHLD unseen
     fork = sys.platform == "linux" and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN
     workers = max(1, min(len(os.sched_getaffinity(0)), n_paths // MIN_SPLIT_PATHS)) if fork else 1
+    # each program a run steps with is emitted here, before a split forks: its workers emit nothing
+    model._param_fns, [model.small_jump_fn if region == SMALL else model.large_jump_fn for region in model.mark_rules]
     out = None
     with contextlib.suppress(Exception):  # any fault discards the first attempt
         with np.errstate(all="raise", under="ignore" if np.geterr()["under"] == "ignore" else "raise"):

@@ -25,13 +25,14 @@ fills a family's table with its time coefficients, jump constants and
 (where its expressions use ``cap``) a truncation cap; :func:`build_custom`
 accepts raw coefficient expressions, and on the proportions simplex it
 must pass the conservation and positivity gates.  Everything else is
-derived from the trees: constructing a model compiles each group, and each
-time coefficient, once with :func:`ussir.expr.compile_program`, jump
-constants and cap folded in, sets the flags saying which noise it carries
-and fixes the mark rule of each jump region a run draws, which the
-compensator and :func:`ussir.criteria.generic_alpha_estimate` integrate with;
-the engine's block program, which steps a block of drift, diffusion and
-small-jump compensator, and its checked twin are compiled on first use.
+derived from the trees: constructing a model sets the flags saying which
+noise it carries, fixes the mark rule of each jump region a run draws, which
+the compensator and :func:`ussir.criteria.generic_alpha_estimate` integrate
+with, and refuses a constant subtree that folds to a non-finite value.  Each
+group, each time coefficient, the engine's block program, which steps a block
+of drift, diffusion and small-jump compensator, and its checked twin are
+compiled on first use with :func:`ussir.expr.compile_program`, jump constants
+and cap folded in.
 Programs take a dict of time coefficients and time-only subtrees, so that
 they are evaluated once per block of steps (see :meth:`ModelSpec.param_values`).
 """
@@ -46,7 +47,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .expr import Node, Num, Var, _analytic_bounds, _enclosure, bounds, compile_program, free_names, parse, shaped
+from .expr import (Node, Num, Var, _analytic_bounds, _bits, _enclosure, _folds, _time_reads, bounds,
+                   compile_program, free_names, parse, shaped)
 from .levy import LARGE, SMALL, LevyMeasure
 
 __all__ = [
@@ -84,7 +86,7 @@ def check_admissible(state, domain: str) -> np.ndarray:
     return arr
 
 
-_ZERO = Num(0.0)
+_ZEROS = (Num(0.0),) * 3  # an absent jump group
 
 
 @dataclass(frozen=True)
@@ -99,10 +101,13 @@ class ModelSpec:
     jump constants and, where the expressions use it, the cap ``cap``; a
     ``measure`` of None is the uniform density on [-2, 2].
 
-    Everything else is derived once, at construction.  Each group is
-    compiled into a program: ``drift_fn``, ``diffusion_fn``,
-    ``small_jump_fn`` and ``large_jump_fn`` (on first use ``step_fn``, which
-    steps a block in place, and ``checked_step_fn``; see below).  The
+    Everything else is derived from them, the programs on first use.  Each
+    group is compiled into a program: ``drift_fn``, ``diffusion_fn``,
+    ``small_jump_fn`` and ``large_jump_fn`` (and ``step_fn``, which steps a
+    block in place, and ``checked_step_fn``; see below).  Construction
+    compiles none of them, but it refuses a constant subtree that folds to
+    a non-finite value with the :class:`~ussir.expr.EvalDomainError`
+    compiling would raise (a walk by the programs' fold rule).  The
     programs are vectorized over the leading batch axes of the state block
     ``S`` (..., 3); the jump programs also broadcast the mark, and an absent
     jump group computes zeros.  The flags ``brownian_dim``,
@@ -138,12 +143,9 @@ class ModelSpec:
         derive("measure", self.measure if self.measure is not None else LevyMeasure())
         derive("params", MappingProxyType(dict(self.params)))
         derive("constants", MappingProxyType(dict(self.constants)))
-        n, small, large, k = len(self.diffusion), self.small_jump, self.large_jump, self.constants
-        entries = [column[i] for i in range(3) for column in self.diffusion]  # row-major (3, n)
-        derive("drift_fn", compile_program(self.drift, (3,), k))
-        derive("diffusion_fn", compile_program(entries, (3, n), k))
-        derive("small_jump_fn", compile_program(small or (_ZERO,) * 3, (3,), k, mark=True))
-        derive("large_jump_fn", compile_program(large or (_ZERO,) * 3, (3,), k, mark=True))
+        n, small, large = len(self.diffusion), self.small_jump, self.large_jump
+        derive("_entries", [column[i] for i in range(3) for column in self.diffusion])  # row-major (3, n)
+        _folds((*self.drift, *self._entries, *(small or ()), *(large or ())), _bits(self.constants))
         derive("brownian_dim", n)
         derive("has_diffusion", n > 0)
         derive("has_small_jumps", small is not None)
@@ -158,11 +160,18 @@ class ModelSpec:
             else:
                 rules[region] = np.zeros(1), np.array([mass])
         derive("mark_rules", MappingProxyType(rules))
-        derive("_step", ([*self.drift, *entries, *(small if SMALL in rules else ())], (n, rules.get(SMALL))))
+        derive("_step", ((*self.drift, *self._entries, *(small if SMALL in rules else ())), (n, rules.get(SMALL))))
+
+    # the group programs, each emitted on first use; an absent jump group computes zeros
+    drift_fn = cached_property(lambda self: compile_program(self.drift, (3,), self.constants))
+    diffusion_fn = cached_property(lambda self: compile_program(self._entries, (3, self.brownian_dim), self.constants))
+    small_jump_fn = cached_property(lambda self: compile_program(self.small_jump or _ZEROS, (3,), self.constants, True))
+    large_jump_fn = cached_property(lambda self: compile_program(self.large_jump or _ZEROS, (3,), self.constants, True))
 
     def param_values(self, t) -> dict:
-        """Evaluate every time coefficient, then each time-only subtree :attr:`step_fn`
-        reads (by its text), at ``t`` (scalar or array) as :func:`ussir.expr.evaluate` would; ``t`` too."""
+        """Evaluate every time coefficient, then each time-only subtree :attr:`step_fn` reads (by its text, found
+        by a walk of its trees, not by emitting it), at ``t`` (scalar or array) as :func:`ussir.expr.evaluate`
+        would; ``t`` too."""
         pv, shape = {"t": t}, np.shape(t)
         for name, fn in self._param_fns.items():
             pv[name] = shaped(fn(pv), shape)
@@ -170,7 +179,8 @@ class ModelSpec:
 
     @cached_property
     def _param_fns(self) -> dict:
-        trees = {**self.params, **{key: tree for key, tree in self.step_fn.reads.items() if not isinstance(tree, Var)}}
+        reads = _time_reads(self._step[0], _bits(self.constants))
+        trees = {**self.params, **{key: tree for key, tree in reads.items() if not isinstance(tree, Var)}}
         return {key: compile_program([tree], constants=self.constants) for key, tree in trees.items()}
 
     @cached_property

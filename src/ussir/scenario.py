@@ -30,13 +30,13 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .integrator import SimConfig
 from .levy import LevyMeasure
 from .models import FAMILIES, ModelSpec, build_custom, build_named, check_admissible
 
 __all__ = [
     "ScenarioConfig",
     "ScenarioError",
+    "SimConfig",
     "build_model",
     "bundled_scenario_path",
     "bundled_scenarios",
@@ -61,6 +61,34 @@ _SIM_NUMBERS = ("horizon", "dt", "seed", "record_stride")
 
 class ScenarioError(ValueError):
     """Malformed scenario file; the message carries file and line."""
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Time grid, seed and record stride of one run."""
+
+    horizon: float
+    dt: float = 0.001
+    seed: int = 0
+    record_stride: int = 1
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.horizon, self.dt))):
+            raise ValueError("horizon and dt must be finite")
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
+        if self.horizon < self.dt:
+            raise ValueError("horizon must cover at least one step")
+        if self.record_stride < 1 or int(self.record_stride) != self.record_stride:
+            raise ValueError("record_stride must be a positive integer")
+        object.__setattr__(self, "record_stride", int(self.record_stride))
+        if not (-(2**63) <= self.seed < 2**63 and int(self.seed) == self.seed):
+            raise ValueError("seed must fit in a signed 64-bit integer")
+        object.__setattr__(self, "seed", int(self.seed))
+
+    @property
+    def n_steps(self) -> int:
+        return max(1, int(math.ceil(self.horizon / self.dt - 1e-9)))
 
 
 def _strip_comment(raw: str) -> str:

@@ -1,4 +1,7 @@
+import hashlib
+import importlib
 import math
+import operator
 import pickle
 import re
 import tracemalloc
@@ -23,6 +26,7 @@ from ussir.expr import (
     ParseError,
     Var,
     _enclosure,
+    _outward,
     bounds,
     compile_program,
     evaluate,
@@ -30,6 +34,7 @@ from ussir.expr import (
     parse,
     serialize,
 )
+from ussir.scenario import bundled_scenario_path, load_scenario
 
 TABLE_EXPRESSIONS = [
     "0.3+0.1*sin(4*t)",
@@ -117,6 +122,34 @@ class TestParseEval:
         assert evaluate(f, t=0.25) == 0.25
         assert evaluate(f, t=np.array([0.5, 2.0])).tolist() == [0.5, 1.0]
         assert evaluate(parse("min(2*t, t+1)*3"), t=2.0) == 9.0
+
+
+class TestExports:
+    """``ussir`` imports each exported name's module on its first access."""
+
+    HOMES = {
+        "expr": "BoundsPair bounds parse serialize",
+        "levy": "LevyMeasure",
+        "models": "ModelSpec build_custom build_named check_conservation check_positivity_ratios",
+        "integrator": "Trajectory convergence_probe simulate",
+        "criteria": "CriteriaReport generic_alpha_estimate report_for_model",
+        "montecarlo": "EnsembleStats run_ensemble verdict",
+        "scenario": "ScenarioConfig ScenarioError SimConfig build_model load_scenario",
+    }
+
+    def test_every_lazy_export_is_its_modules_object(self):
+        homes = {name: module for module, names in self.HOMES.items() for name in names.split()}
+        assert ussir.__all__ == sorted(homes) and len(homes) == 24
+        star: dict = {}
+        exec("from ussir import *", star)
+        for name, module in homes.items():
+            home = importlib.import_module(f"ussir.{module}")
+            assert getattr(ussir, name) is getattr(home, name) is star[name], name
+            assert getattr(ussir, module) is home
+        assert set(star) - {"__builtins__"} == set(homes)
+        assert {*homes, "__version__"} <= set(dir(ussir))
+        with pytest.raises(AttributeError, match="module 'ussir' has no attribute 'nonesuch'"):
+            ussir.nonesuch
 
 
 class TestErrors:
@@ -474,6 +507,47 @@ class TestEnclosure:
     def test_inconclusive(self, text):
         # an ln argument reaching 0, a divisor spanning 0, a power, an end that overflows
         assert _enclosure(parse(text)) is None
+
+    @staticmethod
+    def _fraction_ends(op, x, y):
+        """``x op y`` rounded down and up, the side of the rounding decided on ``Fraction`` values."""
+        fn = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "min": min}[op]
+        if not math.isfinite(v := fn(x, y)):
+            return None
+        exact = fn(Fraction(x), Fraction(y))
+        return (v if Fraction(v) <= exact else math.nextafter(v, -math.inf),
+                v if Fraction(v) >= exact else math.nextafter(v, math.inf))
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/", "min"])
+    def test_integer_ratios_round_as_fractions_do(self, op):
+        rng = np.random.default_rng(31)
+        n = 21_000
+        bits = rng.integers(0, 2**64, 4 * n, dtype=np.uint64).view(np.float64)
+        pools = {
+            "uniform": rng.uniform(-10.0, 10.0, n),
+            "bits": bits[np.isfinite(bits)][:n],
+            "subnormal": rng.integers(1, 2**52, n) * 5e-324 * rng.choice([-1.0, 1.0], n),
+            "zero": np.array([0.0, -0.0] * (n // 2)),
+            "power of two": np.ldexp(rng.choice([-1.0, 1.0], n), rng.integers(-1074, 1024, n)),
+            "mixed": rng.uniform(1.0, 2.0, n) * np.exp2(rng.integers(-60, 61, n)) * rng.choice([-1.0, 1.0], n),
+        }
+        names, compared = list(pools), 0
+        for kind, xs in pools.items():  # each pool against a pool drawn at random, on either side
+            others = np.choose(rng.integers(0, len(names), n), [pools[other] for other in names])
+            swap = rng.random(n) < 0.5
+            for x, y in zip(np.where(swap, others, xs).tolist(), np.where(swap, xs, others).tolist()):
+                if op == "/" and y == 0.0:
+                    continue
+                assert _outward(op, x, y) == self._fraction_ends(op, x, y), (kind, x.hex(), y.hex())
+                compared += 1
+        assert compared >= 100_000
+
+    def test_bundled_time_coefficients_enclose_as_before(self):
+        # each [params] text of table1..7 with its enclosure's ends, as the Fraction-based rounding gave them
+        lines = [f"{text} {' '.join(end.hex() for end in _enclosure(parse(text)))}"
+                 for i in range(1, 8) for text in load_scenario(bundled_scenario_path(f"table{i}")).params.values()]
+        assert len(lines) == 49
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == "99d4237db02e3edbed69ee1f6fe6834724bed383c2d0f967809521ea896fd82d"
 
 
 class TestSharedTrees:

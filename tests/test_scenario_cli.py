@@ -1,6 +1,10 @@
 import filecmp
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -609,3 +613,59 @@ paths = 2
         # 10 steps at stride 100: records step 0 plus the forced final step
         assert len(lines) == 3
         assert lines[-1].startswith("0.1")
+
+
+def _fresh(script: str, *args: str) -> str:
+    """Run ``script`` in a fresh interpreter that imports ussir from this checkout; its standard output."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestSetUp:
+    """Loading and building a scenario imports the scenario layer alone and emits no program."""
+
+    RUN_LAYERS = ("ussir.integrator", "ussir.criteria", "ussir.montecarlo", "ussir.cli", "fractions")
+
+    def test_build_loads_no_run_layer_and_emits_nothing(self):
+        out = _fresh(
+            "import sys\n"
+            "from ussir.scenario import build_model, bundled_scenario_path, load_scenario\n"
+            "from ussir import expr\n"
+            "for i in range(1, 8):\n"
+            "    build_model(load_scenario(bundled_scenario_path(f'table{i}')))\n"
+            "print(expr._compile_source.cache_info().misses, *sorted(sys.modules))\n"
+        )
+        misses, *loaded = out.split()
+        assert not set(self.RUN_LAYERS) & set(loaded), loaded
+        assert misses == "0"
+
+    def test_custom_build_emits_no_block_program(self, tmp_path):
+        from test_custom_parity import custom_text
+
+        path = tmp_path / "table2_custom.scn"
+        path.write_text(custom_text(load_scenario(bundled_scenario_path("table2"))))
+        out = _fresh(
+            "import sys\n"
+            "from ussir import expr\n"
+            "from ussir.scenario import build_model, load_scenario\n"
+            "sources, compile_source = [], expr._compile_source\n"
+            "expr._compile_source = lambda source: sources.append(source) or compile_source(source)\n"
+            "model = build_model(load_scenario(sys.argv[1]))\n"
+            "print(model.domain, len(sources), sum('def _program(env, normals' in s for s in sources))\n",
+            str(path),
+        )
+        # the simplex gates emit the group programs they call and the time coefficients, not the block program
+        domain, emitted, blocks = out.split()
+        assert domain == "simplex" and int(emitted) > 0 and blocks == "0"
+
+    def test_validate_loads_no_run_layer(self):
+        out = _fresh(
+            "import sys\n"
+            "from ussir.cli import main\n"
+            "assert main(['validate', '--config', 'table1']) == 0\n"
+            "print(*sorted(sys.modules))\n"
+        )
+        loaded = out.splitlines()[-1].split()
+        assert "ussir.cli" in loaded and not {"ussir.integrator", "ussir.montecarlo"} & set(loaded), loaded
