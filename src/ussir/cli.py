@@ -31,6 +31,7 @@ import argparse
 import csv
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -106,7 +107,7 @@ def cmd_ensemble(args, cfg: ScenarioConfig, model: ModelSpec) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     stats = run_ensemble(model, cfg.initial_state, sim, paths, y_extinct=cfg.y_extinct)
     target = args.out / f"{cfg.stem}_ensemble.csv"
-    write_ensemble_csv(stats, target)
+    summary = write_ensemble_csv(stats, target)
     print(f"wrote {target}")
     print(f"floor_hits: {stats.floor_hits.sum()} ({(stats.floor_hits > 0).sum()} of {stats.paths} paths)")
     try:
@@ -115,7 +116,6 @@ def cmd_ensemble(args, cfg: ScenarioConfig, model: ModelSpec) -> int:
         print("verdict: inapplicable (no closed-form criterion for this model)")
         return 0
     outcome = verdict(stats, report, slack=args.slack)
-    summary = stats.summary()
     print(f"classification: {report.classification}")
     print(f"median_lyapunov: {summary['lyapunov_median']:.6g}")
     print(f"median_tail_mean_infected: {summary['tail_mean_infected_median']:.6g}")
@@ -159,7 +159,9 @@ def cmd_validate(args, cfg: ScenarioConfig, model: ModelSpec) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; :func:`main` looks up the command it names when it runs."""
     parser = argparse.ArgumentParser(
         prog="ussir",
         description="Stochastic SIR scenarios: simulate, ensemble statistics, "
@@ -168,27 +170,19 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="one stochastic path plus noise-panel companions")
-    _add_flags(p_sim, run=True)
-    p_sim.set_defaults(func=cmd_simulate)
-
+    _add_flags(sub.add_parser("simulate", help="one stochastic path plus noise-panel companions"), run=True)
     p_ens = sub.add_parser("ensemble", help="seeded path ensemble, statistics, and verdict")
     _add_flags(p_ens, run=True)
     p_ens.add_argument("--paths", type=_POSITIVE_INT, default=None, help="override the path count")
     p_ens.add_argument("--slack", type=_SLACK, default=0.5, help="comparator slack (default 0.5)")
-    p_ens.set_defaults(func=cmd_ensemble)
-
-    p_cri = sub.add_parser("criteria", help="closed-form extinction/persistence report")
-    _add_flags(p_cri, run=False)
-    p_cri.set_defaults(func=cmd_criteria)
-
-    p_val = sub.add_parser("validate", help="conservation and jump-positivity checks")
-    _add_flags(p_val, run=False)
-    p_val.set_defaults(func=cmd_validate)
-
+    _add_flags(sub.add_parser("criteria", help="closed-form extinction/persistence report"), run=False)
+    _add_flags(sub.add_parser("validate", help="conservation and jump-positivity checks"), run=False)
     sub.add_parser("scenarios", help="list bundled scenarios")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     source = None  # the scenario file, once loaded; later errors are located there
     try:
         if args.command == "scenarios":
@@ -197,7 +191,7 @@ def main(argv=None) -> int:
         path = Path(args.config)
         cfg = load_scenario(path if path.is_file() else bundled_scenario_path(args.config))
         source = cfg.source
-        return args.func(args, cfg, build_model(cfg))
+        return globals()[f"cmd_{args.command}"](args, cfg, build_model(cfg))
     except (ValueError, OSError) as exc:  # a ScenarioError names its file itself
         located = source is not None and isinstance(exc, ValueError) and not isinstance(exc, ScenarioError)
         print(f"error: {source}: {exc}" if located else f"error: {exc}", file=sys.stderr)

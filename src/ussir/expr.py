@@ -7,11 +7,12 @@ minus: ``-x^2`` is ``-(x^2)``), parentheses, ``sin``, ``cos``, ``ln``,
 at parse time so that a coefficient written down in a scenario file
 evaluates the same way everywhere, bit for bit.
 
-A parsed expression is its tree of frozen, hashable nodes;
-:func:`serialize` writes it back as canonical text.  Every evaluation runs
-a program compiled by :func:`compile_program` (:func:`evaluate` compiles
-one tree for one call); leaving the reals (division by zero, ``ln`` of a
-non-positive value, a non-real power) raises :class:`EvalDomainError`.
+A parsed expression is its tree of frozen, hashable nodes, one tree per
+text per process; :func:`serialize` writes it back as canonical text.
+Every evaluation runs a program compiled by :func:`compile_program`
+(:func:`evaluate` compiles one tree for one call); leaving the reals
+(division by zero, ``ln`` of a non-positive value, a non-real power) raises
+:class:`EvalDomainError`.
 
 Besides evaluation, this module extracts infimum/supremum of a time
 coefficient, a tree in ``t``, over [0, oo).  Expressions that are affine in
@@ -225,14 +226,22 @@ class _Parser:
         return node, (height + 1 if kind == "func" else height)  # a call is a level, parentheses are not
 
 
-def parse(text: str, variables: tuple[str, ...] = ("t",)) -> Node:
+def parse(text: str, variables: Sequence[str] = ("t",)) -> Node:
     """Parse ``text`` into its expression tree.
 
     Raises :class:`ParseError` (with position) on malformed input, and on
     input whose tree would be more than :data:`MAX_DEPTH` levels high.  The
     default grammar knows the single variable ``t``; generic-model
-    coefficients pass ``variables=("t", "x", "y", "z", "u")``.
+    coefficients pass ``variables=("t", "x", "y", "z", "u")``.  A text
+    parses once per process for its variables: a later call returns the
+    same tree, so the memos keyed on trees hit by identity, and nothing may
+    change a tree.  A refusal raises on every call.
     """
+    return _parse(text, tuple(variables))
+
+
+@lru_cache(maxsize=1024)  # a call that raises stores nothing
+def _parse(text: str, variables: tuple[str, ...]) -> Node:
     parser = _Parser(_tokenize(text, variables))
     node, _ = parser.parse_expr(MAX_DEPTH)
     kind, value, pos = parser.take()

@@ -57,6 +57,7 @@ import struct
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -123,10 +124,9 @@ def _path_key(seed: int, index: int) -> np.ndarray:
     return np.frombuffer(digest, dtype=np.uint64).copy()
 
 
-def _generators(keys) -> list[np.random.Generator]:
-    """The generator of each path key, in the state of ``Philox(key=key)``
-    without the SeedSequence that Philox would first draw from OS entropy.
-    The seed class is made here: numpy.random loads on first use, not with ussir."""
+@lru_cache(maxsize=1)
+def _path_key_class() -> type:
+    """The seed class of a path key, made on first use: numpy.random loads then, not with ussir."""
 
     class PathKey(np.random.bit_generator.ISeedSequence):
         def __init__(self, key: np.ndarray):
@@ -135,6 +135,13 @@ def _generators(keys) -> list[np.random.Generator]:
         def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
             return self.key  # Philox asks for its key: 2 words of np.uint64
 
+    return PathKey
+
+
+def _generators(keys) -> list[np.random.Generator]:
+    """The generator of each path key, in the state of ``Philox(key=key)``
+    without the SeedSequence that Philox would first draw from OS entropy."""
+    PathKey = _path_key_class()
     return [np.random.Generator(np.random.Philox(PathKey(key))) for key in keys]
 
 

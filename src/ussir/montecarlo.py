@@ -141,13 +141,15 @@ def verdict(stats: EnsembleStats, report: CriteriaReport, slack: float) -> str:
     return "consistent" if ok else "inconsistent"
 
 
-def write_ensemble_csv(stats: EnsembleStats, path) -> None:
-    """One row per path, then the summary block as trailing comment lines."""
+def write_ensemble_csv(stats: EnsembleStats, path) -> dict[str, float]:
+    """One row per path, then the summary block as trailing comment lines; returns the summary."""
     lines = ["path,seed,lyapunov,mean_infected,tail_mean_infected,Y_T"]
     floats = (c.tolist() for c in (stats.lyapunov, stats.mean_infected, stats.tail_mean_infected, stats.y_final))
     for i, (seed, lyap, mean, tail, y) in enumerate(zip(stats.path_seeds, *floats)):  # Python floats format faster
         lines.append(f"{i},{seed},{lyap:.17g},{mean:.17g},{tail:.17g},{y:.17g}")
-    for key, value in stats.summary().items():
+    summary = stats.summary()
+    for key, value in summary.items():
         lines.append(f"# {key} = {value:.17g}")
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+    return summary

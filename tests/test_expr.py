@@ -555,10 +555,25 @@ class TestSharedTrees:
     NAMES = ("t", "x", "y", "cap")
 
     def test_equal_trees_parsed_apart_hash_and_compare_equal(self):
-        a, b = parse(self.TEXT, self.NAMES), parse(self.TEXT, self.NAMES)
+        a = parse(self.TEXT, self.NAMES)
+        b = pickle.loads(pickle.dumps(a))  # equal nodes that are not the parsed ones
         assert a is not b and a == b and hash(a) == hash(b)
         assert {a: 1}[b] == 1 and free_names(a) == free_names(b) == {"t", "x", "y", "cap"}
         assert a != parse(self.TEXT.replace("0.3", "0.4"), self.NAMES)
+
+    def test_a_text_parses_once_per_process(self):
+        tree = parse(self.TEXT, self.NAMES)
+        assert parse(self.TEXT, list(self.NAMES)) is tree and parse(self.TEXT, self.NAMES[:-1] + ("cap",)) is tree
+        assert parse(self.TEXT.replace("*", " * "), self.NAMES) == tree  # other text, an equal tree of its own
+        assert parse(self.TEXT, self.NAMES + ("z",)) == tree
+
+    @pytest.mark.parametrize("text", ["0.3**x", "x+", "y", "1e999"])
+    def test_a_refused_text_raises_on_every_call(self, text):
+        before = ussir.expr._parse.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                parse(text, ("x",))
+        assert ussir.expr._parse.cache_info().currsize == before
 
     def test_a_node_hashes_and_names_once(self):
         class Counted(float):  # a leaf value that counts how often it is hashed

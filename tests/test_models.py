@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from ussir.expr import (
     SCAN_HORIZON,
     SCAN_POINTS,
     BinOp,
+    Call,
     EvalDomainError,
+    Neg,
     Num,
+    Var,
     _analytic_bounds,
     _compile_source,
     _enclosure,
@@ -21,6 +25,8 @@ from ussir.expr import (
     parse,
     serialize,
 )
+from test_custom_parity import custom_text
+from ussir.integrator import simulate
 from ussir.levy import LARGE, SMALL, LevyMeasure
 from ussir.models import (
     FAMILIES,
@@ -33,7 +39,7 @@ from ussir.models import (
     check_conservation,
     check_positivity_ratios,
 )
-from ussir.scenario import build_model, bundled_scenario_path, load_scenario
+from ussir.scenario import build_model, bundled_scenario_path, load_scenario, sim_config
 
 TABLE1_PARAMS = {
     "beta": "0.3+0.1*sin(4*t)",
@@ -504,7 +510,7 @@ class TestSuppress:
         # each program is emitted once per process for its whole input and shared by every model that asks for it
         cfg, _ = scenario(name)
         model = build_model(cfg)
-        model.step_fn, model.checked_step_fn, model._param_fns  # compiled on first use
+        [getattr(model, program) for program in _PROGRAMS], model._param_fns  # compiled on first use
         misses = _compile_source.cache_info().misses
         again = build_model(cfg)
         for program in _PROGRAMS:
@@ -536,15 +542,34 @@ class TestSharedPrograms:
     """Programs shared between models of one structure, and kept apart by every other input."""
 
     def test_custom_rebuild_shares_every_program(self):
-        def build():
-            return build_custom(OCTANT, ("0.1-0.1*x", "0.05*(1+sin(t))*x*y-0.1*y", "0.02-0.05*z"),
-                                (("0.1*x", "0.05*y", "0"),), small_jump=("0.01*u*x", "0.01*u^2*y", "0"))
-
-        model, again = build(), build()
-        assert again is not model and again.small_jump[0] is not model.small_jump[0]  # parsed anew
+        model = build_custom(OCTANT, ("0.1-0.1*x", "0.05*(1+sin(t))*x*y-0.1*y", "0.02-0.05*z"),
+                             (("0.1*x", "0.05*y", "0"),), small_jump=("0.01*u*x", "0.01*u^2*y", "0"))
+        groups = pickle.loads(pickle.dumps((model.drift, model.diffusion, model.small_jump)))  # equal, other nodes
+        again = ModelSpec(model.model_id, model.domain, model.measure, *groups)
+        assert again is not model and again.small_jump[0] is not model.small_jump[0]
         for program in _PROGRAMS:
             assert getattr(again, program) is getattr(model, program), program
         assert model._param_fns and all(again._param_fns[key] is fn for key, fn in model._param_fns.items())
+
+    def test_custom_rebuild_and_run_compare_no_node(self, tmp_path, monkeypatch):
+        # the texts parse to the trees of the first build, so every memo hits by identity
+        path = tmp_path / "table2_custom.scn"
+        path.write_text(custom_text(load_scenario(bundled_scenario_path("table2"))))
+
+        def build_and_run():
+            cfg = load_scenario(path)
+            model = build_model(cfg)
+            return model, simulate(model, cfg.initial_state, sim_config(cfg, horizon=0.05)).states
+
+        model, states = build_and_run()
+        compared, memos = [], (ussir.expr._parse, ussir.expr._emit)
+        for cls in (Num, Var, Neg, BinOp, Call):
+            monkeypatch.setattr(cls, "__eq__", lambda a, b, eq=cls.__eq__: compared.append(a) or eq(a, b))
+        misses = [memo.cache_info().misses for memo in memos]
+        again, again_states = build_and_run()
+        assert again is not model and again.drift[0] is model.drift[0] and again.step_fn is model.step_fn
+        assert np.array_equal(again_states, states)
+        assert [memo.cache_info().misses for memo in memos] == misses and not compared
 
     def test_each_input_gets_its_own_program(self, scenario):
         cfg, model = scenario("table6")

@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import os
 import re
@@ -8,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+import ussir.cli
 from ussir.cli import main
 from ussir.expr import ParseError
 from ussir.integrator import simulate
+from ussir.montecarlo import EnsembleStats
 from ussir.scenario import (
     ScenarioError,
     _parse_value,
@@ -455,6 +458,16 @@ class TestCliCommands:
         assert "verdict:" in out
         assert (tmp_path / "table1_ensemble.csv").is_file()
 
+    def test_ensemble_computes_one_summary(self, tmp_path, capsys, monkeypatch):
+        # the CSV writer returns the summary it wrote, and the printed medians read it
+        calls, summary = [], EnsembleStats.summary
+        monkeypatch.setattr(EnsembleStats, "summary", lambda stats: calls.append(stats) or summary(stats))
+        argv = ["ensemble", "--config", "table1", "--out", str(tmp_path), "--horizon", "0.5", "--paths", "3"]
+        assert main(argv) == 0 and len(calls) == 1
+        median = summary(calls[0])["lyapunov_median"]
+        assert f"median_lyapunov: {median:.6g}" in capsys.readouterr().out.splitlines()
+        assert f"# lyapunov_median = {median:.17g}" in (tmp_path / "table1_ensemble.csv").read_text().splitlines()
+
     @pytest.mark.parametrize("b2, line", [("0.2*x*y-0.1*y", r"floor_hits: 0 \(0 of 3 paths\)"),
                                           ("-5", r"floor_hits: [89]\d\d \(3 of 3 paths\)")], ids=["none", "every_path"])
     def test_ensemble_reports_its_clamps(self, tmp_path, capsys, b2, line):
@@ -585,6 +598,16 @@ paths = 2
         assert ".scn" not in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    def test_two_calls_build_one_parser(self, monkeypatch, capsys):
+        built, init = [], argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+        ussir.cli._parser.cache_clear()
+        assert main(["scenarios"]) == 0 and main(["scenarios"]) == 0
+        assert len(built) == 6  # the parser and the parsers of its five commands, once
+        # the parser keeps no command: each is looked up when main runs it
+        monkeypatch.setattr(ussir.cli, "cmd_validate", lambda args, cfg, model: 7)
+        assert main(["validate", "--config", "table1"]) == 7 and len(built) == 6
+
     def test_missing_config_is_error(self, capsys):
         assert main(["criteria", "--config", "does-not-exist.scn"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -659,6 +682,16 @@ class TestSetUp:
         # the simplex gates emit the group programs they call and the time coefficients, not the block program
         domain, emitted, blocks = out.split()
         assert domain == "simplex" and int(emitted) > 0 and blocks == "0"
+
+    def test_path_keys_share_one_seed_class_made_on_first_use(self):
+        out = _fresh(
+            "import sys\n"
+            "from ussir import integrator\n"
+            "print('numpy.random' in sys.modules)\n"
+            "seeds = [integrator.path_generator(seed).bit_generator.seed_seq for seed in (1, 2)]\n"
+            "print(type(seeds[0]) is type(seeds[1]))\n"
+        )
+        assert out.split() == ["False", "True"]
 
     def test_validate_loads_no_run_layer(self):
         out = _fresh(
