@@ -353,20 +353,6 @@ def _folds(trees: tuple, folds: tuple) -> dict:
     return {node: value for node, value in values.items() if value is not None}
 
 
-@lru_cache(maxsize=1024)
-def _time_reads(trees: tuple, folds: tuple) -> dict:
-    """Each maximal subtree of time alone (no ``x, y, z, u``) that does not fold, a name included, that a block program
-    of ``trees`` reads, by its :func:`serialize` text in the order it first reads it.  Shared, as :func:`_folds`."""
-    reads, todo, constants = {}, list(reversed(trees)), dict(folds)
-    while todo:
-        free = free_names(node := todo.pop())
-        if not free.isdisjoint("xyzu"):
-            todo += reversed([kid for kid in vars(node).values() if isinstance(kid, (Num, Var, Neg, BinOp, Call))])
-        elif not free.issubset(constants):
-            reads.setdefault(serialize(node), node)
-    return reads
-
-
 # every value a program reads is a _k name of its namespace, so models of one structure share a code object
 _compile_source = lru_cache(maxsize=1024)(lambda source: compile(source, "<expression program>", "exec"))
 
@@ -397,9 +383,11 @@ def compile_program(
     each driver's diffusion and the rule's integral of the small jumps
     ``H``, times its tile rows into ``P``, and steps by ``P[0] + ((P[1] +
     P[2]) + ...)`` less ``comp = P[-1]``, which ``jumps(j, incr, comp, H)``
-    takes on a marked step.  It reads 0-d views of the block's arrays in
-    ``env``, a maximal subtree of time alone by its :func:`serialize` text
-    (``program.reads`` maps each key to its tree).  Equal subtrees are equal
+    takes on a marked step.  It reads 0-d views of the block's arrays: a
+    name's in ``env``, and for each maximal subtree of time alone that does
+    not fold, the array its head computes from ``env`` once per block by the
+    subtree's own checked program (``program.reads`` maps the
+    :func:`serialize` text of each to its tree).  Equal subtrees are equal
     (frozen, hashable) nodes, computed once across the group.  A subtree
     whose names are all in ``constants`` is evaluated while compiling, by
     the operations the program would run, and enters the program as a 0-d
@@ -417,7 +405,6 @@ def compile_program(
 @lru_cache(maxsize=1024)  # a call that raises stores nothing
 def _emit(trees, shape, folds, mark, step, checked) -> Callable:
     values = _folds(trees, folds)
-    time = set(_time_reads(trees, folds).values()) if step is not None else ()
     namespace: dict = {"_np": np}
     folded: dict = {}  # name -> value of each folded constant
     lines: list[list] = []  # [code, operands, ufunc that may write its value into a row] of v0, v1, ...
@@ -456,7 +443,7 @@ def _emit(trees, shape, folds, mark, step, checked) -> Callable:
             name = bind(values[node], fold=True)
         elif isinstance(node, Var) and shape is not None and node.name in ("x", "y", "z"):
             name = line(f"S[..., {'xyz'.index(node.name)}]")
-        elif isinstance(node, Var) or node in time:
+        elif isinstance(node, Var) or step is not None and free_names(node).isdisjoint("xyzu"):
             reads[key := serialize(node)] = node  # a named value, or a subtree of time alone that is not folded
             name = line(f"e{list(reads).index(key)}[j, ...]" if step is not None else f"env[{key!r}]")
         else:
@@ -479,7 +466,9 @@ def _emit(trees, shape, folds, mark, step, checked) -> Callable:
     # a block program binds, once per block, each array it reads, each stacked call's rows and each entry's row of
     # C (drift, each driver's diffusion) or H ((nodes,) 3, P), and fills a constant entry's row; an entry of the
     # state (and of u in a quadrature H) is written by the out of its last operation, any other copied after the step
-    head, copies = [f"e{i} = env[{key!r}]" for i, key in enumerate(reads)], []
+    head, copies = [f"e{i} = env[{key!r}]" if isinstance(tree, Var) else  # a subtree: its checked program on the block
+                    f"e{i} = {bind(_emit((tree,), None, folds, False, None, True))}(env)"
+                    for i, (key, tree) in enumerate(reads.items())], []
     head += [f"{s}x, {s}y, {s}z = {s} = _np.empty_like(S3)" for s in stacks]
     for k, (tree, r) in enumerate(zip(trees, results) if step is not None else ()):
         slot = (f"C[0, {k}]" if k < 3 else f"C[{1 + (k - 3) % n}, {(k - 3) // n}]" if k < 3 + 3 * n

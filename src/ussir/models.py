@@ -33,8 +33,9 @@ group, each time coefficient, the engine's block program, which steps a block
 of drift, diffusion and small-jump compensator, and its checked twin are
 compiled on first use with :func:`ussir.expr.compile_program`, jump constants
 and cap folded in.
-Programs take a dict of time coefficients and time-only subtrees, so that
-they are evaluated once per block of steps (see :meth:`ModelSpec.param_values`).
+Programs take a dict of the time coefficients, evaluated once per block of
+steps (see :meth:`ModelSpec.param_values`); the block program evaluates its
+subtrees of time alone from it, once per block too.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .expr import (Node, Num, Var, _analytic_bounds, _bits, _enclosure, _folds, _time_reads, bounds,
-                   compile_program, free_names, parse, shaped)
+from .expr import (Node, Num, _analytic_bounds, _bits, _enclosure, _folds, bounds, compile_program, free_names,
+                   parse, shaped)
 from .levy import LARGE, SMALL, LevyMeasure
 
 __all__ = [
@@ -169,9 +170,8 @@ class ModelSpec:
     large_jump_fn = cached_property(lambda self: compile_program(self.large_jump or _ZEROS, (3,), self.constants, True))
 
     def param_values(self, t) -> dict:
-        """Evaluate every time coefficient, then each time-only subtree :attr:`step_fn` reads (by its text, found
-        by a walk of its trees, not by emitting it), at ``t`` (scalar or array) as :func:`ussir.expr.evaluate`
-        would; ``t`` too."""
+        """Evaluate every time coefficient at ``t`` (scalar or array) as :func:`ussir.expr.evaluate` would; ``t``
+        too.  Only these: the block program computes its own subtrees of time alone from them."""
         pv, shape = {"t": t}, np.shape(t)
         for name, fn in self._param_fns.items():
             pv[name] = shaped(fn(pv), shape)
@@ -179,9 +179,7 @@ class ModelSpec:
 
     @cached_property
     def _param_fns(self) -> dict:
-        reads = _time_reads(self._step[0], _bits(self.constants))
-        trees = {**self.params, **{key: tree for key, tree in reads.items() if not isinstance(tree, Var)}}
-        return {key: compile_program([tree], constants=self.constants) for key, tree in trees.items()}
+        return {name: compile_program([tree], constants=self.constants) for name, tree in self.params.items()}
 
     @cached_property
     def step_fn(self):

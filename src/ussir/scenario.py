@@ -79,6 +79,8 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.horizon < self.dt:
             raise ValueError("horizon must cover at least one step")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ValueError("horizon / dt must be a finite number of steps")
         if self.record_stride < 1 or int(self.record_stride) != self.record_stride:
             raise ValueError("record_stride must be a positive integer")
         object.__setattr__(self, "record_stride", int(self.record_stride))

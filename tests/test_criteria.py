@@ -251,23 +251,26 @@ class TestGenericEstimates:
     BAD_T_GRID = "t_grid must be a one-dimensional, non-empty grid of finite times"
 
     @pytest.mark.parametrize(
-        "drift_y,t_grid,states,message",
+        "rows,t_grid,states,message",
         [
             (None, [], None, BAD_T_GRID),
             (None, [0.0, math.nan], None, BAD_T_GRID),
             (None, [math.inf], None, BAD_T_GRID),
             (None, 0.0, None, BAD_T_GRID),
             (None, [0.0], np.empty((0, 3)), r"state_grid must have shape \(N, 3\) with N > 0"),
-            ("y*t^400-y*t^400", [0.0, 10.0], None, r"the decay functional is nan at t = 10\.0"),
+            ({"drift": ("0", "y*t^400-y*t^400", "0")}, [0.0, 10.0], None, r"the decay functional is nan at t = 10\.0"),
+            # a large jump of -2y takes y below zero: its log-ratio is not real
+            ({"large_jump": ("0", "-2*y", "0")}, [0.0], None,
+             r"^jump ratio at or below -1 on the grid; positivity violated$"),
         ],
-        ids=["empty-t", "nan-t", "inf-t", "scalar-t", "empty-states", "nan-functional"],
+        ids=["empty-t", "nan-t", "inf-t", "scalar-t", "empty-states", "nan-functional", "jump-ratio"],
     )
-    def test_refuses_grids_it_cannot_estimate_on(self, scenario, drift_y, t_grid, states, message):
+    def test_refuses_grids_it_cannot_estimate_on(self, scenario, rows, t_grid, states, message):
         # no time or value may be dropped, so none can leave -inf or a partial maximum behind
-        if drift_y is None:
+        if rows is None:
             _, model = scenario("table1")
         else:
-            model = build_custom(domain=OCTANT, drift=("0", drift_y, "0"), diffusion=(("0", "0", "0"),))
+            model = build_custom(domain=OCTANT, **{"drift": ("0", "0", "0"), "diffusion": (("0", "0", "0"),), **rows})
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
             generic_alpha_estimate(model, t_grid, simplex_grid(8, 8) if states is None else states)
 

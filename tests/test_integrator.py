@@ -11,7 +11,7 @@ import pytest
 
 from test_custom_parity import custom_text
 from ussir import integrator
-from ussir.expr import BinOp, EvalDomainError, Var
+from ussir.expr import BinOp, EvalDomainError, Var, compile_program
 from ussir.integrator import (
     CHUNK_STEPS,
     MARK_FREE_STEPS,
@@ -54,6 +54,10 @@ class TestSimConfig:
             SimConfig(horizon=1.0, record_stride=0)
         with pytest.raises(ValueError):
             SimConfig(horizon=1.0, seed=2**64)
+        with pytest.raises(ValueError, match="^horizon and dt must be finite$"):
+            SimConfig(horizon=math.inf)
+        with pytest.raises(ValueError, match="^horizon / dt must be a finite number of steps$"):
+            SimConfig(horizon=1e300, dt=1e-300)  # the step count overflows to inf
 
     @pytest.mark.parametrize("seed", [5.9, -0.5, math.nan, math.inf])
     def test_non_integral_seed_refused(self, seed):
@@ -757,6 +761,20 @@ def test_time_coefficients_evaluated_per_chunk(scenario, monkeypatch):
     assert np.array_equal(np.concatenate(seen), np.arange(sim.n_steps) * sim.dt)  # the grid's own floats
 
 
+def test_time_only_subtrees_evaluated_per_block(scenario, monkeypatch):
+    # the step program evaluates mu+gamma+epsilon at its head, once for each block's times
+    cfg, model = scenario("table3")
+    (tree,) = [tree for tree in model.step_fn.reads.values() if not isinstance(tree, Var)]
+    hoisted, seen = compile_program([tree], constants=model.constants), []
+    (name,) = [name for name, value in model.step_fn.__globals__.items() if value is hoisted]
+    monkeypatch.setitem(model.step_fn.__globals__, name, lambda env: seen.append(env["t"]) or hoisted(env))
+    monkeypatch.setattr(integrator, "CHUNK_STEPS", 7)
+    sim = SimConfig(horizon=0.05, dt=0.001, seed=1)
+    run_paths(model, cfg.initial_state, sim, [_path_key(1, 0)])
+    assert [t.size for t in seen] == [7] * 7 + [1]
+    assert np.array_equal(np.concatenate(seen), np.arange(sim.n_steps) * sim.dt)
+
+
 class TestBlockMemory:
     """What one block of a run holds: a run that draws no marks steps in
     short blocks on the same stream, and a run that does keeps only the
@@ -886,8 +904,10 @@ class TestFloatingPointFaults:
         "expr, s0, message",
         [("1/(y-0.5)", (1.0, 0.5, 0.25), "division by zero in '1.0/(y-0.5)'"),
          ("(x-3)^0.5", (2.0, 0.5, 0.25), "power outside the reals in '(x-3.0)^0.5'"),
-         ("ln(x-3)", (2.0, 0.5, 0.25), "ln of non-positive argument in 'ln(x-3.0)'")],
-        ids=["divide", "power", "ln"],
+         ("ln(x-3)", (2.0, 0.5, 0.25), "ln of non-positive argument in 'ln(x-3.0)'"),
+         # a subtree of time alone, evaluated once per block: ln(0) at t = 0.005
+         ("ln(0.005-t)*x", (2.0, 0.5, 0.25), "ln of non-positive argument in 'ln(0.005-t)'")],
+        ids=["divide", "power", "ln", "ln-of-time"],
     )
     @pytest.mark.parametrize("group", ["drift", "small_jump"])
     @pytest.mark.parametrize("settings", [{}, {"all": "ignore"}, {"all": "raise"}], ids=["default", "ignore", "raise"])

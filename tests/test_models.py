@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ussir.expr import (
     _compile_source,
     _enclosure,
     bounds,
+    compile_program,
     evaluate,
     parse,
     serialize,
@@ -338,14 +340,18 @@ class TestNamedTables:
          ("table6", ["gamma2-mu", "mu+gamma1"]), ("table7", ["mu+gamma2", "mu+gamma1"])],
     )
     def test_time_only_subtrees_evaluated_with_the_coefficients(self, scenario, name, keys):
-        # the step program reads each from param_values by its text, as it reads a named coefficient
+        # param_values holds the named coefficients alone; the step program evaluates each subtree from them,
+        # by the checked program of its tree, which it binds at its head
         _, model = scenario(name)
         ts = np.linspace(0.0, 50.0, 101)
         pv = model.param_values(ts)
-        assert list(pv) == ["t", *model.params, *keys]
-        assert set(model.step_fn.reads) <= set(pv) and set(keys) <= set(model.step_fn.reads)
+        assert list(pv) == ["t", *model.params]
+        reads = model.step_fn.reads
+        assert [key for key, tree in reads.items() if not isinstance(tree, Var)] == keys
         for key in keys:
-            assert np.array_equal(pv[key], evaluate(parse(key, tuple(model.params)), **pv))
+            hoisted = compile_program([reads[key]], constants=model.constants)
+            assert any(value is hoisted for value in model.step_fn.__globals__.values()), key
+            assert np.array_equal(hoisted(pv), evaluate(parse(key, tuple(model.params)), **pv))
 
 
 class TestConservation:
@@ -450,6 +456,19 @@ class TestCustom:
         b = model.drift_fn(*_at(model, 1.0, (1.0, 2.0, 3.0)))
         assert np.array_equal(b, [0.0, -1.4, 0.0])
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: ModelSpec("m", OCTANT, None, (Num(0.0),) * 2, ()), "drift needs exactly three entries, got 2"),
+            (lambda: build_custom(OCTANT, ("0", "0", "0"), ()),
+             "at least one diffusion column is required (may be zeros)"),
+        ],
+        ids=["two-entry-drift", "no-diffusion-column"],
+    )
+    def test_refused_shapes(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_custom_time_dependence_flows_through(self):
         model = build_custom(
             domain=OCTANT,
@@ -549,7 +568,9 @@ class TestSharedPrograms:
         assert again is not model and again.small_jump[0] is not model.small_jump[0]
         for program in _PROGRAMS:
             assert getattr(again, program) is getattr(model, program), program
-        assert model._param_fns and all(again._param_fns[key] is fn for key, fn in model._param_fns.items())
+        # no named coefficient: the step program carries the program of its one subtree of time alone
+        assert [key for key, tree in model.step_fn.reads.items() if not isinstance(tree, Var)] == ["0.05*(1.0+sin(t))"]
+        assert again.step_fn is model.step_fn
 
     def test_custom_rebuild_and_run_compare_no_node(self, tmp_path, monkeypatch):
         # the texts parse to the trees of the first build, so every memo hits by identity

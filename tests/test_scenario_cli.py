@@ -347,6 +347,31 @@ class TestLoad:
         assert main(["validate", "--config", str(target)]) == 1
         assert "case.scn" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "base,old,new,message",
+        [
+            (MINIMAL_XC, "[sim]", "[sim", "{target}:{line}: malformed section header '[sim'"),
+            (MINIMAL_XC, "seed = 3", "seed 3", "{target}:{line}: expected 'key = value', got 'seed 3'"),
+            (MINIMAL_XC, "id = xc", "", "{target}: [model] must set id"),
+            (MINIMAL_XC, "paths = 2", "paths = 0", "{target}: paths must be positive"),
+            (MINIMAL_XC, 'beta = "0.13"', 'beta = "0.13', "{target}:{line}: unterminated quoted value '\"0.13'"),
+            (MINIMAL_CUSTOM, "brownian_dim = 1", "brownian_dim = 1.5",
+             "{target}: [model] brownian_dim: expected an integer, got 1.5"),
+            (MINIMAL_CUSTOM, "domain = octant", "", "{target}: domain must be 'simplex' or 'octant'"),
+            (None, None, None, "cannot read scenario {target}: "),
+        ],
+        ids=["section-header", "no-equals", "no-id", "paths=0", "unterminated-quote", "brownian_dim=1.5",
+             "custom-without-domain", "directory"],
+    )
+    def test_refusals_name_their_place(self, tmp_path, base, old, new, message):
+        # the file, and the line where one line alone is at fault
+        target, line = tmp_path, None
+        if base is not None:
+            assert old in base
+            target, line = _write(tmp_path, base.replace(old, new)), base.splitlines().index(old) + 1
+        with pytest.raises(ScenarioError, match="^" + re.escape(message.format(target=target, line=line))):
+            build_model(load_scenario(target))
+
     def test_sim_config_overrides(self):
         cfg = load_scenario(bundled_scenario_path("table1"))
         sim = sim_config(cfg, seed=9, dt=0.01, horizon=5.0)
@@ -597,6 +622,20 @@ paths = 2
         assert f"argument {flag}: {value!r} is not" in err
         assert ".scn" not in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("route", ["flag", "file"])
+    def test_step_count_that_overflows_is_one_error_line(self, tmp_path, capsys, route):
+        # horizon / dt overflows to inf: refused with one line that names the file, not a traceback
+        if route == "flag":
+            source, argv = bundled_scenario_path("table3"), ["ensemble", "--config", "table3", "--dt", "1e-320"]
+        else:
+            text = MINIMAL_XC.replace("dt = 0.001", "dt = 1e-300").replace("horizon = 1", "horizon = 1e300")
+            source = _write(tmp_path, text)
+            argv = ["simulate", "--config", str(source)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        message = f"{'' if route == 'flag' else '[sim] '}horizon / dt must be a finite number of steps"
+        assert capsys.readouterr().err.splitlines() == [f"error: {source}: {message}"]
+        assert not (tmp_path / "out").exists()
 
     def test_two_calls_build_one_parser(self, monkeypatch, capsys):
         built, init = [], argparse.ArgumentParser.__init__
