@@ -280,7 +280,7 @@ _INFIX = {operator.add: ("{} + {}", np.add), operator.sub: ("{} - {}", np.subtra
           operator.mul: ("{} * {}", np.multiply), operator.neg: ("-{}", np.negative)}
 # a block program: each step fills the rows of C and H, multiplies C by the tile's step, then the jumps, the state
 _BLOCK = """def _program(env, normals, marked, jumps, k0, run):
-    S3, tile, sqrt_dt, floor, tol, stride, K, out = run  # out: the per-path outputs by name
+    S3, tile, sqrt_dt, floor, tol, stride, K, out, record = run  # out: the per-path outputs by name
     (C, P), H, T = _np.empty((2,) + tile.shape[1:]), _np.empty({nodes}S3.shape), len(tile)
     (x, y, z), c, p, R = S3, tuple(C), tuple(P), tuple(tile)  # rows bound once: a tuple indexes faster than numpy
     {head}
@@ -308,7 +308,7 @@ _BLOCK = """def _program(env, normals, marked, jumps, k0, run):
                 S3[:, fix] /= sums[fix]
             _np.maximum(out["simplex_drift"], dev, out=out["simplex_drift"])
         if (k0 + j + 1) % stride == 0 or k0 + j + 1 == K:
-            out["states"][:, -(-(k0 + j + 1) // stride)] = S3.T"""
+            record(-(-(k0 + j + 1) // stride))"""
 
 
 def _operation(node: Node) -> tuple[Callable, list, tuple]:

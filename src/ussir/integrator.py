@@ -9,12 +9,14 @@ state, each step multiplying stacked drift, diffusion and compensator
 rows by the tile's; a step with marks adds its small marks (u-free ones
 are rows of the program's small-jump vector), less the compensator, then
 its large marks.  A run returns one :class:`Trajectory` of the per-path
-outputs declared in ``_OUTPUTS``, laid out in one zeroed buffer.  Its first
-attempt steps with the block program, every flag the caller does not
-ignore raising, here or in forked workers that share the buffer
-(``MIN_SPLIT_PATHS`` paths per CPU); any fault steps the run again, whole
-and here, with the checked program at the caller's error settings, so a
-split run has the serial run's bytes, errors and warnings.
+outputs of ``_OUTPUTS`` it keeps, laid out in one zeroed buffer: the states
+at record steps, or an ensemble's reducer, which sums Y's trapezoid terms
+as it records and so does not grow with the horizon.  Its first attempt
+steps with the block program, every flag the caller does not ignore
+raising, here or in forked workers that share the buffer (``MIN_SPLIT_PATHS``
+paths per CPU); any fault steps the run again, whole and here, with the
+checked program at the caller's error settings, so a split run has the
+serial run's bytes, errors and warnings.
 
 Randomness is organized per path: each path owns a Philox generator keyed
 by a hash of (master seed, path index), so paths are independent,
@@ -57,7 +59,7 @@ import struct
 import sys
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -85,23 +87,27 @@ POSITIVITY_FLOOR = 1e-12
 RENORM_TOL = 1e-9
 
 
-# each per-path output of a run by its Trajectory field: a path's shape ("records": the run's), dtype, keeping domains
-_OUTPUTS = {"states": (("records", 3), np.float64, (OCTANT, SIMPLEX)), "floor_hits": ((), np.int64, (OCTANT, SIMPLEX)),
-            "simplex_drift": ((), np.float64, (SIMPLEX,))}
+_REDUCER = ("y_final", "y_area", "tail_area")  # all an ensemble keeps of a path (see _record)
+# each per-path output of a run by its Trajectory field: a path's shape ("records": the run's), dtype, keeping domains,
+# and whether it is recorded (by :func:`_record`, at record steps), which a run does only if its ``keep`` names it
+_OUTPUTS = {"states": (("records", 3), float, (OCTANT, SIMPLEX), True),
+            "floor_hits": ((), np.int64, (OCTANT, SIMPLEX), False), "simplex_drift": ((), float, (SIMPLEX,), False),
+            **dict.fromkeys(_REDUCER, ((), float, (OCTANT, SIMPLEX), True))}
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The outputs of ``_OUTPUTS`` for a batch of paths over their shared
-    ``times`` (records,): ``states`` (paths, records, 3), each path's
-    ``floor_hits`` (component clamps) and ``simplex_drift`` (largest unit-sum
-    deviation; None on the octant).  ``result[rows]``: the paths ``rows`` alone.
-    """
+    """The outputs of ``_OUTPUTS`` a run keeps (None: not kept) for paths over their shared ``times``: ``states``
+    (paths, records, 3) or the reducer's (see :func:`_record`), each path's ``floor_hits`` (component clamps) and
+    ``simplex_drift`` (largest unit-sum deviation; None on the octant).  ``result[rows]``: the paths ``rows`` alone."""
 
     times: np.ndarray
-    states: np.ndarray
     floor_hits: np.ndarray
+    states: Optional[np.ndarray] = None
     simplex_drift: Optional[np.ndarray] = None
+    y_final: Optional[np.ndarray] = None
+    y_area: Optional[np.ndarray] = None
+    tail_area: Optional[np.ndarray] = None
 
     def __getitem__(self, rows: slice) -> Trajectory:
         return replace(self, **{name: a[rows] for name, a in vars(self).items() if name in _OUTPUTS and a is not None})
@@ -183,6 +189,7 @@ def run_paths(
     cfg: SimConfig,
     keys: Sequence[np.ndarray],
     groups=None,
+    *, keep: Sequence[str] = ("states",),
 ) -> Trajectory:
     """Advance every keyed path over the full grid, vectorized across paths.
 
@@ -190,10 +197,12 @@ def run_paths(
     amortizes interpreter overhead, and a wide run splits across CPUs (see
     above).  Time coefficients are evaluated per block of ``CHUNK_STEPS``
     steps (at most ``MARK_FREE_STEPS`` in a run that draws no marks), so
-    memory does not grow with the horizon beyond the recorded states.
-    ``groups``, (paths, 3) booleans, says whether drift, diffusion and jumps
-    act on each path (None: all); a drift or compensator switched off steps
-    by 0 and a noise switched off draws nothing (see above).
+    memory grows with the horizon only if ``keep``, the outputs kept on
+    request (see ``_OUTPUTS``), names ``states``; an ensemble keeps
+    ``_REDUCER`` instead.  ``groups``, (paths, 3) booleans, says whether
+    drift, diffusion and jumps act on each path (None: all); a drift or
+    compensator switched off steps by 0 and a noise switched off draws
+    nothing (see above).
     """
     s0_arr = check_admissible(s0, model.domain)
     n_paths = len(keys)
@@ -201,7 +210,7 @@ def run_paths(
     if on.shape != (n_paths, 3):
         raise ValueError(f"groups must have shape {(n_paths, 3)}, got {on.shape}")
     K, stride = cfg.n_steps, cfg.record_stride
-    records = -(-K // stride) + 1  # steps 0, stride, 2*stride, ... and the last step K
+    times = np.minimum(np.arange(-(-K // stride) + 1) * stride, K) * cfg.dt  # steps 0, stride, 2*stride, ..., K
     # the kernel would reap the workers of a process that ignores SIGCHLD unseen
     fork = sys.platform == "linux" and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN
     workers = max(1, min(len(os.sched_getaffinity(0)), n_paths // MIN_SPLIT_PATHS)) if fork else 1
@@ -210,30 +219,32 @@ def run_paths(
     out = None
     with contextlib.suppress(Exception):  # any fault discards the first attempt
         with np.errstate(all="raise", under="ignore" if np.geterr()["under"] == "ignore" else "raise"):
-            out = _split_rows(model, s0_arr, cfg, keys, on, workers, records, model.step_fn)
+            out = _split_rows(model, s0_arr, cfg, keys, on, workers, times, keep, model.step_fn)
     if out is None:  # the checked program raises its error, or gives its values and warnings
-        out = _split_rows(model, s0_arr, cfg, keys, on, 1, records, model.checked_step_fn)
-    return Trajectory(np.minimum(np.arange(records) * stride, K) * cfg.dt, **out)
+        out = _split_rows(model, s0_arr, cfg, keys, on, 1, times, keep, model.checked_step_fn)
+    return Trajectory(times, **out)
 
 
-def _outputs(domain: str, n_paths: int, records: int, shared: bool) -> dict:
-    """The zeroed outputs that ``domain`` keeps, by name, one after another in one buffer, shared if ``shared``."""
+def _outputs(domain: str, keep, n_paths: int, records: int, shared: bool) -> dict:
+    """The zeroed outputs that ``domain`` keeps (one kept on request if ``keep`` names it), by name, one after
+    another in one buffer, shared if ``shared``."""
     kept = {name: ((n_paths, *(records if d == "records" else d for d in row)), dtype)
-            for name, (row, dtype, domains) in _OUTPUTS.items() if domain in domains}
+            for name, (row, dtype, domains, asked) in _OUTPUTS.items()
+            if domain in domains and (name in keep or not asked)}
     ends = np.cumsum([0] + [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in kept.values()]).tolist()
     buffer = mmap.mmap(-1, ends[-1]) if shared else np.zeros(ends[-1], np.uint8)
     return {name: np.ndarray(shape, dtype, buffer, at) for (name, (shape, dtype)), at in zip(kept.items(), ends)}
 
 
-def _split_rows(model, s0_arr, cfg, keys, on, workers, records, step):
+def _split_rows(model, s0_arr, cfg, keys, on, workers, times, keep, step):
     """One attempt at a run with the block program ``step``: ``workers`` row slices at once, slice 0 here and one
     in each forked child, into one :func:`_outputs` (shared if it forks).  None after a failed child."""
     n = len(keys)
-    out = _outputs(model.domain, n, records, shared=workers > 1)
+    out = _outputs(model.domain, keep, n, len(times), shared=workers > 1)
 
     def run(w):
         rows = slice(n * w // workers, n * (w + 1) // workers)
-        _step_rows(model, s0_arr, cfg, keys[rows], on[rows], step, {name: a[rows] for name, a in out.items()})
+        _step_rows(model, s0_arr, cfg, keys[rows], on[rows], step, {name: a[rows] for name, a in out.items()}, times)
 
     children = []
     try:
@@ -270,14 +281,35 @@ def _split_rows(model, s0_arr, cfg, keys, on, workers, records, step):
     return out
 
 
-def _step_rows(model, s0_arr, cfg, keys, on, step, out) -> None:
+def _tail_start(times) -> int:
+    """The first record of the tail half of ``times``: the first at or after the midpoint."""
+    return int(np.searchsorted(times, times[0] + 0.5 * (times[-1] - times[0])))
+
+
+def _record(out, times, tail, S3, r) -> None:
+    """Record the state ``S3`` of record ``r`` in the kept outputs ``out``: ``states``, or the reducer's Y_T and
+    np.trapezoid's terms d_r * (y_r + y_{r-1}) / 2.0 of Y, summed in record order over all records (``y_area``)
+    and over those from record ``tail`` on (``tail_area``); Y_{r-1} is ``y_final``'s."""
+    if "states" in out:
+        out["states"][:, r] = S3.T
+    if r and "y_area" in out:
+        term = (times[r] - times[r - 1]) * (S3[1] + out["y_final"]) / 2.0
+        out["y_area"] += term
+        if r > tail:
+            out["tail_area"] += term
+    if "y_final" in out:
+        out["y_final"][...] = S3[1]
+
+
+def _step_rows(model, s0_arr, cfg, keys, on, step, out, times) -> None:
     """The blocks of :func:`run_paths`, one call of the block program ``step`` each, at the caller's error settings:
-    the rows of ``keys`` and ``on`` into ``out``, their outputs by name (see :func:`_outputs`)."""
+    the rows of ``keys`` and ``on`` into ``out``, their outputs by name (see :func:`_outputs`) at record ``times``."""
     n_paths, dt, K, stride = len(keys), cfg.dt, cfg.n_steps, cfg.record_stride
     gens = _generators(keys)
     regions = list(model.mark_rules)
     S3 = np.tile(s0_arr[:, None], n_paths)  # (3, paths): each component's paths contiguous
-    out["states"][:, 0, :] = S3.T
+    record = partial(_record, out, times, _tail_start(times), S3)
+    record(0)
     chunk = CHUNK_STEPS if regions and on[:, 2].any() else min(CHUNK_STEPS, MARK_FREE_STEPS)
     width = min(chunk, K)  # each block's normals are written in place, one row per path
     # one spare step per row: a power-of-two row stride crowds a step's column into few cache sets
@@ -286,7 +318,7 @@ def _step_rows(model, s0_arr, cfg, keys, on, step, out) -> None:
     # normals and, with a small rule, comp_dt; a drift or compensator off in a row steps it by 0
     tile = np.empty((min(TILE_STEPS, width), 1 + model.brownian_dim + (SMALL in regions), 3, n_paths))
     tile[:, 0], tile[:, 1 + model.brownian_dim:] = (np.where(on[:, g], dt, 0.0) for g in (0, 2))
-    run = (S3, tile, math.sqrt(dt), *map(np.array, (POSITIVITY_FLOOR, RENORM_TOL)), stride, K, out)
+    run = (S3, tile, math.sqrt(dt), *map(np.array, (POSITIVITY_FLOOR, RENORM_TOL)), stride, K, out, record)
     u_free = SMALL in regions and model.mark_rules[SMALL][0].size == 1  # H holds every path's small-jump vector
 
     def jumps(j, incr, comp, H):  # a step with marks, small before large, less the compensator after the small

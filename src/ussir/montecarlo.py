@@ -3,10 +3,12 @@
 :func:`run_ensemble` owns the per-path statistics.  The empirical
 counterpart of the exponential rate is the finite horizon log slope
 (ln Y_T - ln Y_0) / T; the persistence counterpart is the trapezoidal time
-average of the infected component, over the full window and its tail half.
-The closed-form criteria bound asymptotic quantities, so a
-finite-horizon comparison always carries slack; the comparator makes that
-slack explicit instead of pretending the constants are sharp.
+average of the infected component, over the full window and its tail half,
+which the run sums as it records (``integrator._record``), keeping no
+states, so its memory does not grow with the horizon.  The closed-form
+criteria bound asymptotic quantities, so a finite-horizon comparison always
+carries slack; the comparator makes that slack explicit instead of
+pretending the constants are sharp.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .criteria import EXTINCT, INDETERMINATE, PERSISTENT, CriteriaReport
-from .integrator import SimConfig, Trajectory, _path_key, run_paths
+from .integrator import _REDUCER, SimConfig, _path_key, _tail_start, run_paths
 from .models import SIMPLEX, ModelSpec
 
 __all__ = [
@@ -30,21 +32,6 @@ __all__ = [
 # below roughly one individual at the scales the bundled scenarios use
 Y_EXTINCT_SIMPLEX = 1e-6
 Y_EXTINCT_OCTANT = 1e-3
-
-
-def _path_statistics(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per path: the log slope (ln Y_T - ln Y_0) / T of the infected
-    component, and its trapezoidal time averages over the full recorded
-    window and over its tail half (the records at or after the midpoint)."""
-    times, y = traj.times, traj.states[:, :, 1]
-    horizon = times[-1] - times[0]
-    lyapunov = (np.log(y[:, -1]) - np.log(y[:, 0])) / horizon
-    full = np.trapezoid(y, times) / horizon
-    start = int(np.searchsorted(times, times[0] + 0.5 * horizon))
-    tail_times, tail = times[start:], y[:, start:]
-    if len(tail_times) < 2:  # a stride at least the step count leaves one tail record
-        return lyapunov, full, tail[:, -1].copy()
-    return lyapunov, full, np.trapezoid(tail, tail_times) / (tail_times[-1] - tail_times[0])
 
 
 @dataclass(frozen=True)
@@ -104,15 +91,16 @@ def run_ensemble(
     elif not 0.0 < y_extinct < np.inf:  # also refuses nan
         raise ValueError(f"y_extinct must be positive and finite, got {y_extinct}")
     keys = [_path_key(cfg.seed, i) for i in range(paths)]
-    traj = run_paths(model, s0, cfg, keys)
-    lyapunov, mean_infected, tail_mean_infected = _path_statistics(traj)
+    traj = run_paths(model, s0, cfg, keys, keep=_REDUCER)
+    horizon, tail = traj.times[-1] - traj.times[0], traj.times[_tail_start(traj.times)]
     return EnsembleStats(
         path_seeds=tuple("".join(f"{w:016x}" for w in key) for key in keys),
-        lyapunov=lyapunov,
-        mean_infected=mean_infected,
-        tail_mean_infected=tail_mean_infected,
-        y_final=traj.states[:, -1, 1].copy(),
-        floor_hits=traj.floor_hits.copy(),
+        lyapunov=(np.log(traj.y_final) - np.log(np.asarray(s0, dtype=float)[1])) / horizon,
+        mean_infected=traj.y_area / horizon,
+        # a stride at least the step count leaves one tail record
+        tail_mean_infected=traj.tail_area / (traj.times[-1] - tail) if tail < traj.times[-1] else traj.y_final.copy(),
+        y_final=traj.y_final,
+        floor_hits=traj.floor_hits,
         y_extinct=float(y_extinct),
     )
 

@@ -532,9 +532,10 @@ class TestSplitRows:
         model, s0 = models[name]
         groups = self.ROWS if grouped else None
         monkeypatch.setattr(integrator, "CHUNK_STEPS", chunk)
-        serial = run_paths(model, s0, self.CFG, self.KEYS, groups)
+        keep = ("states", *integrator._REDUCER)  # every output of _OUTPUTS
+        serial = run_paths(model, s0, self.CFG, self.KEYS, groups, keep=keep)
         calls = split_runs(3)
-        split = run_paths(model, s0, self.CFG, self.KEYS, groups)
+        split = run_paths(model, s0, self.CFG, self.KEYS, groups, keep=keep)
         assert calls == [3]  # slice 0 here, the others in children, and no checked rerun
         assert split.states.tobytes() == serial.states.tobytes()
         assert np.array_equal(split.floor_hits, serial.floor_hits)
@@ -542,6 +543,8 @@ class TestSplitRows:
             assert split.simplex_drift is None
         else:
             assert split.simplex_drift.tobytes() == serial.simplex_drift.tobytes()
+        for name in integrator._REDUCER:
+            assert getattr(split, name).tobytes() == getattr(serial, name).tobytes(), name
 
     def test_fault_in_a_child_slice_raises_the_serial_error(self, split_runs):
         # the first five rows have no diffusion and keep x above 0.5; the noisy last five,
@@ -657,8 +660,8 @@ def _step_block(model, pv, S, dW, drift_dt, comp_dt):
     S3, seen, n = np.array(S, dtype=float).T.copy(), [], model.brownian_dim
     tile = np.empty((1, 1 + n + (SMALL in model.mark_rules), 3, len(S)))
     tile[:, 0], tile[:, 1 + n:] = drift_dt, comp_dt
-    out = {"states": np.empty((len(S), 2, 3)), "floor_hits": np.zeros(len(S), dtype=np.int64)}
-    run = (S3, tile, 1.0, POSITIVITY_FLOOR, RENORM_TOL, 1, 1, out)
+    out = {"floor_hits": np.zeros(len(S), dtype=np.int64)}
+    run = (S3, tile, 1.0, POSITIVITY_FLOOR, RENORM_TOL, 1, 1, out, lambda r: None)  # nothing recorded
 
     def jumps(j, incr, comp, H):
         seen.append((incr.T.copy(), None if comp is None else comp.T.copy()))

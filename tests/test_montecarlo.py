@@ -1,18 +1,35 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ussir.criteria import CriteriaReport
-from ussir.integrator import SimConfig, Trajectory, _path_key, run_paths, simulate
+from ussir.integrator import _REDUCER, SimConfig, _path_key, _record, _tail_start, run_paths, simulate
 from ussir.models import OCTANT, build_custom
-from ussir.montecarlo import EnsembleStats, _path_statistics, run_ensemble, verdict, write_ensemble_csv
+from ussir.montecarlo import EnsembleStats, run_ensemble, verdict, write_ensemble_csv
 
 
-def _traj(times, ys):
-    """A one-path result whose infected component is ``ys``."""
+@pytest.fixture
+def drift_only(reduced):
+    """Factory of one-path ensembles of a model whose only term is the drift ``y_drift`` of y, from y = ``y0``,
+    recording every step."""
+
+    def run(y_drift, y0, horizon, dt):
+        model = reduced(build_custom(OCTANT, drift=("0", y_drift, "0"), diffusion=(("0", "0", "0"),)))
+        return run_ensemble(model, (0.5, y0, 0.5), SimConfig(horizon=horizon, dt=dt, record_stride=1), paths=1)
+
+    return run
+
+
+def _reduced(times, ys) -> dict:
+    """The reducer's outputs of one path whose infected component is ``ys`` at the record ``times``, fed record
+    by record through its update."""
     times = np.asarray(times, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    states = np.stack([np.full_like(ys, 0.5), ys, np.full_like(ys, 0.5)], axis=-1)
-    return Trajectory(times=times, states=states[None], floor_hits=np.zeros(1, dtype=np.int64), simplex_drift=None)
+    out = {name: np.zeros(1) for name in _REDUCER}
+    for r, y in enumerate(ys):
+        _record(out, times, _tail_start(times), np.array([[0.5], [y], [0.5]]), r)
+    return out
 
 
 def _stats(lyapunov=(), tail=()):
@@ -31,34 +48,53 @@ def _stats(lyapunov=(), tail=()):
 
 
 class TestLyapunov:
-    def test_constant_is_zero(self):
-        lyapunov, _, _ = _path_statistics(_traj([0, 1, 2], [0.3, 0.3, 0.3]))
-        assert lyapunov == 0.0
+    def test_constant_is_zero(self, drift_only):
+        stats = drift_only("0", 0.3, horizon=2.0, dt=1.0)
+        assert stats.lyapunov == 0.0
 
-    def test_exact_exponential(self):
-        times = np.linspace(0.0, 10.0, 101)
-        lyapunov, _, _ = _path_statistics(_traj(times, np.exp(-0.2 * times)))
-        assert lyapunov == pytest.approx(-0.2, abs=1e-12)
+    def test_exact_exponential(self, drift_only):
+        # Euler's y_k = y_0 (1 + c dt)^k is exp(-0.2 t) at the records when c dt = exp(-0.2 dt) - 1
+        dt = 0.1
+        stats = drift_only(f"{math.expm1(-0.2 * dt) / dt:.17g}*y", 0.3, horizon=10.0, dt=dt)
+        assert stats.lyapunov == pytest.approx(-0.2, abs=1e-12)
 
 
 class TestTimeAverage:
-    def test_constant(self):
-        _, full, _ = _path_statistics(_traj([0, 1, 2], [0.4, 0.4, 0.4]))
-        assert full == pytest.approx(0.4)
+    def test_constant(self, drift_only):
+        stats = drift_only("0", 0.4, horizon=2.0, dt=1.0)
+        assert stats.mean_infected == pytest.approx(0.4)
 
     @staticmethod
     def _linear():
-        times = np.linspace(0.0, 1.0, 11)
-        with np.errstate(divide="ignore"):  # the log slope of a path from Y_0 = 0
-            return _path_statistics(_traj(times, times))
+        return _reduced(np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 11))  # Y_0 = 0: no model runs it
 
     def test_linear_exact(self):
-        _, full, _ = self._linear()
-        assert full == pytest.approx(0.5, abs=1e-15)
+        assert self._linear()["y_area"] / 1.0 == pytest.approx(0.5, abs=1e-15)
 
     def test_tail_half_of_linear(self):
-        _, _, tail = self._linear()
-        assert tail == pytest.approx(0.75, abs=1e-15)
+        assert self._linear()["tail_area"] / 0.5 == pytest.approx(0.75, abs=1e-15)
+
+    def test_running_sums_within_the_summation_bound_of_trapezoid(self, scenario):
+        # the reducer sums np.trapezoid's terms in record order, numpy pairwise; a sum in order errs by at most
+        # about (n - 1) 2^-53 of the sum of its terms' magnitudes (Higham 1993), the bound held here; the rest is exact
+        cfg, model = scenario("table6")
+        sim = SimConfig(horizon=1.0, dt=0.01, seed=4, record_stride=3)
+        traj = run_paths(model, cfg.initial_state, sim, [_path_key(4, i) for i in range(6)], keep=("states", *_REDUCER))
+        stats = run_ensemble(model, cfg.initial_state, sim, paths=6)
+        times, y = traj.times, traj.states[:, :, 1]
+        start = _tail_start(times)
+        assert len(times) - 1 >= 20 and len(times) - 1 - start > 8  # numpy sums 8 or more terms pairwise
+        for total, mean, t, ys in ((traj.y_area, stats.mean_infected, times, y),
+                                   (traj.tail_area, stats.tail_mean_infected, times[start:], y[:, start:])):
+            terms = np.diff(t) * (ys[:, 1:] + ys[:, :-1]) / 2.0
+            bound = (terms.shape[1] - 1) * 2.0**-53 * np.abs(terms).sum(axis=1)
+            assert np.all(np.abs(total - np.trapezoid(ys, t)) <= bound)
+            span = t[-1] - t[0]
+            assert np.all(np.abs(mean - np.trapezoid(ys, t) / span) <= bound / span)
+            assert mean.tobytes() == (total / span).tobytes()
+        horizon = times[-1] - times[0]
+        assert stats.lyapunov.tobytes() == ((np.log(y[:, -1]) - np.log(y[:, 0])) / horizon).tobytes()
+        assert stats.y_final.tobytes() == traj.y_final.tobytes() == y[:, -1].tobytes()
 
 
 class TestRunEnsemble:
@@ -88,8 +124,8 @@ class TestRunEnsemble:
         sim = SimConfig(horizon=1.0, dt=0.001, seed=3, record_stride=100)
         stats = run_ensemble(silent, cfg.initial_state, sim, paths=5)
         solo = simulate(silent, cfg.initial_state, sim)
-        expected, _, _ = _path_statistics(solo)
-        assert np.all(stats.lyapunov == expected)
+        y = solo.states[0, :, 1]
+        assert np.all(stats.lyapunov == (np.log(y[-1]) - np.log(y[0])) / (solo.times[-1] - solo.times[0]))
         assert np.all(stats.y_final == solo.states[0, -1, 1])
 
     @pytest.mark.parametrize("stride", [1, 3, 1000])
@@ -97,18 +133,35 @@ class TestRunEnsemble:
         cfg, model = scenario("table6")
         sim = SimConfig(horizon=1.0, dt=0.01, seed=4, record_stride=stride)
         keys = [_path_key(4, i) for i in range(6)]
-        bundle = run_paths(model, cfg.initial_state, sim, keys)
-        rows = [run_paths(model, cfg.initial_state, sim, [key]) for key in keys]
-        statistics = _path_statistics(bundle)
-        per_path = [_path_statistics(tr) for tr in rows]
-        names = ("lyapunov", "mean_infected", "tail_mean_infected")
-        for k, (name, values) in enumerate(zip(names, statistics)):
-            assert np.array_equal(values, np.concatenate([row[k] for row in per_path])), name
+        bundle = run_paths(model, cfg.initial_state, sim, keys, keep=_REDUCER)
+        rows = [run_paths(model, cfg.initial_state, sim, [key], keep=("states", *_REDUCER)) for key in keys]
+        for name in _REDUCER:
+            assert np.array_equal(getattr(bundle, name), np.concatenate([getattr(tr, name) for tr in rows])), name
         stats = run_ensemble(model, cfg.initial_state, sim, paths=6)
-        for name, values in zip(names, statistics):
-            assert np.array_equal(getattr(stats, name), values), name
+        times = bundle.times
+        horizon, tail = times[-1] - times[0], times[_tail_start(times)]
+        y = np.concatenate([tr.states[:, :, 1] for tr in rows])
+        assert np.array_equal(stats.lyapunov, (np.log(y[:, -1]) - np.log(y[:, 0])) / horizon)
+        assert np.array_equal(stats.mean_infected, bundle.y_area / horizon)
+        if stride < sim.n_steps:
+            assert np.array_equal(stats.tail_mean_infected, bundle.tail_area / (times[-1] - tail))
+        else:  # one tail record
+            assert np.array_equal(stats.tail_mean_infected, y[:, -1])
         assert np.array_equal(stats.y_final, [tr.states[0, -1, 1] for tr in rows])
         assert stats.path_seeds[1] == "".join(f"{w:016x}" for w in _path_key(4, 1))
+
+    def test_memory_does_not_grow_with_the_horizon(self, scenario):
+        # the ensemble keeps no states: ten times the records cost no more memory
+        cfg, model = scenario("table3")
+        peaks = []
+        for horizon in (0.1, 2.0, 20.0):  # the first run builds what every run reuses
+            tracemalloc.start()
+            try:
+                run_ensemble(model, cfg.initial_state, SimConfig(horizon=horizon, seed=1, record_stride=10), paths=50)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[2] - peaks[1]) < 0.25 * 2**20, peaks
 
     def test_extinction_fraction_uses_threshold(self):
         stats = _stats(lyapunov=[0.0, 0.0])
@@ -128,8 +181,8 @@ class TestRunEnsemble:
         split = run_ensemble(model, (1.0, 0.5, 0.5), sim, paths=6)
         assert calls == [3]
         assert serial.floor_hits.sum() > 0 and np.array_equal(split.floor_hits, serial.floor_hits)
-        assert split.y_final.tobytes() == serial.y_final.tobytes()
-        assert split.lyapunov.tobytes() == serial.lyapunov.tobytes()
+        for name in ("y_final", "lyapunov", "mean_infected", "tail_mean_infected"):
+            assert getattr(split, name).tobytes() == getattr(serial, name).tobytes(), name
 
     @pytest.mark.parametrize("y_extinct", [float("nan"), -1.0, 0.0, float("inf")])
     def test_bad_threshold_refused_before_simulating(self, monkeypatch, y_extinct):
