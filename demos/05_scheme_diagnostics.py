@@ -39,7 +39,7 @@ def compensation():
     dt, steps = 0.001, 20_000
     acc = np.zeros(3)
     for _ in range(steps):
-        marks = model.measure.inverse_cdf(SMALL, small_mass * rng.random(int(rng.poisson(small_mass * dt))))
+        marks = model.measure.inverse_cdf(SMALL, rng.random(int(rng.poisson(small_mass * dt))))
         acc -= comp * dt
         if len(marks):
             acc += model.small_jump_fn(pv, state, marks).sum(axis=0)

@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "expr": ("BoundsPair", "bounds", "parse", "serialize"),
     "levy": ("LevyMeasure",),
-    "models": ("ModelSpec", "build_custom", "build_named", "check_conservation", "check_positivity_ratios"),
+    "models": ("ModelSpec", "build_custom", "build_named", "check_structure"),
     "integrator": ("Trajectory", "convergence_probe", "simulate"),
     "criteria": ("CriteriaReport", "generic_alpha_estimate", "report_for_model"),
     "montecarlo": ("EnsembleStats", "run_ensemble", "verdict"),

@@ -35,7 +35,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
-from .models import SIMPLEX, ModelSpec, check_conservation, check_positivity_ratios
+from .models import ModelSpec, check_structure
 from .scenario import (
     ScenarioConfig,
     ScenarioError,
@@ -141,22 +141,18 @@ def cmd_criteria(args, cfg: ScenarioConfig, model: ModelSpec) -> int:
 
 
 def cmd_validate(args, cfg: ScenarioConfig, model: ModelSpec) -> int:
-    ok = True
-    if model.domain == SIMPLEX:
-        report = check_conservation(model)
+    report, positivity = check_structure(model)
+    if report is None:
+        print("conservation: not applicable (octant domain)")
+    else:
         print(
             f"conservation: max_deviation={report.max_abs_deviation:.3e} "
             f"tolerance={report.tolerance:.1e} passed={report.passed}"
         )
         for name, value in report.breakdown.items():
             print(f"  {name}: {value:.3e}")
-        ok = ok and report.passed
-    else:
-        print("conservation: not applicable (octant domain)")
-    positivity = check_positivity_ratios(model)
     print(f"positivity: min_ratio={positivity.min_ratio:.6g} passed={positivity.passed}")
-    ok = ok and positivity.passed
-    return 0 if ok else 1
+    return 0 if positivity.passed and (report is None or report.passed) else 1
 
 
 @lru_cache(maxsize=1)

@@ -49,7 +49,6 @@ several such rows (the CLI's noise panels) on one stream.
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import math
 import mmap
@@ -114,14 +113,16 @@ class Trajectory:
 
     def write_csv(self, path) -> None:
         """Write the ``t,X,Y,Z`` rows of a one-path result with 17
-        significant digits."""
+        significant digits, lines ended by ``\\n``."""
+        if self.states is None:
+            raise ValueError("write_csv needs recorded states; this result kept none")
         if len(self.states) != 1:
             raise ValueError(f"write_csv writes one path, this result has {len(self.states)}")
+        lines = ["t,X,Y,Z"]
+        for t, (x, y, z) in zip(self.times.tolist(), self.states[0].tolist()):  # Python floats format faster
+            lines.append(f"{t:.17g},{x:.17g},{y:.17g},{z:.17g}")
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "X", "Y", "Z"])
-            for t, (x, y, z) in zip(self.times.tolist(), self.states[0].tolist()):  # Python floats format faster
-                writer.writerow([f"{v:.17g}" for v in (t, x, y, z)])
+            fh.write("\n".join(lines) + "\n")
 
 
 def _path_key(seed: int, index: int) -> np.ndarray:
@@ -178,7 +179,7 @@ def _block_marks(measure, gens, regions, block: int, cells) -> tuple:
     of_region = np.repeat(cell % len(regions), n)
     for r, name in enumerate(regions):
         at = of_region == r
-        marks[at] = measure.inverse_cdf(name, measure.mass(name) * marks[at])
+        marks[at] = measure.inverse_cdf(name, marks[at])
     bounds = np.searchsorted(cell, np.arange(groups + 1)).tolist()
     return bounds, path, offsets, np.repeat(path, n), marks
 

@@ -7,10 +7,10 @@ uniform density on one finite interval.  Marks with |u| < 1 are the
 of zero.  The bundled scenarios all use the uniform density on [-2, 2],
 which splits into mass 2 small and mass 2 large, but the measure is a
 config value rather than a constant.  The integrator draws each step's
-jump counts from Poisson(mass * dt) and their marks as
-``mass * rng.random(n)`` mapped by :meth:`LevyMeasure.inverse_cdf`; the
-rule each integral against the measure uses is the model's
-(:attr:`ussir.models.ModelSpec.mark_rules`).
+jump counts from Poisson(mass * dt) and their marks as uniforms
+``rng.random(n)`` mapped by :meth:`LevyMeasure.inverse_cdf`, which scales
+them by the region's mass; the rule each integral against the measure uses
+is the model's (:attr:`ussir.models.ModelSpec.mark_rules`).
 """
 
 from __future__ import annotations
@@ -70,9 +70,10 @@ class LevyMeasure:
             raise ValueError(f"the measure has no support in the {region} region")
         return np.concatenate(us), np.concatenate(ws)
 
-    def inverse_cdf(self, region: str, levels: np.ndarray) -> np.ndarray:
-        """Map measure levels in [0, mass(region)) to marks in ``region``: the
-        integrator's one mark mapping."""
+    def inverse_cdf(self, region: str, uniforms: np.ndarray) -> np.ndarray:
+        """Map uniforms in [0, 1) to marks in ``region``, through the measure
+        levels ``mass(region) * uniforms``: the one mark mapping."""
+        levels = self.mass(region) * uniforms
         pieces = self.region_pieces(region)
         cum = np.cumsum([(hi - lo) * self.density for lo, hi in pieces])
         idx = np.searchsorted(cum, levels, side="right")

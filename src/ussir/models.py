@@ -24,7 +24,7 @@ jumps, and the trees of its named time coefficients.  :func:`build_named`
 fills a family's table with its time coefficients, jump constants and
 (where its expressions use ``cap``) a truncation cap; :func:`build_custom`
 accepts raw coefficient expressions, and on the proportions simplex it
-must pass the conservation and positivity gates.  Everything else is
+must pass :func:`check_structure`.  Everything else is
 derived from the trees: constructing a model sets the flags saying which
 noise it carries, fixes the mark rule of each jump region a run draws, which
 the compensator and :func:`ussir.criteria.generic_alpha_estimate` integrate
@@ -61,8 +61,7 @@ __all__ = [
     "build_custom",
     "build_named",
     "check_admissible",
-    "check_conservation",
-    "check_positivity_ratios",
+    "check_structure",
 ]
 
 SIMPLEX = "simplex"
@@ -70,6 +69,7 @@ OCTANT = "octant"
 
 SIMPLEX_TOL = 1e-6
 CONSERVATION_TOL = 1e-12  # the rows cancel algebraically, so only rounding noise may remain
+CHECK_POINTS = 1000  # the (t, state, mark) points of check_structure
 
 
 def check_admissible(state, domain: str) -> np.ndarray:
@@ -378,9 +378,10 @@ def build_custom(
     ``drift`` is three expressions in (t, x, y, z); ``diffusion`` is a
     sequence of Brownian columns, each three expressions; jump coefficients
     are three expressions in (t, x, y, z, u) or None for no jumps.  On the
-    simplex domain the conservation and positivity checks are mandatory
-    gates: a custom model that fails either is rejected.  An expression
-    that does not parse is named by its group and its 1-based index.
+    simplex domain :func:`check_structure` is a mandatory gate, at the points
+    ``ussir validate`` checks: a custom model that fails conservation or
+    positivity is rejected.  An expression that does not parse is named by
+    its group and its 1-based index.
     """
     def trees(texts, names, where):
         for index, text in enumerate(texts, 1):
@@ -399,19 +400,11 @@ def build_custom(
     large_trees = tuple(trees(large_jump, jump_vars, "large-jump")) if large_jump else None
     model = ModelSpec("custom", domain, measure, drift_trees, diff_cols, small_trees, large_trees)
     if domain == SIMPLEX:
-        rng = np.random.default_rng(0)  # one stream for both gates
-        conservation = check_conservation(model, samples=256, rng=rng)
-        if not conservation.passed:
-            raise ValueError(
-                f"custom simplex model violates conservation "
-                f"(max deviation {conservation.max_abs_deviation:.3e})"
-            )
-        positivity = check_positivity_ratios(model, samples=256, rng=rng)
+        sums, positivity = check_structure(model)
+        if not sums.passed:
+            raise ValueError(f"custom simplex model violates conservation (max deviation {sums.max_abs_deviation:.3e})")
         if not positivity.passed:
-            raise ValueError(
-                f"custom simplex model violates jump positivity "
-                f"(min ratio {positivity.min_ratio:.3e})"
-            )
+            raise ValueError(f"custom simplex model violates jump positivity (min ratio {positivity.min_ratio:.3e})")
     return model
 
 
@@ -437,73 +430,47 @@ class PositivityReport:
     passed: bool
 
 
-def _sample_points(model: ModelSpec, count: int, rng: np.random.Generator):
-    """Time-coefficient values at t in [0, 100) and admissible states at
-    ``count`` random points, drawn in that order."""
-    ts = rng.uniform(0.0, 100.0, size=count)
+def check_structure(model: ModelSpec) -> tuple[Optional[ConservationReport], PositivityReport]:
+    """Check the model's structure at 1000 points drawn once from one seed-0
+    stream: times t in [0, 100), then admissible states, then one run of
+    uniforms per region a run draws (:attr:`ModelSpec.mark_rules`, at least
+    one run).  Returns the conservation report (None on the octant) and the
+    positivity report.
+
+    Conservation evaluates the simplex row sums of drift, diffusion columns
+    and both jump vectors at marks spread over the whole support by the first
+    run; they cancel algebraically for well-formed simplex models, so
+    anything beyond rounding noise (:data:`CONSERVATION_TOL`) is a failure.
+    Positivity reports the least 1 + coeff_i/state_i of each jump vector at
+    marks of its own region, drawn as the engine draws them; with no region
+    drawn, the ratio is 1.  The ratios are those of one mark.  A step applies
+    all of its marks at its start state, so a step with several marks can
+    still take a component to zero or below; the safeguard then clamps it,
+    and the run counts each clamp in ``floor_hits``."""
+    rng, m, rules = np.random.default_rng(0), model.measure, model.mark_rules
+    pv = model.param_values(rng.uniform(0.0, 100.0, size=CHECK_POINTS))
     if model.domain == SIMPLEX:
-        states = rng.dirichlet((1.0, 1.0, 1.0), size=count)
+        states = rng.dirichlet((1.0, 1.0, 1.0), size=CHECK_POINTS)
     else:
         cap = model.constants.get("cap")
-        states = rng.uniform(1e-3, 10.0 if cap is None else max(10.0, 2.0 * cap), size=(count, 3))
-    return model.param_values(ts), states
-
-
-def check_conservation(
-    model: ModelSpec,
-    samples: int = 1000,
-    rng: Optional[np.random.Generator] = None,
-) -> ConservationReport:
-    """Verify the simplex row-sum identities at random (t, state, u) points,
-    the marks uniform over the whole support (``rng`` None is seed 0).
-
-    The four sums cancel algebraically for well-formed simplex models, so
-    anything beyond rounding noise (:data:`CONSERVATION_TOL`) is a failure.
-    """
+        states = rng.uniform(1e-3, 10.0 if cap is None else max(10.0, 2.0 * cap), size=(CHECK_POINTS, 3))
+    runs = rng.random((max(len(rules), 1), CHECK_POINTS))
+    mins = []
+    for region, uniforms in zip(rules, runs):
+        jump_fn = model.small_jump_fn if region == SMALL else model.large_jump_fn
+        mins.append(float((1.0 + jump_fn(pv, states, m.inverse_cdf(region, uniforms)) / states).min()))
+    min_ratio = min(mins, default=1.0)
+    positivity = PositivityReport(min_ratio=min_ratio, passed=min_ratio > 0.0)
     if model.domain != SIMPLEX:
-        raise ValueError("conservation check applies to simplex models only")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    pv, states = _sample_points(model, samples, rng)
-    m = model.measure
-    us = m.lo + rng.uniform(0.0, m.hi - m.lo, size=samples)
+        return None, positivity
+    us = m.lo + (m.hi - m.lo) * runs[0]
     breakdown = {
         "drift": float(np.abs(model.drift_fn(pv, states).sum(axis=-1)).max()),
-        # a model without Brownian drivers has a (samples, 3, 0) diffusion block
+        # a model without Brownian drivers has a (points, 3, 0) diffusion block
         "diffusion": float(np.abs(model.diffusion_fn(pv, states).sum(axis=-2)).max(initial=0.0)),
         "small_jump": float(np.abs(model.small_jump_fn(pv, states, us).sum(axis=-1)).max()),
         "large_jump": float(np.abs(model.large_jump_fn(pv, states, us).sum(axis=-1)).max()),
     }
     worst = max(breakdown.values())
-    return ConservationReport(
-        max_abs_deviation=worst,
-        breakdown=breakdown,
-        tolerance=CONSERVATION_TOL,
-        passed=worst <= CONSERVATION_TOL,
-    )
-
-
-def check_positivity_ratios(
-    model: ModelSpec,
-    samples: int = 1000,
-    rng: Optional[np.random.Generator] = None,
-) -> PositivityReport:
-    """Verify 1 + coeff_i/state_i > 0 for both jump vectors at sampled
-    admissible points; reports the minimum ratio found (``rng`` None is
-    seed 0).
-
-    Each vector is checked at marks of its own region, drawn as the engine
-    draws them, and only for the regions a run draws
-    (:attr:`ModelSpec.mark_rules`); with none, the ratio is 1.  The ratios
-    are those of one mark.  A step applies all of its marks at its start
-    state, so a step with several marks can still take a component to zero
-    or below; the safeguard then clamps it, and the run counts each clamp
-    in ``floor_hits``."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    pv, states = _sample_points(model, samples, rng)
-    m, mins = model.measure, []
-    for region in model.mark_rules:
-        jump_fn = model.small_jump_fn if region == SMALL else model.large_jump_fn
-        us = m.inverse_cdf(region, m.mass(region) * rng.random(samples))
-        mins.append(float((1.0 + jump_fn(pv, states, us) / states).min()))
-    min_ratio = min(mins, default=1.0)
-    return PositivityReport(min_ratio=min_ratio, passed=min_ratio > 0.0)
+    conservation = ConservationReport(worst, breakdown, CONSERVATION_TOL, worst <= CONSERVATION_TOL)
+    return conservation, positivity

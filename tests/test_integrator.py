@@ -140,13 +140,13 @@ def _reference_step(model, t, state, dt, rng, floor=1e-12, counts=None):
         counts["most_small"] = max(counts.get("most_small", 0), n_small)
     if model.has_small_jumps:
         if n_small:
-            marks = model.measure.inverse_cdf(SMALL, small_mass * rng.random(n_small))
+            marks = model.measure.inverse_cdf(SMALL, rng.random(n_small))
             incr = incr + np.add.reduceat(model.small_jump_fn(pv, s, marks), [0])[0]
         if SMALL in model.mark_rules:  # the small region's integral of the jump vector, by its mark rule
             nodes, weights = model.mark_rules[SMALL]
             incr = incr - (model.small_jump_fn(pv, s, nodes) * weights[:, None]).sum(axis=0) * dt
     if n_large:
-        marks = model.measure.inverse_cdf(LARGE, large_mass * rng.random(n_large))
+        marks = model.measure.inverse_cdf(LARGE, rng.random(n_large))
         incr = incr + np.add.reduceat(model.large_jump_fn(pv, s, marks), [0])[0]
     return _safeguard(s + incr, model.domain, floor)
 
@@ -1055,6 +1055,15 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match="one path, this result has 2"):
             pair.write_csv(tmp_path / "pair.csv")
         assert not (tmp_path / "pair.csv").exists()
+
+    def test_a_result_without_states_is_refused(self, zero_model, tmp_path):
+        # an ensemble keeps its reducer alone: there are no rows to write
+        cfg = SimConfig(horizon=0.05, dt=0.01, seed=0)
+        reduced = run_paths(zero_model, (1.0, 0.5, 0.25), cfg, [_path_key(0, 0)], keep=integrator._REDUCER)
+        assert reduced.states is None
+        with pytest.raises(ValueError, match="kept none"):
+            reduced.write_csv(tmp_path / "reduced.csv")
+        assert not (tmp_path / "reduced.csv").exists()
 
     @pytest.mark.parametrize("name", ["table1", "table6"])
     def test_rows_of_a_result_are_a_result(self, scenario, tmp_path, name):

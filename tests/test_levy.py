@@ -15,9 +15,9 @@ def paper_measure():
 
 def _step_marks(measure, region, dt, rng):
     """One step's jumps as the integrator draws them: a Poisson(mass * dt)
-    count, then that many uniforms scaled by the mass and mapped by inverse CDF."""
+    count, then that many uniforms mapped by inverse CDF."""
     count = int(rng.poisson(measure.mass(region) * dt))
-    return measure.inverse_cdf(region, measure.mass(region) * rng.random(count))
+    return measure.inverse_cdf(region, rng.random(count))
 
 
 def _compensator(model, t, state):
@@ -120,7 +120,7 @@ class TestSampling:
 
     def test_asymmetric_pieces_weighting(self):
         m = LevyMeasure(-2.0, 4.0)
-        marks = m.inverse_cdf(LARGE, m.mass(LARGE) * path_generator(5).random(40_000))
+        marks = m.inverse_cdf(LARGE, path_generator(5).random(40_000))
         frac_positive = (marks > 0).mean()
         # pieces [-2, -1] and [1, 4] put 75% of the mass on the positive side
         assert frac_positive == pytest.approx(0.75, abs=0.01)
@@ -133,13 +133,13 @@ class TestSampling:
         split = np.concatenate([gen.uniform(0.0, mass, n) for n in (3, 1, 5)])
         assert np.array_equal(split, mass * path_generator(6).random(9))
 
-    def test_inverse_cdf_of_scaled_uniforms(self):
+    def test_inverse_cdf_of_uniforms(self):
         m = LevyMeasure(-2.0, 4.0, density=0.5)
         for region in (SMALL, LARGE):
-            marks = m.inverse_cdf(region, m.mass(region) * path_generator(9).random(500))
+            marks = m.inverse_cdf(region, path_generator(9).random(500))
             assert np.all([any(lo <= u < hi for lo, hi in m.region_pieces(region)) for u in marks])
-        # levels fill [-2, -1] (mass 0.5) before [1, 4], at density 0.5
-        assert np.array_equal(m.inverse_cdf(LARGE, np.array([0.0, 0.25, 0.5, 1.25])), [-2.0, -1.5, 1.0, 2.5])
+        # uniforms scale to levels of the large mass 2: [-2, -1] (mass 0.5) fills before [1, 4], at density 0.5
+        assert np.array_equal(m.inverse_cdf(LARGE, np.array([0.0, 0.125, 0.25, 0.625])), [-2.0, -1.5, 1.0, 2.5])
 
 
 class TestCompensator:

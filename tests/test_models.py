@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -38,8 +39,7 @@ from ussir.models import (
     build_custom,
     build_named,
     check_admissible,
-    check_conservation,
-    check_positivity_ratios,
+    check_structure,
 )
 from ussir.scenario import build_model, bundled_scenario_path, load_scenario, sim_config
 
@@ -357,33 +357,32 @@ class TestNamedTables:
 class TestConservation:
     def test_ex1_conserves(self, scenario):
         _, model = scenario("table1")
-        report = check_conservation(model, samples=1000, rng=np.random.default_rng(1))
+        report, _ = check_structure(model)
         assert report.passed
         assert report.max_abs_deviation <= 1e-12
 
     def test_ex1b_conserves(self, scenario):
         _, model = scenario("table2")
-        report = check_conservation(model, samples=1000, rng=np.random.default_rng(2))
+        report, _ = check_structure(model)
         assert report.passed
 
     def test_corrupted_drift_detected(self, scenario):
         _, model = scenario("table1")
         corrupted = [BinOp("+", model.drift[0], Num(1e-6)), *model.drift[1:]]
         broken = dataclasses.replace(model, drift=corrupted)
-        report = check_conservation(broken, samples=200, rng=np.random.default_rng(3))
+        report, _ = check_structure(broken)
         assert not report.passed
         assert report.breakdown["drift"] >= 1e-7
 
-    def test_octant_model_rejected(self, scenario):
+    def test_conservation_is_none_on_the_octant(self, scenario):
         _, model = scenario("table3")
-        with pytest.raises(ValueError, match="simplex"):
-            check_conservation(model)
+        assert check_structure(model)[0] is None
 
 
 class TestPositivity:
     def test_table1_ratios_positive(self, scenario):
         _, model = scenario("table1")
-        report = check_positivity_ratios(model, samples=1000, rng=np.random.default_rng(5))
+        _, report = check_structure(model)
         assert report.passed
         assert report.min_ratio > 0.0
 
@@ -396,7 +395,7 @@ class TestPositivity:
             small_jump=("-(0.01*x*y)", "0.01*x*y-1.5*y*z", "1.5*y*z"),
         ).small_jump
         broken = dataclasses.replace(model, small_jump=oversized)
-        report = check_positivity_ratios(broken, samples=1000, rng=np.random.default_rng(6))
+        _, report = check_structure(broken)
         assert not report.passed
 
     def test_each_vector_checked_at_marks_of_its_own_region(self):
@@ -407,7 +406,7 @@ class TestPositivity:
             small = (f"-{scale}*u*x*y", f"{scale}*u*x*y", "0")
             return build_custom(SIMPLEX, drift=("0", "0", "0"), diffusion=(("0", "0", "0"),), small_jump=small)
 
-        report = check_positivity_ratios(build(0.9), samples=1000, rng=np.random.default_rng(10))
+        _, report = check_structure(build(0.9))
         assert report.passed
         assert report.min_ratio >= 1.0 - 0.9
         with pytest.raises(ValueError, match="violates jump positivity"):
@@ -415,8 +414,25 @@ class TestPositivity:
 
     def test_no_jumps_means_unit_ratios(self, scenario):
         _, model = scenario("table3")
-        report = check_positivity_ratios(model, samples=200, rng=np.random.default_rng(7))
+        _, report = check_structure(model)
         assert report.min_ratio == 1.0
+
+
+def _kicks(scale: str) -> dict:
+    """A driftless simplex model whose small jumps move at most ``1.5 * scale`` from x to y."""
+    kick = f"1.5*x*min(1,{scale}/x)"
+    return {"drift": ("0", "0", "0"), "diffusion": (("0", "0", "0"),), "small_jump": (f"-{kick}", kick, "0")}
+
+
+_CRAFTED = {
+    "kicks_1e-4": _kicks("0.0001"),
+    "kicks_1e-5": _kicks("0.00001"),
+    "unbalanced_drift": {"drift": ("-0.2*x*y", "0.2*x*y", "0.1*y"), "diffusion": (("0", "0", "0"),)},
+    "oversized_jump": {"drift": ("-0.2*x*y", "0.2*x*y", "0"), "diffusion": (("0", "0", "0"),),
+                       "small_jump": ("-2.5*x", "2.5*x", "0")},
+    **{f"marked_{scale}": {"drift": ("0", "0", "0"), "diffusion": (("0", "0", "0"),),
+                           "small_jump": (f"-{scale}*u*x*y", f"{scale}*u*x*y", "0")} for scale in ("0.9", "1.5")},
+}
 
 
 class TestCustom:
@@ -446,6 +462,40 @@ class TestCustom:
                 diffusion=(("0", "0", "0"),),
                 small_jump=("-2.5*x", "2.5*x", "0"),
             )
+
+    def test_small_kicks_refused_where_validate_fails(self):
+        # the gate samples the points validate checks: min(1, 1e-4/x) kicks fail there
+        with pytest.raises(ValueError, match=re.escape("violates jump positivity (min ratio -1.776e-01)")):
+            build_custom(SIMPLEX, **_kicks("0.0001"))
+
+    def test_smaller_kicks_pass_the_one_check(self):
+        # no point drawn lands where min(1, 1e-5/x) kicks fail; only a proof would see the rest of the simplex
+        conservation, positivity = check_structure(build_custom(SIMPLEX, **_kicks("0.00001")))
+        assert conservation.passed and positivity.passed
+        assert positivity.min_ratio == pytest.approx(0.882, abs=5e-4)
+
+    @pytest.mark.parametrize("case", [*(f"table{i}" for i in range(1, 8)), *_CRAFTED])
+    def test_refused_exactly_when_the_check_fails(self, scenario, tmp_path, case):
+        # the model built on the octant, where no gate runs, then moved to its own domain, against the gated build
+        if case in _CRAFTED:
+            domain, texts = SIMPLEX, _CRAFTED[case]
+            ungated = dataclasses.replace(build_custom(OCTANT, **texts), domain=domain)
+            gated = partial(build_custom, domain, **texts)
+        else:
+            cfg, _ = scenario(case)
+            domain, text = FAMILIES[cfg.model_id].domain, custom_text(cfg)
+            (tmp_path / "octant.scn").write_text(text.replace(f"domain = {domain}", f"domain = {OCTANT}"))
+            (tmp_path / "custom.scn").write_text(text)
+            ungated = dataclasses.replace(build_model(load_scenario(tmp_path / "octant.scn")), domain=domain)
+            gated = partial(build_model, load_scenario(tmp_path / "custom.scn"))
+        passed = all(report is None or report.passed for report in check_structure(ungated))
+        try:
+            gated()
+        except ValueError as exc:
+            assert not passed, exc
+            assert "violates" in str(exc)
+        else:
+            assert passed
 
     def test_octant_custom_constant_coefficients(self):
         model = build_custom(
@@ -548,12 +598,12 @@ class TestSuppress:
     def test_checks_run_on_suppressed_simplex_copy(self, scenario, reduced):
         _, model = scenario("table1")
         for copy in (reduced(model), reduced(model, drift=True, jumps=False)):
-            conservation = check_conservation(copy, samples=200, rng=np.random.default_rng(8))
+            conservation, positivity = check_structure(copy)
             assert conservation.passed
             assert conservation.breakdown["diffusion"] == 0.0
-            assert check_positivity_ratios(copy, samples=200, rng=np.random.default_rng(9)).passed
+            assert positivity.passed
         silent = reduced(model)
-        report = check_positivity_ratios(silent, samples=200, rng=np.random.default_rng(9))
+        _, report = check_structure(silent)
         assert report.min_ratio == 1.0
 
 

@@ -1,5 +1,6 @@
 import argparse
 import filecmp
+import hashlib
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ussir.cli
+from test_custom_parity import custom_text
 from ussir.cli import main
 from ussir.expr import ParseError
 from ussir.integrator import simulate
@@ -402,6 +404,26 @@ class TestCliCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "passed=True" in out
+
+    def test_outputs_end_lines_with_newline_alone(self, tmp_path):
+        for command in ("simulate", "ensemble", "criteria"):
+            argv = [command, "--config", "table1", "--out", str(tmp_path)]
+            assert main(argv + (["--horizon", "0.2"] if command != "criteria" else [])) == 0
+        written = sorted(tmp_path.iterdir())
+        assert len(written) == 7  # four panels, the ensemble CSV, the criteria text and CSV
+        for path in written:
+            assert b"\r" not in path.read_bytes(), path.name
+
+    def test_validate_output_is_pinned(self, tmp_path, capsys):
+        # validate's lines and exit codes on the bundled tables and the custom restatement of table2
+        custom = tmp_path / "table2_custom.scn"
+        custom.write_text(custom_text(load_scenario(bundled_scenario_path("table2"))))
+        digest = hashlib.sha256()
+        for config in [*(f"table{i}" for i in range(1, 8)), str(custom)]:
+            code = main(["validate", "--config", config])
+            digest.update(capsys.readouterr().out.encode())
+            digest.update(f"exit {code}\n".encode())
+        assert digest.hexdigest() == "574525a985ef441b99edb133a95b7cc81f671a28f8b757e9e081421c8334ea24"
 
     def test_simulate_emits_all_panels(self, tmp_path):
         code = main(
