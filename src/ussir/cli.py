@@ -12,10 +12,10 @@ Subcommands::
 defaults to ``ussir_out``; ``validate`` writes nothing.  Flag overrides beat
 file values.  A flag the command does not read, or a value out of range
 (``--slack`` included), is a usage error, refused before any file is read.
-Any other error is one ``error:`` line, which names the scenario file once
-it has loaded.  Exit status: 0 success, 1 error (including failed
-validation), 2 usage error (from argparse) or theory-versus-simulation
-verdict "inconsistent".
+Any other error, a record grid too large to allocate included, is one
+``error:`` line, which names the scenario file once it has loaded.  Exit
+status: 0 success, 1 error (including failed validation), 2 usage error
+(from argparse) or theory-versus-simulation verdict "inconsistent".
 
 ``simulate`` writes the stochastic trajectory plus panel companions: the
 deterministic run (all noise zeroed) and, where the model carries that kind
@@ -188,8 +188,8 @@ def main(argv=None) -> int:
         cfg = load_scenario(path if path.is_file() else bundled_scenario_path(args.config))
         source = cfg.source
         return globals()[f"cmd_{args.command}"](args, cfg, build_model(cfg))
-    except (ValueError, OSError) as exc:  # a ScenarioError names its file itself
-        located = source is not None and isinstance(exc, ValueError) and not isinstance(exc, ScenarioError)
+    except (ValueError, OSError, MemoryError) as exc:  # a ScenarioError names its file itself
+        located = source is not None and not isinstance(exc, (OSError, ScenarioError))
         print(f"error: {source}: {exc}" if located else f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,17 +21,19 @@ serial run's bytes, errors and warnings.
 Randomness is organized per path: each path owns a Philox generator keyed
 by a hash of (master seed, path index), so paths are independent,
 reproducible, and independent of how many run together.  A path's stream
-is consumed per block of ``CHUNK_STEPS`` steps: Brownian increments, then
-small-jump counts, then large-jump counts, then the block's marks as one
-run of uniforms, split step by step (small before large), scaled by the
-region's mass and mapped by inverse CDF (with ``CHUNK_STEPS`` = 1, each
-step's order).  Only the regions in the model's ``mark_rules`` are drawn,
-and a block keeps only its marked cells, (path, step * regions + region,
-count), whose marks form one table grouped by (step, region).  A run in
-which no row draws marks draws normals alone, in sequence, in blocks of
-``MARK_FREE_STEPS`` on the same stream.  Every ``TILE_STEPS`` steps the
-block's next normals, times sqrt(dt), fill a (steps, 1 + drivers (+ 1),
-3, paths) tile between its dt rows: a step's multipliers, paths contiguous.
+is consumed per block of ``CHUNK_STEPS`` steps, one pass over the rows
+drawing each path's in order: Brownian increments, then small-jump counts,
+then large-jump counts, then the block's marks as one run of uniforms,
+split step by step (small before large), scaled by the region's mass and
+mapped by inverse CDF (with ``CHUNK_STEPS`` = 1, each step's order).  Only
+the regions in the model's ``mark_rules`` are drawn, and a block keeps only
+its marked cells, (path, step * regions + region, count), which the pass
+yields path by path; one stable sort by cell groups their marks into one
+table by (step, region).  A run in which no row draws marks draws normals
+alone, in sequence, in blocks of ``MARK_FREE_STEPS`` on the same stream.
+Every ``TILE_STEPS`` steps the block's next normals, times sqrt(dt), fill a
+(steps, 1 + drivers (+ 1), 3, paths) tile between its dt rows: a step's
+multipliers, paths contiguous.
 
 The safeguard raises components at or below zero to ``POSITIVITY_FLOOR``
 and counts every such clamp; positive values below the floor are legitimate
@@ -157,30 +159,34 @@ def path_generator(seed: int, index: int = 0) -> np.random.Generator:
     return _generators([_path_key(seed, index)])[0]
 
 
-def _block_marks(measure, gens, regions, block: int, cells) -> tuple:
-    """Draw the marks of one block from its marked cells, ``(path, step *
-    regions + region, count)`` arrays per path and region: per path one run
-    of uniforms by step, small before large.  The table groups the cells by
-    ``step * regions + region``: group bounds, each cell's path and mark
-    offset, then each mark's path and value, a path's marks in draw order."""
-    groups = block * len(regions)
-    none = [np.empty(0, dtype=np.int64)]
-    flat = np.concatenate(none + [p * groups + cell for p, cell, _ in cells])
-    order = np.argsort(flat, kind="stable")  # (path, step, region): the runs' order
-    hits, n = flat[order], np.concatenate(none + [k for _, _, k in cells])[order]
-    first = np.concatenate(([0], np.cumsum(n)))  # each cell's first uniform, then their count
-    path, cell = np.divmod(hits, groups)  # cell = step * regions + region
-    per_path = np.diff(first[np.searchsorted(path, np.arange(len(gens) + 1))]).tolist()
-    uniforms = np.concatenate([np.empty(0)] + [g.random(m) for g, m in zip(gens, per_path) if m])
-    order = np.argsort(cell, kind="stable")
+def _draw_block(model, gens, on, rates, normals) -> tuple:
+    """Draw a block for the rows of ``gens``, each in its stream's order: its ``normals`` row if its diffusion is
+    on (``on``, as ``groups``); if its jumps are on, its count of each drawn region at ``rates`` (mass * dt), by
+    step then region; then all its marks as one run of uniforms.  The mark table groups the marked cells by
+    ``step * regions + region``: group bounds, each cell's path and mark offset, then each mark's path and value
+    (mapped by inverse CDF), a path's marks in draw order."""
+    block, regions = normals.shape[1], list(model.mark_rules)
+    drawn = [(0, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]  # then (path, cells, counts, uniforms)
+    grid = np.empty((block, len(regions)), np.int64)  # a row's counts, each cell step * regions + region in C order
+    for p, (g, (_, noise, jumps)) in enumerate(zip(gens, on.tolist())):
+        if noise and model.has_diffusion:
+            g.standard_normal(out=normals[p])
+        if jumps and regions:
+            grid.T[...] = [g.poisson(rate, block) for rate in rates]
+            hit = grid.ravel().nonzero()[0]
+            if hit.size:
+                drawn.append((p, hit, grid.ravel()[hit], g.random(int(grid.sum()))))
+    rows, cells, counts, runs = zip(*drawn)
+    path, cell, n = np.repeat(rows, [len(hit) for hit in cells]), np.concatenate(cells), np.concatenate(counts)
+    order = np.argsort(cell, kind="stable")  # by (step, region), each group's paths in order
+    first = (np.cumsum(n) - n)[order]  # each cell's first uniform in the rows' runs, one after another
     path, cell, n = path[order], cell[order], n[order]
     offsets = np.concatenate(([0], np.cumsum(n)))
-    marks = uniforms[np.repeat(first[order] - offsets[:-1], n) + np.arange(offsets[-1])]
-    of_region = np.repeat(cell % len(regions), n)
+    marks = np.concatenate(runs)[np.repeat(first - offsets[:-1], n) + np.arange(offsets[-1])]
     for r, name in enumerate(regions):
-        at = of_region == r
-        marks[at] = measure.inverse_cdf(name, marks[at])
-    bounds = np.searchsorted(cell, np.arange(groups + 1)).tolist()
+        at = np.repeat(cell % len(regions) == r, n)
+        marks[at] = model.measure.inverse_cdf(name, marks[at])
+    bounds = np.searchsorted(cell, np.arange(block * len(regions) + 1)).tolist()
     return bounds, path, offsets, np.repeat(path, n), marks
 
 
@@ -198,13 +204,16 @@ def run_paths(
     amortizes interpreter overhead, and a wide run splits across CPUs (see
     above).  Time coefficients are evaluated per block of ``CHUNK_STEPS``
     steps (at most ``MARK_FREE_STEPS`` in a run that draws no marks), so
-    memory grows with the horizon only if ``keep``, the outputs kept on
-    request (see ``_OUTPUTS``), names ``states``; an ensemble keeps
-    ``_REDUCER`` instead.  ``groups``, (paths, 3) booleans, says whether
-    drift, diffusion and jumps act on each path (None: all); a drift or
-    compensator switched off steps by 0 and a noise switched off draws
-    nothing (see above).
+    memory grows with the horizon only if ``keep``, a sequence of the
+    outputs kept on request (see ``_OUTPUTS``), names ``states``; an
+    ensemble keeps ``_REDUCER`` instead.  ``groups``, (paths, 3) booleans,
+    says whether drift, diffusion and jumps act on each path (None: all); a
+    drift or compensator switched off steps by 0 and a noise switched off
+    draws nothing (see above).
     """
+    asked = [name for name, (*_, on_request) in _OUTPUTS.items() if on_request]
+    if isinstance(keep, str) or not set(keep) <= set(asked):
+        raise ValueError(f"keep must be a sequence of names in {asked}, got {keep!r}")
     s0_arr = check_admissible(s0, model.domain)
     n_paths = len(keys)
     on = np.ones((n_paths, 3), dtype=bool) if groups is None else np.asarray(groups, dtype=bool)
@@ -308,6 +317,7 @@ def _step_rows(model, s0_arr, cfg, keys, on, step, out, times) -> None:
     n_paths, dt, K, stride = len(keys), cfg.dt, cfg.n_steps, cfg.record_stride
     gens = _generators(keys)
     regions = list(model.mark_rules)
+    rates = [model.measure.mass(region) * dt for region in regions]
     S3 = np.tile(s0_arr[:, None], n_paths)  # (3, paths): each component's paths contiguous
     record = partial(_record, out, times, _tail_start(times), S3)
     record(0)
@@ -338,19 +348,8 @@ def _step_rows(model, s0_arr, cfg, keys, on, step, out, times) -> None:
         block = min(chunk, K - k0)
         pv_block = model.param_values(np.arange(k0, k0 + block, dtype=float) * dt)
         normals = normal_buf[:, :block]
-        if model.has_diffusion:
-            for p in np.flatnonzero(on[:, 1]):
-                gens[p].standard_normal(out=normals[p])
-        cells = []
-        for r, region in enumerate(regions):
-            rate = model.measure.mass(region) * dt
-            for p in np.flatnonzero(on[:, 2]):
-                c = gens[p].poisson(rate, block)
-                hit = c.nonzero()[0]
-                if hit.size:
-                    cells.append((p, hit * len(regions) + r, c[hit]))
-        table = _block_marks(model.measure, gens, regions, block, cells) if regions else None
-        marked = np.diff(table[0]).reshape(block, -1).any(axis=1).tolist() if regions else [False] * block
+        table = _draw_block(model, gens, on, rates, normals)
+        marked = np.diff(table[0]).reshape(block, -1).any(axis=1).tolist()
         step(pv_block, normals, marked, jumps, k0, run)
 
 

@@ -357,8 +357,8 @@ def build_named(
         cap = float(cap)
         if cap <= 0:
             raise ValueError(f"{model_id}: truncation cap {cap} must be positive")
-    elif cap is not None:  # tests pin both phrasings: "does not take cap", "takes no truncation cap"
-        raise ValueError(f"{model_id}: does not take cap; the family takes no truncation cap")
+    elif cap is not None:
+        raise ValueError(f"{model_id}: does not take cap")
     constants = j if cap is None else {**j, "cap": cap}
     return ModelSpec(model_id, family.domain, measure, **family.trees, params=p, constants=constants)
 

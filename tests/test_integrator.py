@@ -402,6 +402,45 @@ class TestBatchedJumps:
             assert np.array_equal(batch.states[p], manual)
 
 
+def test_block_draws_each_row_in_its_streams_order():
+    # rows with every group, without diffusion and without jumps: a hand draw on fresh generators in the
+    # documented order (normals, small counts, large counts, one run of uniforms) gives the block's normals
+    # and mark table, its cells grouped by (step, region), each group's paths in order
+    model = build_custom(
+        domain=OCTANT, drift=ZEROS, diffusion=(("0.1*x", "0", "0"), ("0", "0.1*y", "0")),
+        small_jump=("0.1*u*x", "u", "0"), large_jump=("0.01*u*x", "0", "u"), measure=LevyMeasure(-2.0, 2.0, 100.0),
+    )
+    regions, dt, block = list(model.mark_rules), 0.01, 7  # 2 marks per cell on average
+    assert regions == [SMALL, LARGE]
+    on = np.array([(1, 1, 1), (1, 0, 1), (1, 1, 0)], dtype=bool)
+    rates = [model.measure.mass(region) * dt for region in regions]
+    normals = np.zeros((3, block, 2))
+    table = integrator._draw_block(model, integrator._generators([_path_key(5, p) for p in range(3)]), on, rates, normals)
+    expected_normals, cells = np.zeros((3, block, 2)), []  # cells: (step * regions + region, path, marks)
+    for p, (_, noise, jumps) in enumerate(on):
+        g = path_generator(5, p)
+        if noise:
+            expected_normals[p] = g.standard_normal((block, 2))
+        if jumps:
+            counts = [g.poisson(rate, block) for rate in rates]
+            uniforms = iter(g.random(sum(int(c.sum()) for c in counts)))
+            for j in range(block):
+                for r, region in enumerate(regions):
+                    marks = [next(uniforms) for _ in range(counts[r][j])]
+                    if marks:
+                        cells.append((j * len(regions) + r, p, model.measure.inverse_cdf(region, np.array(marks))))
+    cells.sort(key=lambda cell: cell[:2])
+    assert sum(len(marks) > 1 for _, _, marks in cells) >= 5  # cells with several marks
+    assert any(a[0] == b[0] for a, b in zip(cells, cells[1:]))  # groups with both jumping rows
+    bounds, paths, offsets, owners, values = table
+    assert np.array_equal(normals, expected_normals)
+    assert bounds == [sum(cell < group for cell, _, _ in cells) for group in range(block * len(regions) + 1)]
+    assert paths.tolist() == [p for _, p, _ in cells]
+    assert offsets.tolist() == np.cumsum([0] + [len(marks) for _, _, marks in cells]).tolist()
+    assert owners.tolist() == [p for _, p, marks in cells for _ in marks]
+    assert values.tobytes() == np.concatenate([marks for _, _, marks in cells]).tobytes()
+
+
 # the rows of one noise-panel run: (which of drift, diffusion, jumps act; the reduced copy it equals)
 PANEL_ROWS = {
     "stochastic": ((True, True, True), {"diffusion": False, "jumps": False}),
@@ -1064,6 +1103,14 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match="kept none"):
             reduced.write_csv(tmp_path / "reduced.csv")
         assert not (tmp_path / "reduced.csv").exists()
+
+    @pytest.mark.parametrize("keep", [("state",), "states", ("states", "floor_hits")])
+    def test_keep_names_only_outputs_kept_on_request(self, zero_model, monkeypatch, keep):
+        # a misspelt name would keep nothing, and a string would be read as its substrings
+        monkeypatch.setattr(integrator, "_generators", lambda keys: pytest.fail("drew before refusing keep"))
+        cfg = SimConfig(horizon=0.05, dt=0.01, seed=0)
+        with pytest.raises(ValueError, match=re.escape(f"got {keep!r}")):
+            run_paths(zero_model, (1.0, 0.5, 0.25), cfg, [_path_key(0, 0)], keep=keep)
 
     @pytest.mark.parametrize("name", ["table1", "table6"])
     def test_rows_of_a_result_are_a_result(self, scenario, tmp_path, name):

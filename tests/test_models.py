@@ -320,7 +320,7 @@ class TestNamedTables:
             build_named("ex2", TABLE1_PARAMS, TABLE1_JUMPS)
 
     def test_cap_only_where_the_expressions_use_it(self, scenario):
-        with pytest.raises(ValueError, match="takes no truncation cap"):
+        with pytest.raises(ValueError, match="does not take cap"):
             build_named("ex1", TABLE1_PARAMS, TABLE1_JUMPS, cap=2.0)
         cfg, _ = scenario("table7")
         with pytest.raises(ValueError, match="requires a truncation cap"):

@@ -659,6 +659,16 @@ paths = 2
         assert capsys.readouterr().err.splitlines() == [f"error: {source}: {message}"]
         assert not (tmp_path / "out").exists()
 
+    def test_grid_that_cannot_be_allocated_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # a horizon or dt that asks for more record steps than memory holds: one line naming the file
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(ussir.integrator, "run_paths", refuse)
+        assert main(["simulate", "--config", "table3", "--out", str(tmp_path / "out")]) == 1
+        source = bundled_scenario_path("table3")
+        assert capsys.readouterr().err.splitlines() == [f"error: {source}: Unable to allocate 72.8 TiB for an array"]
+
     def test_two_calls_build_one_parser(self, monkeypatch, capsys):
         built, init = [], argparse.ArgumentParser.__init__
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k))
